@@ -102,16 +102,6 @@ class ArrivalModel:
         pi = np.clip(pi, 0.0, None)
         return pi / pi.sum()
 
-    def increment_bound(self) -> float:
-        """Upper bound on any single increment component (inf if unbounded)."""
-        if self.kind == "deterministic":
-            return float(self.lam.max(initial=0.0))
-        if self.kind == "bernoulli":
-            return 1.0
-        if self.kind == "iid_batch":
-            return float(self.amax.max(initial=0))
-        return float(self.state_rates.max(initial=0.0))
-
 
 def sample_increments(model: ArrivalModel, horizon: int, seed) -> np.ndarray:
     """Cumulative arrival path A(0..horizon), shape (horizon+1, n_queues).
@@ -157,9 +147,6 @@ class DeviationReport:
     sup_dev: list[float]  # max over reps of sup_{tau<=z} |A(tau)-lam*tau| / z
     delta: list[float]  # comparison sequence delta_z
     pass_fluid: list[bool]
-
-    def worst_margin(self) -> float:
-        return max(s - d for s, d in zip(self.sup_dev, self.delta))
 
 
 def default_delta(z: int) -> float:

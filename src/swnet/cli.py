@@ -51,7 +51,7 @@ from .geometry import (
 )
 from .lift import LyapunovSpec, is_fixed_point, lift
 from .model import NetworkModel, RoutingMatrix, ScheduleSet, WeightFunction, validate_network
-from .policy import Policy
+from .policy import Policy, weight_vectors
 from .sim import conservation_audit, path_from_csv, run
 
 
@@ -76,6 +76,20 @@ def _require_keys(obj: dict, pointer: str, allowed: set[str], required: set[str]
     missing = required - set(obj)
     if missing:
         raise SchemaError(f"{pointer}/{sorted(missing)[0]}", "missing required key")
+
+
+def _integer(value, pointer: str) -> int:
+    """An integer parameter; a float such as 10.7 is refused, not truncated."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise SchemaError(pointer, f"expected an integer, got {value!r}")
+    return value
+
+
+def _vector(value, n: int, pointer: str) -> list[float]:
+    """A list of n numbers (rational strings allowed), as floats."""
+    if not isinstance(value, list) or len(value) != n:
+        raise SchemaError(pointer, f"expected a list of {n} values")
+    return [float(to_fraction(v)) for v in value]
 
 
 @dataclass
@@ -218,10 +232,8 @@ def parse_scenario(source) -> ScenarioConfig:
     else:
         model = _build_model(raw)
     lam = raw.get("lambda")
-    if lam is not None:
-        if len(lam) != model.n_queues:
-            raise SchemaError("/lambda", f"expected {model.n_queues} rates")
-        lam = list(lam)
+    if lam is not None and (not isinstance(lam, list) or len(lam) != model.n_queues):
+        raise SchemaError("/lambda", f"expected a list of {model.n_queues} rates")
     arrivals = _build_arrivals(raw["arrivals"]) if "arrivals" in raw else None
     policy = _build_policy(raw["policy"]) if "policy" in raw else None
     tolerances = dict(raw.get("tolerances", {}))
@@ -246,10 +258,6 @@ def parse_scenario(source) -> ScenarioConfig:
 # ---------------------------------------------------------------------------
 
 
-def _frac_str(x: Fraction) -> str:
-    return str(x)
-
-
 def _json_bytes(obj: Any) -> bytes:
     return (json.dumps(obj, sort_keys=True, indent=2) + "\n").encode()
 
@@ -265,9 +273,19 @@ def _clvr_for(cfg: ScenarioConfig):
     if not model.is_single_hop:
         rt = model.upstream.entries
         lam = [sum(lam[m] for m in range(model.n_queues) if rt[k, m]) for k in range(model.n_queues)]
-    vrs = enumerate_dual_vertices(model, budget=int(cfg.experiment.get("budget", DEFAULT_VERTEX_BUDGET)))
+    budget = _integer(cfg.experiment.get("budget", DEFAULT_VERTEX_BUDGET), "/experiment/budget")
+    vrs = enumerate_dual_vertices(model, budget=budget)
     tol = float(cfg.tolerances.get("clvr", 0.0))
     return critically_loaded(model, lam, vrs, tol=tol), vrs
+
+
+def _lyapunov_view(cfg: ScenarioConfig):
+    """(spec, clvr): the Lyapunov function of the policy's weight and the
+    critically loaded resources. Without a weighted policy (msmw_log, or a
+    lift run with no policy) the linear weight serves as a reference view."""
+    weighted = cfg.policy is not None and cfg.policy.weight is not None
+    (clvr, _), _vrs = _clvr_for(cfg)
+    return LyapunovSpec(weight=cfg.policy.weight if weighted else WeightFunction.power(1.0)), clvr
 
 
 # ---------------------------------------------------------------------------
@@ -286,21 +304,21 @@ def _run_analyze(cfg: ScenarioConfig, out: Path) -> int:
     (clvr, clvr_plus), vrs = _clvr_for(cfg)
     cl_ok, cl_weights = complete_loading_check(model, lam, vrs)
     doc = {
-        "lambda": [_frac_str(v) for v in lam],
-        "primal_value": _frac_str(value),
-        "dual_value": _frac_str(dvalue),
+        "lambda": [str(v) for v in lam],
+        "primal_value": str(value),
+        "dual_value": str(dvalue),
         "strong_duality": value == dvalue,
         "class": load.load_class,
         "exact": load.exact,
-        "primal_weights": [_frac_str(v) for v in alpha],
-        "dual_maximizer": [_frac_str(v) for v in xi],
-        "vertices": [[_frac_str(v) for v in x] for x in vrs.vertices],
-        "maximal": [[_frac_str(v) for v in x] for x in vrs.maximal],
-        "clvr": [[_frac_str(v) for v in x] for x in clvr],
-        "clvr_plus": [[_frac_str(v) for v in x] for x in clvr_plus],
+        "primal_weights": [str(v) for v in alpha],
+        "dual_maximizer": [str(v) for v in xi],
+        "vertices": [[str(v) for v in x] for x in vrs.vertices],
+        "maximal": [[str(v) for v in x] for x in vrs.maximal],
+        "clvr": [[str(v) for v in x] for x in clvr],
+        "clvr_plus": [[str(v) for v in x] for x in clvr_plus],
         "complete_loading": {
             "holds": cl_ok,
-            "weights": [_frac_str(v) for v in cl_weights] if cl_weights else None,
+            "weights": [str(v) for v in cl_weights] if cl_weights else None,
         },
     }
     (out / "analysis.json").write_bytes(_json_bytes(doc))
@@ -317,16 +335,14 @@ def _run_simulate(cfg: ScenarioConfig, out: Path) -> int:
     else:
         if cfg.arrivals is None or cfg.policy is None:
             raise SchemaError("/arrivals", "simulate needs arrivals and policy")
-        horizon = int(exp.get("horizon", 1000))
-        q0 = [float(to_fraction(v)) for v in exp.get("q0", [0.0] * model.n_queues)]
         path = run(
             model,
             cfg.policy,
             cfg.arrivals,
-            q0,
-            horizon,
+            _vector(exp.get("q0", [0.0] * model.n_queues), model.n_queues, "/experiment/q0"),
+            _integer(exp.get("horizon", 1000), "/experiment/horizon"),
             cfg.seed,
-            record_every=int(exp.get("record_every", 1)),
+            record_every=_integer(exp.get("record_every", 1), "/experiment/record_every"),
         )
         if len(path.tau) == path.horizon + 1:
             (out / "trajectory.csv").write_text(path.to_csv(), encoding="utf-8", newline="\n")
@@ -341,29 +357,23 @@ def _run_fluid(cfg: ScenarioConfig, out: Path) -> int:
     model = cfg.model
     exp = cfg.experiment
     lam_f = [float(to_fraction(v)) for v in cfg.lam]
-    q0 = [float(to_fraction(v)) for v in exp.get("q0", [0.0] * model.n_queues)]
+    q0 = _vector(exp.get("q0", [0.0] * model.n_queues), model.n_queues, "/experiment/q0")
     h = float(exp.get("h", 1e-3))
     T = float(exp.get("T", 10.0))
     traj = integrate_fluid(model, cfg.policy, lam_f, q0, h=h, T=T)
-    # weightless policies (msmw_log) report L/drift/lift columns under the
-    # linear weight as a reference view
-    weight = cfg.policy.weight if cfg.policy.weight is not None else WeightFunction.power(1.0)
-    spec = LyapunovSpec(weight=weight)
-    (clvr, _), _vrs = _clvr_for(cfg)
-    stride = int(exp.get("lift_stride", max(1, (traj.t.shape[0] - 1) // 400)))
+    spec, clvr = _lyapunov_view(cfg)
+    stride = _integer(exp.get("lift_stride", max(1, (traj.t.shape[0] - 1) // 400)), "/experiment/lift_stride")
     times, dists = distance_to_lift(model, cfg.lam, spec, clvr, traj, stride=stride)
     dist_at = {round(float(t), 12): float(d) for t, d in zip(times, dists)}
 
     L_vals = spec.weight.antiderivative(traj.q).sum(axis=1)
-    from .fluid import policy_weight_vectors
-
-    weights = policy_weight_vectors(model, spec.weight, traj.q)
+    weights = weight_vectors(model, spec.weight, traj.q, pressure=not model.is_single_hop)
     formula = (spec.weight.value(traj.q) @ np.asarray(lam_f)) - weights.max(axis=1)
     buf = io.StringIO()
     n = model.n_queues
-    lam_label = ",".join(_frac_str(v) for v in _lam_fractions(cfg.lam))
+    lam_label = ",".join(str(v) for v in _lam_fractions(cfg.lam))
     buf.write(
-        f"# model={model.name}, lambda=({lam_label}), weight={weight.label()}, "
+        f"# model={model.name}, lambda=({lam_label}), weight={spec.weight.label()}, "
         f"policy={cfg.policy.label()}, h={h!r}, T={T!r}\n"
     )
     buf.write("t," + ",".join(f"q_{i+1}" for i in range(n)) + ",L,drift_formula,drift_fd,dist_to_lift\n")
@@ -388,14 +398,8 @@ def _run_lift(cfg: ScenarioConfig, out: Path) -> int:
     exp = cfg.experiment
     if "q" not in exp:
         raise SchemaError("/experiment/q", "missing required key")
-    q = [float(to_fraction(v)) for v in exp["q"]]
-    weight = (
-        cfg.policy.weight
-        if cfg.policy is not None and cfg.policy.weight is not None
-        else WeightFunction.power(1.0)
-    )
-    spec = LyapunovSpec(weight=weight)
-    (clvr, _), _vrs = _clvr_for(cfg)
+    q = _vector(exp["q"], cfg.model.n_queues, "/experiment/q")
+    spec, clvr = _lyapunov_view(cfg)
     res = lift(
         cfg.model,
         cfg.lam,
@@ -425,10 +429,11 @@ def _run_collapse(cfg: ScenarioConfig, out: Path, threads: int) -> int:
         raise SchemaError("/lambda", "collapse needs lambda and policy")
     exp = cfg.experiment
     model = cfg.model
-    weight = cfg.policy.weight if cfg.policy.weight is not None else WeightFunction.power(1.0)
-    spec = LyapunovSpec(weight=weight)
-    (clvr, _), _vrs = _clvr_for(cfg)
-    qhat0 = np.array([float(to_fraction(v)) for v in exp.get("qhat0", [1.0] * model.n_queues)])
+    spec, clvr = _lyapunov_view(cfg)
+    qhat0 = np.array(_vector(exp.get("qhat0", [1.0] * model.n_queues), model.n_queues, "/experiment/qhat0"))
+    r_list = exp.get("r_list", [10, 20, 40])
+    if not isinstance(r_list, list) or not r_list:
+        raise SchemaError("/experiment/r_list", "expected a nonempty list of scales")
     mcfg = MsscConfig(
         model=model,
         policy=cfg.policy,
@@ -436,18 +441,18 @@ def _run_collapse(cfg: ScenarioConfig, out: Path, threads: int) -> int:
         clvr=clvr,
         spec=spec,
         qhat0=qhat0,
-        r_list=[int(r) for r in exp.get("r_list", [10, 20, 40])],
+        r_list=[_integer(r, f"/experiment/r_list/{i}") for i, r in enumerate(r_list)],
         T=float(exp.get("T", 1.0)),
-        reps=int(exp.get("reps", 20)),
+        reps=_integer(exp.get("reps", 20), "/experiment/reps"),
         master_seed=cfg.seed,
-        grid_points=int(exp.get("grid_points", 200)),
+        grid_points=_integer(exp.get("grid_points", 200), "/experiment/grid_points"),
         gamma=np.asarray(exp["gamma"], dtype=float) if "gamma" in exp else None,
     )
     report = mssc_experiment(mcfg, threads=threads)
     buf = io.StringIO()
-    lam_label = ",".join(_frac_str(v) for v in _lam_fractions(cfg.lam))
+    lam_label = ",".join(str(v) for v in _lam_fractions(cfg.lam))
     buf.write(
-        f"# model={model.name}, lambda=({lam_label}), weight={weight.label()}, "
+        f"# model={model.name}, lambda=({lam_label}), weight={spec.weight.label()}, "
         f"policy={cfg.policy.label()}, T={mcfg.T!r}, seed={cfg.seed}\n"
     )
     buf.write("r,rep,ratio\n")
@@ -461,7 +466,7 @@ def _run_collapse(cfg: ScenarioConfig, out: Path, threads: int) -> int:
         report.medians_decreasing() or not require_decreasing
     )
     summary = {
-        "lambda": [_frac_str(v) for v in _lam_fractions(cfg.lam)],
+        "lambda": [str(v) for v in _lam_fractions(cfg.lam)],
         "policy": cfg.policy.label(),
         "qhat0": [float(v) for v in qhat0],
         "r_list": mcfg.r_list,
@@ -483,9 +488,9 @@ def _run_iqcheck(cfg: ScenarioConfig, out: Path) -> int:
     exp = cfg.experiment
     m = int(exp.get("M", 2))
     alphas = [float(a) for a in exp.get("alphas", [1.0, 0.5, 0.2])]
-    samples = int(exp.get("samples", 1000))
-    coverage = int(exp.get("coverage_samples", 200))
-    grid_points = int(exp.get("grid_points", 1000))
+    samples = _integer(exp.get("samples", 1000), "/experiment/samples")
+    coverage = _integer(exp.get("coverage_samples", 200), "/experiment/coverage_samples")
+    grid_points = _integer(exp.get("grid_points", 1000), "/experiment/grid_points")
 
     # virtual resources must be exactly the row/column indicators
     sw = presets.iq_switch(m)
@@ -568,6 +573,12 @@ def execute(cfg: ScenarioConfig, out_dir, threads: int = 1) -> int:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
+    env_threads = os.environ.get("SWNET_THREADS", "1")
+    try:
+        default_threads = int(env_threads)
+    except ValueError:
+        print(f"swnet: SWNET_THREADS must be an integer, got {env_threads!r}", file=sys.stderr)
+        return 1
     parser = argparse.ArgumentParser(
         prog="swnet", description="switched-network scheduling laboratory"
     )
@@ -580,7 +591,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         p.add_argument(
             "--threads",
             type=int,
-            default=int(os.environ.get("SWNET_THREADS", "1")),
+            default=default_threads,
             help="worker threads for replication fan-out",
         )
     args = parser.parse_args(argv)

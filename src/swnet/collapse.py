@@ -4,7 +4,6 @@ near-optimality audits, and the input-queued-switch structural suites.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -12,6 +11,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from . import presets
 from .arrivals import ArrivalModel, derive_rng
 from .fluid import FluidTrajectory
 from .geometry import critically_loaded, enumerate_dual_vertices, to_fraction
@@ -352,16 +352,6 @@ def default_workload_grid(step: float = 0.1, w_max: float = 2.0, tot_max: float 
 # ---------------------------------------------------------------------------
 
 
-def _matchings(m: int) -> list[np.ndarray]:
-    out = []
-    for perm in sorted(itertools.permutations(range(m))):
-        mat = np.zeros((m, m))
-        for i, j in enumerate(perm):
-            mat[i, j] = 1.0
-        out.append(mat)
-    return out
-
-
 @dataclass
 class MatchingChecksReport:
     m: int
@@ -394,7 +384,7 @@ def matching_structure_checks(
     """
     if m > 4:
         raise ValueError("brute force over matchings supports M <= 4")
-    matchings = _matchings(m)
+    matchings = [pi.reshape(m, m) for pi in presets.iq_switch(m).schedules]
     rng = derive_rng(seed)
     closure_bad = 0
     for _ in range(samples):
@@ -411,8 +401,6 @@ def matching_structure_checks(
                 break
 
     # invariant states via the lifting map under uniform rates
-    from . import presets  # local import to avoid a cycle
-
     sw = model if model is not None else presets.iq_switch(m)
     vrs = enumerate_dual_vertices(sw)
     lam = [Fraction(1, m)] * (m * m)

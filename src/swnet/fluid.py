@@ -18,7 +18,8 @@ import numpy as np
 
 from .lift import LyapunovSpec, lift
 from .model import NetworkModel
-from .policy import Policy, TieState, select_schedule
+from .policy import Policy, TieState, select_schedule, weight_vectors
+from .sim import _interp_rows, advance
 
 
 class GridMismatch(ValueError):
@@ -77,20 +78,12 @@ def integrate_fluid(
     y = np.zeros(n)
     count = np.zeros(ns, dtype=np.int64)
     s_mat = model.schedules.as_array
-    rt = model.routing.entries.T.astype(float)
-    single = model.is_single_hop
     dA = lam * h
     if tie_state is None:
         tie_state = TieState()
     for k in range(steps):
         trace = select_schedule(model, policy, q, tie_state)
-        dB = h * s_mat[trace.chosen]
-        dY = np.maximum(dB - q, 0.0)
-        if single:
-            q = np.maximum(q - dB, 0.0) + dA
-        else:
-            served = dB - dY
-            q = q - served + rt @ served + dA
+        q, dY = advance(model, q, h * s_mat[trace.chosen], dA)
         y = y + dY
         count[trace.chosen] += 1
         qs[k + 1] = q
@@ -109,16 +102,6 @@ def integrate_fluid(
     )
 
 
-def policy_weight_vectors(model: NetworkModel, weight, q_rows: np.ndarray) -> np.ndarray:
-    """Schedule weights pi . f(q) (single-hop) or pi . (I-R) f(q) (multi-hop)
-    for a batch of states, shape (rows, num_schedules)."""
-    fq = weight.value(q_rows)
-    if not model.is_single_hop:
-        down = q_rows @ model.routing.entries.T.astype(float)
-        fq = fq - weight.value(down)
-    return fq @ model.schedules.as_array.T
-
-
 def lyapunov_drift_check(
     model: NetworkModel,
     lam,
@@ -134,7 +117,7 @@ def lyapunov_drift_check(
     lam = np.asarray(lam, dtype=float)
     w = spec.weight
     L_vals = w.antiderivative(traj.q).sum(axis=1)
-    weights = policy_weight_vectors(model, w, traj.q)
+    weights = weight_vectors(model, w, traj.q, pressure=not model.is_single_hop)
     top = weights.max(axis=1)
     # argmax sets as boolean masks; exact comparison mirrors the policies
     masks = weights >= top[:, None]
@@ -228,13 +211,6 @@ def convergence_to_invariant(
     return float(times[first])
 
 
-def _resample(t_src: np.ndarray, vals: np.ndarray, t_dst: np.ndarray) -> np.ndarray:
-    out = np.empty((t_dst.shape[0], vals.shape[1]))
-    for j in range(vals.shape[1]):
-        out[:, j] = np.interp(t_dst, t_src, vals[:, j])
-    return out
-
-
 def trajectory_distance(x, y) -> float:
     """sup_t max-component |x(t) - y(t)| over the shared component families.
 
@@ -252,8 +228,8 @@ def trajectory_distance(x, y) -> float:
     grid = np.union1d(tx, ty)
     worst = 0.0
     for name in shared:
-        vx = _resample(tx, np.asarray(cx[name], dtype=float), grid)
-        vy = _resample(ty, np.asarray(cy[name], dtype=float), grid)
+        vx = _interp_rows(tx, np.asarray(cx[name], dtype=float), grid)
+        vy = _interp_rows(ty, np.asarray(cy[name], dtype=float), grid)
         if vx.shape[1] != vy.shape[1]:
             raise GridMismatch(f"component {name!r} dimensions differ")
         worst = max(worst, float(np.abs(vx - vy).max(initial=0.0)))

@@ -49,10 +49,6 @@ def fraction_vector(xs) -> tuple[Fraction, ...]:
     return tuple(to_fraction(x) for x in xs)
 
 
-def format_fraction(x: Fraction) -> str:
-    return str(x)
-
-
 # ---------------------------------------------------------------------------
 # exact linear algebra
 # ---------------------------------------------------------------------------
@@ -257,9 +253,6 @@ class LoadClass:
     load_class: str  # strictly_admissible | critical | inadmissible
     exact: bool
     tolerance: float = 0.0
-
-    def is_admissible(self) -> bool:
-        return self.load_class != "inadmissible"
 
 
 def classify_load(model: NetworkModel, lam, tol: float = 1e-9) -> LoadClass:

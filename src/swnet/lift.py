@@ -23,6 +23,7 @@ import numpy as np
 
 from .geometry import solve_lp, to_fraction
 from .model import NetworkModel, WeightFunction
+from .policy import weight_vectors
 
 
 class SolverDivergence(RuntimeError):
@@ -363,15 +364,10 @@ def invariant_state_test(
     lambda . f(q) equals the maximal schedule weight at q (single-hop
     weights pi . f(q); multi-hop pi . (I-R) f(q))."""
     q = np.asarray(q, dtype=float)
-    lam_f = _lam_floats(lam)
-    fq = spec.weight.value(q)
-    s_mat = model.schedules.as_array
-    if model.is_single_hop:
-        weights = s_mat @ fq
-    else:
-        weights = s_mat @ (fq - spec.weight.value(model.routing.downstream_of(q)))
+    weights = weight_vectors(model, spec.weight, q, pressure=not model.is_single_hop)
     max_w = float(weights.max())
-    return abs(float(lam_f @ fq) - max_w) <= tol * (1.0 + abs(max_w))
+    lam_fq = float(_lam_floats(lam) @ spec.weight.value(q))
+    return abs(lam_fq - max_w) <= tol * (1.0 + abs(max_w))
 
 
 def representation_check(

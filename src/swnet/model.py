@@ -68,9 +68,6 @@ class ScheduleSet:
     def __repr__(self) -> str:
         return f"ScheduleSet({self._arr.tolist()!r})"
 
-    def max_component(self) -> float:
-        return float(self._arr.max())
-
     def contains(self, vec) -> bool:
         return any(np.array_equal(row, vec) for row in self._arr)
 
@@ -168,10 +165,6 @@ class RoutingMatrix:
 
     def is_zero(self) -> bool:
         return not self._arr.any()
-
-    def downstream_of(self, q) -> np.ndarray:
-        """[Rq]_n: content of the queue downstream of n (0 if none)."""
-        return self._arr @ np.asarray(q, dtype=float)
 
 
 class UpstreamMatrix:

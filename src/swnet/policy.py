@@ -97,25 +97,35 @@ class SelectionTrace:
     chosen: int
 
 
+def weight_vectors(model: NetworkModel, weight: WeightFunction, q, pressure: bool) -> np.ndarray:
+    """Schedule weights pi . f(q), or with ``pressure`` pi . (I-R) f(q) using
+    [(I-R)f(q)]_n = f(q_n) - f([Rq]_n).
+
+    ``q`` is one state (N,) or a batch (..., N); the result has shape
+    (..., num_schedules). Every state gets its own matrix-vector product, so
+    a batch row is bit-identical to the weights of that state alone.
+    """
+    q = np.asarray(q, dtype=float)
+    fq = weight.value(q)
+    if pressure:
+        fq = fq - weight.value(q @ model.routing.entries.T)
+    return (model.schedules.as_array @ fq[..., None])[..., 0]
+
+
 def schedule_weights(model: NetworkModel, policy: Policy, q) -> np.ndarray:
     """Per-schedule weights at queue state q.
 
-    mw: pi . f(q). backpressure: pi . (I-R) f(q), using
-    [(I-R)f(q)]_n = f(q_n) - f([Rq]_n). msmw_log: the lexicographic pair
-    (pi . 1{q>0}, sum over nonempty served queues of pi_n log q_n).
+    mw: pi . f(q). backpressure: pi . (I-R) f(q); see weight_vectors.
+    msmw_log: the lexicographic pair (pi . 1{q>0}, sum over nonempty served
+    queues of pi_n log q_n).
     """
     policy.validate_for(model)
     q = np.asarray(q, dtype=float)
     if np.any(q < 0):
         raise ValueError("queue state must be >= 0")
+    if policy.kind != "msmw_log":
+        return weight_vectors(model, policy.weight, q, pressure=policy.kind == "backpressure")
     s_mat = model.schedules.as_array
-    if policy.kind == "mw":
-        return s_mat @ policy.weight.value(q)
-    if policy.kind == "backpressure":
-        fq = policy.weight.value(q)
-        f_down = policy.weight.value(model.routing.downstream_of(q))
-        return s_mat @ (fq - f_down)
-    # msmw_log
     pos = q > 0
     size = s_mat @ pos.astype(float)
     logs = np.where(pos, np.log(np.where(pos, q, 1.0)), 0.0)

@@ -32,11 +32,6 @@ def iq_switch(m: int) -> NetworkModel:
     return validate_network(ScheduleSet(scheds), name=f"iq_switch({m})")
 
 
-def iq_queue_index(m: int, i: int, j: int) -> int:
-    """Queue index of input port i, output port j (0-based)."""
-    return i * m + j
-
-
 def tandem(n: int) -> NetworkModel:
     """N queues in a chain 0 -> 1 -> ... -> N-1; schedules are all 0/1
     service vectors (the unit hypercube), which is monotone-closed."""

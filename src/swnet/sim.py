@@ -43,6 +43,23 @@ class _Kahan:
         self.total = t
 
 
+def advance(
+    model: NetworkModel, q: np.ndarray, dB: np.ndarray, dA: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The queue recursion for one slot: returns (q_next, dY).
+
+    Single-hop: q_next = [q - dB]^+ + dA. Multi-hop: the work actually
+    served, dB - dY, leaves its queue and joins the downstream one. dY =
+    [dB - q]^+ is the idled service. The fluid integrator runs the same
+    recursion with increments h*pi and lambda*h.
+    """
+    dY = np.maximum(dB - q, 0.0)
+    if model.is_single_hop:
+        return np.maximum(q - dB, 0.0) + dA, dY
+    served = dB - dY
+    return q - served + served @ model.routing.entries + dA, dY
+
+
 @dataclass
 class StepResult:
     q_next: np.ndarray
@@ -65,12 +82,7 @@ def step(
         raise ValueError("arrival increments must be >= 0")
     trace = select_schedule(model, policy, q, tie_state)
     dB = model.schedules[trace.chosen]
-    dY = np.maximum(dB - q, 0.0)
-    if model.is_single_hop:
-        q_next = np.maximum(q - dB, 0.0) + dA
-    else:
-        served = dB - dY  # actual work removed; routed downstream next slot
-        q_next = q - served + model.routing.entries.T @ served + dA
+    q_next, dY = advance(model, q, dB, dA)
     if q_next.min() < 0.0:
         raise NegativeQueue(f"queue went negative: {q_next}")
     return StepResult(q_next=q_next, service=dB, idling=dY, trace=trace)
@@ -184,20 +196,12 @@ def run(
     s_counts = np.zeros(ns, dtype=np.int64)
     sup_q = float(q.max(initial=0.0))
     Q[0] = q
-    single = model.is_single_hop
     s_mat = model.schedules.as_array
-    rt = model.routing.entries.T.astype(float)
 
     for tau in range(horizon):
         trace = select_schedule(model, policy, q, tie_state)
         dB = s_mat[trace.chosen]
-        dY = np.maximum(dB - q, 0.0)
-        dA = a_path[tau + 1] - a_path[tau]
-        if single:
-            q = np.maximum(q - dB, 0.0) + dA
-        else:
-            served = dB - dY
-            q = q - served + rt @ served + dA
+        q, dY = advance(model, q, dB, a_path[tau + 1] - a_path[tau])
         if q.min() < 0.0:
             raise NegativeQueue(f"queue went negative at slot {tau}: {q}")
         b_acc.add(dB)
@@ -244,10 +248,6 @@ class ScaledPath:
     y: Optional[np.ndarray] = None
     s: Optional[np.ndarray] = None
     source_meta: dict = field(default_factory=dict)
-
-    @property
-    def horizon_time(self) -> float:
-        return float(self.t[-1])
 
     def components(self) -> dict:
         out = {"q": self.q}

@@ -158,6 +158,55 @@ def test_main_schema_error_exit_code(tmp_path):
     assert main(["analyze", path, "--out", str(tmp_path / "o")]) == 1
 
 
+_EX2_SIM = {
+    "preset": "ex2",
+    "arrivals": {"kind": "bernoulli", "lambda": [0.9, 0.5]},
+    "policy": {"kind": "mw", "alpha": 1.0},
+}
+
+
+@pytest.mark.parametrize(
+    "scenario, pointer",
+    [
+        pytest.param(
+            {"preset": "ex2", "lambda": [1, 1], "experiment": {"kind": "lift", "q": [1, 2, 3]}},
+            "/experiment/q",
+            id="lift-q-wrong-length",
+        ),
+        pytest.param(
+            dict(_EX2_SIM, **{"lambda": [1, 1], "experiment": {"kind": "collapse", "r_list": []}}),
+            "/experiment/r_list",
+            id="empty-r_list",
+        ),
+        pytest.param(
+            {"preset": "ex2", "lambda": "11", "experiment": {"kind": "analyze"}},
+            "/lambda",
+            id="lambda-as-string",
+        ),
+        pytest.param(
+            dict(_EX2_SIM, experiment={"kind": "simulate", "horizon": 10.7}),
+            "/experiment/horizon",
+            id="fractional-horizon",
+        ),
+    ],
+)
+def test_bad_input_is_a_schema_error(tmp_path, capsys, scenario, pointer):
+    with pytest.raises(SchemaError) as err:
+        execute(parse_scenario(json.loads(json.dumps(scenario))), tmp_path / "direct")
+    assert err.value.pointer == pointer
+    path = _write(tmp_path, "bad.json", scenario)
+    assert main([scenario["experiment"]["kind"], path, "--out", str(tmp_path / "o")]) == 1
+    assert f"schema error at {pointer}:" in capsys.readouterr().err
+
+
+def test_bad_swnet_threads_is_a_one_line_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("SWNET_THREADS", "abc")
+    path = _write(tmp_path, "s.json", {"preset": "ex2", "lambda": [1, 1], "experiment": {"kind": "analyze"}})
+    assert main(["analyze", path, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "SWNET_THREADS" in err and "'abc'" in err
+
+
 def test_fluid_command_csv(tmp_path):
     cfg = parse_scenario(
         {

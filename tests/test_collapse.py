@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from swnet import presets
 from swnet.arrivals import derive_rng
 from swnet.collapse import (
     Iq2x2Workload,
@@ -171,10 +172,8 @@ def test_matching_checks_identity_matrix_trivial():
 def test_matching_closure_hand_case():
     # x = [[2,1],[1,0]]: both matchings weigh 2; support is all-ones and
     # both matchings are maximal, so closure holds
-    from swnet.collapse import _matchings
-
     x = np.array([[2.0, 1.0], [1.0, 0.0]])
-    weights = [float((pi * x).sum()) for pi in _matchings(2)]
+    weights = [float((pi.reshape(2, 2) * x).sum()) for pi in presets.iq_switch(2).schedules]
     assert weights == [2.0, 2.0]
 
 

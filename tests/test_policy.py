@@ -14,6 +14,7 @@ from swnet.policy import (
     check_scale_invariance,
     schedule_weights,
     select_schedule,
+    weight_vectors,
 )
 
 
@@ -103,17 +104,54 @@ def test_chosen_weight_is_maximal_everywhere(ex2):
         assert trace.weights[trace.chosen] >= trace.weights.max()
 
 
+# Queue contents are zero or normal floats >= 1e-100: then kappa*q and
+# (kappa*q)**alpha stay normal for kappa >= 0.01 and alpha <= 3, so the two
+# states really are kappa-multiples and no weight underflows to zero.
+_queue_content = st.one_of(
+    st.just(0.0), st.floats(min_value=1e-100, max_value=20.0, allow_subnormal=False)
+)
+
+
 @settings(max_examples=50, deadline=None)
 @given(
     alpha=st.sampled_from([0.25, 0.5, 1.0, 2.0, 3.0]),
     kappa=st.floats(min_value=0.01, max_value=100.0, allow_nan=False),
-    q=st.lists(st.floats(min_value=0.0, max_value=20.0), min_size=2, max_size=2),
+    q=st.lists(_queue_content, min_size=2, max_size=2),
 )
 def test_power_weight_argmax_scale_invariant(ex2, alpha, kappa, q):
     pol = Policy.mw_alpha(alpha)
     base = select_schedule(ex2, pol, q).argmax_set
     scaled = select_schedule(ex2, pol, [kappa * v for v in q]).argmax_set
     assert np.array_equal(base, scaled)
+
+
+@pytest.mark.parametrize("pressure", [False, True])
+@pytest.mark.parametrize(
+    "model", [presets.ex2(), presets.tandem(2), presets.iq_switch(3)], ids=["ex2", "tandem2", "iq3"]
+)
+def test_weight_vectors_batch_equals_rows(model, pressure):
+    rng = np.random.default_rng(17)
+    Q = rng.random((60, model.n_queues)) * 10.0
+    Q[::6, 0] = 0.0  # some empty queues
+    for alpha in (0.5, 1.0, 2.0):
+        w = WeightFunction.power(alpha)
+        batch = weight_vectors(model, w, Q, pressure)
+        rows = np.stack([weight_vectors(model, w, q, pressure) for q in Q])
+        assert batch.shape == (60, len(model.schedules))
+        assert np.array_equal(batch, rows)
+        stacked = weight_vectors(model, w, Q.reshape(3, 20, model.n_queues), pressure)
+        assert np.array_equal(stacked.reshape(60, -1), rows)
+
+
+def test_weight_vectors_match_policy_weights(ex2, tandem2):
+    q = np.array([2.0, 3.0])
+    w = WeightFunction.power(1.0)
+    assert np.array_equal(weight_vectors(ex2, w, q, False), schedule_weights(ex2, Policy.mw(w), q))
+    assert np.array_equal(
+        weight_vectors(tandem2, w, q, True), schedule_weights(tandem2, Policy.backpressure(w), q)
+    )
+    # pi . (I-R) f(q) on the tandem: queue 0 drains into queue 1
+    np.testing.assert_array_equal(weight_vectors(tandem2, w, q, True), [0.0, 3.0, -1.0, 2.0])
 
 
 def test_scale_invariance_report_power_passes(switch2):
