@@ -143,17 +143,6 @@ def test_weight_vectors_batch_equals_rows(model, pressure):
         assert np.array_equal(stacked.reshape(60, -1), rows)
 
 
-def test_weight_vectors_match_policy_weights(ex2, tandem2):
-    q = np.array([2.0, 3.0])
-    w = WeightFunction.power(1.0)
-    assert np.array_equal(weight_vectors(ex2, w, q, False), schedule_weights(ex2, Policy.mw(w), q))
-    assert np.array_equal(
-        weight_vectors(tandem2, w, q, True), schedule_weights(tandem2, Policy.backpressure(w), q)
-    )
-    # pi . (I-R) f(q) on the tandem: queue 0 drains into queue 1
-    np.testing.assert_array_equal(weight_vectors(tandem2, w, q, True), [0.0, 3.0, -1.0, 2.0])
-
-
 def test_scale_invariance_report_power_passes(switch2):
     rep = check_scale_invariance(
         switch2, Policy.mw_alpha(0.5), samples=100, kappa_list=[0.1, 10.0], seed=3
