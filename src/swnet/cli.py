@@ -52,7 +52,7 @@ from .geometry import (
 from .lift import LyapunovSpec, is_fixed_point, lift
 from .model import NetworkModel, RoutingMatrix, ScheduleSet, WeightFunction, validate_network
 from .policy import Policy, weight_vectors
-from .sim import conservation_audit, path_from_csv, run
+from .sim import CsvFormatError, conservation_audit, path_from_csv, run
 
 
 class SchemaError(ValueError):
@@ -151,11 +151,11 @@ def _build_model(cfg: dict) -> NetworkModel:
         if name == "iq_switch":
             if "M" not in cfg:
                 raise SchemaError("/M", "iq_switch preset needs M")
-            return presets.iq_switch(int(cfg["M"]))
+            return presets.iq_switch(_integer(cfg["M"], "/M"))
         if name == "tandem":
             if "N" not in cfg:
                 raise SchemaError("/N", "tandem preset needs N")
-            return presets.tandem(int(cfg["N"]))
+            return presets.tandem(_integer(cfg["N"], "/N"))
         if name == "single_queue":
             return presets.single_queue()
         raise PresetUnknown(f"unknown preset {name!r}")
@@ -163,7 +163,7 @@ def _build_model(cfg: dict) -> NetworkModel:
         raise SchemaError("/network", "a preset or a network is required")
     net = cfg["network"]
     _require_keys(net, "/network", {"queues", "schedules", "routing"}, {"queues", "schedules"})
-    n = int(net["queues"])
+    n = _integer(net["queues"], "/network/queues")
     schedules = ScheduleSet([[float(to_fraction(v)) for v in row] for row in net["schedules"]])
     if schedules.n_queues != n:
         raise SchemaError("/network/schedules", f"schedule width must equal queues={n}")
@@ -228,7 +228,8 @@ def parse_scenario(source) -> ScenarioConfig:
         raise SchemaError("/experiment/kind", f"unknown experiment {kind!r}")
     _require_keys(exp, "/experiment", _EXPERIMENT_KEYS[kind])
     if kind == "iqcheck":
-        model = presets.iq_switch(int(exp.get("M", raw.get("M", 2))))
+        pointer = "/experiment/M" if "M" in exp else "/M"
+        model = presets.iq_switch(_integer(exp.get("M", raw.get("M", 2)), pointer))
     else:
         model = _build_model(raw)
     lam = raw.get("lambda")
@@ -248,7 +249,7 @@ def parse_scenario(source) -> ScenarioConfig:
         policy=policy,
         experiment_kind=kind,
         experiment=exp,
-        seed=int(raw.get("seed", 0)),
+        seed=_integer(raw.get("seed", 0), "/seed"),
         tolerances=tolerances,
     )
 
@@ -331,7 +332,10 @@ def _run_simulate(cfg: ScenarioConfig, out: Path) -> int:
     rtol = float(cfg.tolerances.get("audit_rtol", 1e-9))
     if "audit_csv" in exp:
         text = Path(exp["audit_csv"]).read_text(encoding="utf-8")
-        path = path_from_csv(text, model)
+        try:
+            path = path_from_csv(text, model)
+        except CsvFormatError as exc:
+            raise SchemaError("/experiment/audit_csv", str(exc)) from exc
     else:
         if cfg.arrivals is None or cfg.policy is None:
             raise SchemaError("/arrivals", "simulate needs arrivals and policy")
@@ -486,7 +490,7 @@ def _run_collapse(cfg: ScenarioConfig, out: Path, threads: int) -> int:
 
 def _run_iqcheck(cfg: ScenarioConfig, out: Path) -> int:
     exp = cfg.experiment
-    m = int(exp.get("M", 2))
+    m = _integer(exp.get("M", 2), "/experiment/M")
     alphas = [float(a) for a in exp.get("alphas", [1.0, 0.5, 0.2])]
     samples = _integer(exp.get("samples", 1000), "/experiment/samples")
     coverage = _integer(exp.get("coverage_samples", 200), "/experiment/coverage_samples")
@@ -592,7 +596,7 @@ def main(argv: Optional[list[str]] = None) -> int:
             "--threads",
             type=int,
             default=default_threads,
-            help="worker threads for replication fan-out",
+            help="worker threads; a collapse run gives each diffusion scale to one",
         )
     args = parser.parse_args(argv)
     try:

@@ -15,10 +15,11 @@ from . import presets
 from .arrivals import ArrivalModel, derive_rng
 from .fluid import FluidTrajectory
 from .geometry import critically_loaded, enumerate_dual_vertices, to_fraction
-from .lift import LyapunovSpec, lift
+from .lift import LiftProblem, LyapunovSpec, lift
 from .model import NetworkModel
 from .policy import Policy
-from .sim import rescale, run
+from .sim import rescale, run_batch
+from .sim import run  # unused here, but perfbench/tracer.py wraps collapse.run
 
 
 class NoRoot(ValueError):
@@ -85,50 +86,49 @@ class CollapseReport:
         return all(b < a for a, b in zip(meds, meds[1:]))
 
 
-def _mssc_cell(cfg: MsscConfig, ri: int, r: int, rep: int) -> tuple[int, int, float]:
-    """One (scale, replication) cell; RNG stream derives from the indices,
-    so cells are order-independent and safe to fan out."""
+def _mssc_scale(cfg: MsscConfig, problem: LiftProblem, ri: int, r: int) -> list[tuple[int, int, float]]:
+    """All replications of one scale, simulated in lockstep. Replication
+    rep draws from the stream (master_seed, ri, rep), so scales are
+    order-independent and safe to fan out."""
     horizon = int(math.ceil(r * r * cfg.T))
-    arr = cfg.arrival_for(r)
-    rng = derive_rng(cfg.master_seed, ri, rep)
-    path = run(
+    paths = run_batch(
         cfg.model,
         cfg.policy,
-        arr,
+        cfg.arrival_for(r),
         r * cfg.qhat0,
         horizon,
-        rng,
+        [derive_rng(cfg.master_seed, ri, rep) for rep in range(cfg.reps)],
         record_every=max(1, horizon // (4 * cfg.grid_points)),
     )
-    scaled = rescale(path, "diffusion", r, cfg.T, num=cfg.grid_points)
-    mu = None
-    worst = 0.0
-    for k in range(scaled.q.shape[0]):
-        res = lift(cfg.model, cfg.lam, cfg.spec, cfg.clvr, scaled.q[k], mu0=mu)
-        mu = res.multipliers
-        worst = max(worst, float(np.abs(scaled.q[k] - res.r_star).max(initial=0.0)))
-    denom = max(path.sup_q / r, 1.0)
-    return (r, rep, worst / denom)
+    rows = []
+    for rep, path in enumerate(paths):
+        scaled = rescale(path, "diffusion", r, cfg.T, num=cfg.grid_points)
+        mu = None
+        worst = 0.0
+        for q in scaled.q:
+            res = problem.solve(q, mu0=mu)
+            mu = res.multipliers
+            worst = max(worst, float(np.abs(q - res.r_star).max(initial=0.0)))
+        rows.append((r, rep, worst / max(path.sup_q / r, 1.0)))
+    return rows
 
 
 def mssc_experiment(cfg: MsscConfig, threads: int = 1) -> CollapseReport:
     """Simulate r^2 T slots per scale from Q(0) = r*qhat0, diffusion-rescale,
-    and measure the relative sup distance to the lifting map. Replications
-    may fan out over ``threads`` workers; the report merges in sorted
-    (r, rep) order regardless."""
+    and measure the relative sup distance to the lifting map. Scales may fan
+    out over ``threads`` workers; the report merges in sorted (r, rep) order
+    regardless."""
     trivial = len(cfg.clvr) == 0
-    cells = [
-        (ri, r, rep)
-        for ri, r in enumerate(sorted(cfg.r_list))
-        for rep in range(cfg.reps)
-    ]
+    problem = LiftProblem(cfg.model, cfg.lam, cfg.spec, cfg.clvr)
+    scales = list(enumerate(sorted(cfg.r_list)))
     if threads > 1:
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = sorted(pool.map(lambda c: _mssc_cell(cfg, *c), cells))
+            batches = list(pool.map(lambda s: _mssc_scale(cfg, problem, *s), scales))
     else:
-        rows = sorted(_mssc_cell(cfg, *c) for c in cells)
+        batches = [_mssc_scale(cfg, problem, *s) for s in scales]
+    rows = sorted(row for batch in batches for row in batch)
     med = {}
     p90 = {}
     for r in sorted(set(cfg.r_list)):

@@ -118,19 +118,6 @@ class LiftResult:
         return {k: float(m) for k, m in zip(self.constraint_kinds, self.multipliers)}
 
 
-def _kkt_residual(weight: WeightFunction, G, mu, r, grad) -> float:
-    """max of primal feasibility, complementarity, and stationarity errors."""
-    if G.shape[0] == 0:
-        return 0.0
-    pf = float(np.maximum(grad, 0.0).max(initial=0.0))
-    cs = float(np.abs(mu * grad).max(initial=0.0))
-    t = G.T @ mu
-    fr = weight.value(r)
-    st_pos = np.abs(fr - t)[r > 0].max(initial=0.0)
-    st_zero = np.maximum(t, 0.0)[r == 0].max(initial=0.0)
-    return max(pf, cs, float(st_pos), float(st_zero))
-
-
 def _finv_deriv(weight: WeightFunction, t: np.ndarray) -> np.ndarray:
     """(f^{-1})'(t) for t > 0, and 0 where the inner minimum sits at r = 0."""
     out = np.zeros_like(t)
@@ -140,6 +127,148 @@ def _finv_deriv(weight: WeightFunction, t: np.ndarray) -> np.ndarray:
         fp = weight.derivative(np.maximum(r, 1e-300))
         out[pos] = 1.0 / np.maximum(fp, 1e-300)
     return out
+
+
+@dataclass
+class _DualPoint:
+    """Everything the iteration needs at one multiplier vector mu."""
+
+    t: np.ndarray  # G^T mu (not clipped)
+    r: np.ndarray  # f^{-1}([G^T mu]^+), the inner minimizer
+    grad: np.ndarray  # h - G r, the dual gradient
+    kkt: float  # max of primal feasibility, complementarity, stationarity errors
+    dual: float  # the concave dual value
+
+
+class LiftProblem:
+    """The lifting program of one (model, lam, spec, clvr), compiled once.
+
+    The float constraint matrix G (rows a_k, so the program reads
+    a_k . r >= a_k . q), the constraint kinds and the rate labels are built
+    here; ``solve`` runs the dual ascent for one q. ``clvr`` is the set of
+    critically loaded virtual resources (maximal vertices; passing the full
+    critically loaded vertex set with ``include_caps=False`` yields the same
+    minimizer).
+    """
+
+    def __init__(self, model: NetworkModel, lam, spec: LyapunovSpec, clvr, include_caps: bool = True) -> None:
+        self.model = model
+        self.spec = spec
+        self.G, self.kinds = _assemble(model, lam, clvr, include_caps)
+        self.lam_label = [str(to_fraction(v)) for v in lam]
+
+    def _point(self, mu: np.ndarray, h: np.ndarray) -> _DualPoint:
+        weight, G = self.spec.weight, self.G
+        t = G.T @ mu
+        tp = np.maximum(t, 0.0)
+        r = weight.inverse(tp)
+        grad = h - G @ r
+        pf = float(np.maximum(grad, 0.0).max(initial=0.0))
+        cs = float(np.abs(mu * grad).max(initial=0.0))
+        st_pos = np.abs(weight.value(r) - t)[r > 0].max(initial=0.0)
+        st_zero = tp[r == 0].max(initial=0.0)
+        kkt = max(pf, cs, float(st_pos), float(st_zero))
+        dual = float(np.sum(weight.antiderivative(r) - tp * r) + mu @ h)
+        return _DualPoint(t=t, r=r, grad=grad, kkt=kkt, dual=dual)
+
+    def _result(self, r, mu, kkt: float, iterations: int) -> LiftResult:
+        return LiftResult(
+            r_star=r,
+            multipliers=mu,
+            constraint_kinds=list(self.kinds),
+            kkt_residual=kkt,
+            iterations=iterations,
+            objective=self.spec.L(r),
+            lam_label=list(self.lam_label),
+            weight_label=self.spec.weight.label(),
+        )
+
+    def solve(
+        self,
+        q,
+        tol: float = 1e-8,
+        max_iter: int = 50_000,
+        mu0: Optional[np.ndarray] = None,
+    ) -> LiftResult:
+        """Unique minimizer of L over the critical-workload polyhedron at q.
+
+        Empty ``clvr`` with no zero-rate caps gives r* = 0. Deterministic
+        given inputs; ``mu0`` warm-starts the multipliers.
+        """
+        weight, G = self.spec.weight, self.G
+        q = np.asarray(q, dtype=float)
+        if np.any(q < 0):
+            raise ValueError("queue state must be >= 0")
+        K = G.shape[0]
+        if K == 0:
+            return self._result(np.zeros(self.model.n_queues), np.zeros(0), 0.0, 0)
+        h = G @ q
+        mu = np.zeros(K) if mu0 is None else np.maximum(np.asarray(mu0, dtype=float), 0.0)
+        if mu.shape != (K,):
+            mu = np.zeros(K)
+        step = 1.0
+        cur = self._point(mu, h)
+        best_res = np.inf
+        iterations = 0
+        for iterations in range(1, max_iter + 1):
+            res, grad = cur.kkt, cur.grad
+            best_res = min(best_res, res)
+            if res <= tol:
+                break
+
+            moved = False
+            # active-set Newton: treat near-active constraints as equalities and
+            # accept the full step when it shrinks the KKT residual (near the
+            # optimum the dual value is too flat to discriminate, the residual
+            # is not)
+            scale = 1.0 + float(np.abs(mu).max(initial=0.0)) + float(np.abs(grad).max(initial=0.0))
+            act = (mu > 1e-12 * scale) | (grad > 1e-12 * scale)
+            if act.any():
+                w = _finv_deriv(weight, cur.t)
+                Ga = G[act]
+                hess = (Ga * w) @ Ga.T  # = -d2 D / d mu_act^2, PSD
+                delta = None
+                if np.linalg.norm(hess) > 1e-12:
+                    try:
+                        # lstsq: resources can be linearly dependent (e.g. switch
+                        # rows vs columns), leaving the Hessian singular
+                        delta, *_ = np.linalg.lstsq(hess, grad[act], rcond=1e-12)
+                    except np.linalg.LinAlgError:
+                        delta = None
+                if (
+                    delta is not None
+                    and np.all(np.isfinite(delta))
+                    and np.abs(delta).max() <= 1e8 * scale
+                ):
+                    cand = mu.copy()
+                    cand[act] = np.maximum(mu[act] + delta, 0.0)
+                    new = self._point(cand, h)
+                    if new.kkt <= 0.9 * res and new.dual >= cur.dual - 1e-12 * (1.0 + abs(cur.dual)):
+                        mu, cur, moved = cand, new, True
+            if not moved:
+                # projected gradient with Armijo backtracking
+                accepted = False
+                for _ in range(60):
+                    cand = np.maximum(mu + step * grad, 0.0)
+                    new = self._point(cand, h)
+                    gain = grad @ (cand - mu)
+                    if gain <= 0 and np.array_equal(cand, mu):
+                        accepted = True  # stationary against the bound
+                        break
+                    if new.dual >= cur.dual + 1e-4 * gain:
+                        mu, cur = cand, new
+                        step *= 1.8
+                        accepted = True
+                        break
+                    step *= 0.5
+                if not accepted:
+                    step = max(step, 1e-18)
+        else:
+            raise SolverDivergence(
+                f"lift solver stalled: kkt residual {best_res:.3e} > tol {tol:.1e} "
+                f"after {max_iter} iterations"
+            )
+        return self._result(cur.r, mu, cur.kkt, iterations)
 
 
 def lift(
@@ -153,127 +282,9 @@ def lift(
     mu0: Optional[np.ndarray] = None,
     include_caps: bool = True,
 ) -> LiftResult:
-    """Unique minimizer of L over the critical-workload polyhedron at q.
-
-    ``clvr`` is the set of critically loaded virtual resources (maximal
-    vertices; passing the full critically loaded vertex set with
-    ``include_caps=False`` yields the same minimizer). Empty ``clvr`` with
-    no zero-rate caps gives r* = 0. Deterministic given inputs; ``mu0``
-    warm-starts the multipliers.
-    """
-    weight = spec.weight
-    q = np.asarray(q, dtype=float)
-    if np.any(q < 0):
-        raise ValueError("queue state must be >= 0")
-    G, kinds = _assemble(model, lam, clvr, include_caps)
-    K = G.shape[0]
-    lam_label = [str(to_fraction(v)) for v in lam]
-    if K == 0:
-        r = np.zeros(model.n_queues)
-        return LiftResult(
-            r_star=r,
-            multipliers=np.zeros(0),
-            constraint_kinds=[],
-            kkt_residual=0.0,
-            iterations=0,
-            objective=spec.L(r),
-            lam_label=lam_label,
-            weight_label=weight.label(),
-        )
-    h = G @ q
-
-    def r_of(mu: np.ndarray) -> np.ndarray:
-        return weight.inverse(np.maximum(G.T @ mu, 0.0))
-
-    def dual_value(mu: np.ndarray) -> float:
-        t = np.maximum(G.T @ mu, 0.0)
-        r = weight.inverse(t)
-        return float(np.sum(weight.antiderivative(r) - t * r) + mu @ h)
-
-    mu = np.zeros(K) if mu0 is None else np.maximum(np.asarray(mu0, dtype=float), 0.0)
-    if mu.shape != (K,):
-        mu = np.zeros(K)
-    step = 1.0
-    d_cur = dual_value(mu)
-    best_res = np.inf
-    iterations = 0
-    for iterations in range(1, max_iter + 1):
-        r = r_of(mu)
-        grad = h - G @ r
-        res = _kkt_residual(weight, G, mu, r, grad)
-        best_res = min(best_res, res)
-        if res <= tol:
-            break
-
-        moved = False
-        # active-set Newton: treat near-active constraints as equalities and
-        # accept the full step when it shrinks the KKT residual (near the
-        # optimum the dual value is too flat to discriminate, the residual
-        # is not)
-        scale = 1.0 + float(np.abs(mu).max(initial=0.0)) + float(np.abs(grad).max(initial=0.0))
-        act = (mu > 1e-12 * scale) | (grad > 1e-12 * scale)
-        if act.any():
-            t = G.T @ mu
-            w = _finv_deriv(weight, t)
-            Ga = G[act]
-            hess = (Ga * w) @ Ga.T  # = -d2 D / d mu_act^2, PSD
-            delta = None
-            if np.linalg.norm(hess) > 1e-12:
-                try:
-                    # lstsq: resources can be linearly dependent (e.g. switch
-                    # rows vs columns), leaving the Hessian singular
-                    delta, *_ = np.linalg.lstsq(hess, grad[act], rcond=1e-12)
-                except np.linalg.LinAlgError:
-                    delta = None
-            if (
-                delta is not None
-                and np.all(np.isfinite(delta))
-                and np.abs(delta).max() <= 1e8 * scale
-            ):
-                cand = mu.copy()
-                cand[act] = np.maximum(mu[act] + delta, 0.0)
-                r_new = r_of(cand)
-                grad_new = h - G @ r_new
-                res_new = _kkt_residual(weight, G, cand, r_new, grad_new)
-                d_new = dual_value(cand)
-                if res_new <= 0.9 * res and d_new >= d_cur - 1e-12 * (1.0 + abs(d_cur)):
-                    mu, d_cur, moved = cand, d_new, True
-        if not moved:
-            # projected gradient with Armijo backtracking
-            accepted = False
-            for _ in range(60):
-                cand = np.maximum(mu + step * grad, 0.0)
-                d_new = dual_value(cand)
-                gain = grad @ (cand - mu)
-                if gain <= 0 and np.array_equal(cand, mu):
-                    accepted = True  # stationary against the bound
-                    break
-                if d_new >= d_cur + 1e-4 * gain:
-                    mu, d_cur = cand, d_new
-                    step *= 1.8
-                    accepted = True
-                    break
-                step *= 0.5
-            if not accepted:
-                step = max(step, 1e-18)
-    else:
-        raise SolverDivergence(
-            f"lift solver stalled: kkt residual {best_res:.3e} > tol {tol:.1e} "
-            f"after {max_iter} iterations"
-        )
-
-    r = r_of(mu)
-    grad = h - G @ r
-    return LiftResult(
-        r_star=r,
-        multipliers=mu,
-        constraint_kinds=kinds,
-        kkt_residual=_kkt_residual(weight, G, mu, r, grad),
-        iterations=iterations,
-        objective=spec.L(r),
-        lam_label=lam_label,
-        weight_label=weight.label(),
-    )
+    """Unique minimizer of L over the critical-workload polyhedron at q;
+    LiftProblem(model, lam, spec, clvr, include_caps).solve(q, ...)."""
+    return LiftProblem(model, lam, spec, clvr, include_caps).solve(q, tol=tol, max_iter=max_iter, mu0=mu0)
 
 
 def is_fixed_point(r_star: np.ndarray, q, tol: float = 1e-6) -> bool:

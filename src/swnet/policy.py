@@ -112,40 +112,84 @@ def weight_vectors(model: NetworkModel, weight: WeightFunction, q, pressure: boo
     return (model.schedules.as_array @ fq[..., None])[..., 0]
 
 
-def schedule_weights(model: NetworkModel, policy: Policy, q) -> np.ndarray:
-    """Per-schedule weights at queue state q.
+def batch_weights(model: NetworkModel, policy: Policy, q: np.ndarray) -> np.ndarray:
+    """Per-schedule weights of each state in a batch q (..., N).
 
     mw: pi . f(q). backpressure: pi . (I-R) f(q); see weight_vectors.
     msmw_log: the lexicographic pair (pi . 1{q>0}, sum over nonempty served
-    queues of pi_n log q_n).
+    queues of pi_n log q_n), stacked on a last axis of length 2. Each state
+    gets its own matrix-vector products, so a batch row is bit-identical to
+    the weights of that state alone. No input checks: see schedule_weights.
     """
-    policy.validate_for(model)
-    q = np.asarray(q, dtype=float)
-    if np.any(q < 0):
-        raise ValueError("queue state must be >= 0")
     if policy.kind != "msmw_log":
         return weight_vectors(model, policy.weight, q, pressure=policy.kind == "backpressure")
     s_mat = model.schedules.as_array
     pos = q > 0
-    size = s_mat @ pos.astype(float)
     logs = np.where(pos, np.log(np.where(pos, q, 1.0)), 0.0)
-    logw = s_mat @ logs
-    return np.column_stack([size, logw])
+    size = (s_mat @ pos.astype(float)[..., None])[..., 0]
+    logw = (s_mat @ logs[..., None])[..., 0]
+    return np.stack([size, logw], axis=-1)
 
 
-def _argmax_set(weights: np.ndarray, rel_tol: float) -> np.ndarray:
-    """Indices of maximal weights; lexicographic for paired weights."""
-    if weights.ndim == 1:
-        top = weights.max()
-        tol = rel_tol * max(1.0, abs(top))
-        return np.flatnonzero(weights >= top - tol)
-    # lexicographic: maximal first column, then maximal second among those
-    top0 = weights[:, 0].max()
-    tol0 = rel_tol * max(1.0, abs(top0))
-    first = np.flatnonzero(weights[:, 0] >= top0 - tol0)
-    top1 = weights[first, 1].max()
-    tol1 = rel_tol * max(1.0, abs(top1))
-    return first[weights[first, 1] >= top1 - tol1]
+def schedule_weights(model: NetworkModel, policy: Policy, q) -> np.ndarray:
+    """Per-schedule weights at queue state q, after checking the policy
+    against the model and q >= 0; see batch_weights."""
+    policy.validate_for(model)
+    q = np.asarray(q, dtype=float)
+    if np.any(q < 0):
+        raise ValueError("queue state must be >= 0")
+    return batch_weights(model, policy, q)
+
+
+def _near_top(weights: np.ndarray, rel_tol: float) -> np.ndarray:
+    top = weights.max(axis=-1, keepdims=True)
+    if rel_tol:
+        top = top - rel_tol * np.maximum(1.0, np.abs(top))
+    return weights >= top
+
+
+def argmax_mask(weights: np.ndarray, rel_tol: float, lexicographic: bool) -> np.ndarray:
+    """Mask of the maximal weights along the schedule axis.
+
+    ``weights`` is (..., num_schedules), or with ``lexicographic`` (msmw_log)
+    (..., num_schedules, 2): maximal first column, then maximal second
+    column among those. A weight is maximal within rel_tol * max(1, |top|)
+    of the top one.
+    """
+    if not lexicographic:
+        return _near_top(weights, rel_tol)
+    first = _near_top(weights[..., 0], rel_tol)
+    return first & _near_top(np.where(first, weights[..., 1], -np.inf), rel_tol)
+
+
+def _resolve_tie(policy: Policy, argmax: np.ndarray, tie_state: Optional[TieState], ns: int) -> int:
+    """One of several maximizers ``argmax`` (ascending) per the tie-break."""
+    if policy.tie_break == "highest_index":
+        return int(argmax[-1])
+    if policy.tie_break == "random":
+        if tie_state is None or tie_state.rng is None:
+            raise ValueError("random tie-break needs a seeded TieState")
+        return int(argmax[tie_state.rng.integers(0, len(argmax))])
+    if policy.tie_break == "round_robin":
+        if tie_state is None:
+            raise ValueError("round_robin tie-break needs a TieState")
+        after = argmax[argmax >= tie_state.pointer]
+        chosen = int(after[0]) if len(after) else int(argmax[0])
+        tie_state.pointer = (chosen + 1) % ns
+        return chosen
+    raise ValueError(f"unknown tie_break {policy.tie_break!r}")
+
+
+def break_ties(policy: Policy, mask: np.ndarray, tie_states: list) -> np.ndarray:
+    """Chosen schedule of each row of a (reps, num_schedules) argmax mask:
+    a single maximizer outright, else per the tie-break with the row's own
+    TieState."""
+    ns = mask.shape[1]
+    chosen = ns - 1 - mask[:, ::-1].argmax(axis=1)
+    if policy.tie_break != "highest_index":
+        for i in np.flatnonzero(mask.sum(axis=1) > 1):
+            chosen[i] = _resolve_tie(policy, np.flatnonzero(mask[i]), tie_states[i], ns)
+    return chosen
 
 
 def select_schedule(
@@ -156,21 +200,10 @@ def select_schedule(
 ) -> SelectionTrace:
     """Pick a maximal-weight schedule, resolving ties per the policy."""
     weights = schedule_weights(model, policy, q)
-    argmax = _argmax_set(weights, policy.rel_tol)
-    if policy.tie_break == "highest_index" or len(argmax) == 1:
-        chosen = int(argmax[-1])
-    elif policy.tie_break == "random":
-        if tie_state is None or tie_state.rng is None:
-            raise ValueError("random tie-break needs a seeded TieState")
-        chosen = int(argmax[tie_state.rng.integers(0, len(argmax))])
-    elif policy.tie_break == "round_robin":
-        if tie_state is None:
-            raise ValueError("round_robin tie-break needs a TieState")
-        after = argmax[argmax >= tie_state.pointer]
-        chosen = int(after[0]) if len(after) else int(argmax[0])
-        tie_state.pointer = (chosen + 1) % len(model.schedules)
-    else:
-        raise ValueError(f"unknown tie_break {policy.tie_break!r}")
+    argmax = np.flatnonzero(argmax_mask(weights, policy.rel_tol, policy.kind == "msmw_log"))
+    chosen = int(argmax[-1])
+    if len(argmax) > 1:
+        chosen = _resolve_tie(policy, argmax, tie_state, len(model.schedules))
     return SelectionTrace(weights=weights, argmax_set=argmax, chosen=chosen)
 
 
@@ -202,10 +235,10 @@ def check_scale_invariance(
     bad = []
     for _ in range(samples):
         q = rng.random(model.n_queues) * q_scale
-        base = _argmax_set(schedule_weights(model, policy, q), policy.rel_tol)
+        base = np.flatnonzero(argmax_mask(schedule_weights(model, policy, q), policy.rel_tol, False))
         for kappa in kappa_list:
-            scaled = _argmax_set(
-                schedule_weights(model, policy, float(kappa) * q), policy.rel_tol
+            scaled = np.flatnonzero(
+                argmax_mask(schedule_weights(model, policy, float(kappa) * q), policy.rel_tol, False)
             )
             if not np.array_equal(base, scaled):
                 if len(bad) < max_counterexamples:

@@ -16,7 +16,15 @@ import numpy as np
 
 from .arrivals import ArrivalModel, derive_rng, sample_increments
 from .model import NetworkModel
-from .policy import Policy, SelectionTrace, TieState, select_schedule
+from .policy import (
+    Policy,
+    SelectionTrace,
+    TieState,
+    argmax_mask,
+    batch_weights,
+    break_ties,
+    select_schedule,
+)
 
 
 class NegativeQueue(AssertionError):
@@ -27,14 +35,18 @@ class HorizonTooShort(ValueError):
     """The recorded path does not cover the requested rescaled window."""
 
 
+class CsvFormatError(ValueError):
+    """A trajectory CSV does not have the layout that SystemPath.to_csv writes."""
+
+
 class _Kahan:
     """Componentwise compensated accumulator for cumulative vectors."""
 
     __slots__ = ("total", "_c")
 
-    def __init__(self, n: int) -> None:
-        self.total = np.zeros(n)
-        self._c = np.zeros(n)
+    def __init__(self, shape) -> None:
+        self.total = np.zeros(shape)
+        self._c = np.zeros(shape)
 
     def add(self, x: np.ndarray) -> None:
         y = x - self._c
@@ -51,13 +63,16 @@ def advance(
     Single-hop: q_next = [q - dB]^+ + dA. Multi-hop: the work actually
     served, dB - dY, leaves its queue and joins the downstream one. dY =
     [dB - q]^+ is the idled service. The fluid integrator runs the same
-    recursion with increments h*pi and lambda*h.
+    recursion with increments h*pi and lambda*h. ``q`` is one state (N,) or
+    a batch (reps, N); each row is routed by its own matrix-vector product,
+    so a batch row equals the recursion of that state alone, bit for bit.
     """
     dY = np.maximum(dB - q, 0.0)
     if model.is_single_hop:
         return np.maximum(q - dB, 0.0) + dA, dY
     served = dB - dY
-    return q - served + served @ model.routing.entries + dA, dY
+    routed = (model.routing.entries.T @ served[..., None])[..., 0]
+    return q - served + routed + dA, dY
 
 
 @dataclass
@@ -163,7 +178,32 @@ def run(
 
     ``seed`` may be an int or a derived Generator. ``record_every=k`` keeps
     every k-th slot (plus slot 0 and the final slot) to bound memory on long
-    diffusion runs; the running sup of |Q| is tracked at every slot.
+    diffusion runs; the running sup of |Q| is tracked at every slot. This is
+    run_batch with one replication.
+    """
+    rng = seed if isinstance(seed, np.random.Generator) else derive_rng(int(seed))
+    path = run_batch(model, policy, arrivals, q0, horizon, [rng], record_every)[0]
+    if not isinstance(seed, np.random.Generator):
+        path.meta["seed"] = int(seed)
+    return path
+
+
+def run_batch(
+    model: NetworkModel,
+    policy: Policy,
+    arrivals: ArrivalModel,
+    q0,
+    horizon: int,
+    rngs: list,
+    record_every: int = 1,
+) -> list[SystemPath]:
+    """Simulate one replication per Generator in ``rngs``, all from q0, in
+    lockstep over a (reps, N) state; returns one SystemPath per replication.
+
+    Each replication draws its arrivals, then its random tie-breaks, from
+    its own Generator in the same order as a run of its own, and every
+    operation acts on each row alone, so each path equals ``run`` with that
+    Generator bit for bit.
     """
     policy.validate_for(model)
     q0 = np.asarray(q0, dtype=float)
@@ -173,67 +213,80 @@ def run(
         raise ValueError("horizon must be >= 0")
     if arrivals.n_queues != model.n_queues:
         raise ValueError("arrival model dimension mismatch")
-    rng = seed if isinstance(seed, np.random.Generator) else derive_rng(int(seed))
-    tie_state = TieState(rng=rng)
-    a_path = sample_increments(arrivals, horizon, rng)
-
+    reps = len(rngs)
+    if reps == 0:
+        return []
+    tie_states = [TieState(rng=rng) for rng in rngs]
     n, ns = model.n_queues, len(model.schedules)
+    a_path = np.empty((reps, horizon + 1, n))
+    dA = np.empty((horizon, reps, n))  # slot-major, so dA[tau] is contiguous
+    for i, rng in enumerate(rngs):
+        a_path[i] = sample_increments(arrivals, horizon, rng)
+        np.subtract(a_path[i, 1:], a_path[i, :-1], out=dA[:, i])
+
     rec_slots = list(range(0, horizon + 1, max(1, int(record_every))))
     if rec_slots[-1] != horizon:
         rec_slots.append(horizon)
     rec_index = {t: i for i, t in enumerate(rec_slots)}
     nrec = len(rec_slots)
 
-    Q = np.zeros((nrec, n))
-    B = np.zeros((nrec, n))
-    Y = np.zeros((nrec, n))
-    S_cum = np.zeros((nrec, ns), dtype=np.int64)
-    chosen = np.zeros(horizon, dtype=np.int64)
+    Q = np.zeros((reps, nrec, n))
+    B = np.zeros((reps, nrec, n))
+    Y = np.zeros((reps, nrec, n))
+    S_cum = np.zeros((reps, nrec, ns), dtype=np.int64)
+    chosen = np.zeros((reps, horizon), dtype=np.int64)
 
-    q = q0.copy()
-    b_acc = _Kahan(n)
-    y_acc = _Kahan(n)
-    s_counts = np.zeros(ns, dtype=np.int64)
-    sup_q = float(q.max(initial=0.0))
-    Q[0] = q
+    q = np.tile(q0, (reps, 1))
+    b_acc = _Kahan((reps, n))
+    y_acc = _Kahan((reps, n))
+    s_counts = np.zeros((reps, ns), dtype=np.int64)
+    unit = np.eye(ns, dtype=np.int64)
+    q_sup = q.copy()  # running max of each queue; sup_q is its row max
+    Q[:, 0] = q
     s_mat = model.schedules.as_array
+    lexicographic = policy.kind == "msmw_log"
 
     for tau in range(horizon):
-        trace = select_schedule(model, policy, q, tie_state)
-        dB = s_mat[trace.chosen]
-        q, dY = advance(model, q, dB, a_path[tau + 1] - a_path[tau])
+        mask = argmax_mask(batch_weights(model, policy, q), policy.rel_tol, lexicographic)
+        pick = break_ties(policy, mask, tie_states)
+        dB = s_mat.take(pick, axis=0)
+        q, dY = advance(model, q, dB, dA[tau])
         if q.min() < 0.0:
-            raise NegativeQueue(f"queue went negative at slot {tau}: {q}")
+            bad = int(np.argmin(q.min(axis=1)))
+            raise NegativeQueue(f"queue went negative at slot {tau}: {q[bad]}")
         b_acc.add(dB)
         y_acc.add(dY)
-        s_counts[trace.chosen] += 1
-        chosen[tau] = trace.chosen
-        sup_q = max(sup_q, float(q.max(initial=0.0)))
+        s_counts += unit.take(pick, axis=0)
+        chosen[:, tau] = pick
+        np.maximum(q_sup, q, out=q_sup)
         idx = rec_index.get(tau + 1)
         if idx is not None:
-            Q[idx] = q
-            B[idx] = b_acc.total
-            Y[idx] = y_acc.total
-            S_cum[idx] = s_counts
+            Q[:, idx] = q
+            B[:, idx] = b_acc.total
+            Y[:, idx] = y_acc.total
+            S_cum[:, idx] = s_counts
 
     tau_arr = np.asarray(rec_slots, dtype=np.int64)
-    return SystemPath(
-        tau=tau_arr,
-        Q=Q,
-        A=a_path[tau_arr],
-        B=B,
-        Y=Y,
-        S_cum=S_cum,
-        chosen=chosen,
-        horizon=horizon,
-        sup_q=sup_q,
-        meta={
-            "model": model.name,
-            "policy": policy.label(),
-            "seed": None if isinstance(seed, np.random.Generator) else int(seed),
-            "arrivals": arrivals.kind,
-        },
-    )
+    return [
+        SystemPath(
+            tau=tau_arr.copy(),
+            Q=Q[i],
+            A=a_path[i][tau_arr],
+            B=B[i],
+            Y=Y[i],
+            S_cum=S_cum[i],
+            chosen=chosen[i],
+            horizon=horizon,
+            sup_q=float(q_sup[i].max(initial=0.0)),
+            meta={
+                "model": model.name,
+                "policy": policy.label(),
+                "seed": None,
+                "arrivals": arrivals.kind,
+            },
+        )
+        for i in range(reps)
+    ]
 
 
 @dataclass
@@ -383,22 +436,44 @@ def conservation_audit(
     return AuditReport(ok=not viol, violations=viol, max_residual=max_res, checks_run=checks)
 
 
+def _csv_cell(cell: str, kind: type, row: int, col: int):
+    try:
+        return kind(cell)
+    except ValueError:
+        what = "an integer" if kind is int else "a number"
+        raise CsvFormatError(f"data row {row}, column {col}: expected {what}, got {cell!r}") from None
+
+
 def path_from_csv(text: str, model: NetworkModel) -> SystemPath:
-    """Rebuild a SystemPath from the dense CSV export (for replay audits)."""
+    """Rebuild a SystemPath from the dense CSV export (for replay audits).
+
+    Raises CsvFormatError, naming the data row (1 = the first row after the
+    header) and the 1-based column, when a row has the wrong number of
+    cells, tau or the chosen schedule is not an integer (or the schedule
+    index is out of range), or another cell is not a number.
+    """
     lines = [
         ln for ln in text.strip().splitlines() if ln.strip() and not ln.startswith("#")
     ]
-    n = model.n_queues
+    n, ns = model.n_queues, len(model.schedules)
+    if len(lines) < 2:
+        raise CsvFormatError("expected a header and at least one data row")
     rows = [ln.split(",") for ln in lines[1:]]
     horizon = len(rows) - 1
-    tau = np.array([int(r[0]) for r in rows], dtype=np.int64)
-    grab = lambda r, k: np.array([float(v) for v in r[1 + k * n : 1 + (k + 1) * n]])
-    Q = np.stack([grab(r, 0) for r in rows])
-    A = np.stack([grab(r, 1) for r in rows])
-    B = np.stack([grab(r, 2) for r in rows])
-    Y = np.stack([grab(r, 3) for r in rows])
-    chosen = np.array([int(r[-1]) for r in rows[:-1]], dtype=np.int64)
-    s_cum = np.zeros((horizon + 1, len(model.schedules)), dtype=np.int64)
+    tau = np.zeros(horizon + 1, dtype=np.int64)
+    cells = np.zeros((horizon + 1, 4 * n))
+    chosen = np.zeros(horizon, dtype=np.int64)
+    for k, r in enumerate(rows):
+        if len(r) != 4 * n + 2:
+            raise CsvFormatError(f"data row {k + 1}: expected {4 * n + 2} cells, got {len(r)}")
+        tau[k] = _csv_cell(r[0], int, k + 1, 1)
+        cells[k] = [_csv_cell(v, float, k + 1, j + 2) for j, v in enumerate(r[1:-1])]
+        if k < horizon:
+            chosen[k] = _csv_cell(r[-1], int, k + 1, len(r))
+            if not 0 <= chosen[k] < ns:
+                raise CsvFormatError(f"data row {k + 1}: chosen_schedule {chosen[k]} is not in 0..{ns - 1}")
+    Q, A, B, Y = (cells[:, j * n : (j + 1) * n] for j in range(4))
+    s_cum = np.zeros((horizon + 1, ns), dtype=np.int64)
     for k, c in enumerate(chosen):
         s_cum[k + 1] = s_cum[k]
         s_cum[k + 1, c] += 1

@@ -110,6 +110,33 @@ def test_simulate_and_corrupted_replay(tmp_path):
     assert any(v["slot"] == 59 for v in audit["violations"])
 
 
+@pytest.mark.parametrize(
+    "col, cells, message",
+    [
+        pytest.param(1, ["x"], "data row 60, column 2: expected a number, got 'x'", id="text-cell"),
+        pytest.param(3, [], "data row 60: expected 10 cells, got 9", id="short-row"),
+        pytest.param(0, ["59.5"], "data row 60, column 1: expected an integer", id="fractional-tau"),
+        pytest.param(9, ["7"], "data row 60: chosen_schedule 7 is not in 0..", id="schedule-out-of-range"),
+    ],
+)
+def test_malformed_audit_csv_is_a_schema_error(tmp_path, capsys, col, cells, message):
+    """Row 60 (tau = 59) of a clean export gets cells [col] replaced by ``cells``."""
+    scenario = dict(_EX2_SIM, experiment={"kind": "simulate", "horizon": 100, "q0": [1, 0]}, seed=3)
+    assert execute(parse_scenario(scenario), tmp_path / "clean") == 0
+    lines = (tmp_path / "clean" / "trajectory.csv").read_text().splitlines()
+    row = next(i for i, ln in enumerate(lines) if ln.startswith("59,"))
+    row_cells = lines[row].split(",")
+    row_cells[col : col + 1] = cells
+    (tmp_path / "bad.csv").write_text("\n".join(lines[:row] + [",".join(row_cells)] + lines[row + 1 :]))
+    bad = dict(scenario, experiment={"kind": "simulate", "audit_csv": str(tmp_path / "bad.csv")})
+    with pytest.raises(SchemaError) as err:
+        execute(parse_scenario(bad), tmp_path / "direct")
+    assert err.value.pointer == "/experiment/audit_csv"
+    assert message in str(err.value)
+    assert main(["simulate", _write(tmp_path, "bad.json", bad), "--out", str(tmp_path / "o")]) == 1
+    assert "schema error at /experiment/audit_csv: data row 60" in capsys.readouterr().err
+
+
 def test_lift_command_fixed_point(tmp_path):
     cfg = parse_scenario(
         {
@@ -187,6 +214,40 @@ _EX2_SIM = {
             dict(_EX2_SIM, experiment={"kind": "simulate", "horizon": 10.7}),
             "/experiment/horizon",
             id="fractional-horizon",
+        ),
+        pytest.param(
+            {"preset": "iq_switch", "M": 2.7, "lambda": ["1/2"] * 4, "experiment": {"kind": "analyze"}},
+            "/M",
+            id="fractional-iq_switch-M",
+        ),
+        pytest.param(
+            {"preset": "tandem", "N": 2.0, "lambda": [1, 0], "experiment": {"kind": "analyze"}},
+            "/N",
+            id="fractional-tandem-N",
+        ),
+        pytest.param(
+            {
+                "network": {"queues": 2.0, "schedules": [[1, 0], [0, 1]]},
+                "lambda": [1, 1],
+                "experiment": {"kind": "analyze"},
+            },
+            "/network/queues",
+            id="fractional-network-queues",
+        ),
+        pytest.param(
+            {"experiment": {"kind": "iqcheck", "M": 2.5}},
+            "/experiment/M",
+            id="fractional-iqcheck-M",
+        ),
+        pytest.param(
+            {"M": "2", "experiment": {"kind": "iqcheck"}},
+            "/M",
+            id="string-iqcheck-top-level-M",
+        ),
+        pytest.param(
+            {"preset": "ex2", "lambda": [1, 1], "experiment": {"kind": "analyze"}, "seed": 1.5},
+            "/seed",
+            id="fractional-seed",
         ),
     ],
 )

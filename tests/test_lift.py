@@ -5,6 +5,7 @@ import pytest
 
 from swnet.geometry import critically_loaded, enumerate_dual_vertices
 from swnet.lift import (
+    LiftProblem,
     LyapunovSpec,
     invariant_state_test,
     is_fixed_point,
@@ -206,3 +207,96 @@ def test_lift_with_custom_weight(ex2, ex2_clvr):
     res = lift(ex2, [1, 1], spec, ex2_clvr, [3.0, 0.0])
     assert res.kkt_residual <= 1e-8
     assert np.allclose(res.r_star, [0.6, 1.2], atol=1e-6)
+
+
+def _reference_lift(problem, q, mu0, tol=1e-8):
+    """The dual ascent written out point by point, re-evaluating r(mu), the
+    dual value and the KKT residual wherever they are used: the reference
+    for LiftProblem.solve, which evaluates each dual point once."""
+    from swnet.lift import _finv_deriv
+
+    weight, G = problem.spec.weight, problem.G
+    h = G @ q
+    r_of = lambda mu: weight.inverse(np.maximum(G.T @ mu, 0.0))
+
+    def dual_value(mu):
+        t = np.maximum(G.T @ mu, 0.0)
+        r = weight.inverse(t)
+        return float(np.sum(weight.antiderivative(r) - t * r) + mu @ h)
+
+    def kkt(mu, r, grad):
+        t = G.T @ mu
+        st_pos = np.abs(weight.value(r) - t)[r > 0].max(initial=0.0)
+        st_zero = np.maximum(t, 0.0)[r == 0].max(initial=0.0)
+        pf = float(np.maximum(grad, 0.0).max(initial=0.0))
+        return max(pf, float(np.abs(mu * grad).max(initial=0.0)), float(st_pos), float(st_zero))
+
+    mu = np.zeros(G.shape[0]) if mu0 is None else np.maximum(mu0, 0.0)
+    step, d_cur = 1.0, dual_value(mu)
+    for iterations in range(1, 50_001):
+        r = r_of(mu)
+        grad = h - G @ r
+        res = kkt(mu, r, grad)
+        if res <= tol:
+            return r, mu, res, iterations
+        moved = False
+        scale = 1.0 + float(np.abs(mu).max(initial=0.0)) + float(np.abs(grad).max(initial=0.0))
+        act = (mu > 1e-12 * scale) | (grad > 1e-12 * scale)
+        if act.any():
+            Ga = G[act]
+            hess = (Ga * _finv_deriv(weight, G.T @ mu)) @ Ga.T
+            delta = None
+            if np.linalg.norm(hess) > 1e-12:
+                delta = np.linalg.lstsq(hess, grad[act], rcond=1e-12)[0]
+            if delta is not None and np.all(np.isfinite(delta)) and np.abs(delta).max() <= 1e8 * scale:
+                cand = mu.copy()
+                cand[act] = np.maximum(mu[act] + delta, 0.0)
+                r_new = r_of(cand)
+                d_new = dual_value(cand)
+                if kkt(cand, r_new, h - G @ r_new) <= 0.9 * res and d_new >= d_cur - 1e-12 * (1.0 + abs(d_cur)):
+                    mu, d_cur, moved = cand, d_new, True
+        if not moved:
+            accepted = False
+            for _ in range(60):
+                cand = np.maximum(mu + step * grad, 0.0)
+                d_new = dual_value(cand)
+                gain = grad @ (cand - mu)
+                if gain <= 0 and np.array_equal(cand, mu):
+                    accepted = True
+                    break
+                if d_new >= d_cur + 1e-4 * gain:
+                    mu, d_cur, accepted = cand, d_new, True
+                    step *= 1.8
+                    break
+                step *= 0.5
+            if not accepted:
+                step = max(step, 1e-18)
+    raise AssertionError("reference iteration did not converge")
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
+@pytest.mark.parametrize("name", ["ex2", "switch2", "tandem2"])
+def test_lift_problem_chain_equals_lift(request, name, alpha):
+    model = request.getfixturevalue(name)
+    clvr = request.getfixturevalue(f"{name}_clvr")
+    lam = {"ex2": [1, 1], "switch2": [F(1, 2)] * 4, "tandem2": [1, 0]}[name]
+    spec = LyapunovSpec.power(alpha)
+    problem = LiftProblem(model, lam, spec, clvr)
+    rng = np.random.default_rng(11)
+    q = rng.random(model.n_queues) * 3.0
+    mu_p = mu_l = None
+    for k in range(50):
+        q = np.abs(q + rng.normal(size=model.n_queues) * 0.3)
+        if k % 7 == 0:
+            q[k % model.n_queues] = 0.0
+        a = problem.solve(q, mu0=mu_p)
+        b = lift(model, lam, spec, clvr, q, mu0=mu_l)
+        for x, y in ((a.r_star, b.r_star), (a.multipliers, b.multipliers)):
+            assert np.array_equal(x, y)
+        assert (a.kkt_residual, a.iterations, a.objective) == (b.kkt_residual, b.iterations, b.objective)
+        assert a.constraint_kinds == b.constraint_kinds and a.lam_label == b.lam_label
+        assert a.kkt_residual <= 1e-8
+        r, mu, res, iterations = _reference_lift(problem, q, mu_p)
+        assert np.array_equal(a.r_star, r) and np.array_equal(a.multipliers, mu)
+        assert (a.kkt_residual, a.iterations) == (res, iterations)
+        mu_p, mu_l = a.multipliers, b.multipliers

@@ -4,15 +4,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from swnet import presets
-from swnet.arrivals import ArrivalModel
-from swnet.model import ScheduleSet, validate_network
-from swnet.policy import Policy
+from swnet.arrivals import ArrivalModel, derive_rng, sample_increments
+from swnet.model import RoutingMatrix, ScheduleSet, WeightFunction, validate_network
+from swnet.policy import Policy, TieState
 from swnet.sim import (
     HorizonTooShort,
     conservation_audit,
     path_from_csv,
     rescale,
     run,
+    run_batch,
     step,
 )
 
@@ -255,3 +256,63 @@ def test_random_runs_satisfy_invariants(scheds, seed):
     assert conservation_audit(path, model, bound_pairs=20).ok
     assert (path.Q >= 0).all()
     assert (np.diff(path.S_cum.sum(axis=1)) == 1).all()
+
+
+def _merge3():
+    """Queues 0, 1 and 2 all route into queue 3; every 0/1 service vector."""
+    scheds = [[float(b) for b in f"{k:04b}"] for k in range(16)]
+    routing = RoutingMatrix.from_edges(4, [(0, 3), (1, 3), (2, 3)])
+    return validate_network(ScheduleSet(scheds), routing, name="merge3")
+
+
+_BATCH_CASES = [
+    ("ex2", Policy.mw_alpha(1.0), [0.9, 0.5]),
+    ("ex2", Policy.mw(WeightFunction.power(2.0), tie_break="random"), [0.9, 0.5]),
+    ("ex2", Policy.mw(WeightFunction.power(1.0), tie_break="round_robin"), [0.9, 0.5]),
+    ("ex2", Policy.mw(WeightFunction.power(1.0), tie_break="random", rel_tol=0.05), [0.9, 0.5]),
+    ("tandem2", Policy.backpressure(WeightFunction.power(1.0)), [0.7, 0.1]),
+    ("tandem2", Policy.backpressure(WeightFunction.power(1.0), tie_break="random"), [0.7, 0.1]),
+    ("merge3", Policy.backpressure(WeightFunction.power(1.0), tie_break="round_robin"), [0.3, 0.3, 0.3, 0.05]),
+    ("iq2", Policy.msmw_log(), [0.45] * 4),
+    ("iq2", Policy.msmw_log(tie_break="random"), [0.45] * 4),
+    ("iq2", Policy.msmw_log(tie_break="round_robin"), [0.45] * 4),
+]
+
+
+@pytest.mark.parametrize(
+    "name, policy, lam",
+    _BATCH_CASES,
+    ids=[f"{n}-{p.kind}-{p.tie_break}" + ("-rel_tol" if p.rel_tol else "") for n, p, _ in _BATCH_CASES],
+)
+def test_run_batch_equals_per_replication_runs(name, policy, lam):
+    models = {"ex2": presets.ex2, "tandem2": lambda: presets.tandem(2), "iq2": lambda: presets.iq_switch(2)}
+    model = models.get(name, _merge3)()
+    arrivals = ArrivalModel.bernoulli(lam)
+    q0 = np.arange(model.n_queues, dtype=float) % 3
+    horizon, reps = 200, 4
+    ties = 0
+    for record_every in (1, 7):
+        rngs = [derive_rng(5, rep) for rep in range(reps)]
+        paths = run_batch(model, policy, arrivals, q0, horizon, rngs, record_every)
+        assert len(paths) == reps
+        for rep, path in enumerate(paths):
+            alone = run(model, policy, arrivals, q0, horizon, derive_rng(5, rep), record_every)
+            for key in ("tau", "Q", "A", "B", "Y", "S_cum", "chosen"):
+                assert np.array_equal(getattr(path, key), getattr(alone, key)), key
+            assert path.sup_q == alone.sup_q
+            if record_every > 1:
+                continue
+            # reference: the single-state slot loop through step/select_schedule
+            rng = derive_rng(5, rep)
+            a_path = sample_increments(arrivals, horizon, rng)
+            tie_state = TieState(rng=rng)
+            q, sup_q = q0.copy(), float(q0.max())
+            for tau in range(horizon):
+                res = step(model, policy, q, a_path[tau + 1] - a_path[tau], tie_state)
+                ties += len(res.trace.argmax_set) > 1
+                q = res.q_next
+                sup_q = max(sup_q, float(q.max()))
+                assert res.trace.chosen == path.chosen[tau]
+                assert np.array_equal(q, path.Q[tau + 1])
+            assert sup_q == path.sup_q
+    assert ties > 0 or policy.tie_break == "highest_index"
