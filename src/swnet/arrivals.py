@@ -8,6 +8,7 @@ bit-reproducible and order-independent.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -123,15 +124,14 @@ def sample_increments(model: ArrivalModel, horizon: int, seed) -> np.ndarray:
     elif model.kind == "markov_modulated":
         pi = model.stationary_distribution()
         k = pi.shape[0]
-        cum = np.cumsum(model.transition, axis=1)
-        state = int(np.searchsorted(np.cumsum(pi), rng.random(), side="right"))
-        state = min(state, k - 1)
-        u = rng.random(horizon)
-        inc = np.empty((horizon, n))
-        for t in range(horizon):
-            inc[t] = model.state_rates[state]
-            state = int(np.searchsorted(cum[state], u[t], side="right"))
-            state = min(state, k - 1)
+        cum = np.cumsum(model.transition, axis=1).tolist()
+        # bisect_right is searchsorted(side="right") on these sorted rows
+        state = min(bisect_right(np.cumsum(pi).tolist(), rng.random()), k - 1)
+        states = []
+        for u in map(float, rng.random(horizon)):  # one float at a time: no list of them all
+            states.append(state)
+            state = min(bisect_right(cum[state], u), k - 1)
+        inc = model.state_rates[states]
     else:
         raise ValueError(f"unknown arrival kind {model.kind!r}")
     out = np.zeros((horizon + 1, n))

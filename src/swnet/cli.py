@@ -52,7 +52,7 @@ from .geometry import (
 from .lift import LyapunovSpec, is_fixed_point, lift
 from .model import NetworkModel, RoutingMatrix, ScheduleSet, WeightFunction, validate_network
 from .policy import Policy, weight_vectors
-from .sim import CsvFormatError, conservation_audit, path_from_csv, run
+from .sim import CsvFormatError, conservation_audit, path_from_csv, row_blocks, run
 
 
 class SchemaError(ValueError):
@@ -207,6 +207,13 @@ def _build_policy(obj: dict, pointer: str = "/policy") -> Policy:
     raise SchemaError(f"{pointer}/kind", f"unknown policy kind {kind!r}")
 
 
+def _iqcheck_size(raw: dict) -> int:
+    """The iqcheck switch size: the experiment's M, else the top-level M, else 2."""
+    exp = raw["experiment"]
+    pointer = "/experiment/M" if "M" in exp else "/M"
+    return _integer(exp.get("M", raw.get("M", 2)), pointer)
+
+
 def parse_scenario(source) -> ScenarioConfig:
     """Parse and validate a scenario from a path, '-' for stdin, or a dict."""
     if isinstance(source, dict):
@@ -228,8 +235,7 @@ def parse_scenario(source) -> ScenarioConfig:
         raise SchemaError("/experiment/kind", f"unknown experiment {kind!r}")
     _require_keys(exp, "/experiment", _EXPERIMENT_KEYS[kind])
     if kind == "iqcheck":
-        pointer = "/experiment/M" if "M" in exp else "/M"
-        model = presets.iq_switch(_integer(exp.get("M", raw.get("M", 2)), pointer))
+        model = presets.iq_switch(_iqcheck_size(raw))
     else:
         model = _build_model(raw)
     lam = raw.get("lambda")
@@ -373,26 +379,23 @@ def _run_fluid(cfg: ScenarioConfig, out: Path) -> int:
     L_vals = spec.weight.antiderivative(traj.q).sum(axis=1)
     weights = weight_vectors(model, spec.weight, traj.q, pressure=not model.is_single_hop)
     formula = (spec.weight.value(traj.q) @ np.asarray(lam_f)) - weights.max(axis=1)
-    buf = io.StringIO()
-    n = model.n_queues
     lam_label = ",".join(str(v) for v in _lam_fractions(cfg.lam))
-    buf.write(
-        f"# model={model.name}, lambda=({lam_label}), weight={spec.weight.label()}, "
-        f"policy={cfg.policy.label()}, h={h!r}, T={T!r}\n"
-    )
-    buf.write("t," + ",".join(f"q_{i+1}" for i in range(n)) + ",L,drift_formula,drift_fd,dist_to_lift\n")
     K = traj.t.shape[0] - 1
-    for k in range(K + 1):
-        cells = [repr(float(traj.t[k]))]
-        cells += [repr(float(v)) for v in traj.q[k]]
-        cells.append(repr(float(L_vals[k])))
-        cells.append(repr(float(formula[k])))
-        fd = (L_vals[k + 1] - L_vals[k - 1]) / (2 * h) if 0 < k < K else None
-        cells.append(repr(float(fd)) if fd is not None else "")
-        d = dist_at.get(round(float(traj.t[k]), 12))
-        cells.append(repr(d) if d is not None else "")
-        buf.write(",".join(cells) + "\n")
-    (out / "fluid.csv").write_text(buf.getvalue(), encoding="utf-8", newline="\n")
+    fd = np.zeros(K + 1)  # central difference at interior rows; the end rows stay empty
+    fd[1:-1] = (L_vals[2:] - L_vals[:-2]) / (2 * h)
+    with (out / "fluid.csv").open("w", encoding="utf-8", newline="\n") as f:
+        f.write(
+            f"# model={model.name}, lambda=({lam_label}), weight={spec.weight.label()}, "
+            f"policy={cfg.policy.label()}, h={h!r}, T={T!r}\n"
+        )
+        f.write("t," + ",".join(f"q_{i+1}" for i in range(model.n_queues)) + ",L,drift_formula,drift_fd,dist_to_lift\n")
+        for lo, rows in row_blocks(traj.t, traj.q, L_vals, formula, fd):
+            lines = []
+            for k, (*vals, fd_k) in enumerate(rows, lo):
+                d = dist_at.get(round(vals[0], 12))
+                tail = [repr(fd_k) if 0 < k < K else "", "" if d is None else repr(d)]
+                lines.append(",".join([*map(repr, vals), *tail]) + "\n")
+            f.write("".join(lines))
     return 0
 
 
@@ -490,15 +493,14 @@ def _run_collapse(cfg: ScenarioConfig, out: Path, threads: int) -> int:
 
 def _run_iqcheck(cfg: ScenarioConfig, out: Path) -> int:
     exp = cfg.experiment
-    m = _integer(exp.get("M", 2), "/experiment/M")
+    m = _iqcheck_size(cfg.raw)
     alphas = [float(a) for a in exp.get("alphas", [1.0, 0.5, 0.2])]
     samples = _integer(exp.get("samples", 1000), "/experiment/samples")
     coverage = _integer(exp.get("coverage_samples", 200), "/experiment/coverage_samples")
     grid_points = _integer(exp.get("grid_points", 1000), "/experiment/grid_points")
 
     # virtual resources must be exactly the row/column indicators
-    sw = presets.iq_switch(m)
-    vrs = enumerate_dual_vertices(sw)
+    vrs = enumerate_dual_vertices(cfg.model)
     expected = set()
     for i in range(m):
         expected.add(tuple(Fraction(1) if k // m == i else Fraction(0) for k in range(m * m)))

@@ -18,7 +18,8 @@ import numpy as np
 
 from .lift import LyapunovSpec, lift
 from .model import NetworkModel
-from .policy import Policy, TieState, select_schedule, weight_vectors
+from .policy import Policy, TieState, argmax_mask, batch_weights, break_ties, weight_vectors
+from .policy import select_schedule  # unused here, but perfbench/tracer.py wraps fluid.select_schedule
 from .sim import _interp_rows, advance
 
 
@@ -79,13 +80,15 @@ def integrate_fluid(
     count = np.zeros(ns, dtype=np.int64)
     s_mat = model.schedules.as_array
     dA = lam * h
-    if tie_state is None:
-        tie_state = TieState()
+    tie_states = [TieState() if tie_state is None else tie_state]
     for k in range(steps):
-        trace = select_schedule(model, policy, q, tie_state)
-        q, dY = advance(model, q, h * s_mat[trace.chosen], dA)
+        if q.min() < 0:  # multi-hop rounding can leave a queue an ulp below 0
+            raise ValueError("queue state must be >= 0")
+        mask = argmax_mask(batch_weights(model, policy, q[None]), policy.rel_tol, policy.kind == "msmw_log")
+        chosen = int(break_ties(policy, mask, tie_states)[0])
+        q, dY = advance(model, q, h * s_mat[chosen], dA)
         y = y + dY
-        count[trace.chosen] += 1
+        count[chosen] += 1
         qs[k + 1] = q
         ys[k + 1] = y
         counts[k + 1] = count

@@ -8,7 +8,7 @@ routed out of a queue in slot tau becomes available downstream at tau+1.
 
 from __future__ import annotations
 
-import io
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -37,6 +37,19 @@ class HorizonTooShort(ValueError):
 
 class CsvFormatError(ValueError):
     """A trajectory CSV does not have the layout that SystemPath.to_csv writes."""
+
+
+# Rows per block when a whole trajectory is audited or exported: bounds the
+# temporaries (and the Python floats of a CSV block) on long dense paths.
+BLOCK_ROWS = 512
+
+
+def row_blocks(*columns: np.ndarray):
+    """Yield (lo, rows) for each block of BLOCK_ROWS rows of the columns put
+    side by side; rows are lists of Python floats, whose repr is that of
+    the numpy values."""
+    for lo in range(0, len(columns[0]), BLOCK_ROWS):
+        yield lo, np.column_stack([c[lo : lo + BLOCK_ROWS] for c in columns]).tolist()
 
 
 class _Kahan:
@@ -130,10 +143,6 @@ class SystemPath:
     def n_queues(self) -> int:
         return self.Q.shape[1]
 
-    @property
-    def n_schedules(self) -> int:
-        return self.S_cum.shape[1]
-
     def to_csv(self) -> str:
         """Dense per-slot export; requires record_every=1.
 
@@ -143,26 +152,17 @@ class SystemPath:
         """
         if len(self.tau) != self.horizon + 1:
             raise ValueError("CSV export needs a densely recorded path")
-        n = self.n_queues
-        buf = io.StringIO()
         context = ", ".join(f"{k}={v}" for k, v in sorted(self.meta.items()))
-        buf.write(f"# {context}\n")
-        head = (
-            ["tau"]
-            + [f"q_{i+1}" for i in range(n)]
-            + [f"a_{i+1}" for i in range(n)]
-            + [f"b_{i+1}" for i in range(n)]
-            + [f"y_{i+1}" for i in range(n)]
-            + ["chosen_schedule"]
-        )
-        buf.write(",".join(head) + "\n")
-        for k in range(self.horizon + 1):
-            cells = [str(int(self.tau[k]))]
-            for block in (self.Q, self.A, self.B, self.Y):
-                cells.extend(repr(float(v)) for v in block[k])
-            cells.append(str(int(self.chosen[k])) if k < self.horizon else "")
-            buf.write(",".join(cells) + "\n")
-        return buf.getvalue()
+        head = ["tau"] + [f"{c}_{i+1}" for c in "qaby" for i in range(self.n_queues)] + ["chosen_schedule"]
+        parts = [f"# {context}\n", ",".join(head) + "\n"]
+        for lo, rows in row_blocks(self.Q, self.A, self.B, self.Y):
+            hi = lo + len(rows)
+            picks = self.chosen[lo:hi].tolist() + [""]  # the last row's empty cell; zip drops it elsewhere
+            parts.append("".join(
+                f"{t},{','.join(map(repr, vals))},{c}\n"
+                for t, vals, c in zip(self.tau[lo:hi].tolist(), rows, picks)
+            ))
+        return "".join(parts)
 
 
 def run(
@@ -303,11 +303,7 @@ class ScaledPath:
     source_meta: dict = field(default_factory=dict)
 
     def components(self) -> dict:
-        out = {"q": self.q}
-        for name, val in (("a", self.a), ("y", self.y), ("s", self.s)):
-            if val is not None:
-                out[name] = val
-        return out
+        return {k: v for k, v in (("q", self.q), ("a", self.a), ("y", self.y), ("s", self.s)) if v is not None}
 
 
 def _interp_rows(tau: np.ndarray, values: np.ndarray, at: np.ndarray) -> np.ndarray:
@@ -369,6 +365,11 @@ class AuditReport:
         }
 
 
+# The per-row checks of conservation_audit, in the order it reports them.
+_AUDIT_CHECKS = ("cumulative_identity", "service_decomposition", "monotone_A", "monotone_B", "monotone_Y",
+                 "one_schedule_per_slot", "nonnegative_queue")
+
+
 def conservation_audit(
     path: SystemPath,
     model: NetworkModel,
@@ -387,43 +388,41 @@ def conservation_audit(
     """
     viol: list[AuditViolation] = []
     max_res = 0.0
-    checks = 0
-    scale = 1.0 + float(np.abs(path.Q).max(initial=0.0)) + float(np.abs(path.A).max(initial=0.0))
-
-    def check(cond_residual: float, slot: int, name: str) -> None:
-        nonlocal max_res, checks
-        checks += 1
-        max_res = max(max_res, cond_residual)
-        if cond_residual > rtol * scale:
-            viol.append(AuditViolation(slot=slot, check=name, residual=cond_residual))
-
+    nrec = len(path.tau)
+    checks = 3 * nrec + 4 * max(nrec - 1, 0)
+    thr = rtol * (1.0 + float(np.abs(path.Q).max(initial=0.0)) + float(np.abs(path.A).max(initial=0.0)))
     s_mat = path.S_cum.astype(float) @ model.schedules.as_array
     rt = model.routing.entries.T.astype(float)
     q0 = path.Q[0]
-    for i, tau in enumerate(path.tau):
-        tau = int(tau)
+    # One residual column per check and row, a block of rows at a time; NaN
+    # marks no check (row 0 has no predecessor), which fmax and > skip.
+    for lo in range(0, nrec, BLOCK_ROWS):
+        hi = min(lo + BLOCK_ROWS, nrec)
+        first = 1 if lo == 0 else 0
+        prev, cur = slice(lo + first - 1, hi - 1), slice(lo + first, hi)
+        Q, A, B, Y = (x[lo:hi] for x in (path.Q, path.A, path.B, path.Y))
         if model.is_single_hop:
-            lhs = q0 + path.A[i] - path.B[i] + path.Y[i]
+            lhs = q0 + A - B + Y
         else:
-            flow = path.B[i] - path.Y[i]
-            lhs = q0 + path.A[i] - flow + rt @ flow
-        check(float(np.abs(path.Q[i] - lhs).max(initial=0.0)), tau, "cumulative_identity")
-        check(float(np.abs(path.B[i] - s_mat[i]).max(initial=0.0)), tau, "service_decomposition")
-        if i > 0:
-            for name, block in (("A", path.A), ("B", path.B), ("Y", path.Y)):
-                drop = float((block[i - 1] - block[i]).max(initial=0.0))
-                check(max(drop, 0.0), tau, f"monotone_{name}")
-            ds = path.S_cum[i] - path.S_cum[i - 1]
-            slots = int(path.tau[i] - path.tau[i - 1])
-            if ds.min() < 0 or int(ds.sum()) != slots:
-                viol.append(AuditViolation(slot=tau, check="one_schedule_per_slot", residual=float(abs(ds.sum() - slots))))
-            checks += 1
-        if path.Q[i].min() < 0:
-            viol.append(AuditViolation(slot=tau, check="nonnegative_queue", residual=float(-path.Q[i].min())))
-        checks += 1
+            flow = B - Y
+            lhs = q0 + A - flow + (rt @ flow[..., None])[..., 0]
+        res = np.full((hi - lo, len(_AUDIT_CHECKS)), np.nan)
+        res[:, 0] = np.abs(Q - lhs).max(axis=1, initial=0.0)
+        res[:, 1] = np.abs(B - s_mat[lo:hi]).max(axis=1, initial=0.0)
+        for c, x in enumerate((path.A, path.B, path.Y), start=2):
+            res[first:, c] = (x[prev] - x[cur]).max(axis=1, initial=0.0)
+        ds = path.S_cum[cur] - path.S_cum[prev]
+        gap = ds.sum(axis=1) - (path.tau[cur] - path.tau[prev])
+        res[first:, 5] = np.abs(gap)
+        res[:, 6] = -Q.min(axis=1)
+        bad = res > thr
+        bad[first:, 5] = (ds.min(axis=1) < 0) | (gap != 0)
+        bad[:, 6] = res[:, 6] > 0.0
+        max_res = max(max_res, float(np.fmax.reduce(res[:, :5], axis=None, initial=0.0)))
+        for i, c in zip(*np.nonzero(bad)):  # by slot, then check order
+            viol.append(AuditViolation(slot=int(path.tau[lo + i]), check=_AUDIT_CHECKS[c], residual=float(res[i, c])))
 
     # inter-slot bound on sampled pairs
-    nrec = len(path.tau)
     if nrec >= 2 and bound_pairs > 0:
         rng = derive_rng(seed, 0xA0D17)
         r_mat = model.routing.entries.astype(float)
@@ -431,17 +430,24 @@ def conservation_audit(
             i = int(rng.integers(0, nrec - 1))
             j = int(rng.integers(i + 1, nrec))
             rhs = path.Q[i] + (path.A[j] - path.A[i]) + r_mat.T @ (path.B[j] - path.B[i])
-            check(float((path.Q[j] - rhs).max(initial=0.0)), int(path.tau[j]), "service_bound")
+            residual = float((path.Q[j] - rhs).max(initial=0.0))
+            max_res = max(max_res, residual)
+            checks += 1
+            if residual > thr:
+                viol.append(AuditViolation(slot=int(path.tau[j]), check="service_bound", residual=residual))
 
     return AuditReport(ok=not viol, violations=viol, max_residual=max_res, checks_run=checks)
 
 
 def _csv_cell(cell: str, kind: type, row: int, col: int):
     try:
-        return kind(cell)
+        value = kind(cell)
     except ValueError:
         what = "an integer" if kind is int else "a number"
         raise CsvFormatError(f"data row {row}, column {col}: expected {what}, got {cell!r}") from None
+    if not math.isfinite(value):
+        raise CsvFormatError(f"data row {row}, column {col}: expected a finite number, got {cell!r}")
+    return value
 
 
 def path_from_csv(text: str, model: NetworkModel) -> SystemPath:
@@ -450,11 +456,9 @@ def path_from_csv(text: str, model: NetworkModel) -> SystemPath:
     Raises CsvFormatError, naming the data row (1 = the first row after the
     header) and the 1-based column, when a row has the wrong number of
     cells, tau or the chosen schedule is not an integer (or the schedule
-    index is out of range), or another cell is not a number.
+    index is out of range), or another cell is not a finite number.
     """
-    lines = [
-        ln for ln in text.strip().splitlines() if ln.strip() and not ln.startswith("#")
-    ]
+    lines = [ln for ln in text.strip().splitlines() if ln.strip() and not ln.startswith("#")]
     n, ns = model.n_queues, len(model.schedules)
     if len(lines) < 2:
         raise CsvFormatError("expected a header and at least one data row")
@@ -474,18 +478,8 @@ def path_from_csv(text: str, model: NetworkModel) -> SystemPath:
                 raise CsvFormatError(f"data row {k + 1}: chosen_schedule {chosen[k]} is not in 0..{ns - 1}")
     Q, A, B, Y = (cells[:, j * n : (j + 1) * n] for j in range(4))
     s_cum = np.zeros((horizon + 1, ns), dtype=np.int64)
-    for k, c in enumerate(chosen):
-        s_cum[k + 1] = s_cum[k]
-        s_cum[k + 1, c] += 1
+    np.cumsum(np.eye(ns, dtype=np.int64)[chosen], axis=0, out=s_cum[1:])
     return SystemPath(
-        tau=tau,
-        Q=Q,
-        A=A,
-        B=B,
-        Y=Y,
-        S_cum=s_cum,
-        chosen=chosen,
-        horizon=horizon,
-        sup_q=float(Q.max(initial=0.0)),
-        meta={"model": model.name, "source": "csv"},
+        tau=tau, Q=Q, A=A, B=B, Y=Y, S_cum=s_cum, chosen=chosen, horizon=horizon,
+        sup_q=float(Q.max(initial=0.0)), meta={"model": model.name, "source": "csv"},
     )

@@ -98,3 +98,36 @@ def test_invalid_rates_rejected():
         ArrivalModel.bernoulli([1.5])
     with pytest.raises(ValueError):
         ArrivalModel.deterministic([-0.1])
+
+
+def _markov_reference(model, horizon, rng):
+    """Reference: the modulated chain with one searchsorted per slot."""
+    pi = model.stationary_distribution()
+    k = pi.shape[0]
+    cum = np.cumsum(model.transition, axis=1)
+    state = min(int(np.searchsorted(np.cumsum(pi), rng.random(), side="right")), k - 1)
+    u = rng.random(horizon)
+    inc = np.empty((horizon, model.n_queues))
+    for t in range(horizon):
+        inc[t] = model.state_rates[state]
+        state = min(int(np.searchsorted(cum[state], u[t], side="right")), k - 1)
+    out = np.zeros((horizon + 1, model.n_queues))
+    np.cumsum(inc, axis=0, out=out[1:])
+    return out
+
+
+@pytest.mark.parametrize(
+    "transition, rates",
+    [
+        ([[0.6, 0.4], [0.3, 0.7]], [[2.0, 0.0, 0.0], [0.0, 0.0, 0.0]]),
+        # a zero entry repeats a cumulative value: that move never happens
+        ([[0.5, 0.0, 0.5], [0.2, 0.3, 0.5], [0.0, 0.9, 0.1]], [[1.0, 0.25], [0.0, 3.0], [1 / 3, 0.5]]),
+    ],
+)
+def test_markov_modulated_equals_searchsorted_reference(transition, rates):
+    model = ArrivalModel.markov_modulated(transition, rates)
+    for seed in range(6):
+        for horizon in (0, 1, 2000):
+            got = sample_increments(model, horizon, derive_rng(seed, horizon))
+            want = _markov_reference(model, horizon, derive_rng(seed, horizon))
+            assert np.array_equal(got, want)

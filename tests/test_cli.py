@@ -117,6 +117,8 @@ def test_simulate_and_corrupted_replay(tmp_path):
         pytest.param(3, [], "data row 60: expected 10 cells, got 9", id="short-row"),
         pytest.param(0, ["59.5"], "data row 60, column 1: expected an integer", id="fractional-tau"),
         pytest.param(9, ["7"], "data row 60: chosen_schedule 7 is not in 0..", id="schedule-out-of-range"),
+        pytest.param(1, ["nan"], "data row 60, column 2: expected a finite number, got 'nan'", id="nan-queue"),
+        pytest.param(3, ["inf"], "data row 60, column 4: expected a finite number, got 'inf'", id="inf-arrival"),
     ],
 )
 def test_malformed_audit_csv_is_a_schema_error(tmp_path, capsys, col, cells, message):
@@ -320,6 +322,16 @@ def test_strided_simulate_skips_csv_but_audits(tmp_path):
     assert not (out / "trajectory.csv").exists()
     audit = json.loads((out / "audit.json").read_text())
     assert audit["ok"]
+
+
+def test_iqcheck_reads_top_level_m(tmp_path):
+    cfg = parse_scenario(
+        {"M": 3, "experiment": {"kind": "iqcheck", "samples": 20, "coverage_samples": 5, "grid_points": 10}}
+    )
+    assert cfg.model.n_queues == 9
+    assert execute(cfg, tmp_path / "out") == 0
+    doc = json.loads((tmp_path / "out" / "iqcheck.json").read_text())
+    assert doc["M"] == 3 and doc["virtual_resources_are_row_column_indicators"]
 
 
 def test_iqcheck_command(tmp_path):

@@ -14,8 +14,8 @@ from swnet.fluid import (
 )
 from swnet.lift import LyapunovSpec, lift
 from swnet.model import WeightFunction
-from swnet.policy import Policy
-from swnet.sim import rescale, run
+from swnet.policy import Policy, TieState, select_schedule
+from swnet.sim import advance, rescale, run
 
 
 def test_critical_single_queue_stays_put():
@@ -175,3 +175,36 @@ def test_distance_fluid_scaled_run_vs_integrator(ex2):
     view = rescale(path, "fluid", z, T=2.0, num=401)
     traj = integrate_fluid(ex2, Policy.mw_alpha(1.0), lam, q0, h=1e-3, T=2.0)
     assert trajectory_distance(view, traj) <= 0.01
+
+
+def _fluid_reference(model, policy, lam, q0, h, T, tie_state):
+    """Reference: the integrator with one select_schedule call per step."""
+    q = np.asarray(q0, dtype=float)
+    qs, chosen, ties = [q], [], 0
+    for _ in range(int(round(T / h))):
+        trace = select_schedule(model, policy, q, tie_state)
+        q, _ = advance(model, q, h * model.schedules.as_array[trace.chosen], np.asarray(lam) * h)
+        qs.append(q)
+        chosen.append(trace.chosen)
+        ties += len(trace.argmax_set) > 1
+    return np.array(qs), chosen, ties
+
+
+@pytest.mark.parametrize(
+    "name, policy, lam, q0",
+    [
+        ("ex2", Policy.mw_alpha(1.0), [1.0, 1.0], [3.0, 0.0]),
+        ("ex2", Policy.mw(WeightFunction.power(1.0), tie_break="round_robin"), [1.0, 1.0], [0.0, 0.0]),
+        ("tandem2", Policy.backpressure(WeightFunction.power(1.0), tie_break="random"), [0.5, 0.0], [1.0, 1.0]),
+        ("iq2", Policy.msmw_log(tie_break="random"), [0.5] * 4, [0.0] * 4),
+    ],
+)
+def test_integrate_fluid_equals_per_step_selection(name, policy, lam, q0):
+    model = {"ex2": presets.ex2, "tandem2": lambda: presets.tandem(2), "iq2": lambda: presets.iq_switch(2)}[name]()
+    traj = integrate_fluid(model, policy, lam, q0, h=0.01, T=2.0, tie_state=TieState.seeded(7))
+    qs, chosen, ties = _fluid_reference(model, policy, lam, q0, 0.01, 2.0, TieState.seeded(7))
+    assert ties > 0 or policy.tie_break == "highest_index"
+    assert np.array_equal(traj.q, qs)
+    counts = np.zeros(len(model.schedules), dtype=np.int64)
+    np.add.at(counts, chosen, 1)
+    assert np.array_equal(traj.s[-1], counts * 0.01)

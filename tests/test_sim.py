@@ -8,6 +8,9 @@ from swnet.arrivals import ArrivalModel, derive_rng, sample_increments
 from swnet.model import RoutingMatrix, ScheduleSet, WeightFunction, validate_network
 from swnet.policy import Policy, TieState
 from swnet.sim import (
+    BLOCK_ROWS,
+    AuditReport,
+    AuditViolation,
     HorizonTooShort,
     conservation_audit,
     path_from_csv,
@@ -220,17 +223,18 @@ def test_strided_recording_keeps_identities(ex2):
 
 
 def test_stability_smoke_strictly_admissible(ex2):
-    # lam=(1.5, 0.5) sits strictly inside the admissible region
-    for seed in (0, 1):
-        path = run(
-            ex2,
-            Policy.mw_alpha(1.0),
-            ArrivalModel.iid_batch([3, 1]),
-            [0.0, 0.0],
-            100_000,
-            seed=seed,
-            record_every=100,
-        )
+    # lam=(1.5, 0.5) sits strictly inside the admissible region; seeds 0 and
+    # 1 in one lockstep batch (each path equals run(..., seed=seed))
+    paths = run_batch(
+        ex2,
+        Policy.mw_alpha(1.0),
+        ArrivalModel.iid_batch([3, 1]),
+        [0.0, 0.0],
+        100_000,
+        [derive_rng(0), derive_rng(1)],
+        record_every=100,
+    )
+    for path in paths:
         assert path.sup_q < 200.0
 
 
@@ -316,3 +320,167 @@ def test_run_batch_equals_per_replication_runs(name, policy, lam):
                 assert np.array_equal(q, path.Q[tau + 1])
             assert sup_q == path.sup_q
     assert ties > 0 or policy.tie_break == "highest_index"
+
+
+# ---------------------------------------------------------------------------
+# block-wise audit and CSV export against the row-by-row reference versions
+# ---------------------------------------------------------------------------
+
+
+def _rowwise_audit(path, model, rtol=1e-9, bound_pairs=200, seed=0):
+    """Reference: the audit as one scalar check per recorded row."""
+    viol = []
+    max_res = 0.0
+    checks = 0
+    scale = 1.0 + float(np.abs(path.Q).max(initial=0.0)) + float(np.abs(path.A).max(initial=0.0))
+
+    def check(cond_residual, slot, name):
+        nonlocal max_res, checks
+        checks += 1
+        max_res = max(max_res, cond_residual)
+        if cond_residual > rtol * scale:
+            viol.append(AuditViolation(slot=slot, check=name, residual=cond_residual))
+
+    s_mat = path.S_cum.astype(float) @ model.schedules.as_array
+    rt = model.routing.entries.T.astype(float)
+    q0 = path.Q[0]
+    for i, tau in enumerate(path.tau):
+        tau = int(tau)
+        if model.is_single_hop:
+            lhs = q0 + path.A[i] - path.B[i] + path.Y[i]
+        else:
+            flow = path.B[i] - path.Y[i]
+            lhs = q0 + path.A[i] - flow + rt @ flow
+        check(float(np.abs(path.Q[i] - lhs).max(initial=0.0)), tau, "cumulative_identity")
+        check(float(np.abs(path.B[i] - s_mat[i]).max(initial=0.0)), tau, "service_decomposition")
+        if i > 0:
+            for name, block in (("A", path.A), ("B", path.B), ("Y", path.Y)):
+                drop = float((block[i - 1] - block[i]).max(initial=0.0))
+                check(max(drop, 0.0), tau, f"monotone_{name}")
+            ds = path.S_cum[i] - path.S_cum[i - 1]
+            slots = int(path.tau[i] - path.tau[i - 1])
+            if ds.min() < 0 or int(ds.sum()) != slots:
+                viol.append(AuditViolation(slot=tau, check="one_schedule_per_slot", residual=float(abs(ds.sum() - slots))))
+            checks += 1
+        if path.Q[i].min() < 0:
+            viol.append(AuditViolation(slot=tau, check="nonnegative_queue", residual=float(-path.Q[i].min())))
+        checks += 1
+    nrec = len(path.tau)
+    if nrec >= 2 and bound_pairs > 0:
+        rng = derive_rng(seed, 0xA0D17)
+        r_mat = model.routing.entries.astype(float)
+        for _ in range(bound_pairs):
+            i = int(rng.integers(0, nrec - 1))
+            j = int(rng.integers(i + 1, nrec))
+            rhs = path.Q[i] + (path.A[j] - path.A[i]) + r_mat.T @ (path.B[j] - path.B[i])
+            check(float((path.Q[j] - rhs).max(initial=0.0)), int(path.tau[j]), "service_bound")
+    return AuditReport(ok=not viol, violations=viol, max_residual=max_res, checks_run=checks)
+
+
+def _rowwise_csv(path):
+    """Reference: the dense CSV export formatted one numpy scalar at a time."""
+    n = path.n_queues
+    lines = ["# " + ", ".join(f"{k}={v}" for k, v in sorted(path.meta.items()))]
+    lines.append(",".join(["tau"] + [f"{c}_{i+1}" for c in "qaby" for i in range(n)] + ["chosen_schedule"]))
+    for k in range(path.horizon + 1):
+        cells = [str(int(path.tau[k]))]
+        for block in (path.Q, path.A, path.B, path.Y):
+            cells.extend(repr(float(v)) for v in block[k])
+        cells.append(str(int(path.chosen[k])) if k < path.horizon else "")
+        lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"
+
+
+def _corrupt(path, kind, row):
+    """Break one identity of ``path`` at recorded row ``row``."""
+    if kind == "cumulative_identity":
+        path.Q[row, 0] += 0.5
+    elif kind == "service_decomposition":
+        path.B[row, 1] += 0.25
+    elif kind in ("monotone_A", "monotone_B", "monotone_Y"):
+        block = {"A": path.A, "B": path.B, "Y": path.Y}[kind[-1]]
+        block[row, 0] = block[row - 1, 0] - 1.0
+    elif kind == "one_schedule_per_slot":
+        path.S_cum[row, 0] += row % 3 + 1  # unequal, so adjacent rows both break
+    elif kind == "nonnegative_queue":
+        path.Q[row, 1] = -0.75
+    elif kind == "non_finite":
+        path.Q[row, 0] = np.nan
+        path.A[row, 1] = np.inf
+    return path
+
+
+def _audit_path(name, record_every=1, horizon=None):
+    """ex2 with integer batches; tandem(2) and the 3-into-1 merge network
+    with fractional deterministic rates, so the multi-hop residuals carry
+    rounding in their last bits."""
+    if horizon is None:
+        horizon = record_every * (2 * BLOCK_ROWS + 100)
+    backpressure = Policy.backpressure(WeightFunction.power(1.0))
+    model, policy, arrivals = {
+        "ex2": (presets.ex2(), Policy.mw_alpha(1.0), ArrivalModel.iid_batch([2, 1])),
+        "tandem2": (presets.tandem(2), backpressure, ArrivalModel.deterministic([0.6, 0.0])),
+        "merge3": (_merge3(), backpressure, ArrivalModel.deterministic([0.3, 0.3, 0.3, 0.05])),
+    }[name]
+    q0 = np.zeros(model.n_queues)
+    q0[0] = 2.0
+    return model, run(model, policy, arrivals, q0, horizon, seed=8, record_every=record_every)
+
+
+_AUDIT_KINDS = [
+    "clean",
+    "cumulative_identity",
+    "service_decomposition",
+    "monotone_A",
+    "monotone_B",
+    "monotone_Y",
+    "one_schedule_per_slot",
+    "nonnegative_queue",
+    "non_finite",
+]
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")  # inf - inf
+@pytest.mark.parametrize("kind", _AUDIT_KINDS)
+@pytest.mark.parametrize("name, record_every", [("ex2", 1), ("tandem2", 1), ("merge3", 1), ("ex2", 3)])
+def test_audit_equals_rowwise_reference(name, record_every, kind):
+    model, path = _audit_path(name, record_every)
+    nrec = len(path.tau)
+    assert nrec > 2 * BLOCK_ROWS
+    # both sides of the first block boundary, a later row and the last row
+    for row in (BLOCK_ROWS - 1, BLOCK_ROWS, 2 * BLOCK_ROWS - 7, nrec - 1):
+        if kind != "clean":
+            _corrupt(path, kind, row)
+    for rtol, pairs in ((1e-9, 200), (0.0, 50)):
+        got = conservation_audit(path, model, rtol=rtol, bound_pairs=pairs, seed=3)
+        want = _rowwise_audit(path, model, rtol=rtol, bound_pairs=pairs, seed=3)
+        assert got.summary() == want.summary()
+    report = conservation_audit(path, model)
+    # a NaN residual never exceeds the threshold and an inf A makes it inf,
+    # so non-finite cells pass the audit; the CSV reader rejects them
+    assert report.ok == (kind in ("clean", "non_finite"))
+    if kind not in ("clean", "non_finite"):
+        flagged = {(v.slot, v.check) for v in report.violations}
+        for row in (BLOCK_ROWS - 1, BLOCK_ROWS):
+            assert (int(path.tau[row]), kind) in flagged
+
+
+def test_audit_of_short_paths_equals_rowwise_reference(ex2):
+    for horizon in (0, 1, 2, BLOCK_ROWS - 1, BLOCK_ROWS):
+        model, path = _audit_path("ex2", horizon=horizon)
+        for pairs in (0, 200):
+            assert conservation_audit(path, model, bound_pairs=pairs).summary() == (
+                _rowwise_audit(path, model, bound_pairs=pairs).summary()
+            )
+
+
+@pytest.mark.parametrize("horizon", [0, BLOCK_ROWS - 2, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1])
+def test_csv_equals_rowwise_reference(ex2, horizon):
+    # lam = 1/3 makes every arrival and queue cell a fraction with a long repr
+    path = run(ex2, Policy.mw_alpha(1.0), ArrivalModel.deterministic([1 / 3, 1 / 3]), [0.5, 1 / 7], horizon, seed=4)
+    text = path.to_csv()
+    assert text == _rowwise_csv(path)
+    assert len(text.splitlines()) == horizon + 3
+    back = path_from_csv(text, ex2)
+    for key in ("tau", "Q", "A", "B", "Y", "S_cum", "chosen"):
+        assert np.array_equal(getattr(back, key), getattr(path, key)), key
