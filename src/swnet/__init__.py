@@ -7,92 +7,3 @@ models, and runs state-space-collapse experiments.
 """
 
 __version__ = "0.1.0"
-
-from .model import (
-    CyclicRouting,
-    EmptyScheduleSet,
-    MultipleDownstream,
-    NetworkError,
-    NetworkModel,
-    RoutingMatrix,
-    ScheduleSet,
-    UpstreamMatrix,
-    WeightFunction,
-    is_monotone_closed,
-    monotone_closure,
-    upstream_transform,
-    validate_network,
-)
-from .arrivals import ArrivalModel, DeviationReport, derive_rng, deviation_diagnostic, sample_increments
-from .policy import (
-    Policy,
-    PolicyModelMismatch,
-    SelectionTrace,
-    TieState,
-    check_scale_invariance,
-    schedule_weights,
-    select_schedule,
-)
-from .sim import (
-    AuditReport,
-    HorizonTooShort,
-    NegativeQueue,
-    ScaledPath,
-    SystemPath,
-    conservation_audit,
-    path_from_csv,
-    rescale,
-    run,
-    step,
-)
-from .geometry import (
-    BudgetExceeded,
-    InfeasiblePlan,
-    LoadClass,
-    VirtualResourceSet,
-    classify_load,
-    complete_loading_check,
-    critically_loaded,
-    enumerate_dual_vertices,
-    hull_membership,
-    solve_dual,
-    solve_primal,
-    to_fraction,
-)
-from .lift import (
-    LiftResult,
-    LyapunovSpec,
-    SolverDivergence,
-    invariant_state_test,
-    is_fixed_point,
-    lift,
-    lift_oracle,
-    lyapunov,
-    representation_check,
-    workload,
-)
-from .fluid import (
-    FluidTrajectory,
-    GridMismatch,
-    convergence_to_invariant,
-    distance_to_lift,
-    feasibility_preservation_check,
-    integrate_fluid,
-    lyapunov_drift_check,
-    trajectory_distance,
-)
-from .collapse import (
-    CollapseReport,
-    Iq2x2Workload,
-    MsscConfig,
-    NoRoot,
-    alpha_monotonicity_probe,
-    default_workload_grid,
-    iq2x2_invariant_solve,
-    iq2x2_membership,
-    iq2x2_root_exists,
-    matching_structure_checks,
-    mssc_experiment,
-    near_optimality_audit,
-)
-from . import presets

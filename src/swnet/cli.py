@@ -1,10 +1,15 @@
 """Scenario-file driven command line front end.
 
 Commands: swnet analyze|simulate|fluid|lift|collapse|iqcheck scenario.json
-[--out DIR] [--seed N] [--threads K]. Scenarios are JSON; rational values
-may be given as strings like "1/3" (required wherever exact geometry is
-wanted; plain floats are converted to their exact binary values and
-boundary classifications get flagged approximate).
+[--out DIR] [--seed N]. Scenarios are JSON; rational values may be given as
+strings like "1/3" (required wherever exact geometry is wanted; plain floats
+are converted to their exact binary values and boundary classifications get
+flagged approximate).
+
+One table per scenario section (``PRESETS``, ``NETWORK``, ``ARRIVALS``,
+``POLICIES``, ``TOLERANCES``, ``EXPERIMENTS``) declares each kind's keys with
+their types, defaults and ranges; ``parse_scenario`` reads every section
+through them, and a bad value is a ``SchemaError`` naming its JSON pointer.
 
 Exit codes: 0 success, 2 property-check failure (audits or statistical
 acceptance violated), 1 error. Outputs are byte-identical for identical
@@ -17,13 +22,13 @@ import argparse
 import hashlib
 import io
 import json
-import os
+import math
 import platform
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Any, Optional
+from typing import Any, Callable, Optional
 
 import numpy as np
 
@@ -51,56 +56,116 @@ from .geometry import (
 )
 from .lift import LyapunovSpec, is_fixed_point, lift
 from .model import NetworkModel, RoutingMatrix, ScheduleSet, WeightFunction, validate_network
-from .policy import Policy, weight_vectors
+from .policy import Policy, PolicyModelMismatch, weight_vectors
+from .schema import REQUIRED, Edge, Int, Is, Kind, ListOf, Num, SchemaError, Tagged, kind_of, read_object
 from .sim import CsvFormatError, conservation_audit, path_from_csv, row_blocks, run
 
 
-class SchemaError(ValueError):
-    """Scenario file violates the schema; carries a JSON-pointer location."""
+class PresetUnknown(SchemaError):
+    """The scenario names a preset that is not in ``PRESETS``."""
 
-    def __init__(self, pointer: str, message: str) -> None:
-        super().__init__(f"schema error at {pointer}: {message}")
-        self.pointer = pointer
-
-
-class PresetUnknown(ValueError):
-    pass
+    def __init__(self, name) -> None:
+        super().__init__("/preset", f"unknown preset {name!r}; expected one of {', '.join(PRESETS)}")
 
 
-def _require_keys(obj: dict, pointer: str, allowed: set[str], required: set[str] = frozenset()) -> None:
-    if not isinstance(obj, dict):
-        raise SchemaError(pointer, "expected an object")
-    unknown = set(obj) - allowed
-    if unknown:
-        raise SchemaError(f"{pointer}/{sorted(unknown)[0]}", "unknown key")
-    missing = required - set(obj)
-    if missing:
-        raise SchemaError(f"{pointer}/{sorted(missing)[0]}", "missing required key")
+# ---------------------------------------------------------------------------
+# the scenario sections
+# ---------------------------------------------------------------------------
 
 
-def _integer(value, pointer: str) -> int:
-    """An integer parameter; a float such as 10.7 is refused, not truncated."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise SchemaError(pointer, f"expected an integer, got {value!r}")
-    return value
+def _network(queues: int, schedules: list, routing: list) -> NetworkModel:
+    edges = RoutingMatrix.from_edges(queues, routing) if routing else None
+    return validate_network(ScheduleSet(schedules), edges, name="network")
 
 
-def _vector(value, n: int, pointer: str) -> list[float]:
-    """A list of n numbers (rational strings allowed), as floats."""
-    if not isinstance(value, list) or len(value) != n:
-        raise SchemaError(pointer, f"expected a list of {n} values")
-    return [float(to_fraction(v)) for v in value]
+PRESETS = {
+    "ex2": Kind(presets.ex2, {}),
+    "iq_switch": Kind(presets.iq_switch, {"M": (Int(ge=1, le=4), REQUIRED)}),
+    "tandem": Kind(presets.tandem, {"N": (Int(ge=1, le=10), REQUIRED)}),
+    "single_queue": Kind(presets.single_queue, {}),
+}
+_PER_QUEUE = ListOf(Num(ge=0), "n")  # one number >= 0 per queue: rates, service, queue contents
+NETWORK = Kind(
+    _network,
+    {
+        "queues": (Int(ge=1), REQUIRED),
+        "schedules": (ListOf(_PER_QUEUE, nonempty=True), REQUIRED),
+        "routing": (ListOf(Edge()), []),
+    },
+)
+
+ARRIVALS = {
+    "deterministic": Kind(ArrivalModel.deterministic, {"lambda": (_PER_QUEUE, REQUIRED)}),
+    "bernoulli": Kind(ArrivalModel.bernoulli, {"lambda": (ListOf(Num(ge=0, le=1), "n"), REQUIRED)}),
+    "iid_batch": Kind(ArrivalModel.iid_batch, {"amax": (ListOf(Int(ge=0), "n"), REQUIRED)}),
+    "markov_modulated": Kind(
+        ArrivalModel.markov_modulated,
+        {"transition": (ListOf(ListOf(Num(ge=0)), nonempty=True), REQUIRED), "rates": (ListOf(_PER_QUEUE), REQUIRED)},
+    ),
+}
+
+_TIE_BREAK = (Is(str, ("highest_index", "random", "round_robin")), "highest_index")
+_WEIGHTED = {"alpha": (Num(gt=0), 1.0), "tie_break": _TIE_BREAK, "rel_tol": (Num(ge=0), 0.0)}
+
+
+def _weighted(kind: str) -> Callable:
+    return lambda alpha, tie_break, rel_tol: Policy(kind, WeightFunction.power(alpha), tie_break, rel_tol)
+
+
+POLICIES = {
+    "mw": Kind(_weighted("mw"), _WEIGHTED),
+    "backpressure": Kind(_weighted("backpressure"), _WEIGHTED),
+    "msmw_log": Kind(Policy.msmw_log, {"tie_break": _TIE_BREAK}),
+}
+
+TOLERANCES = {
+    "kkt": (Num(gt=0), 1e-8),
+    "fixed_point": (Num(ge=0), 1e-6),
+    "audit_rtol": (Num(ge=0), 1e-9),
+    "clvr": (Num(ge=0), 0.0),
+}
+
+# The top-level keys besides the network ("preset" with its size "M" or "N",
+# or "network"), "experiment" and "tolerances".
+_TOP = {
+    "lambda": (ListOf(Num(ge=0, exact=True), "n"), None),
+    "arrivals": (Tagged(ARRIVALS, "arrival"), None),
+    "policy": (Tagged(POLICIES, "policy"), None),
+    "seed": (Int(ge=0), 0),
+}
+_OTHER_TOP = ("preset", "M", "N", "network", "experiment", "tolerances")
+
+
+def _preset_or_network(raw: dict) -> NetworkModel:
+    if "network" in raw:
+        if "preset" in raw:
+            raise SchemaError("/network", "give either a preset or an explicit network, not both")
+        return NETWORK.read(raw["network"], "/network", None)
+    if "preset" not in raw:
+        raise SchemaError("/network", "a preset or a network is required")
+    name = raw["preset"]
+    if not isinstance(name, str) or name not in PRESETS:
+        raise PresetUnknown(name)
+    preset = PRESETS[name]
+    return preset.read({k: raw[k] for k in preset.keys if k in raw}, "", None)
+
+
+def _iqcheck_switch(raw: dict) -> NetworkModel:
+    """iq_switch(M) with the experiment's M, else the top-level M, else 2."""
+    exp = raw["experiment"]
+    obj, at = (exp, "/experiment") if "M" in exp else (raw, "")
+    return PRESETS["iq_switch"].read({"M": obj.get("M", 2)}, at, None)
 
 
 @dataclass
 class ScenarioConfig:
     raw: dict
     model: NetworkModel
+    experiment_kind: str
+    params: dict  # the experiment's parsed keys, passed to its runner as keyword arguments
     lam: Optional[list]
     arrivals: Optional[ArrivalModel]
     policy: Optional[Policy]
-    experiment_kind: str
-    experiment: dict
     seed: int
     tolerances: dict
 
@@ -108,155 +173,40 @@ class ScenarioConfig:
         return json.dumps(self.raw, sort_keys=True, separators=(",", ":"))
 
 
-_TOP_KEYS = {
-    "preset",
-    "M",
-    "N",
-    "network",
-    "lambda",
-    "arrivals",
-    "policy",
-    "experiment",
-    "seed",
-    "tolerances",
-}
-
-_EXPERIMENT_KEYS = {
-    "analyze": {"kind", "budget"},
-    "simulate": {"kind", "horizon", "q0", "record_every", "audit_csv"},
-    "fluid": {"kind", "q0", "h", "T", "lift_stride"},
-    "lift": {"kind", "q"},
-    "collapse": {
-        "kind",
-        "r_list",
-        "T",
-        "reps",
-        "qhat0",
-        "grid_points",
-        "gamma",
-        "median_max_at_largest_r",
-        "require_decreasing",
-    },
-    "iqcheck": {"kind", "M", "alphas", "samples", "coverage_samples", "grid_points"},
-}
-
-
-def _build_model(cfg: dict) -> NetworkModel:
-    if "network" in cfg and "preset" in cfg:
-        raise SchemaError("/network", "give either a preset or an explicit network, not both")
-    if "preset" in cfg:
-        name = cfg["preset"]
-        if name == "ex2":
-            return presets.ex2()
-        if name == "iq_switch":
-            if "M" not in cfg:
-                raise SchemaError("/M", "iq_switch preset needs M")
-            return presets.iq_switch(_integer(cfg["M"], "/M"))
-        if name == "tandem":
-            if "N" not in cfg:
-                raise SchemaError("/N", "tandem preset needs N")
-            return presets.tandem(_integer(cfg["N"], "/N"))
-        if name == "single_queue":
-            return presets.single_queue()
-        raise PresetUnknown(f"unknown preset {name!r}")
-    if "network" not in cfg:
-        raise SchemaError("/network", "a preset or a network is required")
-    net = cfg["network"]
-    _require_keys(net, "/network", {"queues", "schedules", "routing"}, {"queues", "schedules"})
-    n = _integer(net["queues"], "/network/queues")
-    schedules = ScheduleSet([[float(to_fraction(v)) for v in row] for row in net["schedules"]])
-    if schedules.n_queues != n:
-        raise SchemaError("/network/schedules", f"schedule width must equal queues={n}")
-    routing = None
-    if net.get("routing"):
-        routing = RoutingMatrix.from_edges(n, [(int(m), int(k)) for m, k in net["routing"]])
-    return validate_network(schedules, routing, name=cfg.get("preset", "network"))
-
-
-def _build_arrivals(obj: dict, pointer: str = "/arrivals") -> ArrivalModel:
-    _require_keys(
-        obj,
-        pointer,
-        {"kind", "lambda", "amax", "transition", "rates"},
-        {"kind"},
-    )
-    kind = obj["kind"]
-    if kind == "deterministic":
-        return ArrivalModel.deterministic([float(to_fraction(v)) for v in obj["lambda"]])
-    if kind == "bernoulli":
-        return ArrivalModel.bernoulli([float(to_fraction(v)) for v in obj["lambda"]])
-    if kind == "iid_batch":
-        return ArrivalModel.iid_batch(obj["amax"])
-    if kind == "markov_modulated":
-        return ArrivalModel.markov_modulated(obj["transition"], obj["rates"])
-    raise SchemaError(f"{pointer}/kind", f"unknown arrival kind {kind!r}")
-
-
-def _build_policy(obj: dict, pointer: str = "/policy") -> Policy:
-    _require_keys(obj, pointer, {"kind", "alpha", "tie_break", "rel_tol"}, {"kind"})
-    kind = obj["kind"]
-    tie = obj.get("tie_break", "highest_index")
-    if tie not in ("highest_index", "random", "round_robin"):
-        raise SchemaError(f"{pointer}/tie_break", f"unknown tie_break {tie!r}")
-    if kind in ("mw", "backpressure"):
-        weight = WeightFunction.power(float(obj.get("alpha", 1.0)))
-        rel = float(obj.get("rel_tol", 0.0))
-        return Policy(kind=kind, weight=weight, tie_break=tie, rel_tol=rel)
-    if kind == "msmw_log":
-        return Policy.msmw_log(tie_break=tie)
-    raise SchemaError(f"{pointer}/kind", f"unknown policy kind {kind!r}")
-
-
-def _iqcheck_size(raw: dict) -> int:
-    """The iqcheck switch size: the experiment's M, else the top-level M, else 2."""
-    exp = raw["experiment"]
-    pointer = "/experiment/M" if "M" in exp else "/M"
-    return _integer(exp.get("M", raw.get("M", 2)), pointer)
+def _load(source):
+    """The JSON value of a path, or of '-' for stdin."""
+    text = sys.stdin.read() if str(source) == "-" else Path(source).read_text(encoding="utf-8")
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise SchemaError("/", f"invalid JSON: {exc}") from exc
 
 
 def parse_scenario(source) -> ScenarioConfig:
-    """Parse and validate a scenario from a path, '-' for stdin, or a dict."""
-    if isinstance(source, dict):
-        raw = source
-    else:
-        text = sys.stdin.read() if str(source) == "-" else Path(source).read_text(encoding="utf-8")
-        try:
-            raw = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise SchemaError("/", f"invalid JSON: {exc}") from exc
-    _require_keys(raw, "", _TOP_KEYS, set())
+    """Parse and validate a scenario from a path, '-' for stdin, or a dict.
+
+    Builds the network, arrival and policy objects; does no geometry."""
+    raw = _load(source) if isinstance(source, (str, Path)) else source
+    read_object(raw, "", {}, extra=(*_TOP, *_OTHER_TOP))
     if "experiment" not in raw:
         raise SchemaError("/experiment", "missing required key")
     exp = raw["experiment"]
-    if not isinstance(exp, dict) or "kind" not in exp:
-        raise SchemaError("/experiment/kind", "missing experiment kind")
-    kind = exp["kind"]
-    if kind not in _EXPERIMENT_KEYS:
-        raise SchemaError("/experiment/kind", f"unknown experiment {kind!r}")
-    _require_keys(exp, "/experiment", _EXPERIMENT_KEYS[kind])
-    if kind == "iqcheck":
-        model = presets.iq_switch(_iqcheck_size(raw))
-    else:
-        model = _build_model(raw)
-    lam = raw.get("lambda")
-    if lam is not None and (not isinstance(lam, list) or len(lam) != model.n_queues):
-        raise SchemaError("/lambda", f"expected a list of {model.n_queues} rates")
-    arrivals = _build_arrivals(raw["arrivals"]) if "arrivals" in raw else None
-    policy = _build_policy(raw["policy"]) if "policy" in raw else None
-    tolerances = dict(raw.get("tolerances", {}))
-    _require_keys(
-        tolerances, "/tolerances", {"kkt", "fixed_point", "audit_rtol", "clvr"}, set()
-    )
+    entry = kind_of(exp, "/experiment", EXPERIMENTS, "experiment")
+    model = entry.model(raw)
+    params = read_object(exp, "/experiment", entry.keys, model.n_queues, extra=("kind", *entry.model_keys))
+    top = read_object({k: raw[k] for k in _TOP if k in raw}, "", _TOP, model.n_queues)
+    if entry.unless is None or params[entry.unless] is None:
+        for need in entry.needs:
+            if top[need] is None:
+                raise SchemaError(f"/{need}", f"{exp['kind']} needs {need}")
+    if top["policy"] is not None:
+        try:
+            top["policy"].validate_for(model)
+        except PolicyModelMismatch as exc:
+            raise SchemaError("/policy", str(exc)) from exc
+    tolerances = read_object(raw.get("tolerances", {}), "/tolerances", TOLERANCES)
     return ScenarioConfig(
-        raw=raw,
-        model=model,
-        lam=lam,
-        arrivals=arrivals,
-        policy=policy,
-        experiment_kind=kind,
-        experiment=exp,
-        seed=_integer(raw.get("seed", 0), "/seed"),
-        tolerances=tolerances,
+        raw, model, exp["kind"], params, top["lambda"], top["arrivals"], top["policy"], top["seed"], tolerances
     )
 
 
@@ -273,17 +223,15 @@ def _lam_fractions(lam) -> list[Fraction]:
     return [to_fraction(v) for v in lam]
 
 
-def _clvr_for(cfg: ScenarioConfig):
+def _clvr_for(cfg: ScenarioConfig, budget: int = DEFAULT_VERTEX_BUDGET):
     """(clvr, clvr_plus) for the model at cfg.lam, multi-hop aware."""
     model = cfg.model
     lam = _lam_fractions(cfg.lam)
     if not model.is_single_hop:
         rt = model.upstream.entries
         lam = [sum(lam[m] for m in range(model.n_queues) if rt[k, m]) for k in range(model.n_queues)]
-    budget = _integer(cfg.experiment.get("budget", DEFAULT_VERTEX_BUDGET), "/experiment/budget")
     vrs = enumerate_dual_vertices(model, budget=budget)
-    tol = float(cfg.tolerances.get("clvr", 0.0))
-    return critically_loaded(model, lam, vrs, tol=tol), vrs
+    return critically_loaded(model, lam, vrs, tol=cfg.tolerances["clvr"]), vrs
 
 
 def _lyapunov_view(cfg: ScenarioConfig):
@@ -296,19 +244,18 @@ def _lyapunov_view(cfg: ScenarioConfig):
 
 
 # ---------------------------------------------------------------------------
-# experiment runners
+# experiment runners: (cfg, out, **the experiment's keys, typed as EXPERIMENTS
+# declares them) -> exit code
 # ---------------------------------------------------------------------------
 
 
-def _run_analyze(cfg: ScenarioConfig, out: Path) -> int:
-    if cfg.lam is None:
-        raise SchemaError("/lambda", "analyze needs lambda")
+def _run_analyze(cfg: ScenarioConfig, out: Path, *, budget) -> int:
     model = cfg.model
     lam = _lam_fractions(cfg.lam)
     value, alpha = solve_primal(model, lam)
     dvalue, xi = solve_dual(model, lam)
     load = classify_load(model, lam)
-    (clvr, clvr_plus), vrs = _clvr_for(cfg)
+    (clvr, clvr_plus), vrs = _clvr_for(cfg, budget)
     cl_ok, cl_weights = complete_loading_check(model, lam, vrs)
     doc = {
         "lambda": [str(v) for v in lam],
@@ -332,48 +279,28 @@ def _run_analyze(cfg: ScenarioConfig, out: Path) -> int:
     return 0
 
 
-def _run_simulate(cfg: ScenarioConfig, out: Path) -> int:
+def _run_simulate(cfg: ScenarioConfig, out: Path, *, horizon, q0, record_every, audit_csv) -> int:
     model = cfg.model
-    exp = cfg.experiment
-    rtol = float(cfg.tolerances.get("audit_rtol", 1e-9))
-    if "audit_csv" in exp:
-        text = Path(exp["audit_csv"]).read_text(encoding="utf-8")
+    if audit_csv is not None:
         try:
-            path = path_from_csv(text, model)
-        except CsvFormatError as exc:
+            path = path_from_csv(Path(audit_csv).read_text(encoding="utf-8"), model)
+        except (OSError, CsvFormatError) as exc:
             raise SchemaError("/experiment/audit_csv", str(exc)) from exc
     else:
-        if cfg.arrivals is None or cfg.policy is None:
-            raise SchemaError("/arrivals", "simulate needs arrivals and policy")
-        path = run(
-            model,
-            cfg.policy,
-            cfg.arrivals,
-            _vector(exp.get("q0", [0.0] * model.n_queues), model.n_queues, "/experiment/q0"),
-            _integer(exp.get("horizon", 1000), "/experiment/horizon"),
-            cfg.seed,
-            record_every=_integer(exp.get("record_every", 1), "/experiment/record_every"),
-        )
+        path = run(model, cfg.policy, cfg.arrivals, q0, horizon, cfg.seed, record_every=record_every)
         if len(path.tau) == path.horizon + 1:
             (out / "trajectory.csv").write_text(path.to_csv(), encoding="utf-8", newline="\n")
-    report = conservation_audit(path, model, rtol=rtol)
+    report = conservation_audit(path, model, rtol=cfg.tolerances["audit_rtol"])
     (out / "audit.json").write_bytes(_json_bytes(report.summary()))
     return 0 if report.ok else 2
 
 
-def _run_fluid(cfg: ScenarioConfig, out: Path) -> int:
-    if cfg.lam is None or cfg.policy is None:
-        raise SchemaError("/lambda", "fluid needs lambda and policy")
+def _run_fluid(cfg: ScenarioConfig, out: Path, *, q0, h, T, lift_stride) -> int:
     model = cfg.model
-    exp = cfg.experiment
     lam_f = [float(to_fraction(v)) for v in cfg.lam]
-    q0 = _vector(exp.get("q0", [0.0] * model.n_queues), model.n_queues, "/experiment/q0")
-    h = float(exp.get("h", 1e-3))
-    T = float(exp.get("T", 10.0))
     traj = integrate_fluid(model, cfg.policy, lam_f, q0, h=h, T=T)
     spec, clvr = _lyapunov_view(cfg)
-    stride = _integer(exp.get("lift_stride", max(1, (traj.t.shape[0] - 1) // 400)), "/experiment/lift_stride")
-    times, dists = distance_to_lift(model, cfg.lam, spec, clvr, traj, stride=stride)
+    times, dists = distance_to_lift(model, cfg.lam, spec, clvr, traj, stride=lift_stride)
     dist_at = {round(float(t), 12): float(d) for t, d in zip(times, dists)}
 
     L_vals = spec.weight.antiderivative(traj.q).sum(axis=1)
@@ -399,90 +326,60 @@ def _run_fluid(cfg: ScenarioConfig, out: Path) -> int:
     return 0
 
 
-def _run_lift(cfg: ScenarioConfig, out: Path) -> int:
-    if cfg.lam is None:
-        raise SchemaError("/lambda", "lift needs lambda")
-    exp = cfg.experiment
-    if "q" not in exp:
-        raise SchemaError("/experiment/q", "missing required key")
-    q = _vector(exp["q"], cfg.model.n_queues, "/experiment/q")
+def _run_lift(cfg: ScenarioConfig, out: Path, *, q) -> int:
     spec, clvr = _lyapunov_view(cfg)
-    res = lift(
-        cfg.model,
-        cfg.lam,
-        spec,
-        clvr,
-        q,
-        tol=float(cfg.tolerances.get("kkt", 1e-8)),
-    )
-    fp_tol = float(cfg.tolerances.get("fixed_point", 1e-6))
+    res = lift(cfg.model, cfg.lam, spec, clvr, q, tol=cfg.tolerances["kkt"])
     doc = {
         "lambda": res.lam_label,
         "weight": res.weight_label,
-        "q": [float(v) for v in q],
+        "q": q,
         "r_star": [float(v) for v in res.r_star],
         "multipliers": res.multiplier_map(),
         "kkt_residual": res.kkt_residual,
         "iterations": res.iterations,
         "objective": res.objective,
-        "is_fixed_point": is_fixed_point(res.r_star, q, tol=fp_tol),
+        "is_fixed_point": is_fixed_point(res.r_star, q, tol=cfg.tolerances["fixed_point"]),
     }
     (out / "lift.json").write_bytes(_json_bytes(doc))
     return 0
 
 
-def _run_collapse(cfg: ScenarioConfig, out: Path, threads: int) -> int:
-    if cfg.lam is None or cfg.policy is None:
-        raise SchemaError("/lambda", "collapse needs lambda and policy")
-    exp = cfg.experiment
+def _run_collapse(
+    cfg: ScenarioConfig, out: Path, *, r_list, T, reps, qhat0, grid_points, gamma, median_max_at_largest_r,
+    require_decreasing,
+) -> int:
     model = cfg.model
     spec, clvr = _lyapunov_view(cfg)
-    qhat0 = np.array(_vector(exp.get("qhat0", [1.0] * model.n_queues), model.n_queues, "/experiment/qhat0"))
-    r_list = exp.get("r_list", [10, 20, 40])
-    if not isinstance(r_list, list) or not r_list:
-        raise SchemaError("/experiment/r_list", "expected a nonempty list of scales")
     mcfg = MsscConfig(
-        model=model,
-        policy=cfg.policy,
-        lam=cfg.lam,
-        clvr=clvr,
-        spec=spec,
-        qhat0=qhat0,
-        r_list=[_integer(r, f"/experiment/r_list/{i}") for i, r in enumerate(r_list)],
-        T=float(exp.get("T", 1.0)),
-        reps=_integer(exp.get("reps", 20), "/experiment/reps"),
-        master_seed=cfg.seed,
-        grid_points=_integer(exp.get("grid_points", 200), "/experiment/grid_points"),
-        gamma=np.asarray(exp["gamma"], dtype=float) if "gamma" in exp else None,
+        model=model, policy=cfg.policy, lam=cfg.lam, clvr=clvr, spec=spec, qhat0=np.array(qhat0), r_list=r_list,
+        T=T, reps=reps, master_seed=cfg.seed, grid_points=grid_points,
+        gamma=None if gamma is None else np.asarray(gamma),
     )
-    report = mssc_experiment(mcfg, threads=threads)
+    report = mssc_experiment(mcfg)
     buf = io.StringIO()
-    lam_label = ",".join(str(v) for v in _lam_fractions(cfg.lam))
+    lam_strs = [str(v) for v in _lam_fractions(cfg.lam)]
     buf.write(
-        f"# model={model.name}, lambda=({lam_label}), weight={spec.weight.label()}, "
-        f"policy={cfg.policy.label()}, T={mcfg.T!r}, seed={cfg.seed}\n"
+        f"# model={model.name}, lambda=({','.join(lam_strs)}), weight={spec.weight.label()}, "
+        f"policy={cfg.policy.label()}, T={T!r}, seed={cfg.seed}\n"
     )
     buf.write("r,rep,ratio\n")
     for r, rep, ratio in sorted(report.rows):
         buf.write(f"{r},{rep},{ratio!r}\n")
     (out / "mssc.csv").write_text(buf.getvalue(), encoding="utf-8", newline="\n")
-    threshold = float(exp.get("median_max_at_largest_r", 0.2))
-    require_decreasing = bool(exp.get("require_decreasing", True))
-    largest = max(mcfg.r_list)
-    passed = report.median_by_r[largest] <= threshold and (
+    passed = report.median_by_r[max(r_list)] <= median_max_at_largest_r and (
         report.medians_decreasing() or not require_decreasing
     )
     summary = {
-        "lambda": [str(v) for v in _lam_fractions(cfg.lam)],
+        "lambda": lam_strs,
         "policy": cfg.policy.label(),
-        "qhat0": [float(v) for v in qhat0],
-        "r_list": mcfg.r_list,
-        "reps": mcfg.reps,
-        "T": mcfg.T,
+        "qhat0": qhat0,
+        "r_list": r_list,
+        "reps": reps,
+        "T": T,
         "median_by_r": {str(k): v for k, v in report.median_by_r.items()},
         "p90_by_r": {str(k): v for k, v in report.p90_by_r.items()},
         "medians_decreasing": report.medians_decreasing(),
-        "threshold_median_max_at_largest_r": threshold,
+        "threshold_median_max_at_largest_r": median_max_at_largest_r,
         "passed": passed,
         "trivial_lift": report.trivial_lift,
         "flags": report.flags,
@@ -491,13 +388,8 @@ def _run_collapse(cfg: ScenarioConfig, out: Path, threads: int) -> int:
     return 0 if passed else 2
 
 
-def _run_iqcheck(cfg: ScenarioConfig, out: Path) -> int:
-    exp = cfg.experiment
-    m = _iqcheck_size(cfg.raw)
-    alphas = [float(a) for a in exp.get("alphas", [1.0, 0.5, 0.2])]
-    samples = _integer(exp.get("samples", 1000), "/experiment/samples")
-    coverage = _integer(exp.get("coverage_samples", 200), "/experiment/coverage_samples")
-    grid_points = _integer(exp.get("grid_points", 1000), "/experiment/grid_points")
+def _run_iqcheck(cfg: ScenarioConfig, out: Path, *, alphas, samples, coverage_samples, grid_points) -> int:
+    m = math.isqrt(cfg.model.n_queues)  # the model is iq_switch(M)
 
     # virtual resources must be exactly the row/column indicators
     vrs = enumerate_dual_vertices(cfg.model)
@@ -518,7 +410,7 @@ def _run_iqcheck(cfg: ScenarioConfig, out: Path) -> int:
             disagreements += 1
 
     mono = alpha_monotonicity_probe(alphas)
-    checks = matching_structure_checks(m, samples, seed=cfg.seed, coverage_samples=coverage)
+    checks = matching_structure_checks(m, samples, seed=cfg.seed, coverage_samples=coverage_samples)
     ok = resources_ok and disagreements == 0 and mono.nested and checks.ok
     doc = {
         "M": m,
@@ -538,25 +430,78 @@ def _run_iqcheck(cfg: ScenarioConfig, out: Path) -> int:
     return 0 if ok else 2
 
 
+class Experiment:
+    """One experiment kind: its keys and its runner, (cfg, out, **keys) ->
+    exit code. ``needs`` are top-level keys it cannot run without, waived
+    when its key ``unless`` is given. ``model`` builds the network from the
+    raw scenario and reads the experiment keys ``model_keys`` itself."""
+
+    def __init__(self, run: Callable, keys: dict, needs=(), unless=None, model=_preset_or_network, model_keys=()):
+        self.run, self.keys, self.needs, self.unless, self.model, self.model_keys = (
+            run, keys, needs, unless, model, model_keys
+        )
+
+
+EXPERIMENTS = {
+    "analyze": Experiment(_run_analyze, {"budget": (Int(ge=1), DEFAULT_VERTEX_BUDGET)}, needs=("lambda",)),
+    "simulate": Experiment(
+        _run_simulate,
+        {
+            "horizon": (Int(ge=0), 1000),
+            "q0": (_PER_QUEUE, lambda n: [0.0] * n),
+            "record_every": (Int(ge=1), 1),
+            "audit_csv": (Is(str), None),
+        },
+        needs=("arrivals", "policy"),
+        unless="audit_csv",
+    ),
+    "fluid": Experiment(
+        _run_fluid,
+        {
+            "q0": (_PER_QUEUE, lambda n: [0.0] * n),
+            "h": (Num(gt=0, le=0.1), 1e-3),
+            "T": (Num(ge=0), 10.0),
+            "lift_stride": (Int(ge=1), None),
+        },
+        needs=("lambda", "policy"),
+    ),
+    "lift": Experiment(_run_lift, {"q": (_PER_QUEUE, REQUIRED)}, needs=("lambda",)),
+    "collapse": Experiment(
+        _run_collapse,
+        {
+            "r_list": (ListOf(Int(ge=1), nonempty=True), [10, 20, 40]),
+            "T": (Num(gt=0), 1.0),
+            "reps": (Int(ge=1), 20),
+            "qhat0": (_PER_QUEUE, lambda n: [1.0] * n),
+            "grid_points": (Int(ge=1), 200),
+            "gamma": (ListOf(Num(), "n"), None),
+            "median_max_at_largest_r": (Num(ge=0), 0.2),
+            "require_decreasing": (Is(bool), True),
+        },
+        needs=("lambda", "policy"),
+    ),
+    "iqcheck": Experiment(
+        _run_iqcheck,
+        {
+            "alphas": (ListOf(Num(gt=0), nonempty=True), [1.0, 0.5, 0.2]),
+            "samples": (Int(ge=0), 1000),
+            "coverage_samples": (Int(ge=0), 200),
+            "grid_points": (Int(ge=0), 1000),
+        },
+        model=_iqcheck_switch,
+        model_keys=("M",),
+    ),
+}
+
+
 def execute(cfg: ScenarioConfig, out_dir, threads: int = 1) -> int:
-    """Run the configured experiment; write outputs and a manifest."""
+    """Run the configured experiment; write outputs and a manifest.
+
+    ``threads`` is unused; it stays only so that existing callers that pass
+    it keep working."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    kind = cfg.experiment_kind
-    if kind == "analyze":
-        code = _run_analyze(cfg, out)
-    elif kind == "simulate":
-        code = _run_simulate(cfg, out)
-    elif kind == "fluid":
-        code = _run_fluid(cfg, out)
-    elif kind == "lift":
-        code = _run_lift(cfg, out)
-    elif kind == "collapse":
-        code = _run_collapse(cfg, out, threads)
-    elif kind == "iqcheck":
-        code = _run_iqcheck(cfg, out)
-    else:  # pragma: no cover - parse_scenario rejects unknown kinds
-        raise SchemaError("/experiment/kind", f"unknown experiment {kind!r}")
+    code = EXPERIMENTS[cfg.experiment_kind].run(cfg, out, **cfg.params)
 
     outputs = {}
     for f in sorted(out.iterdir()):
@@ -565,7 +510,7 @@ def execute(cfg: ScenarioConfig, out_dir, threads: int = 1) -> int:
     manifest = {
         "config_hash": hashlib.sha256(cfg.canonical_json().encode()).hexdigest(),
         "seed": cfg.seed,
-        "experiment": kind,
+        "experiment": cfg.experiment_kind,
         "exit_code": code,
         "outputs": outputs,
         "versions": {
@@ -579,40 +524,26 @@ def execute(cfg: ScenarioConfig, out_dir, threads: int = 1) -> int:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    env_threads = os.environ.get("SWNET_THREADS", "1")
-    try:
-        default_threads = int(env_threads)
-    except ValueError:
-        print(f"swnet: SWNET_THREADS must be an integer, got {env_threads!r}", file=sys.stderr)
-        return 1
-    parser = argparse.ArgumentParser(
-        prog="swnet", description="switched-network scheduling laboratory"
-    )
+    parser = argparse.ArgumentParser(prog="swnet", description="switched-network scheduling laboratory")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _EXPERIMENT_KEYS:
+    for name in EXPERIMENTS:
         p = sub.add_parser(name, help=f"run a {name} scenario")
         p.add_argument("scenario", help="scenario JSON path, or - for stdin")
         p.add_argument("--out", default="out", help="output directory")
         p.add_argument("--seed", type=int, default=None, help="override scenario seed")
-        p.add_argument(
-            "--threads",
-            type=int,
-            default=default_threads,
-            help="worker threads; a collapse run gives each diffusion scale to one",
-        )
     args = parser.parse_args(argv)
     try:
-        cfg = parse_scenario(args.scenario)
+        raw = _load(args.scenario)
+        if isinstance(raw, dict) and args.seed is not None:
+            raw["seed"] = args.seed
+        cfg = parse_scenario(raw)
         if cfg.experiment_kind != args.command:
             raise SchemaError(
                 "/experiment/kind",
                 f"scenario declares {cfg.experiment_kind!r} but command is {args.command!r}",
             )
-        if args.seed is not None:
-            cfg.seed = int(args.seed)
-            cfg.raw["seed"] = int(args.seed)
-        return execute(cfg, args.out, threads=max(1, args.threads))
-    except (SchemaError, PresetUnknown, ValueError) as exc:
+        return execute(cfg, args.out)
+    except (OSError, ValueError) as exc:  # an unreadable file, SchemaError, the model's own checks
         print(f"swnet: {exc}", file=sys.stderr)
         return 1
 

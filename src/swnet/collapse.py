@@ -89,7 +89,7 @@ class CollapseReport:
 def _mssc_scale(cfg: MsscConfig, problem: LiftProblem, ri: int, r: int) -> list[tuple[int, int, float]]:
     """All replications of one scale, simulated in lockstep. Replication
     rep draws from the stream (master_seed, ri, rep), so scales are
-    order-independent and safe to fan out."""
+    order-independent."""
     horizon = int(math.ceil(r * r * cfg.T))
     paths = run_batch(
         cfg.model,
@@ -113,22 +113,13 @@ def _mssc_scale(cfg: MsscConfig, problem: LiftProblem, ri: int, r: int) -> list[
     return rows
 
 
-def mssc_experiment(cfg: MsscConfig, threads: int = 1) -> CollapseReport:
+def mssc_experiment(cfg: MsscConfig) -> CollapseReport:
     """Simulate r^2 T slots per scale from Q(0) = r*qhat0, diffusion-rescale,
-    and measure the relative sup distance to the lifting map. Scales may fan
-    out over ``threads`` workers; the report merges in sorted (r, rep) order
-    regardless."""
+    and measure the relative sup distance to the lifting map. The report
+    lists rows in sorted (r, rep) order."""
     trivial = len(cfg.clvr) == 0
     problem = LiftProblem(cfg.model, cfg.lam, cfg.spec, cfg.clvr)
-    scales = list(enumerate(sorted(cfg.r_list)))
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            batches = list(pool.map(lambda s: _mssc_scale(cfg, problem, *s), scales))
-    else:
-        batches = [_mssc_scale(cfg, problem, *s) for s in scales]
-    rows = sorted(row for batch in batches for row in batch)
+    rows = sorted(row for ri, r in enumerate(sorted(cfg.r_list)) for row in _mssc_scale(cfg, problem, ri, r))
     med = {}
     p90 = {}
     for r in sorted(set(cfg.r_list)):

@@ -55,24 +55,29 @@ def fraction_vector(xs) -> tuple[Fraction, ...]:
 
 
 def solve_square(a: list[list[Fraction]], b: list[Fraction]) -> Optional[list[Fraction]]:
-    """Solve a square rational system by Gaussian elimination.
+    """Solve a rational system a x = b by Gauss-Jordan elimination.
 
-    Returns None when the matrix is singular.
+    ``a`` has one column per unknown and at least as many rows as columns
+    (square in the vertex enumeration). Returns None at the first column
+    without a pivot, i.e. when the columns are dependent, and when a row
+    beyond the pivots contradicts them.
     """
-    n = len(b)
+    n, rows = len(a[0]), len(b)
     m = [row[:] + [rhs] for row, rhs in zip(a, b)]
     for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col] != 0), None)
+        piv = next((r for r in range(col, rows) if m[r][col] != 0), None)
         if piv is None:
             return None
         if piv != col:
             m[col], m[piv] = m[piv], m[col]
         inv = m[col][col]
         m[col] = [v / inv for v in m[col]]
-        for r in range(n):
+        for r in range(rows):
             if r != col and m[r][col] != 0:
                 f = m[r][col]
                 m[r] = [v - f * w for v, w in zip(m[r], m[col])]
+    if any(m[r][n] != 0 for r in range(n, rows)):
+        return None
     return [m[r][n] for r in range(n)]
 
 
@@ -359,39 +364,17 @@ def verify_vertex(model: NetworkModel, xi: Sequence[Fraction]) -> bool:
     xi = fraction_vector(xi)
     if any(v < 0 for v in xi):
         return False
-    tight: list[list[Fraction]] = []
-    for q in range(n):
-        if xi[q] == 0:
-            row = [Fraction(0)] * n
-            row[q] = Fraction(1)
-            tight.append(row)
+    tight = [[Fraction(int(k == q)) for k in range(n)] for q in range(n) if xi[q] == 0]
+    rhs = [Fraction(0)] * len(tight)
     for pi in pis:
         val = sum(p * v for p, v in zip(pi, xi))
         if val > 1:
             return False
         if val == 1:
             tight.append(list(pi))
-    return _rank(tight, n) == n
-
-
-def _rank(rows: list[list[Fraction]], n: int) -> int:
-    m = [row[:] for row in rows]
-    rank = 0
-    for col in range(n):
-        piv = next((r for r in range(rank, len(m)) if m[r][col] != 0), None)
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        inv = m[rank][col]
-        m[rank] = [v / inv for v in m[rank]]
-        for r in range(len(m)):
-            if r != rank and m[r][col] != 0:
-                f = m[r][col]
-                m[r] = [v - f * w for v, w in zip(m[r], m[rank])]
-        rank += 1
-        if rank == min(len(m), n):
-            break
-    return rank
+            rhs.append(Fraction(1))
+    # independent tight rows pin xi down: it is their unique solution
+    return bool(tight) and solve_square(tight, rhs) is not None
 
 
 def critically_loaded(

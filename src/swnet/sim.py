@@ -211,6 +211,8 @@ def run_batch(
         raise ValueError("q0 must be a nonnegative vector of length n_queues")
     if horizon < 0:
         raise ValueError("horizon must be >= 0")
+    if record_every < 1:
+        raise ValueError("record_every must be >= 1")
     if arrivals.n_queues != model.n_queues:
         raise ValueError("arrival model dimension mismatch")
     reps = len(rngs)
@@ -224,7 +226,7 @@ def run_batch(
         a_path[i] = sample_increments(arrivals, horizon, rng)
         np.subtract(a_path[i, 1:], a_path[i, :-1], out=dA[:, i])
 
-    rec_slots = list(range(0, horizon + 1, max(1, int(record_every))))
+    rec_slots = list(range(0, horizon + 1, record_every))
     if rec_slots[-1] != horizon:
         rec_slots.append(horizon)
     rec_index = {t: i for i, t in enumerate(rec_slots)}

@@ -236,25 +236,6 @@ def test_mssc_trivial_lift_flag(ex2):
     assert rep.trivial_lift and "trivial_lift" in rep.flags
 
 
-def test_mssc_threads_match_serial(switch2, switch2_clvr, switch2_lam):
-    cfg = MsscConfig(
-        model=switch2,
-        policy=Policy.mw_alpha(1.0),
-        lam=switch2_lam,
-        clvr=switch2_clvr,
-        spec=LyapunovSpec.power(1.0),
-        qhat0=np.ones(4),
-        r_list=[5, 8],
-        T=1.0,
-        reps=4,
-        master_seed=7,
-        grid_points=40,
-    )
-    serial = mssc_experiment(cfg, threads=1)
-    threaded = mssc_experiment(cfg, threads=4)
-    assert serial.rows == threaded.rows
-
-
 def test_mssc_other_alpha(switch2, switch2_clvr, switch2_lam):
     # the all-ones direction is invariant for every alpha, so the same
     # experiment runs under MW-0.5

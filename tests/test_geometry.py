@@ -13,6 +13,7 @@ from swnet.geometry import (
     enumerate_dual_vertices,
     hull_membership,
     solve_dual,
+    solve_square,
     solve_lp,
     solve_primal,
     to_fraction,
@@ -153,6 +154,27 @@ def test_vertices_verify_post_hoc(ex2, ex2_vrs, switch2, switch2_vrs):
     assert all(verify_vertex(ex2, xi) for xi in ex2_vrs.vertices)
     assert all(verify_vertex(switch2, xi) for xi in switch2_vrs.vertices)
     assert not verify_vertex(ex2, [F(1, 4), F(1, 4)])  # interior point
+    assert not verify_vertex(ex2, [F(1, 6), F(0)])  # on an edge: one tight row
+    assert not verify_vertex(ex2, [F(1, 6), F(5, 6)])  # on the edge xi_1 + xi_2 = 1
+    assert not verify_vertex(ex2, [F(1, 2), F(0)])  # infeasible: 3 xi_1 > 1
+
+
+def test_solve_square_tall_systems():
+    assert solve_square([[F(1), F(1)], [F(1), F(-1)]], [F(2), F(0)]) == [F(1), F(1)]
+    assert solve_square([[F(1), F(2)], [F(2), F(4)]], [F(1), F(2)]) is None  # dependent columns
+    assert solve_square([[F(1)], [F(2)], [F(3)]], [F(1), F(2), F(3)]) == [F(1)]
+    assert solve_square([[F(1)], [F(2)]], [F(1), F(3)]) is None  # the second row contradicts the first
+
+
+def test_verify_vertex_with_more_tight_rows_than_queues():
+    # (1, 0) is tight on xi_2 = 0, xi_1 = 1 and xi_1 + xi_2 = 1: a degenerate vertex
+    square = validate_network(ScheduleSet([[1, 0], [0, 1], [1, 1]]))
+    assert verify_vertex(square, [F(1), F(0)])
+    assert all(verify_vertex(square, xi) for xi in enumerate_dual_vertices(square).vertices)
+    # a schedule listed twice: three tight rows of rank 2 at (1/2, 1/2, 0), four of rank 3 at (1, 0, 1)
+    twice = validate_network(ScheduleSet([[1, 1, 0], [1, 1, 0], [0, 0, 1]]))
+    assert not verify_vertex(twice, [F(1, 2), F(1, 2), F(0)])
+    assert verify_vertex(twice, [F(1), F(0), F(1)])
 
 
 def test_budget_guard():

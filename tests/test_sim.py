@@ -222,6 +222,15 @@ def test_strided_recording_keeps_identities(ex2):
     assert conservation_audit(path, ex2).ok
 
 
+@pytest.mark.parametrize("record_every", [0, -3])
+def test_record_every_below_one_is_refused(ex2, record_every):
+    args = (ex2, Policy.mw_alpha(1.0), ArrivalModel.bernoulli([0.9, 0.5]), [0.0, 0.0], 50)
+    with pytest.raises(ValueError, match="record_every must be >= 1"):
+        run_batch(*args, [derive_rng(0)], record_every=record_every)
+    with pytest.raises(ValueError, match="record_every must be >= 1"):
+        run(*args, seed=0, record_every=record_every)
+
+
 def test_stability_smoke_strictly_admissible(ex2):
     # lam=(1.5, 0.5) sits strictly inside the admissible region; seeds 0 and
     # 1 in one lockstep batch (each path equals run(..., seed=seed))
