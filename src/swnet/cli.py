@@ -43,21 +43,21 @@ from .collapse import (
     matching_structure_checks,
     mssc_experiment,
 )
-from .fluid import distance_to_lift, integrate_fluid
+from .fluid import distance_to_lift, integrate_fluid, lyapunov_drift
 from .geometry import (
     classify_load,
     complete_loading_check,
     critically_loaded,
     enumerate_dual_vertices,
+    fraction_vector,
     solve_dual,
     solve_primal,
-    to_fraction,
     DEFAULT_VERTEX_BUDGET,
 )
 from .lift import LyapunovSpec, is_fixed_point, lift
 from .model import NetworkModel, RoutingMatrix, ScheduleSet, WeightFunction, validate_network
-from .policy import Policy, PolicyModelMismatch, weight_vectors
-from .schema import REQUIRED, Edge, Int, Is, Kind, ListOf, Num, SchemaError, Tagged, kind_of, read_object
+from .policy import Policy, PolicyModelMismatch
+from .schema import REQUIRED, Decreasing, Edge, Int, Is, Kind, ListOf, Num, SchemaError, Tagged, kind_of, read_object
 from .sim import CsvFormatError, conservation_audit, path_from_csv, row_blocks, run
 
 
@@ -219,19 +219,12 @@ def _json_bytes(obj: Any) -> bytes:
     return (json.dumps(obj, sort_keys=True, indent=2) + "\n").encode()
 
 
-def _lam_fractions(lam) -> list[Fraction]:
-    return [to_fraction(v) for v in lam]
-
-
 def _clvr_for(cfg: ScenarioConfig, budget: int = DEFAULT_VERTEX_BUDGET):
-    """(clvr, clvr_plus) for the model at cfg.lam, multi-hop aware."""
-    model = cfg.model
-    lam = _lam_fractions(cfg.lam)
-    if not model.is_single_hop:
-        rt = model.upstream.entries
-        lam = [sum(lam[m] for m in range(model.n_queues) if rt[k, m]) for k in range(model.n_queues)]
-    vrs = enumerate_dual_vertices(model, budget=budget)
-    return critically_loaded(model, lam, vrs, tol=cfg.tolerances["clvr"]), vrs
+    """((clvr, clvr_plus), vertices) for the model at the aggregated rates
+    R~ cfg.lam."""
+    vrs = enumerate_dual_vertices(cfg.model, budget=budget)
+    lam_tilde = cfg.model.upstream.transform_exact(fraction_vector(cfg.lam))
+    return critically_loaded(cfg.model, lam_tilde, vrs, tol=cfg.tolerances["clvr"]), vrs
 
 
 def _lyapunov_view(cfg: ScenarioConfig):
@@ -250,15 +243,17 @@ def _lyapunov_view(cfg: ScenarioConfig):
 
 
 def _run_analyze(cfg: ScenarioConfig, out: Path, *, budget) -> int:
+    """Every geometric quantity is taken at the aggregated rates R~ lambda
+    (the exogenous rates themselves on a single-hop network)."""
     model = cfg.model
-    lam = _lam_fractions(cfg.lam)
+    lam = model.upstream.transform_exact(fraction_vector(cfg.lam))
     value, alpha = solve_primal(model, lam)
     dvalue, xi = solve_dual(model, lam)
     load = classify_load(model, lam)
     (clvr, clvr_plus), vrs = _clvr_for(cfg, budget)
     cl_ok, cl_weights = complete_loading_check(model, lam, vrs)
     doc = {
-        "lambda": [str(v) for v in lam],
+        "lambda": [str(v) for v in fraction_vector(cfg.lam)],
         "primal_value": str(value),
         "dual_value": str(dvalue),
         "strong_duality": value == dvalue,
@@ -297,19 +292,14 @@ def _run_simulate(cfg: ScenarioConfig, out: Path, *, horizon, q0, record_every, 
 
 def _run_fluid(cfg: ScenarioConfig, out: Path, *, q0, h, T, lift_stride) -> int:
     model = cfg.model
-    lam_f = [float(to_fraction(v)) for v in cfg.lam]
+    lam_f = [float(v) for v in fraction_vector(cfg.lam)]
     traj = integrate_fluid(model, cfg.policy, lam_f, q0, h=h, T=T)
     spec, clvr = _lyapunov_view(cfg)
     times, dists = distance_to_lift(model, cfg.lam, spec, clvr, traj, stride=lift_stride)
-    dist_at = {round(float(t), 12): float(d) for t, d in zip(times, dists)}
-
-    L_vals = spec.weight.antiderivative(traj.q).sum(axis=1)
-    weights = weight_vectors(model, spec.weight, traj.q, pressure=not model.is_single_hop)
-    formula = (spec.weight.value(traj.q) @ np.asarray(lam_f)) - weights.max(axis=1)
-    lam_label = ",".join(str(v) for v in _lam_fractions(cfg.lam))
+    dist_at = dict(zip(times.tolist(), dists.tolist()))  # the times are grid times, exactly
+    L_vals, formula, fd, _ = lyapunov_drift(model, lam_f, spec, traj)
+    lam_label = ",".join(str(v) for v in fraction_vector(cfg.lam))
     K = traj.t.shape[0] - 1
-    fd = np.zeros(K + 1)  # central difference at interior rows; the end rows stay empty
-    fd[1:-1] = (L_vals[2:] - L_vals[:-2]) / (2 * h)
     with (out / "fluid.csv").open("w", encoding="utf-8", newline="\n") as f:
         f.write(
             f"# model={model.name}, lambda=({lam_label}), weight={spec.weight.label()}, "
@@ -319,7 +309,7 @@ def _run_fluid(cfg: ScenarioConfig, out: Path, *, q0, h, T, lift_stride) -> int:
         for lo, rows in row_blocks(traj.t, traj.q, L_vals, formula, fd):
             lines = []
             for k, (*vals, fd_k) in enumerate(rows, lo):
-                d = dist_at.get(round(vals[0], 12))
+                d = dist_at.get(vals[0])
                 tail = [repr(fd_k) if 0 < k < K else "", "" if d is None else repr(d)]
                 lines.append(",".join([*map(repr, vals), *tail]) + "\n")
             f.write("".join(lines))
@@ -357,7 +347,7 @@ def _run_collapse(
     )
     report = mssc_experiment(mcfg)
     buf = io.StringIO()
-    lam_strs = [str(v) for v in _lam_fractions(cfg.lam)]
+    lam_strs = [str(v) for v in fraction_vector(cfg.lam)]
     buf.write(
         f"# model={model.name}, lambda=({','.join(lam_strs)}), weight={spec.weight.label()}, "
         f"policy={cfg.policy.label()}, T={T!r}, seed={cfg.seed}\n"
@@ -483,7 +473,7 @@ EXPERIMENTS = {
     "iqcheck": Experiment(
         _run_iqcheck,
         {
-            "alphas": (ListOf(Num(gt=0), nonempty=True), [1.0, 0.5, 0.2]),
+            "alphas": (Decreasing(ListOf(Num(gt=0), nonempty=True)), [1.0, 0.5, 0.2]),
             "samples": (Int(ge=0), 1000),
             "coverage_samples": (Int(ge=0), 200),
             "grid_points": (Int(ge=0), 1000),

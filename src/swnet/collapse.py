@@ -54,7 +54,6 @@ class MsscConfig:
     master_seed: int = 0
     grid_points: int = 200
     gamma: Optional[np.ndarray] = None
-    sub_asymptotic_r: int = 4
     arrival_kind: str = "bernoulli"  # or "deterministic"
 
     def arrival_for(self, r: int) -> ArrivalModel:
@@ -129,7 +128,7 @@ def mssc_experiment(cfg: MsscConfig) -> CollapseReport:
     flags = {}
     if trivial:
         flags["trivial_lift"] = "no critically loaded resources; ratios measure sup|qhat| only"
-    small = [r for r in cfg.r_list if r <= cfg.sub_asymptotic_r]
+    small = [r for r in cfg.r_list if r <= 4]
     if small:
         flags["sub_asymptotic"] = f"scales {sorted(small)} are too small to be meaningful"
     if cfg.gamma is not None:
@@ -254,8 +253,9 @@ def iq2x2_root_exists(w: Iq2x2Workload, alpha: float) -> bool:
     return _theta(lo, w, alpha) <= 0.0 <= _theta(hi, w, alpha)
 
 
-def iq2x2_invariant_solve(w: Iq2x2Workload, alpha: float, tol: float = 1e-12) -> np.ndarray:
-    """Invert the workload map on the invariant set by bisection.
+def iq2x2_invariant_solve(w: Iq2x2Workload, alpha: float) -> np.ndarray:
+    """Invert the workload map on the invariant set by bisection, to a
+    relative bracket width of 1e-12.
 
     Returns q = [[x, w1_-x], [w_1-x, w__-w1_-w_1+x]] with
     q11^a + q22^a = q12^a + q21^a. Raises NoRoot iff membership fails.
@@ -277,7 +277,7 @@ def iq2x2_invariant_solve(w: Iq2x2Workload, alpha: float, tol: float = 1e-12) ->
                 lo = mid
             else:
                 hi = mid
-            if hi - lo <= tol * max(1.0, hi):
+            if hi - lo <= 1e-12 * max(1.0, hi):
                 break
         x = 0.5 * (lo + hi)
     q = np.array([[x, w.w1 - x], [w.wc1 - x, w.total - w.w1 - w.wc1 + x]])
@@ -325,10 +325,10 @@ def alpha_monotonicity_probe(
     )
 
 
-def default_workload_grid(step: float = 0.1, w_max: float = 2.0, tot_max: float = 6.0):
-    """Grid over (w1_, w_1) in [0, w_max]^2 and totals in [0, tot_max]."""
-    vals = np.arange(0.0, w_max + step / 2, step)
-    tots = np.arange(0.0, tot_max + step / 2, step)
+def default_workload_grid():
+    """Grid of step 0.1 over (w1_, w_1) in [0, 2]^2 and totals in [0, 6]."""
+    vals = np.arange(0.0, 2.05, 0.1)
+    tots = np.arange(0.0, 6.05, 0.1)
     out = []
     for w1 in vals:
         for wc1 in vals:
@@ -360,9 +360,7 @@ def matching_structure_checks(
     m: int,
     samples: int,
     seed: int,
-    model: Optional[NetworkModel] = None,
     coverage_samples: int = 100,
-    weight_tol: float = 1e-7,
 ) -> MatchingChecksReport:
     """Two structural facts about max-weight matchings, brute-forced.
 
@@ -370,12 +368,13 @@ def matching_structure_checks(
     inside the union of max-weight matchings is itself max-weight (exact
     integer arithmetic). Coverage: for invariant states of MW-alpha under a
     strictly positive doubly stochastic rate matrix, every queue lies in
-    some max-weight matching of q^alpha (within weight_tol, since invariant
-    states are produced numerically by the lift solver).
+    some max-weight matching of q^alpha (within a relative 1e-7, since
+    invariant states are produced numerically by the lift solver).
     """
     if m > 4:
         raise ValueError("brute force over matchings supports M <= 4")
-    matchings = [pi.reshape(m, m) for pi in presets.iq_switch(m).schedules]
+    sw = presets.iq_switch(m)
+    matchings = [pi.reshape(m, m) for pi in sw.schedules]
     rng = derive_rng(seed)
     closure_bad = 0
     for _ in range(samples):
@@ -392,7 +391,6 @@ def matching_structure_checks(
                 break
 
     # invariant states via the lifting map under uniform rates
-    sw = model if model is not None else presets.iq_switch(m)
     vrs = enumerate_dual_vertices(sw)
     lam = [Fraction(1, m)] * (m * m)
     clvr, _ = critically_loaded(sw, lam, vrs)
@@ -407,7 +405,7 @@ def matching_structure_checks(
         top = weights.max()
         covered = np.zeros((m, m), dtype=bool)
         for pi, wt in zip(matchings, weights):
-            if wt >= top - weight_tol * (1.0 + abs(top)):
+            if wt >= top - 1e-7 * (1.0 + abs(top)):
                 covered |= pi > 0
         if not covered.all():
             coverage_bad += 1

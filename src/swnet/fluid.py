@@ -18,7 +18,7 @@ import numpy as np
 
 from .lift import LyapunovSpec, lift
 from .model import NetworkModel
-from .policy import Policy, TieState, argmax_mask, batch_weights, break_ties, weight_vectors
+from .policy import Policy, TieState, select_batch, weight_vectors
 from .policy import select_schedule  # unused here, but perfbench/tracer.py wraps fluid.select_schedule
 from .sim import _interp_rows, advance
 
@@ -84,8 +84,7 @@ def integrate_fluid(
     for k in range(steps):
         if q.min() < 0:  # multi-hop rounding can leave a queue an ulp below 0
             raise ValueError("queue state must be >= 0")
-        mask = argmax_mask(batch_weights(model, policy, q[None]), policy.rel_tol, policy.kind == "msmw_log")
-        chosen = int(break_ties(policy, mask, tie_states)[0])
+        chosen = int(select_batch(model, policy, q[None], tie_states)[0])
         q, dY = advance(model, q, h * s_mat[chosen], dA)
         y = y + dY
         count[chosen] += 1
@@ -105,6 +104,25 @@ def integrate_fluid(
     )
 
 
+def lyapunov_drift(model: NetworkModel, lam, spec: LyapunovSpec, traj: FluidTrajectory):
+    """Per grid row of a fluid path: (L(q), drift formula, central difference
+    of L, argmax mask of the weights).
+
+    The formula is lambda . f(q) - max_pi (policy weight at q); it is <= 0
+    for admissible rates, and the fluid solution satisfies it with equality.
+    The central difference is NaN at the first and the last row.
+    """
+    w = spec.weight
+    L_vals = w.antiderivative(traj.q).sum(axis=1)
+    weights = weight_vectors(model, w, traj.q, pressure=not model.is_single_hop)
+    top = weights.max(axis=1)
+    formula = (w.value(traj.q) @ np.asarray(lam, dtype=float)) - top
+    fd = np.full(L_vals.shape, np.nan)
+    fd[1:-1] = (L_vals[2:] - L_vals[:-2]) / (2.0 * traj.h)
+    # argmax sets as boolean masks; exact comparison mirrors the policies
+    return L_vals, formula, fd, weights >= top[:, None]
+
+
 def lyapunov_drift_check(
     model: NetworkModel,
     lam,
@@ -112,26 +130,12 @@ def lyapunov_drift_check(
     traj: FluidTrajectory,
 ) -> float:
     """Max |finite-difference dL/dt - drift formula| over interior grid
-    points where the argmax set is locally constant.
-
-    The formula is lambda . f(q) - max_pi (policy weight at q); it is <= 0
-    for admissible rates, and the fluid solution satisfies it with equality.
-    """
-    lam = np.asarray(lam, dtype=float)
-    w = spec.weight
-    L_vals = w.antiderivative(traj.q).sum(axis=1)
-    weights = weight_vectors(model, w, traj.q, pressure=not model.is_single_hop)
-    top = weights.max(axis=1)
-    # argmax sets as boolean masks; exact comparison mirrors the policies
-    masks = weights >= top[:, None]
-    formula = (w.value(traj.q) @ lam) - top
-    fd = (L_vals[2:] - L_vals[:-2]) / (2.0 * traj.h)
-    same = np.all(masks[:-2] == masks[1:-1], axis=1) & np.all(
-        masks[1:-1] == masks[2:], axis=1
-    )
+    points where the argmax set is locally constant; see lyapunov_drift."""
+    _, formula, fd, masks = lyapunov_drift(model, lam, spec, traj)
+    same = np.all(masks[:-2] == masks[1:-1], axis=1) & np.all(masks[1:-1] == masks[2:], axis=1)
     if not same.any():
         return 0.0
-    resid = np.abs(fd[same] - formula[1:-1][same])
+    resid = np.abs(fd[1:-1][same] - formula[1:-1][same])
     return float(resid.max(initial=0.0))
 
 
@@ -194,15 +198,15 @@ def convergence_to_invariant(
     clvr,
     traj: FluidTrajectory,
     eps: float,
-    stride: Optional[int] = None,
 ) -> Optional[float]:
-    """Earliest grid time from which |q(t) - lift(q(t))| stays below eps
-    through the end of the trajectory; None if never sustained.
+    """Earliest time on the default subgrid of distance_to_lift from which
+    |q(t) - lift(q(t))| stays below eps through the end of the trajectory;
+    None if never sustained.
 
     Input paths should start with |q(0)| <= 1 (rescale first; positive
     homogeneity of the lifting map justifies it for power weights).
     """
-    times, dists = distance_to_lift(model, lam, spec, clvr, traj, stride=stride)
+    times, dists = distance_to_lift(model, lam, spec, clvr, traj)
     below = dists < eps
     if not below[-1]:
         return None

@@ -260,12 +260,12 @@ class LoadClass:
     tolerance: float = 0.0
 
 
-def classify_load(model: NetworkModel, lam, tol: float = 1e-9) -> LoadClass:
+def classify_load(model: NetworkModel, lam) -> LoadClass:
     """strictly_admissible (<1), critical (=1) or inadmissible (>1).
 
     Exact whenever lam is given in exact form (ints, Fractions, 'p/q'
     strings). Float inputs are converted to their exact binary values; if
-    the exact verdict then sits within ``tol`` of critical without being
+    the exact verdict then sits within 1e-9 of critical without being
     exactly critical, the class is snapped to critical and flagged.
     """
     was_float = any(isinstance(v, (float, np.floating)) for v in lam)
@@ -273,8 +273,8 @@ def classify_load(model: NetworkModel, lam, tol: float = 1e-9) -> LoadClass:
     if value == 1:
         return LoadClass(value, "critical", exact=True)
     exact_class = "strictly_admissible" if value < 1 else "inadmissible"
-    if was_float and abs(float(value) - 1.0) <= tol:
-        return LoadClass(value, "critical", exact=False, tolerance=tol)
+    if was_float and abs(float(value) - 1.0) <= 1e-9:
+        return LoadClass(value, "critical", exact=False, tolerance=1e-9)
     return LoadClass(value, exact_class, exact=not was_float)
 
 

@@ -21,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from .geometry import solve_lp, to_fraction
+from .geometry import fraction_vector, solve_lp, to_fraction
 from .model import NetworkModel, WeightFunction
 from .policy import weight_vectors
 
@@ -57,13 +57,8 @@ def _lam_floats(lam) -> np.ndarray:
 
 
 def _zero_rate_mask(model: NetworkModel, lam) -> np.ndarray:
-    """Exact mask of queues whose aggregated (upstream-summed) rate is zero."""
-    fr = [to_fraction(v) for v in lam]
-    rt = model.upstream.entries
-    n = model.n_queues
-    return np.array(
-        [all(fr[m] == 0 for m in range(n) if rt[k, m]) for k in range(n)], dtype=bool
-    )
+    """Exact mask of queues whose aggregated rate [R~ lambda]_n is zero."""
+    return np.array([v == 0 for v in model.upstream.transform_exact(fraction_vector(lam))], dtype=bool)
 
 
 def workload(model: NetworkModel, xi_set, q) -> np.ndarray:
@@ -72,14 +67,8 @@ def workload(model: NetworkModel, xi_set, q) -> np.ndarray:
     The dot products are accumulated exactly (rational xi against the exact
     binary values of q) before conversion to float.
     """
-    q_fr = [to_fraction(float(v)) for v in np.asarray(q, dtype=float)]
-    rt = model.upstream.entries
-    n = model.n_queues
-    q_tilde = [sum(q_fr[m] for m in range(n) if rt[k, m]) for k in range(n)]
-    out = []
-    for xi in xi_set:
-        out.append(float(sum(to_fraction(x) * qt for x, qt in zip(xi, q_tilde))))
-    return np.array(out)
+    q_tilde = model.upstream.transform_exact(fraction_vector(np.asarray(q, dtype=float)))
+    return np.array([float(sum(to_fraction(x) * qt for x, qt in zip(xi, q_tilde))) for xi in xi_set])
 
 
 def _assemble(model: NetworkModel, lam, clvr, include_caps: bool):
@@ -300,9 +289,6 @@ def lift_oracle(
     spec: LyapunovSpec,
     clvr,
     q,
-    grid: Optional[int] = None,
-    levels: Optional[int] = None,
-    include_caps: bool = True,
 ) -> np.ndarray:
     """Brute-force minimizer by multilevel grid refinement (tests only).
 
@@ -319,21 +305,19 @@ def lift_oracle(
     if not model.is_single_hop:
         raise ValueError("grid oracle supports single-hop networks only")
     q = np.asarray(q, dtype=float)
-    G, kinds = _assemble(model, lam, clvr, include_caps)
+    G, kinds = _assemble(model, lam, clvr, include_caps=True)
     if G.shape[0] == 0:
         return np.zeros(n)
     h = G @ q
-    if grid is None:
-        grid = {1: 65, 2: 41, 3: 17, 4: 11}[n]
+    grid = {1: 65, 2: 41, 3: 17, 4: 11}[n]
     shrink = max((grid - 1) / 5.0, 1.5)
     span = max(1.0, 3.0 * float(q.max(initial=0.0)))
-    if levels is None:
-        levels = 1
-        while span / (grid - 1) / (shrink ** (levels - 1)) > 5e-5 and levels < 30:
-            levels += 1
+    levels = 1
+    while span / (grid - 1) / (shrink ** (levels - 1)) > 5e-5 and levels < 30:
+        levels += 1
 
     work = np.array([k.startswith("workload") for k in kinds])
-    capped = _zero_rate_mask(model, lam) if include_caps else np.zeros(n, dtype=bool)
+    capped = _zero_rate_mask(model, lam)
     cap_vals = np.where(capped, q, np.inf)
     d = (~capped).astype(float)  # push direction: positive-rate queues
     Gw, hw = G[work], h[work]
@@ -386,20 +370,19 @@ def representation_check(
     lam,
     r_star,
     q,
-    tol: float = 1e-6,
-    zero_cutoff: float = 1e-7,
 ) -> bool:
     """Feasibility of the drift representation of the optimizer.
 
     Single-hop: r* = [q + t(lambda - sigma)]^+ for some t >= 0 and sigma in
     the schedule hull. Multi-hop: r* = q + t(lambda - (I - R^T) sigma),
     without the positive part. Solved as an exact feasibility LP in the
-    variables (t, t*hull weights), with equalities relaxed by ``tol``.
+    variables (t, t*hull weights), with equalities relaxed by 1e-6; a
+    component r*_k <= 1e-7 counts as clipped to zero.
     """
     r_star = np.asarray(r_star, dtype=float)
     q = np.asarray(q, dtype=float)
     lam_f = [to_fraction(float(v)) for v in _lam_floats(lam)]
-    tol_f = to_fraction(float(tol))
+    tol_f = to_fraction(1e-6)
     n = model.n_queues
     pis = [[to_fraction(float(v)) for v in pi] for pi in model.schedules.as_array]
     ns = len(pis)
@@ -415,7 +398,7 @@ def representation_check(
         for k in range(n):
             row = [lam_f[k]] + [-pis[s][k] for s in range(ns)]
             rhs = to_fraction(float(r_star[k])) - to_fraction(float(q[k]))
-            if r_star[k] > zero_cutoff:
+            if r_star[k] > 1e-7:
                 a_ub.append(row)
                 b_ub.append(rhs + tol_f)
                 a_ub.append([-v for v in row])

@@ -68,9 +68,6 @@ class ScheduleSet:
     def __repr__(self) -> str:
         return f"ScheduleSet({self._arr.tolist()!r})"
 
-    def contains(self, vec) -> bool:
-        return any(np.array_equal(row, vec) for row in self._arr)
-
 
 def monotone_closure(schedules: ScheduleSet) -> ScheduleSet:
     """Smallest superset closed under zeroing any subset of components.
@@ -197,6 +194,10 @@ class UpstreamMatrix:
         """R~ x: aggregate each queue's value with everything upstream of it."""
         return self._arr @ np.asarray(x, dtype=float)
 
+    def transform_exact(self, x) -> list:
+        """R~ x in exact arithmetic: Fractions x in, Fractions out."""
+        return [sum(x[m] for m in np.flatnonzero(row)) for row in self._arr]
+
 
 @dataclass(frozen=True)
 class WeightFunction:
@@ -312,8 +313,3 @@ def validate_network(
         schedules_monotone_closed=closed,
         name=name,
     )
-
-
-def upstream_transform(model: NetworkModel, x) -> np.ndarray:
-    """R~ x: per-queue totals including all upstream queues."""
-    return model.upstream.transform(x)

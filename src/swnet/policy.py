@@ -39,8 +39,8 @@ class Policy:
         return Policy(kind="mw", weight=weight, tie_break=tie_break, rel_tol=rel_tol)
 
     @staticmethod
-    def mw_alpha(alpha: float, tie_break: str = "highest_index") -> "Policy":
-        return Policy(kind="mw", weight=WeightFunction.power(alpha), tie_break=tie_break)
+    def mw_alpha(alpha: float) -> "Policy":
+        return Policy(kind="mw", weight=WeightFunction.power(alpha))
 
     @staticmethod
     def backpressure(weight: WeightFunction, tie_break: str = "highest_index") -> "Policy":
@@ -192,6 +192,13 @@ def break_ties(policy: Policy, mask: np.ndarray, tie_states: list) -> np.ndarray
     return chosen
 
 
+def select_batch(model: NetworkModel, policy: Policy, q: np.ndarray, tie_states: list) -> np.ndarray:
+    """Chosen schedule of each state of a batch q (reps, N): a maximal-weight
+    schedule, ties broken with the row's own TieState. No input checks."""
+    mask = argmax_mask(batch_weights(model, policy, q), policy.rel_tol, policy.kind == "msmw_log")
+    return break_ties(policy, mask, tie_states)
+
+
 def select_schedule(
     model: NetworkModel,
     policy: Policy,
@@ -200,11 +207,9 @@ def select_schedule(
 ) -> SelectionTrace:
     """Pick a maximal-weight schedule, resolving ties per the policy."""
     weights = schedule_weights(model, policy, q)
-    argmax = np.flatnonzero(argmax_mask(weights, policy.rel_tol, policy.kind == "msmw_log"))
-    chosen = int(argmax[-1])
-    if len(argmax) > 1:
-        chosen = _resolve_tie(policy, argmax, tie_state, len(model.schedules))
-    return SelectionTrace(weights=weights, argmax_set=argmax, chosen=chosen)
+    mask = argmax_mask(weights, policy.rel_tol, policy.kind == "msmw_log")
+    chosen = int(break_ties(policy, mask[None], [tie_state])[0])
+    return SelectionTrace(weights=weights, argmax_set=np.flatnonzero(mask), chosen=chosen)
 
 
 @dataclass
@@ -220,10 +225,9 @@ def check_scale_invariance(
     samples: int,
     kappa_list,
     seed: int,
-    q_scale: float = 5.0,
-    max_counterexamples: int = 10,
 ) -> ScaleInvarianceReport:
-    """Sample states q and verify argmax_set(q) == argmax_set(kappa q).
+    """Sample states q uniformly in [0, 5)^N and verify argmax_set(q) ==
+    argmax_set(kappa q); the report keeps the first 10 counterexamples.
 
     This is the literal argmax scale-invariance assumed of the weight
     function; power weights always pass, and e.g. f(x) = log(1+x) on a
@@ -234,13 +238,13 @@ def check_scale_invariance(
     rng = derive_rng(seed)
     bad = []
     for _ in range(samples):
-        q = rng.random(model.n_queues) * q_scale
+        q = rng.random(model.n_queues) * 5.0
         base = np.flatnonzero(argmax_mask(schedule_weights(model, policy, q), policy.rel_tol, False))
         for kappa in kappa_list:
             scaled = np.flatnonzero(
                 argmax_mask(schedule_weights(model, policy, float(kappa) * q), policy.rel_tol, False)
             )
             if not np.array_equal(base, scaled):
-                if len(bad) < max_counterexamples:
+                if len(bad) < 10:
                     bad.append((q.copy(), float(kappa), base.copy(), scaled.copy()))
     return ScaleInvarianceReport(passed=not bad, samples=samples, counterexamples=bad)

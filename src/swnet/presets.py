@@ -42,6 +42,6 @@ def tandem(n: int) -> NetworkModel:
     return validate_network(ScheduleSet(scheds), routing, name=f"tandem({n})")
 
 
-def single_queue(service: float = 1.0) -> NetworkModel:
-    """One queue with one schedule serving ``service`` units per slot."""
-    return validate_network(ScheduleSet([[float(service)]]), name="single_queue")
+def single_queue() -> NetworkModel:
+    """One queue with one schedule serving one unit per slot."""
+    return validate_network(ScheduleSet([[1.0]]), name="single_queue")

@@ -85,6 +85,19 @@ class ListOf:
         return [self.item.read(x, f"{at}/{i}", n) for i, x in enumerate(v)]
 
 
+class Decreasing:
+    """A list read by ``inner`` whose values strictly decrease."""
+
+    def __init__(self, inner) -> None:
+        self.inner = inner
+
+    def read(self, v, at: str, n):
+        xs = self.inner.read(v, at, n)
+        if any(b >= a for a, b in zip(xs, xs[1:])):
+            raise SchemaError(at, f"expected strictly decreasing values, got {v!r}")
+        return xs
+
+
 class Edge:
     """A routing edge [from, to] between two queue indices, as a tuple."""
 

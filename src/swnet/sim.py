@@ -16,15 +16,7 @@ import numpy as np
 
 from .arrivals import ArrivalModel, derive_rng, sample_increments
 from .model import NetworkModel
-from .policy import (
-    Policy,
-    SelectionTrace,
-    TieState,
-    argmax_mask,
-    batch_weights,
-    break_ties,
-    select_schedule,
-)
+from .policy import Policy, SelectionTrace, TieState, select_batch, select_schedule
 
 
 class NegativeQueue(AssertionError):
@@ -246,11 +238,9 @@ def run_batch(
     q_sup = q.copy()  # running max of each queue; sup_q is its row max
     Q[:, 0] = q
     s_mat = model.schedules.as_array
-    lexicographic = policy.kind == "msmw_log"
 
     for tau in range(horizon):
-        mask = argmax_mask(batch_weights(model, policy, q), policy.rel_tol, lexicographic)
-        pick = break_ties(policy, mask, tie_states)
+        pick = select_batch(model, policy, q, tie_states)
         dB = s_mat.take(pick, axis=0)
         q, dY = advance(model, q, dB, dA[tau])
         if q.min() < 0.0:
@@ -369,7 +359,7 @@ class AuditReport:
 
 # The per-row checks of conservation_audit, in the order it reports them.
 _AUDIT_CHECKS = ("cumulative_identity", "service_decomposition", "monotone_A", "monotone_B", "monotone_Y",
-                 "one_schedule_per_slot", "nonnegative_queue")
+                 "one_schedule_per_slot", "nonnegative_queue", "non_finite")
 
 
 def conservation_audit(
@@ -383,7 +373,8 @@ def conservation_audit(
 
     At every recorded slot: Q = Q(0) + A - B + Y (single-hop) or
     Q = Q(0) + A - (I - R^T)(B - Y) (multi-hop), and B = sum_pi S_pi * pi;
-    monotonicity of A, B, Y, S_cum; exactly one schedule per slot. On
+    monotonicity of A, B, Y, S_cum; exactly one schedule per slot; finite
+    Q, A, B, Y (residual: the row's count of NaN and inf cells). On
     sampled slot pairs tau' <= tau:
     Q_n(tau) <= Q_n(tau') + A_n(tau) - A_n(tau') + sum_m R_mn (B_m(tau) - B_m(tau')).
     Reports violations; never raises.
@@ -417,9 +408,12 @@ def conservation_audit(
         gap = ds.sum(axis=1) - (path.tau[cur] - path.tau[prev])
         res[first:, 5] = np.abs(gap)
         res[:, 6] = -Q.min(axis=1)
+        # NaN and inf pass the tests above; either one in a row makes its identity residual non-finite
+        if not np.isfinite(res[:, 0]).all():
+            res[:, 7] = (~np.isfinite(np.hstack((Q, A, B, Y)))).sum(axis=1)
         bad = res > thr
         bad[first:, 5] = (ds.min(axis=1) < 0) | (gap != 0)
-        bad[:, 6] = res[:, 6] > 0.0
+        bad[:, 6:] = res[:, 6:] > 0.0
         max_res = max(max_res, float(np.fmax.reduce(res[:, :5], axis=None, initial=0.0)))
         for i, c in zip(*np.nonzero(bad)):  # by slot, then check order
             viol.append(AuditViolation(slot=int(path.tau[lo + i]), check=_AUDIT_CHECKS[c], residual=float(res[i, c])))

@@ -84,6 +84,36 @@ def test_analyze_outputs_virtual_resources(tmp_path):
     assert (tmp_path / "out" / "manifest.json").exists()
 
 
+def _analysis(tmp_path, scenario):
+    assert execute(parse_scenario(scenario), tmp_path / "out") == 0
+    return json.loads((tmp_path / "out" / "analysis.json").read_text())
+
+
+def test_analyze_multi_hop_uses_aggregated_rates(tmp_path):
+    # R~ (1/2, 1/2) = (1/2, 1) on tandem(2): the second queue is critically loaded
+    doc = _analysis(tmp_path, {"preset": "tandem", "N": 2, "lambda": ["1/2", "1/2"], "experiment": {"kind": "analyze"}})
+    assert doc["lambda"] == ["1/2", "1/2"]
+    assert (doc["class"], doc["primal_value"], doc["clvr"]) == ("critical", "1", [["0", "1"]])
+
+
+@pytest.mark.parametrize(
+    "network, lam",
+    [
+        *(({"preset": "ex2"}, lam) for lam in (["1/2", "1/2"], [1, 1], [0, "11/10"])),
+        *(({"preset": "iq_switch", "M": 2}, lam) for lam in (["1/4"] * 4, ["1/2"] * 4, ["3/4", "1/2", 0, 0])),
+        *(({"preset": "tandem", "N": 2}, lam) for lam in (["1/2", 0], ["1/2", "1/2"], [1, "1/2"])),
+        *(({"preset": "tandem", "N": 3}, lam) for lam in (["1/4"] * 3, ["1/3"] * 3, ["1/2", 0, "1/2"], ["1/2"] * 3)),
+    ],
+)
+def test_analyze_load_class_agrees_with_critical_resources(tmp_path, network, lam):
+    doc = _analysis(tmp_path, {**network, "lambda": lam, "experiment": {"kind": "analyze"}})
+    assert doc["strong_duality"]
+    if doc["class"] == "strictly_admissible":
+        assert doc["clvr_plus"] == []
+    if doc["class"] == "critical":
+        assert doc["clvr"] != []
+
+
 def test_simulate_and_corrupted_replay(tmp_path):
     scenario = {
         "preset": "ex2",
@@ -298,6 +328,11 @@ _SIM = {"kind": "simulate", "horizon": 20}
             id="text-alphas",
         ),
         pytest.param(
+            {"experiment": {"kind": "iqcheck", "alphas": [0.5, 1.0]}},
+            "/experiment/alphas",
+            id="increasing-alphas",
+        ),
+        pytest.param(
             {"network": {"queues": 2, "schedules": [[1, 0], [0, 1]], "routing": [[0, 5]]}, "lambda": [1, 1],
              "experiment": {"kind": "analyze"}},
             "/network/routing/0",
@@ -382,6 +417,22 @@ def test_fluid_command_csv(tmp_path):
     assert lines[0].startswith("#") and "lambda=(1,1)" in lines[0]
     assert lines[1] == "t,q_1,q_2,L,drift_formula,drift_fd,dist_to_lift"
     assert len(lines) == 103
+
+
+def test_fluid_lift_distances_stay_on_their_rows_for_tiny_steps(tmp_path):
+    # at h = 1e-13 distinct grid times agree to 12 decimal places
+    cfg = parse_scenario(
+        {
+            "preset": "ex2",
+            "lambda": ["1/2", "1/2"],
+            "policy": {"kind": "mw"},
+            "experiment": {"kind": "fluid", "q0": [1, 0.5], "h": 1e-13, "T": 3e-12, "lift_stride": 10},
+        }
+    )
+    assert execute(cfg, tmp_path / "out") == 0
+    rows = (tmp_path / "out" / "fluid.csv").read_text().splitlines()[2:]
+    assert len(rows) == 31
+    assert [k for k, row in enumerate(rows) if row.split(",")[-1]] == [0, 10, 20, 30]
 
 
 def test_other_arrival_kinds_through_schema(tmp_path):

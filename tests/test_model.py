@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,7 +15,6 @@ from swnet.model import (
     WeightFunction,
     is_monotone_closed,
     monotone_closure,
-    upstream_transform,
     validate_network,
 )
 
@@ -63,13 +64,21 @@ def test_upstream_inverse_identity_holds_exactly():
 def test_upstream_transform_three_chain():
     routing = RoutingMatrix.from_edges(3, [(0, 1), (1, 2)])
     model = validate_network(ScheduleSet([np.zeros(3), np.ones(3)]), routing)
-    assert np.array_equal(upstream_transform(model, [1, 1, 1]), [1, 2, 3])
+    assert np.array_equal(model.upstream.transform([1, 1, 1]), [1, 2, 3])
 
 
 def test_upstream_transform_tandem_rates():
     routing = RoutingMatrix.from_edges(2, [(0, 1)])
     model = validate_network(ScheduleSet([[0, 0], [1, 1]]), routing)
-    assert np.allclose(upstream_transform(model, [0.3, 0.2]), [0.3, 0.5])
+    assert np.allclose(model.upstream.transform([0.3, 0.2]), [0.3, 0.5])
+
+
+def test_upstream_transform_exact_is_rational():
+    routing = RoutingMatrix.from_edges(3, [(0, 1), (1, 2)])
+    model = validate_network(ScheduleSet([np.zeros(3), np.ones(3)]), routing)
+    got = model.upstream.transform_exact([Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)])
+    assert got == [Fraction(1, 2), Fraction(5, 6), Fraction(1)]
+    assert all(type(v) is Fraction for v in got)
 
 
 def test_monotone_closure_single_schedule():

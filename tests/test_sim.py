@@ -463,15 +463,38 @@ def test_audit_equals_rowwise_reference(name, record_every, kind):
     for rtol, pairs in ((1e-9, 200), (0.0, 50)):
         got = conservation_audit(path, model, rtol=rtol, bound_pairs=pairs, seed=3)
         want = _rowwise_audit(path, model, rtol=rtol, bound_pairs=pairs, seed=3)
+        if kind == "non_finite":  # the reference has no finite-values check; all else must agree
+            got.violations = [v for v in got.violations if v.check != "non_finite"]
+            got.ok = not got.violations
         assert got.summary() == want.summary()
     report = conservation_audit(path, model)
     # a NaN residual never exceeds the threshold and an inf A makes it inf,
-    # so non-finite cells pass the audit; the CSV reader rejects them
-    assert report.ok == (kind in ("clean", "non_finite"))
-    if kind not in ("clean", "non_finite"):
-        flagged = {(v.slot, v.check) for v in report.violations}
+    # so only the finite-values check catches non-finite cells
+    assert report.ok == (kind == "clean")
+    flagged = {(v.slot, v.check) for v in report.violations}
+    if kind == "non_finite":
+        for row in (BLOCK_ROWS - 1, BLOCK_ROWS, 2 * BLOCK_ROWS - 7, nrec - 1):
+            assert (int(path.tau[row]), kind) in flagged
+    elif kind != "clean":
         for row in (BLOCK_ROWS - 1, BLOCK_ROWS):
             assert (int(path.tau[row]), kind) in flagged
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("cells", [{"Q": [(3, 0)]}, {"A": [(7, 1)]}, {"Q": [(3, 0)], "A": [(7, 1), (7, 0)]}])
+def test_audit_refuses_non_finite_cells(ex2, cells):
+    path = run(ex2, Policy.mw_alpha(1.0), ArrivalModel.deterministic([0.5, 0.5]), [1.0, 1.0], 10, seed=0)
+    clean = conservation_audit(path, ex2)
+    assert clean.ok
+    want = {}
+    for name, where in cells.items():
+        for row, col in where:
+            getattr(path, name)[row, col] = np.nan if name == "Q" else np.inf
+            want[row] = want.get(row, 0.0) + 1.0
+    report = conservation_audit(path, ex2)
+    assert not report.ok
+    assert [(v.slot, v.residual) for v in report.violations if v.check == "non_finite"] == sorted(want.items())
+    assert report.checks_run == clean.checks_run
 
 
 def test_audit_of_short_paths_equals_rowwise_reference(ex2):
