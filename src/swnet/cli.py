@@ -45,7 +45,7 @@ from .collapse import (
 )
 from .fluid import distance_to_lift, integrate_fluid, lyapunov_drift
 from .geometry import (
-    classify_load,
+    classify_primal,
     complete_loading_check,
     critically_loaded,
     enumerate_dual_vertices,
@@ -54,7 +54,7 @@ from .geometry import (
     solve_primal,
     DEFAULT_VERTEX_BUDGET,
 )
-from .lift import LyapunovSpec, is_fixed_point, lift
+from .lift import is_fixed_point, lift
 from .model import NetworkModel, RoutingMatrix, ScheduleSet, WeightFunction, validate_network
 from .policy import Policy, PolicyModelMismatch
 from .schema import REQUIRED, Decreasing, Edge, Int, Is, Kind, ListOf, Num, SchemaError, Tagged, kind_of, read_object
@@ -228,12 +228,13 @@ def _clvr_for(cfg: ScenarioConfig, budget: int = DEFAULT_VERTEX_BUDGET):
 
 
 def _lyapunov_view(cfg: ScenarioConfig):
-    """(spec, clvr): the Lyapunov function of the policy's weight and the
-    critically loaded resources. Without a weighted policy (msmw_log, or a
-    lift run with no policy) the linear weight serves as a reference view."""
+    """(weight, clvr): the policy's weight function, which stands for its
+    Lyapunov function, and the critically loaded resources. Without a
+    weighted policy (msmw_log, or a lift run with no policy) the linear
+    weight serves as a reference view."""
     weighted = cfg.policy is not None and cfg.policy.weight is not None
     (clvr, _), _vrs = _clvr_for(cfg)
-    return LyapunovSpec(weight=cfg.policy.weight if weighted else WeightFunction.power(1.0)), clvr
+    return cfg.policy.weight if weighted else WeightFunction.power(1.0), clvr
 
 
 # ---------------------------------------------------------------------------
@@ -244,12 +245,13 @@ def _lyapunov_view(cfg: ScenarioConfig):
 
 def _run_analyze(cfg: ScenarioConfig, out: Path, *, budget) -> int:
     """Every geometric quantity is taken at the aggregated rates R~ lambda
-    (the exogenous rates themselves on a single-hop network)."""
+    (the exogenous rates themselves on a single-hop network); a float among
+    the rates as given makes the load class approximate."""
     model = cfg.model
     lam = model.upstream.transform_exact(fraction_vector(cfg.lam))
     value, alpha = solve_primal(model, lam)
     dvalue, xi = solve_dual(model, lam)
-    load = classify_load(model, lam)
+    load = classify_primal(value, cfg.lam)
     (clvr, clvr_plus), vrs = _clvr_for(cfg, budget)
     cl_ok, cl_weights = complete_loading_check(model, lam, vrs)
     doc = {
@@ -294,15 +296,15 @@ def _run_fluid(cfg: ScenarioConfig, out: Path, *, q0, h, T, lift_stride) -> int:
     model = cfg.model
     lam_f = [float(v) for v in fraction_vector(cfg.lam)]
     traj = integrate_fluid(model, cfg.policy, lam_f, q0, h=h, T=T)
-    spec, clvr = _lyapunov_view(cfg)
-    times, dists = distance_to_lift(model, cfg.lam, spec, clvr, traj, stride=lift_stride)
+    weight, clvr = _lyapunov_view(cfg)
+    times, dists = distance_to_lift(model, cfg.lam, weight, clvr, traj, stride=lift_stride)
     dist_at = dict(zip(times.tolist(), dists.tolist()))  # the times are grid times, exactly
-    L_vals, formula, fd, _ = lyapunov_drift(model, lam_f, spec, traj)
+    L_vals, formula, fd, _ = lyapunov_drift(model, lam_f, weight, traj)
     lam_label = ",".join(str(v) for v in fraction_vector(cfg.lam))
     K = traj.t.shape[0] - 1
     with (out / "fluid.csv").open("w", encoding="utf-8", newline="\n") as f:
         f.write(
-            f"# model={model.name}, lambda=({lam_label}), weight={spec.weight.label()}, "
+            f"# model={model.name}, lambda=({lam_label}), weight={weight.label()}, "
             f"policy={cfg.policy.label()}, h={h!r}, T={T!r}\n"
         )
         f.write("t," + ",".join(f"q_{i+1}" for i in range(model.n_queues)) + ",L,drift_formula,drift_fd,dist_to_lift\n")
@@ -317,17 +319,17 @@ def _run_fluid(cfg: ScenarioConfig, out: Path, *, q0, h, T, lift_stride) -> int:
 
 
 def _run_lift(cfg: ScenarioConfig, out: Path, *, q) -> int:
-    spec, clvr = _lyapunov_view(cfg)
-    res = lift(cfg.model, cfg.lam, spec, clvr, q, tol=cfg.tolerances["kkt"])
+    weight, clvr = _lyapunov_view(cfg)
+    res = lift(cfg.model, cfg.lam, weight, clvr, q, tol=cfg.tolerances["kkt"])
     doc = {
-        "lambda": res.lam_label,
-        "weight": res.weight_label,
+        "lambda": [str(v) for v in fraction_vector(cfg.lam)],
+        "weight": weight.label(),
         "q": q,
         "r_star": [float(v) for v in res.r_star],
         "multipliers": res.multiplier_map(),
         "kkt_residual": res.kkt_residual,
         "iterations": res.iterations,
-        "objective": res.objective,
+        "objective": float(weight.lyapunov(res.r_star)),
         "is_fixed_point": is_fixed_point(res.r_star, q, tol=cfg.tolerances["fixed_point"]),
     }
     (out / "lift.json").write_bytes(_json_bytes(doc))
@@ -339,9 +341,9 @@ def _run_collapse(
     require_decreasing,
 ) -> int:
     model = cfg.model
-    spec, clvr = _lyapunov_view(cfg)
+    weight, clvr = _lyapunov_view(cfg)
     mcfg = MsscConfig(
-        model=model, policy=cfg.policy, lam=cfg.lam, clvr=clvr, spec=spec, qhat0=np.array(qhat0), r_list=r_list,
+        model=model, policy=cfg.policy, lam=cfg.lam, clvr=clvr, weight=weight, qhat0=np.array(qhat0), r_list=r_list,
         T=T, reps=reps, master_seed=cfg.seed, grid_points=grid_points,
         gamma=None if gamma is None else np.asarray(gamma),
     )
@@ -349,7 +351,7 @@ def _run_collapse(
     buf = io.StringIO()
     lam_strs = [str(v) for v in fraction_vector(cfg.lam)]
     buf.write(
-        f"# model={model.name}, lambda=({','.join(lam_strs)}), weight={spec.weight.label()}, "
+        f"# model={model.name}, lambda=({','.join(lam_strs)}), weight={weight.label()}, "
         f"policy={cfg.policy.label()}, T={T!r}, seed={cfg.seed}\n"
     )
     buf.write("r,rep,ratio\n")

@@ -13,12 +13,11 @@ import numpy as np
 
 from . import presets
 from .arrivals import ArrivalModel, derive_rng
-from .fluid import FluidTrajectory
 from .geometry import critically_loaded, enumerate_dual_vertices, to_fraction
-from .lift import LiftProblem, LyapunovSpec, lift
-from .model import NetworkModel
+from .lift import LiftProblem, lift
+from .model import NetworkModel, WeightFunction
 from .policy import Policy
-from .sim import rescale, run_batch
+from .sim import FluidTrajectory, rescale, run_batch
 from .sim import run  # unused here, but perfbench/tracer.py wraps collapse.run
 
 
@@ -46,7 +45,7 @@ class MsscConfig:
     policy: Policy
     lam: Sequence
     clvr: list
-    spec: LyapunovSpec
+    weight: WeightFunction
     qhat0: np.ndarray
     r_list: list[int]
     T: float = 1.0
@@ -117,7 +116,7 @@ def mssc_experiment(cfg: MsscConfig) -> CollapseReport:
     and measure the relative sup distance to the lifting map. The report
     lists rows in sorted (r, rep) order."""
     trivial = len(cfg.clvr) == 0
-    problem = LiftProblem(cfg.model, cfg.lam, cfg.spec, cfg.clvr)
+    problem = LiftProblem(cfg.model, cfg.lam, cfg.weight, cfg.clvr)
     rows = sorted(row for ri, r in enumerate(sorted(cfg.r_list)) for row in _mssc_scale(cfg, problem, ri, r))
     med = {}
     p90 = {}
@@ -395,11 +394,11 @@ def matching_structure_checks(
     lam = [Fraction(1, m)] * (m * m)
     clvr, _ = critically_loaded(sw, lam, vrs)
     alpha = 1.0
-    spec = LyapunovSpec.power(alpha)
+    weight = WeightFunction.power(alpha)
     coverage_bad = 0
     for _ in range(coverage_samples):
         q0 = rng.random(m * m) * 3.0
-        inv_state = lift(sw, lam, spec, clvr, q0).r_star.reshape(m, m)
+        inv_state = lift(sw, lam, weight, clvr, q0).r_star.reshape(m, m)
         xw = inv_state**alpha
         weights = np.array([float((pi * xw).sum()) for pi in matchings])
         top = weights.max()

@@ -11,46 +11,19 @@ drift check skips stencils where the argmax set changes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
-from .lift import LyapunovSpec, lift
-from .model import NetworkModel
+from .lift import constraint_rows, lift
+from .model import NetworkModel, WeightFunction
 from .policy import Policy, TieState, select_batch, weight_vectors
 from .policy import select_schedule  # unused here, but perfbench/tracer.py wraps fluid.select_schedule
-from .sim import _interp_rows, advance
+from .sim import FluidTrajectory, _interp_rows, advance
 
 
 class GridMismatch(ValueError):
     """Trajectories cover different horizons and cannot be compared."""
-
-
-@dataclass
-class FluidTrajectory:
-    """Integrated fluid path on the uniform grid t_k = k*h.
-
-    q has shape (K+1, N); a(t) = lambda*t exactly; s counts h per step on
-    the chosen schedule, so sum_pi s_pi(t) = t; y accumulates the clipped
-    idling. All cumulative components are nondecreasing by construction.
-    """
-
-    t: np.ndarray
-    q: np.ndarray
-    a: np.ndarray
-    y: np.ndarray
-    s: np.ndarray
-    h: float
-    lam: np.ndarray
-    meta: dict = field(default_factory=dict)
-
-    @property
-    def n_queues(self) -> int:
-        return self.q.shape[1]
-
-    def components(self) -> dict:
-        return {"q": self.q, "a": self.a, "y": self.y, "s": self.s}
 
 
 def integrate_fluid(
@@ -62,7 +35,11 @@ def integrate_fluid(
     T: float = 10.0,
     tie_state: Optional[TieState] = None,
 ) -> FluidTrajectory:
-    """Deterministic fluid integration over [0, T] with step h in (0, 0.1]."""
+    """Deterministic fluid integration over [0, T] with step h in (0, 0.1].
+
+    a(t) = lambda*t exactly; s counts h per step on the chosen schedule, so
+    sum_pi s_pi(t) = t; y accumulates the clipped idling.
+    """
     if not 0 < h <= 0.1:
         raise ValueError("step h must lie in (0, 0.1]")
     policy.validate_for(model)
@@ -99,12 +76,10 @@ def integrate_fluid(
         y=ys,
         s=counts * h,
         h=h,
-        lam=lam,
-        meta={"model": model.name, "policy": policy.label()},
     )
 
 
-def lyapunov_drift(model: NetworkModel, lam, spec: LyapunovSpec, traj: FluidTrajectory):
+def lyapunov_drift(model: NetworkModel, lam, weight: WeightFunction, traj: FluidTrajectory):
     """Per grid row of a fluid path: (L(q), drift formula, central difference
     of L, argmax mask of the weights).
 
@@ -112,11 +87,10 @@ def lyapunov_drift(model: NetworkModel, lam, spec: LyapunovSpec, traj: FluidTraj
     for admissible rates, and the fluid solution satisfies it with equality.
     The central difference is NaN at the first and the last row.
     """
-    w = spec.weight
-    L_vals = w.antiderivative(traj.q).sum(axis=1)
-    weights = weight_vectors(model, w, traj.q, pressure=not model.is_single_hop)
+    L_vals = weight.lyapunov(traj.q)
+    weights = weight_vectors(model, weight, traj.q, pressure=not model.is_single_hop)
     top = weights.max(axis=1)
-    formula = (w.value(traj.q) @ np.asarray(lam, dtype=float)) - top
+    formula = (weight.value(traj.q) @ np.asarray(lam, dtype=float)) - top
     fd = np.full(L_vals.shape, np.nan)
     fd[1:-1] = (L_vals[2:] - L_vals[:-2]) / (2.0 * traj.h)
     # argmax sets as boolean masks; exact comparison mirrors the policies
@@ -126,12 +100,12 @@ def lyapunov_drift(model: NetworkModel, lam, spec: LyapunovSpec, traj: FluidTraj
 def lyapunov_drift_check(
     model: NetworkModel,
     lam,
-    spec: LyapunovSpec,
+    weight: WeightFunction,
     traj: FluidTrajectory,
 ) -> float:
     """Max |finite-difference dL/dt - drift formula| over interior grid
     points where the argmax set is locally constant; see lyapunov_drift."""
-    _, formula, fd, masks = lyapunov_drift(model, lam, spec, traj)
+    _, formula, fd, masks = lyapunov_drift(model, lam, weight, traj)
     same = np.all(masks[:-2] == masks[1:-1], axis=1) & np.all(masks[1:-1] == masks[2:], axis=1)
     if not same.any():
         return 0.0
@@ -146,30 +120,21 @@ def feasibility_preservation_check(
     traj: FluidTrajectory,
     tol: float = 1e-6,
 ) -> bool:
-    """Workloads xi . q~(t) never drop below their initial values, and
-    zero-rate queues never grow: q~_n(t) <= q~_n(0) + t*lam~_n + tol there.
+    """The path stays in the critical-workload polyhedron of its start,
+    (q(t) - q(0)) . G^T >= -tol with G from constraint_rows: workloads
+    xi . q~(t) never drop and zero-rate aggregated contents q~_n(t) never
+    grow.
 
     Holds for any scheduling policy, not just max-weight.
     """
-    lam = np.asarray(lam, dtype=float)
-    rt = model.upstream.entries.astype(float)
-    q_tilde = traj.q @ rt.T
-    lam_tilde = rt @ lam
-    for xi in clvr:
-        xi_arr = np.array([float(v) for v in np.asarray(xi, dtype=object)], dtype=float)
-        w = q_tilde @ xi_arr
-        if (w - w[0]).min() < -tol:
-            return False
-    for n in np.flatnonzero(lam_tilde == 0.0):
-        if (q_tilde[:, n] - q_tilde[0, n] - traj.t * lam_tilde[n]).max() > tol:
-            return False
-    return True
+    G, _ = constraint_rows(model, lam, clvr, include_caps=True)
+    return bool((((traj.q - traj.q[0]) @ G.T) >= -tol).all())
 
 
 def distance_to_lift(
     model: NetworkModel,
     lam,
-    spec: LyapunovSpec,
+    weight: WeightFunction,
     clvr,
     traj: FluidTrajectory,
     stride: Optional[int] = None,
@@ -185,7 +150,7 @@ def distance_to_lift(
     dists = np.empty(idx.shape[0])
     mu = None
     for j, k in enumerate(idx):
-        res = lift(model, lam, spec, clvr, traj.q[k], mu0=mu)
+        res = lift(model, lam, weight, clvr, traj.q[k], mu0=mu)
         mu = res.multipliers
         dists[j] = float(np.abs(traj.q[k] - res.r_star).max(initial=0.0))
     return traj.t[idx], dists
@@ -194,7 +159,7 @@ def distance_to_lift(
 def convergence_to_invariant(
     model: NetworkModel,
     lam,
-    spec: LyapunovSpec,
+    weight: WeightFunction,
     clvr,
     traj: FluidTrajectory,
     eps: float,
@@ -206,7 +171,7 @@ def convergence_to_invariant(
     Input paths should start with |q(0)| <= 1 (rescale first; positive
     homogeneity of the lifting map justifies it for power weights).
     """
-    times, dists = distance_to_lift(model, lam, spec, clvr, traj)
+    times, dists = distance_to_lift(model, lam, weight, clvr, traj)
     below = dists < eps
     if not below[-1]:
         return None
@@ -219,23 +184,19 @@ def convergence_to_invariant(
 
 
 def trajectory_distance(x, y) -> float:
-    """sup_t max-component |x(t) - y(t)| over the shared component families.
+    """sup_t max-component |x(t) - y(t)| over the components q, a, y, s.
 
-    Accepts FluidTrajectory or ScaledPath; both expose a time grid ``t`` and
-    a ``components()`` map. Trajectories are resampled onto the union grid
-    by linear interpolation. Raises GridMismatch when horizons differ.
+    Trajectories are resampled onto the union grid by linear interpolation.
+    Raises GridMismatch when horizons differ.
     """
     tx, ty = np.asarray(x.t, dtype=float), np.asarray(y.t, dtype=float)
     if abs(tx[-1] - ty[-1]) > 1e-9 * max(1.0, tx[-1], ty[-1]):
         raise GridMismatch(f"horizons differ: {tx[-1]} vs {ty[-1]}")
-    cx, cy = x.components(), y.components()
-    shared = sorted(set(cx) & set(cy))
-    if not shared:
-        raise GridMismatch("no shared components to compare")
+    cy = y.components()
     grid = np.union1d(tx, ty)
     worst = 0.0
-    for name in shared:
-        vx = _interp_rows(tx, np.asarray(cx[name], dtype=float), grid)
+    for name, vals in x.components().items():
+        vx = _interp_rows(tx, np.asarray(vals, dtype=float), grid)
         vy = _interp_rows(ty, np.asarray(cy[name], dtype=float), grid)
         if vx.shape[1] != vy.shape[1]:
             raise GridMismatch(f"component {name!r} dimensions differ")

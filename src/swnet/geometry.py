@@ -260,8 +260,10 @@ class LoadClass:
     tolerance: float = 0.0
 
 
-def classify_load(model: NetworkModel, lam) -> LoadClass:
-    """strictly_admissible (<1), critical (=1) or inadmissible (>1).
+def classify_primal(value: Fraction, lam) -> LoadClass:
+    """strictly_admissible (<1), critical (=1) or inadmissible (>1) from the
+    exact primal value, for the rates ``lam`` as given (on a multi-hop
+    network, the exogenous rates the aggregated ones come from).
 
     Exact whenever lam is given in exact form (ints, Fractions, 'p/q'
     strings). Float inputs are converted to their exact binary values; if
@@ -269,13 +271,17 @@ def classify_load(model: NetworkModel, lam) -> LoadClass:
     exactly critical, the class is snapped to critical and flagged.
     """
     was_float = any(isinstance(v, (float, np.floating)) for v in lam)
-    value, _ = solve_primal(model, lam)
     if value == 1:
         return LoadClass(value, "critical", exact=True)
     exact_class = "strictly_admissible" if value < 1 else "inadmissible"
     if was_float and abs(float(value) - 1.0) <= 1e-9:
         return LoadClass(value, "critical", exact=False, tolerance=1e-9)
     return LoadClass(value, exact_class, exact=not was_float)
+
+
+def classify_load(model: NetworkModel, lam) -> LoadClass:
+    """classify_primal of the static planning value at lam."""
+    return classify_primal(solve_primal(model, lam)[0], lam)
 
 
 # ---------------------------------------------------------------------------

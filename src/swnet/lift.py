@@ -1,5 +1,5 @@
-"""Lyapunov function, workload map, and the lifting map as the solution of
-the critical-workload convex program.
+"""Workload map, the critical-workload polyhedron, and the lifting map as
+the solution of the convex program over it.
 
 The program minimized is: L(r) = sum_n F(r_n) over r >= 0 subject to
 xi . (R~ r) >= xi . (R~ q) for every critically loaded virtual resource xi,
@@ -30,28 +30,6 @@ class SolverDivergence(RuntimeError):
     """Dual ascent failed to reach the KKT tolerance."""
 
 
-@dataclass(frozen=True)
-class LyapunovSpec:
-    """L(q) = sum_n F(q_n) for the policy's weight function."""
-
-    weight: WeightFunction
-
-    def L(self, q) -> float:
-        q = np.asarray(q, dtype=float)
-        return float(np.sum(self.weight.antiderivative(q)))
-
-    @staticmethod
-    def power(alpha: float) -> "LyapunovSpec":
-        return LyapunovSpec(weight=WeightFunction.power(alpha))
-
-
-def lyapunov(spec: LyapunovSpec, q) -> float:
-    """sum_n F(q_n)."""
-    if np.any(np.asarray(q, dtype=float) < 0):
-        raise ValueError("queue state must be >= 0")
-    return spec.L(q)
-
-
 def _lam_floats(lam) -> np.ndarray:
     return np.array([float(to_fraction(v)) for v in lam])
 
@@ -71,9 +49,11 @@ def workload(model: NetworkModel, xi_set, q) -> np.ndarray:
     return np.array([float(sum(to_fraction(x) * qt for x, qt in zip(xi, q_tilde))) for xi in xi_set])
 
 
-def _assemble(model: NetworkModel, lam, clvr, include_caps: bool):
-    """Constraint matrix G with rows a_k so that the program reads
-    a_k . r >= a_k . q; returns (G, kinds)."""
+def constraint_rows(model: NetworkModel, lam, clvr, include_caps: bool) -> tuple[np.ndarray, tuple[str, ...]]:
+    """Rows G of the critical-workload polyhedron {r : G r >= G q}: one
+    workload row xi . R~ per resource in clvr, then (with ``include_caps``)
+    a cap row -R~_n per queue whose aggregated rate [R~ lambda]_n is zero.
+    Returns (G, kinds)."""
     rt = model.upstream.entries.astype(float)
     rows: list[np.ndarray] = []
     kinds: list[str] = []
@@ -85,9 +65,8 @@ def _assemble(model: NetworkModel, lam, clvr, include_caps: bool):
         for n in np.flatnonzero(_zero_rate_mask(model, lam)):
             rows.append(-rt[n])
             kinds.append(f"cap_{n}")
-    if rows:
-        return np.vstack(rows), kinds
-    return np.zeros((0, model.n_queues)), kinds
+    G = np.vstack(rows) if rows else np.zeros((0, model.n_queues))
+    return G, tuple(kinds)
 
 
 @dataclass
@@ -96,12 +75,9 @@ class LiftResult:
 
     r_star: np.ndarray
     multipliers: np.ndarray
-    constraint_kinds: list[str]
+    constraint_kinds: tuple[str, ...]
     kkt_residual: float
     iterations: int
-    objective: float
-    lam_label: list[str]
-    weight_label: str
 
     def multiplier_map(self) -> dict:
         return {k: float(m) for k, m in zip(self.constraint_kinds, self.multipliers)}
@@ -130,24 +106,22 @@ class _DualPoint:
 
 
 class LiftProblem:
-    """The lifting program of one (model, lam, spec, clvr), compiled once.
+    """The lifting program of one (model, lam, weight, clvr), compiled once.
 
-    The float constraint matrix G (rows a_k, so the program reads
-    a_k . r >= a_k . q), the constraint kinds and the rate labels are built
-    here; ``solve`` runs the dual ascent for one q. ``clvr`` is the set of
-    critically loaded virtual resources (maximal vertices; passing the full
-    critically loaded vertex set with ``include_caps=False`` yields the same
-    minimizer).
+    The float constraint matrix G and the constraint kinds (constraint_rows)
+    are built here; ``solve`` runs the dual ascent for one q. ``clvr`` is the
+    set of critically loaded virtual resources (maximal vertices; passing the
+    full critically loaded vertex set with ``include_caps=False`` yields the
+    same minimizer).
     """
 
-    def __init__(self, model: NetworkModel, lam, spec: LyapunovSpec, clvr, include_caps: bool = True) -> None:
+    def __init__(self, model: NetworkModel, lam, weight: WeightFunction, clvr, include_caps: bool = True) -> None:
         self.model = model
-        self.spec = spec
-        self.G, self.kinds = _assemble(model, lam, clvr, include_caps)
-        self.lam_label = [str(to_fraction(v)) for v in lam]
+        self.weight = weight
+        self.G, self.kinds = constraint_rows(model, lam, clvr, include_caps)
 
     def _point(self, mu: np.ndarray, h: np.ndarray) -> _DualPoint:
-        weight, G = self.spec.weight, self.G
+        weight, G = self.weight, self.G
         t = G.T @ mu
         tp = np.maximum(t, 0.0)
         r = weight.inverse(tp)
@@ -159,18 +133,6 @@ class LiftProblem:
         kkt = max(pf, cs, float(st_pos), float(st_zero))
         dual = float(np.sum(weight.antiderivative(r) - tp * r) + mu @ h)
         return _DualPoint(t=t, r=r, grad=grad, kkt=kkt, dual=dual)
-
-    def _result(self, r, mu, kkt: float, iterations: int) -> LiftResult:
-        return LiftResult(
-            r_star=r,
-            multipliers=mu,
-            constraint_kinds=list(self.kinds),
-            kkt_residual=kkt,
-            iterations=iterations,
-            objective=self.spec.L(r),
-            lam_label=list(self.lam_label),
-            weight_label=self.spec.weight.label(),
-        )
 
     def solve(
         self,
@@ -184,13 +146,13 @@ class LiftProblem:
         Empty ``clvr`` with no zero-rate caps gives r* = 0. Deterministic
         given inputs; ``mu0`` warm-starts the multipliers.
         """
-        weight, G = self.spec.weight, self.G
+        weight, G = self.weight, self.G
         q = np.asarray(q, dtype=float)
         if np.any(q < 0):
             raise ValueError("queue state must be >= 0")
         K = G.shape[0]
         if K == 0:
-            return self._result(np.zeros(self.model.n_queues), np.zeros(0), 0.0, 0)
+            return LiftResult(np.zeros(self.model.n_queues), np.zeros(0), self.kinds, 0.0, 0)
         h = G @ q
         mu = np.zeros(K) if mu0 is None else np.maximum(np.asarray(mu0, dtype=float), 0.0)
         if mu.shape != (K,):
@@ -257,13 +219,13 @@ class LiftProblem:
                 f"lift solver stalled: kkt residual {best_res:.3e} > tol {tol:.1e} "
                 f"after {max_iter} iterations"
             )
-        return self._result(cur.r, mu, cur.kkt, iterations)
+        return LiftResult(cur.r, mu, self.kinds, cur.kkt, iterations)
 
 
 def lift(
     model: NetworkModel,
     lam,
-    spec: LyapunovSpec,
+    weight: WeightFunction,
     clvr,
     q,
     tol: float = 1e-8,
@@ -272,8 +234,8 @@ def lift(
     include_caps: bool = True,
 ) -> LiftResult:
     """Unique minimizer of L over the critical-workload polyhedron at q;
-    LiftProblem(model, lam, spec, clvr, include_caps).solve(q, ...)."""
-    return LiftProblem(model, lam, spec, clvr, include_caps).solve(q, tol=tol, max_iter=max_iter, mu0=mu0)
+    LiftProblem(model, lam, weight, clvr, include_caps).solve(q, ...)."""
+    return LiftProblem(model, lam, weight, clvr, include_caps).solve(q, tol=tol, max_iter=max_iter, mu0=mu0)
 
 
 def is_fixed_point(r_star: np.ndarray, q, tol: float = 1e-6) -> bool:
@@ -286,7 +248,7 @@ def is_fixed_point(r_star: np.ndarray, q, tol: float = 1e-6) -> bool:
 def lift_oracle(
     model: NetworkModel,
     lam,
-    spec: LyapunovSpec,
+    weight: WeightFunction,
     clvr,
     q,
 ) -> np.ndarray:
@@ -305,7 +267,7 @@ def lift_oracle(
     if not model.is_single_hop:
         raise ValueError("grid oracle supports single-hop networks only")
     q = np.asarray(q, dtype=float)
-    G, kinds = _assemble(model, lam, clvr, include_caps=True)
+    G, kinds = constraint_rows(model, lam, clvr, include_caps=True)
     if G.shape[0] == 0:
         return np.zeros(n)
     h = G @ q
@@ -330,14 +292,14 @@ def lift_oracle(
         return pts + delta[:, None] * d[None, :]
 
     best = q.copy()
-    best_val = float(np.sum(spec.weight.antiderivative(best)))
+    best_val = float(weight.lyapunov(best))
     lo_box = np.zeros(n)
     hi_box = np.full(n, span)
     for _ in range(levels):
         axes = [np.linspace(lo_box[d_], hi_box[d_], grid) for d_ in range(n)]
         mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, n)
         pts = repair(np.vstack([mesh, best[None, :]]))
-        vals = spec.weight.antiderivative(pts).sum(axis=1)
+        vals = weight.lyapunov(pts)
         k = int(np.argmin(vals))
         if vals[k] <= best_val:
             best, best_val = pts[k].copy(), float(vals[k])
@@ -351,7 +313,7 @@ def lift_oracle(
 def invariant_state_test(
     model: NetworkModel,
     lam,
-    spec: LyapunovSpec,
+    weight: WeightFunction,
     q,
     tol: float = 1e-6,
 ) -> bool:
@@ -359,9 +321,9 @@ def invariant_state_test(
     lambda . f(q) equals the maximal schedule weight at q (single-hop
     weights pi . f(q); multi-hop pi . (I-R) f(q))."""
     q = np.asarray(q, dtype=float)
-    weights = weight_vectors(model, spec.weight, q, pressure=not model.is_single_hop)
+    weights = weight_vectors(model, weight, q, pressure=not model.is_single_hop)
     max_w = float(weights.max())
-    lam_fq = float(_lam_floats(lam) @ spec.weight.value(q))
+    lam_fq = float(_lam_floats(lam) @ weight.value(q))
     return abs(lam_fq - max_w) <= tol * (1.0 + abs(max_w))
 
 

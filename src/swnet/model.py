@@ -201,7 +201,8 @@ class UpstreamMatrix:
 
 @dataclass(frozen=True)
 class WeightFunction:
-    """Weight function f for MW-f policies, with antiderivative F.
+    """Weight function f for MW-f policies, with antiderivative F and
+    Lyapunov function L(q) = sum_n F(q_n).
 
     ``power(alpha)`` gives f(x) = x**alpha, F(x) = x**(1+alpha)/(1+alpha),
     which satisfies the argmax scale-invariance the policies assume. Custom
@@ -243,6 +244,10 @@ class WeightFunction:
             return np.power(x, 1.0 + self.alpha) / (1.0 + self.alpha)
         return np.asarray(self.F(x), dtype=float)
 
+    def lyapunov(self, q) -> np.ndarray:
+        """L(q) = sum_n F(q_n), over the last axis of q."""
+        return self.antiderivative(q).sum(axis=-1)
+
     def derivative(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         if self.kind == "power":
@@ -277,10 +282,6 @@ class NetworkModel:
     @property
     def is_single_hop(self) -> bool:
         return self.hop_kind == "single"
-
-    def backpressure_valid(self) -> bool:
-        """Multi-hop backpressure needs the monotone-closed schedule set."""
-        return self.hop_kind == "multi" and self.schedules_monotone_closed
 
 
 def validate_network(

@@ -282,20 +282,24 @@ def run_batch(
 
 
 @dataclass
-class ScaledPath:
-    """Rescaled view of a run: fluid x(zt)/z or diffusion Q(r^2 t)/r."""
+class FluidTrajectory:
+    """A fluid-scaled path on the uniform grid t_k = k*h: an integrated
+    fluid solution (``fluid.integrate_fluid``) or a rescaled run
+    (``rescale``).
 
-    kind: str  # "fluid" | "diffusion"
-    scale: float
+    q has shape (K+1, N); a, y and s are the cumulative arrivals, idling
+    and per-schedule service time, nondecreasing in t.
+    """
+
     t: np.ndarray
     q: np.ndarray
-    a: Optional[np.ndarray] = None
-    y: Optional[np.ndarray] = None
-    s: Optional[np.ndarray] = None
-    source_meta: dict = field(default_factory=dict)
+    a: np.ndarray
+    y: np.ndarray
+    s: np.ndarray
+    h: float
 
     def components(self) -> dict:
-        return {k: v for k, v in (("q", self.q), ("a", self.a), ("y", self.y), ("s", self.s)) if v is not None}
+        return {"q": self.q, "a": self.a, "y": self.y, "s": self.s}
 
 
 def _interp_rows(tau: np.ndarray, values: np.ndarray, at: np.ndarray) -> np.ndarray:
@@ -305,12 +309,13 @@ def _interp_rows(tau: np.ndarray, values: np.ndarray, at: np.ndarray) -> np.ndar
     return out
 
 
-def rescale(path: SystemPath, kind: str, scale: float, T: float, num: int = 201) -> ScaledPath:
+def rescale(path: SystemPath, kind: str, scale: float, T: float, num: int = 201) -> FluidTrajectory:
     """Rescaled view on a uniform grid of ``num`` points over [0, T].
 
     fluid: all components X(zt)/z; diffusion: Q(r^2 t)/r (arrivals, idling
     and schedule usage are scaled by 1/r at time r^2 t). Slots between
-    recorded points are filled by linear interpolation.
+    recorded points are filled by linear interpolation. The grid step h is
+    T / (num - 1), and 0 for a one-point grid.
     """
     if scale < 1:
         raise ValueError("scale must be >= 1")
@@ -328,7 +333,7 @@ def rescale(path: SystemPath, kind: str, scale: float, T: float, num: int = 201)
     a = _interp_rows(tau, path.A, slots) / scale
     y = _interp_rows(tau, path.Y, slots) / scale
     s = _interp_rows(tau, path.S_cum.astype(float), slots) / scale
-    return ScaledPath(kind=kind, scale=float(scale), t=t, q=q, a=a, y=y, s=s, source_meta=dict(path.meta))
+    return FluidTrajectory(t=t, q=q, a=a, y=y, s=s, h=T / (num - 1) if num > 1 else 0.0)
 
 
 @dataclass

@@ -38,8 +38,8 @@ from swnet.geometry import (
     solve_dual,
     solve_primal,
 )
-from swnet.lift import LyapunovSpec, invariant_state_test, is_fixed_point, lift, lift_oracle
-from swnet.model import ScheduleSet, validate_network
+from swnet.lift import invariant_state_test, is_fixed_point, lift, lift_oracle
+from swnet.model import ScheduleSet, WeightFunction, validate_network
 from swnet.policy import Policy
 from swnet.sim import rescale, run
 
@@ -98,26 +98,26 @@ def test_criterion_03_strong_duality_random():
 
 def test_criterion_04_lift_vs_oracle(ex2, ex2_clvr):
     t0 = time.time()
-    spec1 = LyapunovSpec.power(1.0)
-    res = lift(ex2, [1, 1], spec1, ex2_clvr, [3.0, 0.0])
+    weight1 = WeightFunction.power(1.0)
+    res = lift(ex2, [1, 1], weight1, ex2_clvr, [3.0, 0.0])
     assert np.abs(res.r_star - [0.6, 1.2]).max() <= 1e-6
-    res = lift(ex2, [1, 1], spec1, ex2_clvr, [0.0, 3.0])
+    res = lift(ex2, [1, 1], weight1, ex2_clvr, [0.0, 3.0])
     assert np.abs(res.r_star - [0.0, 3.0]).max() <= 1e-6
     rng = np.random.default_rng(4)
     qs = rng.random((200, 2)) * 5
     for alpha in (0.5, 1.0, 2.0):
-        spec = LyapunovSpec.power(alpha)
+        weight = WeightFunction.power(alpha)
         for q in qs:
-            solved = lift(ex2, [1, 1], spec, ex2_clvr, q)
+            solved = lift(ex2, [1, 1], weight, ex2_clvr, q)
             assert solved.kkt_residual <= 1e-8
-            grid = lift_oracle(ex2, [1, 1], spec, ex2_clvr, q)
+            grid = lift_oracle(ex2, [1, 1], weight, ex2_clvr, q)
             assert np.abs(solved.r_star - grid).max() <= 5e-3
     _report(4, "lift vs independent grid oracle: 200 states x alpha in {0.5,1,2}, gap <= 5e-3, KKT <= 1e-8, hand cases to 1e-6", t0)
 
 
 def test_criterion_05_fixed_point_equivalence(ex2, ex2_clvr, switch2, switch2_clvr, switch2_lam):
     t0 = time.time()
-    spec = LyapunovSpec.power(1.0)
+    weight = WeightFunction.power(1.0)
     rng = np.random.default_rng(5)
     for model, lam, clvr, n in (
         (ex2, [1, 1], ex2_clvr, 2),
@@ -127,9 +127,9 @@ def test_criterion_05_fixed_point_equivalence(ex2, ex2_clvr, switch2, switch2_cl
         for i in range(500):
             q = rng.random(n) * 4
             if i % 2:
-                q = lift(model, lam, spec, clvr, q).r_star
-            fp = is_fixed_point(lift(model, lam, spec, clvr, q).r_star, q, tol=1e-6)
-            inv = invariant_state_test(model, lam, spec, q, tol=1e-6)
+                q = lift(model, lam, weight, clvr, q).r_star
+            fp = is_fixed_point(lift(model, lam, weight, clvr, q).r_star, q, tol=1e-6)
+            inv = invariant_state_test(model, lam, weight, q, tol=1e-6)
             disagreements += fp != inv
         assert disagreements == 0
     _report(5, "fixed-point characterization: lift(q)==q iff the weight identity holds, 500 states per network, zero disagreements", t0)
@@ -137,22 +137,22 @@ def test_criterion_05_fixed_point_equivalence(ex2, ex2_clvr, switch2, switch2_cl
 
 def test_criterion_06_homogeneity(ex2, ex2_clvr, tandem2, tandem2_clvr):
     t0 = time.time()
-    spec = LyapunovSpec.power(1.0)
+    weight = WeightFunction.power(1.0)
     rng = np.random.default_rng(6)
     for _ in range(50):
         q = 0.1 + rng.random(2) * 4.9
-        base = lift(ex2, [1, 1], spec, ex2_clvr, q).r_star
+        base = lift(ex2, [1, 1], weight, ex2_clvr, q).r_star
         for kappa in (0.5, 2.0, 10.0):
-            scaled = lift(ex2, [1, 1], spec, ex2_clvr, kappa * q).r_star
+            scaled = lift(ex2, [1, 1], weight, ex2_clvr, kappa * q).r_star
             assert np.abs(scaled - kappa * base).max() <= 1e-6 * kappa * max(
                 np.abs(base).max(), 1e-9
             )
     # multi-hop: scale invariance at fixed points
     for _ in range(50):
         q = np.sort(0.1 + rng.random(2) * 4.9)[::-1]  # q1 >= q2 is invariant
-        assert is_fixed_point(lift(tandem2, [1, 0], spec, tandem2_clvr, q).r_star, q)
+        assert is_fixed_point(lift(tandem2, [1, 0], weight, tandem2_clvr, q).r_star, q)
         for kappa in (0.5, 2.0, 10.0):
-            r = lift(tandem2, [1, 0], spec, tandem2_clvr, kappa * q).r_star
+            r = lift(tandem2, [1, 0], weight, tandem2_clvr, kappa * q).r_star
             assert np.abs(r - kappa * q).max() <= 1e-6 * (1 + kappa * float(q.max()))
     _report(6, "lifting-map homogeneity: single-hop everywhere, multi-hop at fixed points, kappa in {0.5,2,10}", t0)
 
@@ -183,12 +183,12 @@ def test_criterion_07_fluid_properties(fluid_runs):
     runs, build_seconds = fluid_runs
     t0 = time.time()
     for model, lam_f, lam_x, alpha, clvr, traj in runs:
-        spec = LyapunovSpec.power(alpha)
-        L_vals = spec.weight.antiderivative(traj.q).sum(axis=1)
+        weight = WeightFunction.power(alpha)
+        L_vals = weight.antiderivative(traj.q).sum(axis=1)
         assert np.diff(L_vals).max() <= 10 * traj.h  # (a)
-        assert lyapunov_drift_check(model, lam_f, spec, traj) <= 0.1  # (b)
+        assert lyapunov_drift_check(model, lam_f, weight, traj) <= 0.1  # (b)
         assert feasibility_preservation_check(model, lam_f, clvr, traj, tol=1e-6)  # (c)
-        hit = convergence_to_invariant(model, lam_x, spec, clvr, traj, eps=0.05)  # (d)
+        hit = convergence_to_invariant(model, lam_x, weight, clvr, traj, eps=0.05)  # (d)
         assert hit is not None, f"no sustained convergence for alpha={alpha} on {model.name}"
     assert build_seconds + (time.time() - t0) < 60.0
     _report(7, "fluid runs (2 networks x alpha in {0.5,1,2}): Lyapunov monotone, drift identity, feasibility preserved, converges to the invariant set", t0 - build_seconds)
@@ -244,7 +244,7 @@ def test_criterion_10_mssc_canonical(switch2, switch2_clvr, switch2_lam):
         policy=Policy.mw_alpha(1.0),
         lam=switch2_lam,
         clvr=switch2_clvr,
-        spec=LyapunovSpec.power(1.0),
+        weight=WeightFunction.power(1.0),
         qhat0=np.ones(4),
         r_list=[10, 20, 40],
         T=1.0,

@@ -74,6 +74,20 @@ def test_rational_strings_exact(tmp_path):
     assert doc["exact"] is True
 
 
+@pytest.mark.parametrize(
+    "lam, load_class, exact",
+    [
+        # exactly inadmissible (primal 2251799813685473/2251799813685248), but
+        # float rates within 1e-9 of critical are snapped to critical
+        ([1.0, 1.0000000000001], "critical", False),
+        (["1", "10000000000001/10000000000000"], "inadmissible", True),
+    ],
+)
+def test_analyze_flags_float_rates_as_approximate(tmp_path, lam, load_class, exact):
+    doc = _analysis(tmp_path, {"preset": "ex2", "lambda": lam, "experiment": {"kind": "analyze"}})
+    assert (doc["class"], doc["exact"]) == (load_class, exact)
+
+
 def test_analyze_outputs_virtual_resources(tmp_path):
     cfg = parse_scenario({"preset": "ex2", "lambda": [1, 1], "experiment": {"kind": "analyze"}})
     assert execute(cfg, tmp_path / "out") == 0

@@ -16,7 +16,8 @@ from swnet.collapse import (
     near_optimality_audit,
 )
 from swnet.fluid import integrate_fluid
-from swnet.lift import LyapunovSpec, invariant_state_test, lift
+from swnet.lift import invariant_state_test, lift
+from swnet.model import WeightFunction
 from swnet.policy import Policy
 
 
@@ -123,15 +124,15 @@ def test_workload_coordinates_match_virtual_resources(switch2, switch2_clvr):
 
 def test_invariant_solve_matches_lift_fixed_points(switch2, switch2_clvr, switch2_lam):
     # the workload inverse lands exactly on the generic solver's fixed points
-    spec = LyapunovSpec.power(1.0)
+    weight = WeightFunction.power(1.0)
     rng = np.random.default_rng(5)
     for _ in range(20):
         q0 = rng.random(4) * 3
-        r = lift(switch2, switch2_lam, spec, switch2_clvr, q0).r_star
+        r = lift(switch2, switch2_lam, weight, switch2_clvr, q0).r_star
         w = Iq2x2Workload.of_state(r)
         q_theta = iq2x2_invariant_solve(w, 1.0)
         assert np.abs(q_theta.reshape(-1) - r).max() <= 1e-6
-        assert invariant_state_test(switch2, switch2_lam, spec, q_theta.reshape(-1))
+        assert invariant_state_test(switch2, switch2_lam, weight, q_theta.reshape(-1))
 
 
 def test_membership_matches_bracket_existence_random():
@@ -202,7 +203,7 @@ def test_mssc_smoke_and_flags(switch2, switch2_clvr, switch2_lam):
         policy=Policy.mw_alpha(1.0),
         lam=switch2_lam,
         clvr=switch2_clvr,
-        spec=LyapunovSpec.power(1.0),
+        weight=WeightFunction.power(1.0),
         qhat0=np.ones(4),
         r_list=[1, 8],
         T=1.0,
@@ -224,7 +225,7 @@ def test_mssc_trivial_lift_flag(ex2):
         policy=Policy.mw_alpha(1.0),
         lam=[F(1, 2), F(1, 2)],
         clvr=[],
-        spec=LyapunovSpec.power(1.0),
+        weight=WeightFunction.power(1.0),
         qhat0=np.zeros(2),
         r_list=[5],
         T=1.0,
@@ -244,7 +245,7 @@ def test_mssc_other_alpha(switch2, switch2_clvr, switch2_lam):
         policy=Policy.mw_alpha(0.5),
         lam=switch2_lam,
         clvr=switch2_clvr,
-        spec=LyapunovSpec.power(0.5),
+        weight=WeightFunction.power(0.5),
         qhat0=np.ones(4),
         r_list=[6, 12],
         T=1.0,
@@ -257,14 +258,12 @@ def test_mssc_other_alpha(switch2, switch2_clvr, switch2_lam):
 
 
 def test_mssc_multihop_backpressure(tandem2, tandem2_clvr):
-    from swnet.model import WeightFunction
-
     cfg = MsscConfig(
         model=tandem2,
         policy=Policy.backpressure(WeightFunction.power(1.0)),
         lam=[1, 0],  # critical through the aggregated rates (1, 1)
         clvr=tandem2_clvr,
-        spec=LyapunovSpec.power(1.0),
+        weight=WeightFunction.power(1.0),
         qhat0=np.array([1.0, 0.5]),  # q1 >= q2 is invariant
         r_list=[8, 16],
         T=1.0,
@@ -287,7 +286,7 @@ def test_mssc_ratio_scale_sane(switch2, switch2_clvr, switch2_lam):
             policy=Policy.mw_alpha(1.0),
             lam=switch2_lam,
             clvr=switch2_clvr,
-            spec=LyapunovSpec.power(1.0),
+            weight=WeightFunction.power(1.0),
             qhat0=np.array([2.0, 1.0, 1.0, 2.0]),
             r_list=[r],
             T=0.5,

@@ -12,10 +12,10 @@ from swnet.fluid import (
     lyapunov_drift_check,
     trajectory_distance,
 )
-from swnet.lift import LyapunovSpec, lift
+from swnet.lift import lift
 from swnet.model import WeightFunction
 from swnet.policy import Policy, TieState, select_schedule
-from swnet.sim import advance, rescale, run
+from swnet.sim import FluidTrajectory, advance, rescale, run
 
 
 def test_critical_single_queue_stays_put():
@@ -64,18 +64,18 @@ def test_allocation_support_on_argmax(ex2):
 
 
 def test_ex2_converges_to_lift_direction(ex2, ex2_clvr):
-    spec = LyapunovSpec.power(1.0)
+    weight = WeightFunction.power(1.0)
     traj = integrate_fluid(ex2, Policy.mw_alpha(1.0), [1.0, 1.0], [3.0, 0.0], h=1e-3, T=5.0)
-    target = lift(ex2, [1, 1], spec, ex2_clvr, [3.0, 0.0]).r_star
+    target = lift(ex2, [1, 1], weight, ex2_clvr, [3.0, 0.0]).r_star
     assert np.abs(traj.q[-1] - target).max() <= 0.05
-    L_vals = spec.weight.antiderivative(traj.q).sum(axis=1)
+    L_vals = weight.antiderivative(traj.q).sum(axis=1)
     assert np.diff(L_vals).max() <= 10 * traj.h
 
 
 def test_drift_identity_residual(ex2):
-    spec = LyapunovSpec.power(1.0)
+    weight = WeightFunction.power(1.0)
     traj = integrate_fluid(ex2, Policy.mw_alpha(1.0), [1.0, 1.0], [3.0, 0.0], h=1e-3, T=3.0)
-    assert lyapunov_drift_check(ex2, [1.0, 1.0], spec, traj) <= 0.1
+    assert lyapunov_drift_check(ex2, [1.0, 1.0], weight, traj) <= 0.1
 
 
 def test_drift_formula_spot_values(ex2):
@@ -85,15 +85,15 @@ def test_drift_formula_spot_values(ex2):
     assert float(np.array([1.0, 1.0]) @ w.value(np.array([3.0, 0.0])) - weights.max()) == -6.0
     # single queue drain: dL/dt = -q^alpha
     model = presets.single_queue()
-    spec = LyapunovSpec.power(0.5)
+    weight = WeightFunction.power(0.5)
     traj = integrate_fluid(model, Policy.mw_alpha(0.5), [0.0], [1.0], h=1e-3, T=0.5)
-    assert lyapunov_drift_check(model, [0.0], spec, traj) <= 0.1
+    assert lyapunov_drift_check(model, [0.0], weight, traj) <= 0.1
 
 
 def test_invariant_start_has_zero_drift(ex2, ex2_clvr):
-    spec = LyapunovSpec.power(1.0)
+    weight = WeightFunction.power(1.0)
     traj = integrate_fluid(ex2, Policy.mw_alpha(1.0), [1.0, 1.0], [0.6, 1.2], h=1e-3, T=2.0)
-    L_vals = spec.weight.antiderivative(traj.q).sum(axis=1)
+    L_vals = weight.antiderivative(traj.q).sum(axis=1)
     assert np.abs(L_vals - L_vals[0]).max() <= 1e-6
     assert np.abs(traj.q - traj.q[0]).max() <= 1e-9
 
@@ -116,6 +116,26 @@ def test_feasibility_vacuous_with_empty_clvr(ex2):
     assert feasibility_preservation_check(ex2, [0.5, 0.5], [], traj)
 
 
+def _hand_path(q_rows):
+    q = np.array(q_rows, dtype=float)
+    t = np.linspace(0.0, 1.0, q.shape[0])
+    zero = np.zeros_like(q)
+    return FluidTrajectory(t=t, q=q, a=zero, y=zero, s=zero, h=float(t[1]))
+
+
+def test_feasibility_fails_when_a_workload_drops(ex2, ex2_clvr):
+    # the (1/3, 2/3) workload falls from 1 to 1/3 along this path
+    path = _hand_path([[3.0, 0.0], [2.0, 0.0], [1.0, 0.0]])
+    assert not feasibility_preservation_check(ex2, [1, 1], ex2_clvr, path)
+
+
+def test_feasibility_fails_when_a_zero_rate_aggregate_grows(tandem2):
+    # with lam = 0 both aggregated contents q~ = (q_1, q_1 + q_2) are capped;
+    # moving work downstream keeps q~_2, adding it downstream raises q~_2
+    assert feasibility_preservation_check(tandem2, [0, 0], [], _hand_path([[1.0, 0.0], [0.5, 0.5]]))
+    assert not feasibility_preservation_check(tandem2, [0, 0], [], _hand_path([[1.0, 0.0], [0.5, 1.0]]))
+
+
 def test_zero_rate_queue_never_grows(ex2, ex2_vrs):
     from swnet.geometry import critically_loaded
 
@@ -126,18 +146,18 @@ def test_zero_rate_queue_never_grows(ex2, ex2_vrs):
 
 
 def test_convergence_to_invariant_examples(ex2, ex2_clvr):
-    spec = LyapunovSpec.power(1.0)
+    weight = WeightFunction.power(1.0)
     inv = integrate_fluid(ex2, Policy.mw_alpha(1.0), [1.0, 1.0], [0.3, 0.6], h=1e-3, T=1.0)
-    assert convergence_to_invariant(ex2, [1, 1], spec, ex2_clvr, inv, eps=0.05) == 0.0
+    assert convergence_to_invariant(ex2, [1, 1], weight, ex2_clvr, inv, eps=0.05) == 0.0
     traj = integrate_fluid(ex2, Policy.mw_alpha(1.0), [1.0, 1.0], [1.0, 0.0], h=1e-3, T=10.0)
-    hit = convergence_to_invariant(ex2, [1, 1], spec, ex2_clvr, traj, eps=0.05)
+    hit = convergence_to_invariant(ex2, [1, 1], weight, ex2_clvr, traj, eps=0.05)
     assert hit is not None and 0.0 < hit < 10.0
 
 
 def test_convergence_none_when_not_reached(ex2, ex2_clvr):
-    spec = LyapunovSpec.power(1.0)
+    weight = WeightFunction.power(1.0)
     traj = integrate_fluid(ex2, Policy.mw_alpha(1.0), [1.0, 1.0], [1.0, 0.0], h=1e-2, T=0.05)
-    assert convergence_to_invariant(ex2, [1, 1], spec, ex2_clvr, traj, eps=1e-4) is None
+    assert convergence_to_invariant(ex2, [1, 1], weight, ex2_clvr, traj, eps=1e-4) is None
 
 
 def test_trajectory_distance_basics(ex2):

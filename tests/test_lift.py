@@ -6,21 +6,20 @@ import pytest
 from swnet.geometry import critically_loaded, enumerate_dual_vertices
 from swnet.lift import (
     LiftProblem,
-    LyapunovSpec,
     invariant_state_test,
     is_fixed_point,
     lift,
     lift_oracle,
-    lyapunov,
     representation_check,
     workload,
 )
+from swnet.model import WeightFunction
 
 
 def test_lyapunov_values():
-    assert lyapunov(LyapunovSpec.power(1.0), [3.0, 4.0]) == 12.5
-    assert lyapunov(LyapunovSpec.power(1.0), [0.0, 0.0]) == 0.0
-    assert lyapunov(LyapunovSpec.power(0.5), [1.0, 1.0]) == pytest.approx(4 / 3)
+    assert WeightFunction.power(1.0).lyapunov([3.0, 4.0]) == 12.5
+    assert WeightFunction.power(1.0).lyapunov([0.0, 0.0]) == 0.0
+    assert WeightFunction.power(0.5).lyapunov([1.0, 1.0]) == pytest.approx(4 / 3)
 
 
 def test_workload_examples(ex2, ex2_clvr, tandem2, tandem2_clvr):
@@ -34,77 +33,77 @@ def test_workload_examples(ex2, ex2_clvr, tandem2, tandem2_clvr):
 
 
 def test_lift_hand_cases(ex2, ex2_clvr):
-    spec = LyapunovSpec.power(1.0)
-    res = lift(ex2, [1, 1], spec, ex2_clvr, [3.0, 0.0])
+    weight = WeightFunction.power(1.0)
+    res = lift(ex2, [1, 1], weight, ex2_clvr, [3.0, 0.0])
     assert np.allclose(res.r_star, [0.6, 1.2], atol=1e-6)
     assert res.kkt_residual <= 1e-8
-    res = lift(ex2, [1, 1], spec, ex2_clvr, [0.0, 3.0])
+    res = lift(ex2, [1, 1], weight, ex2_clvr, [0.0, 3.0])
     assert np.allclose(res.r_star, [0.0, 3.0], atol=1e-6)
     assert is_fixed_point(res.r_star, [0.0, 3.0])
-    res = lift(ex2, [1, 1], spec, ex2_clvr, [0.0, 0.0])
+    res = lift(ex2, [1, 1], weight, ex2_clvr, [0.0, 0.0])
     assert np.array_equal(res.r_star, [0.0, 0.0])
 
 
 def test_lift_empty_clvr_collapses_to_zero(ex2, ex2_vrs):
     clvr, _ = critically_loaded(ex2, [F(1, 2), F(1, 2)], ex2_vrs)
-    res = lift(ex2, [F(1, 2), F(1, 2)], LyapunovSpec.power(1.0), clvr, [2.0, 3.0])
+    res = lift(ex2, [F(1, 2), F(1, 2)], WeightFunction.power(1.0), clvr, [2.0, 3.0])
     assert np.array_equal(res.r_star, [0.0, 0.0])
 
 
 def test_lift_zero_rate_caps(ex2, ex2_vrs):
     clvr, _ = critically_loaded(ex2, [3, 0], ex2_vrs)
-    spec = LyapunovSpec.power(1.0)
-    res = lift(ex2, [3, 0], spec, clvr, [1.0, 2.0])
+    weight = WeightFunction.power(1.0)
+    res = lift(ex2, [3, 0], weight, clvr, [1.0, 2.0])
     # workload must be preserved while queue B may only shrink: q itself
     assert np.allclose(res.r_star, [1.0, 2.0], atol=1e-8)
     # oracle agrees
-    assert np.allclose(lift_oracle(ex2, [3, 0], spec, clvr, [1.0, 2.0]), [1.0, 2.0], atol=1e-3)
+    assert np.allclose(lift_oracle(ex2, [3, 0], weight, clvr, [1.0, 2.0]), [1.0, 2.0], atol=1e-3)
 
 
 def test_lift_oracle_agreement_small_sweep(ex2, ex2_clvr):
     rng = np.random.default_rng(17)
     for alpha in (0.5, 1.0, 2.0):
-        spec = LyapunovSpec.power(alpha)
+        weight = WeightFunction.power(alpha)
         for _ in range(25):
             q = rng.random(2) * 5
-            solved = lift(ex2, [1, 1], spec, ex2_clvr, q)
-            grid = lift_oracle(ex2, [1, 1], spec, ex2_clvr, q)
+            solved = lift(ex2, [1, 1], weight, ex2_clvr, q)
+            grid = lift_oracle(ex2, [1, 1], weight, ex2_clvr, q)
             assert np.abs(solved.r_star - grid).max() <= 5e-3
             assert solved.kkt_residual <= 1e-8
 
 
 def test_clvr_plus_factorization(ex2, ex2_vrs):
-    spec = LyapunovSpec.power(1.0)
+    weight = WeightFunction.power(1.0)
     clvr, clvr_plus = critically_loaded(ex2, [1, 1], ex2_vrs)
     rng = np.random.default_rng(2)
     for _ in range(20):
         q = rng.random(2) * 4
-        a = lift(ex2, [1, 1], spec, clvr, q).r_star
-        b = lift(ex2, [1, 1], spec, clvr_plus, q, include_caps=False).r_star
+        a = lift(ex2, [1, 1], weight, clvr, q).r_star
+        b = lift(ex2, [1, 1], weight, clvr_plus, q, include_caps=False).r_star
         assert np.abs(a - b).max() <= 1e-7
 
 
 def test_single_hop_homogeneity(ex2, ex2_clvr):
-    spec = LyapunovSpec.power(1.0)
+    weight = WeightFunction.power(1.0)
     rng = np.random.default_rng(8)
     for _ in range(15):
         q = rng.random(2) * 5
-        base = lift(ex2, [1, 1], spec, ex2_clvr, q).r_star
+        base = lift(ex2, [1, 1], weight, ex2_clvr, q).r_star
         for kappa in (0.5, 2.0, 10.0):
-            scaled = lift(ex2, [1, 1], spec, ex2_clvr, kappa * q).r_star
+            scaled = lift(ex2, [1, 1], weight, ex2_clvr, kappa * q).r_star
             bound = 1e-6 * kappa * max(np.abs(base).max(), 1e-9)
             assert np.abs(scaled - kappa * base).max() <= bound
 
 
 def test_invariant_state_examples(ex2, ex2_clvr):
-    spec = LyapunovSpec.power(1.0)
-    assert invariant_state_test(ex2, [1, 1], spec, [0.6, 1.2])
-    assert invariant_state_test(ex2, [1, 1], spec, [0.0, 0.0])
-    assert not invariant_state_test(ex2, [1, 1], spec, [3.0, 0.0])
+    weight = WeightFunction.power(1.0)
+    assert invariant_state_test(ex2, [1, 1], weight, [0.6, 1.2])
+    assert invariant_state_test(ex2, [1, 1], weight, [0.0, 0.0])
+    assert not invariant_state_test(ex2, [1, 1], weight, [3.0, 0.0])
 
 
 def test_fixed_point_equivalence_sampled(ex2, ex2_clvr, switch2, switch2_clvr, switch2_lam):
-    spec = LyapunovSpec.power(1.0)
+    weight = WeightFunction.power(1.0)
     cases = [
         (ex2, [1, 1], ex2_clvr, 2),
         (switch2, switch2_lam, switch2_clvr, 4),
@@ -114,40 +113,40 @@ def test_fixed_point_equivalence_sampled(ex2, ex2_clvr, switch2, switch2_clvr, s
         for i in range(60):
             q = rng.random(n) * 4
             if i % 2 == 0:
-                q = lift(model, lam, spec, clvr, q).r_star  # land on the invariant set
-            fp = is_fixed_point(lift(model, lam, spec, clvr, q).r_star, q, tol=1e-6)
-            inv = invariant_state_test(model, lam, spec, q, tol=1e-6)
+                q = lift(model, lam, weight, clvr, q).r_star  # land on the invariant set
+            fp = is_fixed_point(lift(model, lam, weight, clvr, q).r_star, q, tol=1e-6)
+            inv = invariant_state_test(model, lam, weight, q, tol=1e-6)
             assert fp == inv
 
 
 def test_workload_monotone_under_lift(ex2, ex2_clvr):
-    spec = LyapunovSpec.power(1.0)
+    weight = WeightFunction.power(1.0)
     rng = np.random.default_rng(23)
     for _ in range(30):
         q = rng.random(2) * 5
-        r = lift(ex2, [1, 1], spec, ex2_clvr, q).r_star
+        r = lift(ex2, [1, 1], weight, ex2_clvr, q).r_star
         assert np.all(workload(ex2, ex2_clvr, r) >= workload(ex2, ex2_clvr, q) - 1e-8)
-        assert spec.L(r) <= spec.L(q) + 1e-12
+        assert weight.lyapunov(r) <= weight.lyapunov(q) + 1e-12
 
 
 def test_continuity_probe(ex2, ex2_clvr):
-    spec = LyapunovSpec.power(1.0)
+    weight = WeightFunction.power(1.0)
     q = np.array([2.0, 1.0])
-    base = lift(ex2, [1, 1], spec, ex2_clvr, q).r_star
+    base = lift(ex2, [1, 1], weight, ex2_clvr, q).r_star
     gaps = []
     for h in (1e-1, 1e-2, 1e-3, 1e-4):
-        moved = lift(ex2, [1, 1], spec, ex2_clvr, q + np.array([h, 0.0])).r_star
+        moved = lift(ex2, [1, 1], weight, ex2_clvr, q + np.array([h, 0.0])).r_star
         gaps.append(np.abs(moved - base).max())
     assert all(a >= b for a, b in zip(gaps, gaps[1:]))
     assert gaps[-1] <= 1e-3
 
 
 def test_representation_check_single_hop(ex2, ex2_clvr):
-    spec = LyapunovSpec.power(1.0)
+    weight = WeightFunction.power(1.0)
     rng = np.random.default_rng(31)
     for _ in range(20):
         q = rng.random(2) * 5
-        r = lift(ex2, [1, 1], spec, ex2_clvr, q).r_star
+        r = lift(ex2, [1, 1], weight, ex2_clvr, q).r_star
         assert representation_check(ex2, [1, 1], r, q)
     # fixed point: t = 0 works
     assert representation_check(ex2, [1, 1], np.array([0.0, 3.0]), [0.0, 3.0])
@@ -156,55 +155,52 @@ def test_representation_check_single_hop(ex2, ex2_clvr):
 
 
 def test_multi_hop_lift_and_representation(tandem2, tandem2_clvr):
-    spec = LyapunovSpec.power(1.0)
+    weight = WeightFunction.power(1.0)
     lam = [1, 0]
     # fixed points of the tandem are exactly {q1 >= q2}
-    r = lift(tandem2, lam, spec, tandem2_clvr, [2.0, 1.0])
+    r = lift(tandem2, lam, weight, tandem2_clvr, [2.0, 1.0])
     assert is_fixed_point(r.r_star, [2.0, 1.0])
-    r = lift(tandem2, lam, spec, tandem2_clvr, [1.0, 2.0])
+    r = lift(tandem2, lam, weight, tandem2_clvr, [1.0, 2.0])
     assert np.allclose(r.r_star, [1.5, 1.5], atol=1e-7)
     assert representation_check(tandem2, lam, r.r_star, [1.0, 2.0])
-    assert invariant_state_test(tandem2, lam, spec, r.r_star)
+    assert invariant_state_test(tandem2, lam, weight, r.r_star)
 
 
 def test_multi_hop_homogeneity_at_fixed_points(tandem2, tandem2_clvr):
-    spec = LyapunovSpec.power(1.0)
+    weight = WeightFunction.power(1.0)
     lam = [1, 0]
     rng = np.random.default_rng(41)
     for _ in range(20):
         q = np.sort(rng.random(2) * 4)[::-1]  # q1 >= q2: a fixed point
-        assert is_fixed_point(lift(tandem2, lam, spec, tandem2_clvr, q).r_star, q)
+        assert is_fixed_point(lift(tandem2, lam, weight, tandem2_clvr, q).r_star, q)
         for kappa in (0.5, 2.0, 10.0):
-            r = lift(tandem2, lam, spec, tandem2_clvr, kappa * q).r_star
+            r = lift(tandem2, lam, weight, tandem2_clvr, kappa * q).r_star
             assert np.abs(r - kappa * q).max() <= 1e-6 * (1 + kappa * q.max())
 
 
 def test_lift_rejects_negative_state(ex2, ex2_clvr):
     with pytest.raises(ValueError):
-        lift(ex2, [1, 1], LyapunovSpec.power(1.0), ex2_clvr, [-1.0, 0.0])
+        lift(ex2, [1, 1], WeightFunction.power(1.0), ex2_clvr, [-1.0, 0.0])
 
 
 def test_lift_divergence_reported(ex2, ex2_clvr):
     from swnet.lift import SolverDivergence
 
     with pytest.raises(SolverDivergence):
-        lift(ex2, [1, 1], LyapunovSpec.power(1.0), ex2_clvr, [3.0, 0.0], max_iter=1)
+        lift(ex2, [1, 1], WeightFunction.power(1.0), ex2_clvr, [3.0, 0.0], max_iter=1)
 
 
 def test_lift_with_custom_weight(ex2, ex2_clvr):
     # f(x) = 2x carries its own inverse; the optimizer matches the
     # linear-weight solution because scaling f leaves the program's
     # minimizer unchanged
-    from swnet.model import WeightFunction
-
     custom = WeightFunction.custom(
         f=lambda x: 2.0 * x,
         F=lambda x: x**2,
         fprime=lambda x: np.full_like(np.asarray(x, dtype=float), 2.0),
         f_inv=lambda y: y / 2.0,
     )
-    spec = LyapunovSpec(weight=custom)
-    res = lift(ex2, [1, 1], spec, ex2_clvr, [3.0, 0.0])
+    res = lift(ex2, [1, 1], custom, ex2_clvr, [3.0, 0.0])
     assert res.kkt_residual <= 1e-8
     assert np.allclose(res.r_star, [0.6, 1.2], atol=1e-6)
 
@@ -215,7 +211,7 @@ def _reference_lift(problem, q, mu0, tol=1e-8):
     for LiftProblem.solve, which evaluates each dual point once."""
     from swnet.lift import _finv_deriv
 
-    weight, G = problem.spec.weight, problem.G
+    weight, G = problem.weight, problem.G
     h = G @ q
     r_of = lambda mu: weight.inverse(np.maximum(G.T @ mu, 0.0))
 
@@ -280,8 +276,8 @@ def test_lift_problem_chain_equals_lift(request, name, alpha):
     model = request.getfixturevalue(name)
     clvr = request.getfixturevalue(f"{name}_clvr")
     lam = {"ex2": [1, 1], "switch2": [F(1, 2)] * 4, "tandem2": [1, 0]}[name]
-    spec = LyapunovSpec.power(alpha)
-    problem = LiftProblem(model, lam, spec, clvr)
+    weight = WeightFunction.power(alpha)
+    problem = LiftProblem(model, lam, weight, clvr)
     rng = np.random.default_rng(11)
     q = rng.random(model.n_queues) * 3.0
     mu_p = mu_l = None
@@ -290,11 +286,11 @@ def test_lift_problem_chain_equals_lift(request, name, alpha):
         if k % 7 == 0:
             q[k % model.n_queues] = 0.0
         a = problem.solve(q, mu0=mu_p)
-        b = lift(model, lam, spec, clvr, q, mu0=mu_l)
+        b = lift(model, lam, weight, clvr, q, mu0=mu_l)
         for x, y in ((a.r_star, b.r_star), (a.multipliers, b.multipliers)):
             assert np.array_equal(x, y)
-        assert (a.kkt_residual, a.iterations, a.objective) == (b.kkt_residual, b.iterations, b.objective)
-        assert a.constraint_kinds == b.constraint_kinds and a.lam_label == b.lam_label
+        assert (a.kkt_residual, a.iterations) == (b.kkt_residual, b.iterations)
+        assert a.constraint_kinds == b.constraint_kinds
         assert a.kkt_residual <= 1e-8
         r, mu, res, iterations = _reference_lift(problem, q, mu_p)
         assert np.array_equal(a.r_star, r) and np.array_equal(a.multipliers, mu)

@@ -119,7 +119,6 @@ def test_multi_hop_closure_flag():
     routing = RoutingMatrix.from_edges(2, [(0, 1)])
     open_model = validate_network(ScheduleSet([[1, 1]]), routing)
     assert not open_model.schedules_monotone_closed
-    assert not open_model.backpressure_valid()
 
 
 def test_power_weight_values():
