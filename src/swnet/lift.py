@@ -85,54 +85,127 @@ class LiftResult:
 
 def _finv_deriv(weight: WeightFunction, t: np.ndarray) -> np.ndarray:
     """(f^{-1})'(t) for t > 0, and 0 where the inner minimum sits at r = 0."""
-    out = np.zeros_like(t)
-    pos = t > 0
-    if pos.any():
-        r = weight.inverse(t[pos])
-        fp = weight.derivative(np.maximum(r, 1e-300))
-        out[pos] = 1.0 / np.maximum(fp, 1e-300)
-    return out
-
-
-@dataclass
-class _DualPoint:
-    """Everything the iteration needs at one multiplier vector mu."""
-
-    t: np.ndarray  # G^T mu (not clipped)
-    r: np.ndarray  # f^{-1}([G^T mu]^+), the inner minimizer
-    grad: np.ndarray  # h - G r, the dual gradient
-    kkt: float  # max of primal feasibility, complementarity, stationarity errors
-    dual: float  # the concave dual value
+    fp = weight.derivative(np.maximum(weight.inverse(np.maximum(t, 0.0)), 1e-300))
+    return np.where(t > 0, 1.0 / np.maximum(fp, 1e-300), 0.0)
 
 
 class LiftProblem:
     """The lifting program of one (model, lam, weight, clvr), compiled once.
 
     The float constraint matrix G and the constraint kinds (constraint_rows)
-    are built here; ``solve`` runs the dual ascent for one q. ``clvr`` is the
-    set of critically loaded virtual resources (maximal vertices; passing the
-    full critically loaded vertex set with ``include_caps=False`` yields the
-    same minimizer).
+    are built here; ``solve_many`` runs the dual ascent for a batch of
+    states and ``solve`` is its one-state case. ``clvr`` is the set of
+    critically loaded virtual resources (maximal vertices; passing the full
+    critically loaded vertex set with ``include_caps=False`` yields the same
+    minimizer).
+
+    Every contraction is a stacked per-row matmul and every reduction runs
+    along a row, so a row's result does not depend on the batch it is in.
     """
 
     def __init__(self, model: NetworkModel, lam, weight: WeightFunction, clvr, include_caps: bool = True) -> None:
-        self.model = model
         self.weight = weight
         self.G, self.kinds = constraint_rows(model, lam, clvr, include_caps)
 
-    def _point(self, mu: np.ndarray, h: np.ndarray) -> _DualPoint:
+    def _point(self, mu: np.ndarray, h: np.ndarray) -> list[np.ndarray]:
+        """[mu, t, r, grad, kkt, dual] at each row of mu (B, K): t = G^T mu,
+        the inner minimizer r = f^{-1}([t]^+), the dual gradient h - G r, the
+        KKT residual and the concave dual value."""
         weight, G = self.weight, self.G
-        t = G.T @ mu
+        t = (mu[:, None, :] @ G)[:, 0]
         tp = np.maximum(t, 0.0)
         r = weight.inverse(tp)
-        grad = h - G @ r
-        pf = float(np.maximum(grad, 0.0).max(initial=0.0))
-        cs = float(np.abs(mu * grad).max(initial=0.0))
-        st_pos = np.abs(weight.value(r) - t)[r > 0].max(initial=0.0)
-        st_zero = tp[r == 0].max(initial=0.0)
-        kkt = max(pf, cs, float(st_pos), float(st_zero))
-        dual = float(np.sum(weight.antiderivative(r) - tp * r) + mu @ h)
-        return _DualPoint(t=t, r=r, grad=grad, kkt=kkt, dual=dual)
+        grad = h - (G @ r[:, :, None])[:, :, 0]
+        # primal feasibility, complementarity, stationarity (f(r) = t where
+        # r > 0, t <= 0 where r = 0)
+        errors = (np.maximum(grad, 0.0), np.abs(mu * grad), np.where(r > 0, np.abs(weight.value(r) - t), tp))
+        kkt = np.concatenate(errors, axis=1).max(axis=1)
+        dual = (weight.antiderivative(r) - tp * r).sum(axis=1) + (mu * h).sum(axis=1)
+        return [mu, t, r, grad, kkt, dual]
+
+    def _newton(self, mu: np.ndarray, t: np.ndarray, grad: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Active-set Newton candidates, treating near-active constraints as
+        equalities: the Hessian is masked to them. Returns the candidate
+        multipliers and the mask of rows whose step is usable."""
+        scale = 1.0 + mu.max(axis=1) + np.abs(grad).max(axis=1)  # mu >= 0
+        act = np.maximum(mu, grad) > 1e-12 * scale[:, None]
+        Ga = act[:, :, None] * self.G
+        hess = (Ga * _finv_deriv(self.weight, t)[:, None, :]) @ Ga.transpose(0, 2, 1)  # = -d2 D / d mu_act^2, PSD
+        norm2 = (hess * hess).sum(axis=(1, 2))
+        ok = (norm2 > 1e-24) & (norm2 < np.inf)  # a row with nothing active has hess = 0
+        hess[~ok] = 0.0  # keeps the batched SVD finite
+        # pseudo-inverse: resources can be linearly dependent (e.g. switch rows
+        # vs columns), leaving the Hessian singular
+        delta = (np.linalg.pinv(hess, rcond=1e-12) @ (grad * act)[:, :, None])[:, :, 0]
+        ok &= np.abs(delta).max(axis=1) <= 1e8 * scale  # false where delta is not finite
+        return np.where(act, np.maximum(mu + delta, 0.0), mu), ok
+
+    def solve_many(
+        self,
+        Q,
+        tol: float = 1e-8,
+        max_iter: int = 50_000,
+        mu0: Optional[np.ndarray] = None,
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Unique minimizers of L over the critical-workload polyhedron at
+        the rows of Q (B, N), warm-started from ``mu0`` (B, K). Returns
+        (r_star, multipliers, kkt_residual, iterations), each with leading
+        axis B. Each row has its own step size and stopping test and is
+        frozen once its KKT residual is <= tol. Empty ``clvr`` with no
+        zero-rate caps gives r* = 0."""
+        K, N = self.G.shape
+        Q = np.asarray(Q, dtype=float)
+        if np.any(Q < 0):
+            raise ValueError("queue state must be >= 0")
+        B = Q.shape[0]
+        mu = np.zeros((B, K)) if mu0 is None else np.maximum(np.asarray(mu0, dtype=float), 0.0)
+        if mu.shape != (B, K):
+            raise ValueError(f"mu0 must have shape {(B, K)}, got {mu.shape}")
+        if K == 0:
+            return np.zeros((B, N)), mu, np.zeros(B), np.zeros(B, dtype=np.int64)
+        h = (self.G @ Q[:, :, None])[:, :, 0]
+        cur = self._point(mu, h)
+        step, iterations = np.ones(B), np.ones(B, dtype=np.int64)
+        live = np.arange(B)  # rows still iterating
+        res = cur[4]  # KKT residuals of the rows that failed the last test
+        for it in range(1, max_iter + 1):
+            live = live[cur[4][live] > tol]
+            if live.size == 0:
+                break
+            iterations[live] = it + 1  # the iteration of a row's next test
+            # Newton: accept the full step when it shrinks the KKT residual
+            # (near the optimum the dual value is too flat to discriminate,
+            # the residual is not)
+            mu, t, _, grad, res, dual = (a[live] for a in cur)
+            cand, ok = self._newton(mu, t, grad)
+            new = self._point(cand, h[live])
+            good = ok & (new[4] <= 0.9 * res) & (new[5] >= dual - 1e-12 * (1.0 + np.abs(dual)))
+            rows = live[good]
+            for a, b in zip(cur, new):
+                a[rows] = b[good]
+            # projected gradient with Armijo backtracking on the other rows
+            search = live[~good]
+            for _ in range(60):
+                if search.size == 0:
+                    break
+                mu_s, grad_s, dual_s = cur[0][search], cur[3][search], cur[5][search]
+                cand = np.maximum(mu_s + step[search, None] * grad_s, 0.0)
+                new = self._point(cand, h[search])
+                gain = (grad_s * (cand - mu_s)).sum(axis=1)
+                still = (gain <= 0) & (cand == mu_s).all(axis=1)  # stationary against the bound
+                up = ~still & (new[5] >= dual_s + 1e-4 * gain)
+                for a, b in zip(cur, new):
+                    a[search[up]] = b[up]
+                step[search[up]] *= 1.8
+                search = search[~(still | up)]
+                step[search] *= 0.5
+            step[search] = np.maximum(step[search], 1e-18)
+        else:
+            raise SolverDivergence(
+                f"lift solver stalled: kkt residual {res.max():.3e} > tol {tol:.1e} "
+                f"after {max_iter} iterations ({live.size} of {B} states)"
+            )
+        return cur[2], cur[0], cur[4], iterations
 
     def solve(
         self,
@@ -141,85 +214,12 @@ class LiftProblem:
         max_iter: int = 50_000,
         mu0: Optional[np.ndarray] = None,
     ) -> LiftResult:
-        """Unique minimizer of L over the critical-workload polyhedron at q.
-
-        Empty ``clvr`` with no zero-rate caps gives r* = 0. Deterministic
-        given inputs; ``mu0`` warm-starts the multipliers.
-        """
-        weight, G = self.weight, self.G
-        q = np.asarray(q, dtype=float)
-        if np.any(q < 0):
-            raise ValueError("queue state must be >= 0")
-        K = G.shape[0]
-        if K == 0:
-            return LiftResult(np.zeros(self.model.n_queues), np.zeros(0), self.kinds, 0.0, 0)
-        h = G @ q
-        mu = np.zeros(K) if mu0 is None else np.maximum(np.asarray(mu0, dtype=float), 0.0)
-        if mu.shape != (K,):
-            mu = np.zeros(K)
-        step = 1.0
-        cur = self._point(mu, h)
-        best_res = np.inf
-        iterations = 0
-        for iterations in range(1, max_iter + 1):
-            res, grad = cur.kkt, cur.grad
-            best_res = min(best_res, res)
-            if res <= tol:
-                break
-
-            moved = False
-            # active-set Newton: treat near-active constraints as equalities and
-            # accept the full step when it shrinks the KKT residual (near the
-            # optimum the dual value is too flat to discriminate, the residual
-            # is not)
-            scale = 1.0 + float(np.abs(mu).max(initial=0.0)) + float(np.abs(grad).max(initial=0.0))
-            act = (mu > 1e-12 * scale) | (grad > 1e-12 * scale)
-            if act.any():
-                w = _finv_deriv(weight, cur.t)
-                Ga = G[act]
-                hess = (Ga * w) @ Ga.T  # = -d2 D / d mu_act^2, PSD
-                delta = None
-                if np.linalg.norm(hess) > 1e-12:
-                    try:
-                        # lstsq: resources can be linearly dependent (e.g. switch
-                        # rows vs columns), leaving the Hessian singular
-                        delta, *_ = np.linalg.lstsq(hess, grad[act], rcond=1e-12)
-                    except np.linalg.LinAlgError:
-                        delta = None
-                if (
-                    delta is not None
-                    and np.all(np.isfinite(delta))
-                    and np.abs(delta).max() <= 1e8 * scale
-                ):
-                    cand = mu.copy()
-                    cand[act] = np.maximum(mu[act] + delta, 0.0)
-                    new = self._point(cand, h)
-                    if new.kkt <= 0.9 * res and new.dual >= cur.dual - 1e-12 * (1.0 + abs(cur.dual)):
-                        mu, cur, moved = cand, new, True
-            if not moved:
-                # projected gradient with Armijo backtracking
-                accepted = False
-                for _ in range(60):
-                    cand = np.maximum(mu + step * grad, 0.0)
-                    new = self._point(cand, h)
-                    gain = grad @ (cand - mu)
-                    if gain <= 0 and np.array_equal(cand, mu):
-                        accepted = True  # stationary against the bound
-                        break
-                    if new.dual >= cur.dual + 1e-4 * gain:
-                        mu, cur = cand, new
-                        step *= 1.8
-                        accepted = True
-                        break
-                    step *= 0.5
-                if not accepted:
-                    step = max(step, 1e-18)
-        else:
-            raise SolverDivergence(
-                f"lift solver stalled: kkt residual {best_res:.3e} > tol {tol:.1e} "
-                f"after {max_iter} iterations"
-            )
-        return LiftResult(cur.r, mu, self.kinds, cur.kkt, iterations)
+        """Unique minimizer of L over the critical-workload polyhedron at q:
+        the one-state case of ``solve_many``. Deterministic given inputs;
+        ``mu0`` (K,) warm-starts the multipliers."""
+        mu0 = None if mu0 is None else np.asarray(mu0, dtype=float)[None]
+        r, mu, kkt, iterations = self.solve_many(np.asarray(q, dtype=float)[None], tol, max_iter, mu0)
+        return LiftResult(r[0], mu[0], self.kinds, float(kkt[0]), int(iterations[0]))
 
 
 def lift(

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from swnet import presets
-from swnet.arrivals import derive_rng
 from swnet.collapse import (
     Iq2x2Workload,
     MsscConfig,
@@ -215,6 +214,28 @@ def test_mssc_smoke_and_flags(switch2, switch2_clvr, switch2_lam):
     assert "sub_asymptotic" in rep.flags
     assert all(ratio >= 0 for _, _, ratio in rep.rows)
     assert len(rep.rows) == 6
+
+
+def test_mssc_rows_do_not_depend_on_reps(switch2, switch2_clvr, switch2_lam):
+    # the replications are lifted as one batch; the batch width must not
+    # change any replication's ratio
+    def rows(reps):
+        cfg = MsscConfig(
+            model=switch2,
+            policy=Policy.mw_alpha(1.0),
+            lam=switch2_lam,
+            clvr=switch2_clvr,
+            weight=WeightFunction.power(1.0),
+            qhat0=np.ones(4),
+            r_list=[6, 12],
+            T=1.0,
+            reps=reps,
+            master_seed=7,
+            grid_points=50,
+        )
+        return mssc_experiment(cfg).rows
+
+    assert rows(2) == [row for row in rows(5) if row[1] < 2]
 
 
 def test_mssc_trivial_lift_flag(ex2):

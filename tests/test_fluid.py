@@ -6,7 +6,6 @@ from swnet.arrivals import ArrivalModel
 from swnet.fluid import (
     GridMismatch,
     convergence_to_invariant,
-    distance_to_lift,
     feasibility_preservation_check,
     integrate_fluid,
     lyapunov_drift_check,

@@ -21,8 +21,8 @@ GOLDEN = {
         "analysis.json": "8fce73403d31b65c0b49251c334ad7542d3907674592c5bfccd97a18bfc0e3d5",
     },
     "collapse_iq2_canonical.json": {
-        "mssc.csv": "d90e8df3d04efcca7ab9c22f9af84662ed369234090da0b372dd48f299a28d24",
-        "summary.json": "123196164ada9ad597ba9eb007108460346d26c355193011daa8ba37d889045a",
+        "mssc.csv": "2fa420786930be2d6b8f4eba52d87bfa9998141a74af234c7135e5622543e0b4",
+        "summary.json": "77d0ae6718c191345e7fef3c59a0f15588e24c559198c72258d84408b02a1585",
     },
     "fluid_ex2.json": {
         "fluid.csv": "7a651817ef03900e0fc8c90c3770deb7e6e3741727ef782c37deb21d8b110812",

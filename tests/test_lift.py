@@ -1,9 +1,10 @@
+import re
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
 
-from swnet.geometry import critically_loaded, enumerate_dual_vertices
+from swnet.geometry import critically_loaded
 from swnet.lift import (
     LiftProblem,
     invariant_state_test,
@@ -292,7 +293,73 @@ def test_lift_problem_chain_equals_lift(request, name, alpha):
         assert (a.kkt_residual, a.iterations) == (b.kkt_residual, b.iterations)
         assert a.constraint_kinds == b.constraint_kinds
         assert a.kkt_residual <= 1e-8
-        r, mu, res, iterations = _reference_lift(problem, q, mu_p)
-        assert np.array_equal(a.r_star, r) and np.array_equal(a.multipliers, mu)
-        assert (a.kkt_residual, a.iterations) == (res, iterations)
+        # the batched Newton step solves with a pseudo-inverse where the
+        # reference calls lstsq: the same path, rounded differently
+        r, _, _, iterations = _reference_lift(problem, q, mu_p)
+        assert a.iterations == iterations
+        assert np.abs(a.r_star - r).max() <= 1e-9 * (1.0 + np.abs(q).max())
         mu_p, mu_l = a.multipliers, b.multipliers
+
+
+LAMS = {"ex2": [1, 1], "switch2": [F(1, 2)] * 4, "tandem2": [1, 0]}
+
+
+@pytest.mark.parametrize("name", ["ex2", "switch2", "tandem2"])
+def test_solve_many_rows_equal_their_own_solve_chains(request, name):
+    # batch width never changes a result: each row of a batched chain equals
+    # the chain of one-state solves on that row, bit for bit
+    model = request.getfixturevalue(name)
+    problem = LiftProblem(model, LAMS[name], WeightFunction.power(1.5), request.getfixturevalue(f"{name}_clvr"))
+    rng = np.random.default_rng(23)
+    B, N = 6, model.n_queues
+    Q = rng.random((B, N)) * 3.0
+    Q[0] = 0.0  # optimal at the cold start
+    MU, mus, seen = None, [None] * B, set()
+    for step in range(8):
+        Q[2:] = np.abs(Q[2:] + rng.normal(size=(B - 2, N)) * 0.5)  # row 1 is held: optimal after one solve
+        if step == 4:
+            MU[3], mus[3] = 0.0, np.zeros(MU.shape[1])  # one row restarts cold
+        r, MU, kkt, iterations = problem.solve_many(Q, mu0=MU)
+        for b in range(B):
+            one = problem.solve(Q[b], mu0=mus[b])
+            assert np.array_equal(one.r_star, r[b]) and np.array_equal(one.multipliers, MU[b])
+            assert (one.kkt_residual, one.iterations) == (kkt[b], iterations[b])
+            mus[b] = one.multipliers
+        assert kkt.max() <= 1e-8 and iterations[0] == 1
+        seen.update(iterations.tolist())
+    assert 1 in seen and len(seen) >= 3  # rows stop at different iterations
+
+
+def test_solve_many_trivial_lift(ex2):
+    problem = LiftProblem(ex2, [F(1, 2), F(1, 2)], WeightFunction.power(1.0), [])
+    r, mu, kkt, iterations = problem.solve_many(np.ones((3, 2)))
+    assert np.array_equal(r, np.zeros((3, 2))) and mu.shape == (3, 0)
+    assert not kkt.any() and not iterations.any()
+
+
+def test_solve_many_rejects_bad_input(ex2, ex2_clvr):
+    problem = LiftProblem(ex2, [1, 1], WeightFunction.power(1.0), ex2_clvr)
+    Q = np.ones((3, 2))
+    Q[2, 1] = -1e-9
+    with pytest.raises(ValueError, match=">= 0"):
+        problem.solve_many(Q)
+    with pytest.raises(ValueError, match="mu0"):
+        problem.solve_many(np.ones((3, 2)), mu0=np.zeros((2, 2)))
+    with pytest.raises(ValueError, match="mu0"):
+        problem.solve([1.0, 2.0], mu0=np.zeros(3))  # no silent cold start
+
+
+def test_solve_many_divergence_names_worst_residual(ex2, ex2_clvr):
+    from swnet.lift import SolverDivergence
+
+    problem = LiftProblem(ex2, [1, 1], WeightFunction.power(1.0), ex2_clvr)
+    Q = np.array([[3.0, 0.0], [0.0, 0.0], [1.0, 5.0]])
+    residual = lambda err: float(re.search(r"residual (\S+)", str(err.value)).group(1))
+    single = []
+    for q in Q[[0, 2]]:
+        with pytest.raises(SolverDivergence) as err:
+            problem.solve(q, max_iter=1)
+        single.append(residual(err))
+    with pytest.raises(SolverDivergence, match="2 of 3 states") as err:
+        problem.solve_many(Q, max_iter=1)
+    assert residual(err) == max(single)
