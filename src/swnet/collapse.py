@@ -14,7 +14,8 @@ import numpy as np
 from . import presets
 from .arrivals import ArrivalModel, derive_rng
 from .geometry import critically_loaded, enumerate_dual_vertices, to_fraction
-from .lift import LiftProblem, lift
+from .lift import LiftProblem
+from .lift import lift  # unused here, but perfbench/tracer.py wraps collapse.lift
 from .model import NetworkModel, WeightFunction
 from .policy import Policy
 from .sim import FluidTrajectory, rescale, run_batch
@@ -393,11 +394,11 @@ def matching_structure_checks(
     clvr, _ = critically_loaded(sw, lam, vrs)
     alpha = 1.0
     weight = WeightFunction.power(alpha)
+    q0 = rng.random((coverage_samples, m * m)) * 3.0  # the same draws as one state at a time
+    inv_states = LiftProblem(sw, lam, weight, clvr).solve_many(q0)[0]  # cold-started, one batch
     coverage_bad = 0
-    for _ in range(coverage_samples):
-        q0 = rng.random(m * m) * 3.0
-        inv_state = lift(sw, lam, weight, clvr, q0).r_star.reshape(m, m)
-        xw = inv_state**alpha
+    for inv_state in inv_states:
+        xw = inv_state.reshape(m, m) ** alpha
         weights = np.array([float((pi * xw).sum()) for pi in matchings])
         top = weights.max()
         covered = np.zeros((m, m), dtype=bool)

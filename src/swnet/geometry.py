@@ -1,10 +1,12 @@
 """Exact static-planning geometry: admissibility LPs, dual-polytope vertex
 enumeration, virtual resources, critically loaded sets, complete loading.
 
-All geometry runs in exact rational arithmetic (fractions.Fraction). Floats
-entering through lambda are converted to their exact binary value; when that
-happens, classifications near the critical boundary can be snapped by a
-configurable tolerance and are flagged approximate.
+All geometry runs in exact rational arithmetic (fractions.Fraction); the
+dual-vertex enumeration works on integer-scaled rows and makes Fractions only
+for the vertices it finds. Floats entering through lambda are converted to
+their exact binary value; when that happens, classifications near the
+critical boundary can be snapped by a configurable tolerance and are flagged
+approximate.
 """
 
 from __future__ import annotations
@@ -58,7 +60,7 @@ def solve_square(a: list[list[Fraction]], b: list[Fraction]) -> Optional[list[Fr
     """Solve a rational system a x = b by Gauss-Jordan elimination.
 
     ``a`` has one column per unknown and at least as many rows as columns
-    (square in the vertex enumeration). Returns None at the first column
+    (verify_vertex passes every tight row). Returns None at the first column
     without a pivot, i.e. when the columns are dependent, and when a row
     beyond the pivots contradicts them.
     """
@@ -308,14 +310,87 @@ class VirtualResourceSet:
         return len(self.vertices[0]) if self.vertices else 0
 
 
+# Entries of one block of stacked systems, counting each system's k x (k+1)
+# matrix, its full-length solution and its schedule products: the
+# temporaries stay a few hundred KB whatever the instance.
+_BLOCK_ENTRIES = 1 << 13
+
+
+def _integer_rows(pis: list[tuple[Fraction, ...]]) -> tuple[list[list[int]], list[int]]:
+    """Each schedule row times the lcm of its denominators: pi.xi <= 1
+    becomes p.xi <= d with integer p and d."""
+    p_rows, d = [], []
+    for pi in pis:
+        scale = math.lcm(*(v.denominator for v in pi))
+        p_rows.append([int(v * scale) for v in pi])
+        d.append(scale)
+    return p_rows, d
+
+
+def _exact_dtype(p_rows: list[list[int]], d: list[int]):
+    """int64 when Hadamard's bound shows that nothing can overflow it, else
+    object (Python ints).
+
+    Every elimination entry is a minor of [P | D], hence at most H in
+    absolute value, where H^2 is the product over the columns of [P | D] of
+    max(1, |column|^2). A cross-product before the exact division is at
+    most 2 H^2, and a feasibility product P.num or D.det at most
+    max_s |[P | D]_s|_1 H.
+    """
+    columns = [*zip(*p_rows), d]
+    h2 = math.prod(max(1, sum(v * v for v in col)) for col in columns)
+    l1 = max(sum(map(abs, row)) + ds for row, ds in zip(p_rows, d))
+    return np.int64 if 2 * h2 < 2**63 and l1 * l1 * h2 < 2**126 else object
+
+
+def _subsets(n: int, k: int) -> np.ndarray:
+    """The k-subsets of range(n) in lexicographic order, one per row."""
+    return np.array(list(itertools.combinations(range(n), k)), dtype=np.intp).reshape(math.comb(n, k), k)
+
+
+def _eliminate(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Fraction-free Gauss-Jordan elimination of a stack of integer systems
+    [A | b], m of shape (B, k, k + 1).
+
+    Each column's pivot is the first nonzero at or below the diagonal; a
+    system without one is singular and dropped. Every update divides
+    exactly by the previous pivot (Bareiss), so entries stay integer.
+    Returns (kept, det, num) with det > 0 and A num = det b for the kept
+    systems.
+    """
+    batch, k = m.shape[:2]
+    kept = np.arange(batch)
+    prev = np.ones(batch, dtype=m.dtype)
+    for c in range(k):
+        nonzero = m[:, c:, c] != 0
+        found = nonzero.any(axis=1)
+        if not found.all():
+            m, prev, kept, nonzero = m[found], prev[found], kept[found], nonzero[found]
+        rows, piv = np.arange(len(m)), c + nonzero.argmax(axis=1)
+        prow = m[rows, piv]
+        m[rows, piv] = m[:, c]
+        pivot = prow[:, c]
+        m = (pivot[:, None, None] * m - m[:, :, c, None] * prow[:, None, :]) // prev[:, None, None]
+        m[:, c] = prow
+        prev = pivot
+    sign = np.where(prev < 0, -1, 1).astype(m.dtype)
+    return kept, prev * sign, m[:, :, k] * sign[:, None]
+
+
 def enumerate_dual_vertices(
     model: NetworkModel, budget: int = DEFAULT_VERTEX_BUDGET
 ) -> VirtualResourceSet:
     """Enumerate all vertices of {xi >= 0 : xi.pi <= 1 for all pi}.
 
-    Brute force over N-subsets of the N + |S| constraints, solving each
-    candidate square system exactly and keeping feasible solutions. Refuses
-    instances where the subset count exceeds ``budget``.
+    Brute force over N-subsets of the N + |S| constraints: a basis with k
+    tight schedules and N - k zero coordinates is a k x k system. The
+    schedule rows are scaled to integers, and the systems of each k are
+    solved a stacked block at a time by one fraction-free integer
+    Gauss-Jordan elimination (_eliminate). Feasibility, deduplication and
+    maximality are decided on integer numerators; only the distinct vertices
+    become Fractions. Entries are int64 where a Hadamard bound rules out
+    overflow and Python ints otherwise. Refuses instances where the subset
+    count exceeds ``budget``.
     """
     pis = _schedule_rows(model)
     n, ns = model.n_queues, len(pis)
@@ -325,41 +400,31 @@ def enumerate_dual_vertices(
             f"{n_candidates} candidate bases exceed budget {budget}; "
             "raise the budget explicitly to force enumeration"
         )
-    zero, one = Fraction(0), Fraction(1)
-    seen: dict[tuple, None] = {}
-    for combo in itertools.combinations(range(n + ns), n):
-        zero_idx = [i for i in combo if i < n]
-        sched_idx = [i - n for i in combo if i >= n]
-        free = [q for q in range(n) if q not in zero_idx]
-        k = len(free)
-        if len(sched_idx) != k:
-            continue  # cannot happen: |combo| = n forces it
-        if k == 0:
-            cand = tuple([zero] * n)
-        else:
-            a = [[pis[s][q] for q in free] for s in sched_idx]
-            sol = solve_square(a, [one] * k)
-            if sol is None:
-                continue
-            cand_list = [zero] * n
-            for q, v in zip(free, sol):
-                cand_list[q] = v
-            cand = tuple(cand_list)
-        if cand in seen:
-            continue
-        if any(v < 0 for v in cand):
-            continue
-        if any(sum(p * v for p, v in zip(pi, cand)) > 1 for pi in pis):
-            continue
-        seen[cand] = None
-    vertices = sorted(seen.keys())
-    maximal = [
-        xi
-        for xi in vertices
-        if not any(
-            all(a <= b for a, b in zip(xi, zeta)) and xi != zeta for zeta in vertices
-        )
-    ]
+    p_rows, d_rows = _integer_rows(pis)
+    dtype = _exact_dtype(p_rows, d_rows)
+    p, d = np.array(p_rows, dtype=dtype), np.array(d_rows, dtype=dtype)
+    seen: dict[tuple[int, ...], None] = {}  # reduced rows (num..., det)
+    for k in range(min(n, ns) + 1):
+        tight, free = _subsets(ns, k), _subsets(n, k)
+        total, block = len(tight) * len(free), max(1, _BLOCK_ENTRIES // (k * (k + 1) + n + ns))
+        for start in range(0, total, block):
+            idx = np.arange(start, min(start + block, total))
+            t, f = tight[idx // len(free)], free[idx % len(free)]
+            m = np.concatenate([p[t[:, :, None], f[:, None, :]], d[t][:, :, None]], axis=2)
+            kept, det, num = _eliminate(m)
+            x = np.zeros((len(kept), n), dtype=dtype)
+            x[np.arange(len(kept))[:, None], f[kept]] = num
+            ok = (num >= 0).all(axis=1) & (x @ p.T <= det[:, None] * d).all(axis=1)
+            rows = np.concatenate([x[ok], det[ok, None]], axis=1)
+            rows //= np.gcd.reduce(rows, axis=1)[:, None]
+            seen.update(dict.fromkeys(map(tuple, rows.tolist())))
+    # maximality on integer numerators over one common denominator
+    denom = math.lcm(*(row[-1] for row in seen))
+    scaled = [[v * (denom // row[-1]) for v in row[:-1]] for row in seen]
+    big = max((abs(v) for row in scaled for v in row), default=0)
+    xs = np.array(scaled, dtype=np.int64 if big < 2**63 else object)
+    vertices = [tuple(Fraction(v, row[-1]) for v in row[:-1]) for row in seen]
+    maximal = [xi for xi, x in zip(vertices, xs) if (x <= xs).all(axis=1).sum() == 1]
     return VirtualResourceSet(vertices=vertices, maximal=maximal)
 
 

@@ -1,3 +1,5 @@
+from fractions import Fraction as F
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,8 @@ from swnet.collapse import (
     near_optimality_audit,
 )
 from swnet.fluid import integrate_fluid
-from swnet.lift import invariant_state_test, lift
+from swnet.geometry import critically_loaded, enumerate_dual_vertices
+from swnet.lift import LiftProblem, invariant_state_test, lift
 from swnet.model import WeightFunction
 from swnet.policy import Policy
 
@@ -181,6 +184,17 @@ def test_matching_checks_m3():
     rep = matching_structure_checks(3, samples=300, seed=1, coverage_samples=40)
     assert rep.closure_violations == 0
     assert rep.coverage_violations == 0
+
+
+def test_coverage_lifts_in_one_batch_equal_one_state_lifts():
+    # matching_structure_checks lifts all its coverage states in one
+    # cold-started batch: each row must be the lift of its state alone, bit for bit
+    sw, lam, weight = presets.iq_switch(3), [F(1, 3)] * 9, WeightFunction.power(1.0)
+    clvr, _ = critically_loaded(sw, lam, enumerate_dual_vertices(sw))
+    q = np.random.default_rng(8).random((12, 9)) * 3.0
+    r_star = LiftProblem(sw, lam, weight, clvr).solve_many(q)[0]
+    for row, state in zip(r_star, q):
+        assert np.array_equal(row, lift(sw, lam, weight, clvr, state).r_star)
 
 
 def test_near_optimality_factors(switch2):

@@ -1,3 +1,6 @@
+import itertools
+import math
+import tracemalloc
 from fractions import Fraction as F
 
 import numpy as np
@@ -6,6 +9,9 @@ import pytest
 from swnet import presets
 from swnet.geometry import (
     BudgetExceeded,
+    _exact_dtype,
+    _integer_rows,
+    _schedule_rows,
     InfeasiblePlan,
     classify_load,
     complete_loading_check,
@@ -175,6 +181,111 @@ def test_verify_vertex_with_more_tight_rows_than_queues():
     twice = validate_network(ScheduleSet([[1, 1, 0], [1, 1, 0], [0, 0, 1]]))
     assert not verify_vertex(twice, [F(1, 2), F(1, 2), F(0)])
     assert verify_vertex(twice, [F(1), F(0), F(1)])
+
+
+def _reference_vertices(model):
+    """The brute force written out one basis at a time in Fractions: solve
+    the square system with solve_square, test feasibility and keep the
+    distinct solutions. The reference for enumerate_dual_vertices, which
+    eliminates whole stacks of bases in integers."""
+    pis = _schedule_rows(model)
+    n, ns = model.n_queues, len(pis)
+    seen = {}
+    for combo in itertools.combinations(range(n + ns), n):
+        free = [q for q in range(n) if q not in combo]
+        tight = [i - n for i in combo if i >= n]
+        cand = [F(0)] * n
+        if free:
+            sol = solve_square([[pis[s][q] for q in free] for s in tight], [F(1)] * len(free))
+            if sol is None:
+                continue
+            for q, v in zip(free, sol):
+                cand[q] = v
+        if all(v >= 0 for v in cand) and all(sum(p * v for p, v in zip(pi, cand)) <= 1 for pi in pis):
+            seen[tuple(cand)] = None
+    vertices = sorted(seen)
+    maximal = [
+        xi for xi in vertices if not any(xi != zeta and all(a <= b for a, b in zip(xi, zeta)) for zeta in vertices)
+    ]
+    return vertices, maximal
+
+
+NAMED = {
+    "ex2": presets.ex2,
+    "single_queue": presets.single_queue,
+    "iq2": lambda: presets.iq_switch(2),
+    "iq3": lambda: presets.iq_switch(3),
+    "tandem2": lambda: presets.tandem(2),
+    "tandem3": lambda: presets.tandem(3),
+    "tandem4": lambda: presets.tandem(4),
+}
+
+
+def _fractional_models(count=40):
+    """Random schedule sets with entries in {0, 1/4, 1/2, 1, 2, 3}."""
+    rng = np.random.default_rng(31)
+    values = np.array([0.0, 0.25, 0.5, 1.0, 2.0, 3.0])
+    for _ in range(count):
+        n, ns = int(rng.integers(1, 5)), int(rng.integers(1, 8))
+        scheds = rng.choice(values, size=(ns, n))
+        for q in range(n):
+            if not scheds[:, q].any():
+                scheds[int(rng.integers(0, ns)), q] = 0.25
+        yield validate_network(ScheduleSet(scheds))
+
+
+def _criterion3_models():
+    """The 100 random instances of acceptance criterion 3 (same seed and draws)."""
+    rng = np.random.default_rng(20240809)
+    return [_random_instance(rng)[0] for _ in range(100)]
+
+
+def _shrink(xs):
+    return [tuple(v / 2**40 for v in xi) for xi in xs]
+
+
+def _assert_both_paths_match_reference(model):
+    # schedules times 2^40 push the Hadamard bound past int64: the same
+    # elimination then runs on Python ints, and the vertices scale by 2^-40
+    big = validate_network(ScheduleSet(model.schedules.as_array * 2.0**40))
+    assert _exact_dtype(*_integer_rows(_schedule_rows(model))) is np.int64
+    assert _exact_dtype(*_integer_rows(_schedule_rows(big))) is object
+    vertices, maximal = _reference_vertices(model)
+    small, large = enumerate_dual_vertices(model), enumerate_dual_vertices(big)
+    assert (small.vertices, small.maximal) == (vertices, maximal)
+    assert (large.vertices, large.maximal) == (_shrink(vertices), _shrink(maximal))
+
+
+@pytest.mark.parametrize("name", sorted(NAMED))
+def test_vertices_equal_reference_on_presets(name):
+    model = NAMED[name]()
+    _assert_both_paths_match_reference(model)
+    if name in ("iq3", "tandem4"):
+        assert all(verify_vertex(model, xi) for xi in enumerate_dual_vertices(model).vertices)
+
+
+def test_vertices_equal_reference_on_random_instances():
+    models = _criterion3_models() + list(_fractional_models())
+    entries = {v for model in models[100:] for pi in _schedule_rows(model) for v in pi}
+    assert {F(1, 4), F(1, 2)} <= entries
+    for model in models:
+        _assert_both_paths_match_reference(model)
+
+
+@pytest.mark.parametrize(
+    "model, count",
+    [(presets.iq_switch(4), math.comb(40, 16)), (presets.tandem(5), math.comb(37, 5))],
+    ids=["iq4", "tandem5"],
+)
+def test_budget_refuses_before_allocating(model, count):
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceeded, match=f"^{count} candidate bases exceed budget 20000; "):
+            enumerate_dual_vertices(model)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024  # one block of stacked systems would take several times this
 
 
 def test_budget_guard():

@@ -20,6 +20,9 @@ GOLDEN = {
     "analyze_ex2.json": {
         "analysis.json": "8fce73403d31b65c0b49251c334ad7542d3907674592c5bfccd97a18bfc0e3d5",
     },
+    "analyze_iq3.json": {
+        "analysis.json": "ba8784bd4c131965f744f919d486c96b4e3d216b5dada5581267fe59590013e1",
+    },
     "collapse_iq2_canonical.json": {
         "mssc.csv": "2fa420786930be2d6b8f4eba52d87bfa9998141a74af234c7135e5622543e0b4",
         "summary.json": "77d0ae6718c191345e7fef3c59a0f15588e24c559198c72258d84408b02a1585",
