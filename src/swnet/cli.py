@@ -43,7 +43,7 @@ from .collapse import (
     matching_structure_checks,
     mssc_experiment,
 )
-from .fluid import distance_to_lift, integrate_fluid, lyapunov_drift
+from .fluid import HorizonNotMultiple, distance_to_lift, integrate_fluid, lyapunov_drift
 from .geometry import (
     classify_primal,
     complete_loading_check,
@@ -295,7 +295,10 @@ def _run_simulate(cfg: ScenarioConfig, out: Path, *, horizon, q0, record_every, 
 def _run_fluid(cfg: ScenarioConfig, out: Path, *, q0, h, T, lift_stride) -> int:
     model = cfg.model
     lam_f = [float(v) for v in fraction_vector(cfg.lam)]
-    traj = integrate_fluid(model, cfg.policy, lam_f, q0, h=h, T=T)
+    try:
+        traj = integrate_fluid(model, cfg.policy, lam_f, q0, h=h, T=T)
+    except HorizonNotMultiple as exc:
+        raise SchemaError("/experiment/T", str(exc)) from exc
     weight, clvr = _lyapunov_view(cfg)
     times, dists = distance_to_lift(model, cfg.lam, weight, clvr, traj, stride=lift_stride)
     dist_at = dict(zip(times.tolist(), dists.tolist()))  # the times are grid times, exactly

@@ -26,6 +26,10 @@ class GridMismatch(ValueError):
     """Trajectories cover different horizons and cannot be compared."""
 
 
+class HorizonNotMultiple(ValueError):
+    """The fluid horizon T is not a whole number of steps h."""
+
+
 def integrate_fluid(
     model: NetworkModel,
     policy: Policy,
@@ -35,19 +39,25 @@ def integrate_fluid(
     T: float = 10.0,
     tie_state: Optional[TieState] = None,
 ) -> FluidTrajectory:
-    """Deterministic fluid integration over [0, T] with step h in (0, 0.1].
+    """Deterministic fluid integration over [0, T] with step h in (0, 0.1];
+    T must be a whole number of steps (to 1e-9 relative).
 
     a(t) = lambda*t exactly; s counts h per step on the chosen schedule, so
     sum_pi s_pi(t) = t; y accumulates the clipped idling.
     """
     if not 0 < h <= 0.1:
         raise ValueError("step h must lie in (0, 0.1]")
+    if not 0 <= T < np.inf:
+        raise ValueError("horizon T must be finite and >= 0")
+    ratio = T / h
+    if abs(ratio - round(ratio)) > 1e-9 * max(1.0, ratio):
+        raise HorizonNotMultiple(f"T={T!r} is not a whole number of steps h={h!r}")
+    steps = round(ratio)
     policy.validate_for(model)
     lam = np.asarray(lam, dtype=float)
     q = np.asarray(q0, dtype=float).copy()
-    if np.any(q < 0) or np.any(lam < 0):
-        raise ValueError("q0 and lam must be >= 0")
-    steps = int(round(T / h))
+    if not (np.isfinite(q).all() and np.isfinite(lam).all()) or np.any(q < 0) or np.any(lam < 0):
+        raise ValueError("q0 and lam must be finite and >= 0")
     n, ns = model.n_queues, len(model.schedules)
     qs = np.zeros((steps + 1, n))
     ys = np.zeros((steps + 1, n))
@@ -61,7 +71,7 @@ def integrate_fluid(
     for k in range(steps):
         if q.min() < 0:  # multi-hop rounding can leave a queue an ulp below 0
             raise ValueError("queue state must be >= 0")
-        chosen = int(select_batch(model, policy, q[None], tie_states)[0])
+        chosen = select_batch(model, policy, q[None], tie_states)[0]
         q, dY = advance(model, q, h * s_mat[chosen], dA)
         y = y + dY
         count[chosen] += 1

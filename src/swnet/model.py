@@ -129,6 +129,11 @@ class RoutingMatrix:
         self._check_acyclic(arr)
         arr.setflags(write=False)
         self._arr = arr
+        # C order, as the cast numpy makes for the int matrix, so that the
+        # matrix-vector products keep their summation order and bits
+        into = np.ascontiguousarray(arr.T, dtype=float)
+        into.setflags(write=False)
+        self._into = into
 
     @staticmethod
     def _check_acyclic(arr: np.ndarray) -> None:
@@ -155,6 +160,11 @@ class RoutingMatrix:
     @property
     def entries(self) -> np.ndarray:
         return self._arr
+
+    @property
+    def into(self) -> np.ndarray:
+        """R^T as floats, built once: (R^T x)_n is the work x routes into n."""
+        return self._into
 
     @property
     def n_queues(self) -> int:

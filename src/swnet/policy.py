@@ -162,41 +162,47 @@ def argmax_mask(weights: np.ndarray, rel_tol: float, lexicographic: bool) -> np.
     return first & _near_top(np.where(first, weights[..., 1], -np.inf), rel_tol)
 
 
-def _resolve_tie(policy: Policy, argmax: np.ndarray, tie_state: Optional[TieState], ns: int) -> int:
+def _resolve_tie(policy: Policy, argmax: tuple, tie_state: Optional[TieState], ns: int) -> int:
     """One of several maximizers ``argmax`` (ascending) per the tie-break."""
-    if policy.tie_break == "highest_index":
-        return int(argmax[-1])
     if policy.tie_break == "random":
         if tie_state is None or tie_state.rng is None:
             raise ValueError("random tie-break needs a seeded TieState")
-        return int(argmax[tie_state.rng.integers(0, len(argmax))])
+        return argmax[tie_state.rng.integers(0, len(argmax))]
     if policy.tie_break == "round_robin":
         if tie_state is None:
             raise ValueError("round_robin tie-break needs a TieState")
-        after = argmax[argmax >= tie_state.pointer]
-        chosen = int(after[0]) if len(after) else int(argmax[0])
+        chosen = next((m for m in argmax if m >= tie_state.pointer), argmax[0])
         tie_state.pointer = (chosen + 1) % ns
         return chosen
     raise ValueError(f"unknown tie_break {policy.tie_break!r}")
 
 
-def break_ties(policy: Policy, mask: np.ndarray, tie_states: list) -> np.ndarray:
-    """Chosen schedule of each row of a (reps, num_schedules) argmax mask:
-    a single maximizer outright, else per the tie-break with the row's own
-    TieState."""
-    ns = mask.shape[1]
-    chosen = ns - 1 - mask[:, ::-1].argmax(axis=1)
+def maximizers(policy: Policy, mask: np.ndarray) -> list:
+    """The maximizers of each row of a (rows, num_schedules) argmax mask: the
+    highest-index one as an int, or, when several are maximal and the
+    tie-break chooses among them, all of them as an ascending tuple."""
+    found = (mask.shape[1] - 1 - mask[:, ::-1].argmax(axis=1)).tolist()
     if policy.tie_break != "highest_index":
-        for i in np.flatnonzero(mask.sum(axis=1) > 1):
-            chosen[i] = _resolve_tie(policy, np.flatnonzero(mask[i]), tie_states[i], ns)
-    return chosen
+        for i in np.flatnonzero(mask.sum(axis=1) > 1).tolist():
+            found[i] = tuple(np.flatnonzero(mask[i]).tolist())
+    return found
 
 
-def select_batch(model: NetworkModel, policy: Policy, q: np.ndarray, tie_states: list) -> np.ndarray:
-    """Chosen schedule of each state of a batch q (reps, N): a maximal-weight
-    schedule, ties broken with the row's own TieState. No input checks."""
+def resolve(policy: Policy, found: list, tie_states: list, ns: int) -> list:
+    """The chosen schedule of each row's ``maximizers``: the int as it is, a
+    tie per the tie-break with the row's own TieState, in ascending row
+    order."""
+    if policy.tie_break == "highest_index":  # maximizers found no tie to break
+        return found
+    return [_resolve_tie(policy, m, ts, ns) if type(m) is tuple else m for m, ts in zip(found, tie_states)]
+
+
+def select_batch(model: NetworkModel, policy: Policy, q: np.ndarray, tie_states: list) -> list:
+    """Chosen schedule of each state of a batch q (reps, N), as a list: a
+    maximal-weight schedule, ties broken with the row's own TieState. No
+    input checks."""
     mask = argmax_mask(batch_weights(model, policy, q), policy.rel_tol, policy.kind == "msmw_log")
-    return break_ties(policy, mask, tie_states)
+    return resolve(policy, maximizers(policy, mask), tie_states, mask.shape[1])
 
 
 def select_schedule(
@@ -208,7 +214,7 @@ def select_schedule(
     """Pick a maximal-weight schedule, resolving ties per the policy."""
     weights = schedule_weights(model, policy, q)
     mask = argmax_mask(weights, policy.rel_tol, policy.kind == "msmw_log")
-    chosen = int(break_ties(policy, mask[None], [tie_state])[0])
+    chosen = resolve(policy, maximizers(policy, mask[None]), [tie_state], len(mask))[0]
     return SelectionTrace(weights=weights, argmax_set=np.flatnonzero(mask), chosen=chosen)
 
 

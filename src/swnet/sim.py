@@ -16,7 +16,7 @@ import numpy as np
 
 from .arrivals import ArrivalModel, derive_rng, sample_increments
 from .model import NetworkModel
-from .policy import Policy, SelectionTrace, TieState, select_batch, select_schedule
+from .policy import Policy, SelectionTrace, TieState, argmax_mask, batch_weights, maximizers, resolve, select_schedule
 
 
 class NegativeQueue(AssertionError):
@@ -35,6 +35,11 @@ class CsvFormatError(ValueError):
 # temporaries (and the Python floats of a CSV block) on long dense paths.
 BLOCK_ROWS = 512
 
+# Most queue states one run_batch call keeps in its selection table. A long
+# stable run on the integer lattice revisits tens to thousands of states; the
+# cap bounds the memory of runs whose states rarely repeat.
+SELECTION_ROWS = 4096
+
 
 def row_blocks(*columns: np.ndarray):
     """Yield (lo, rows) for each block of BLOCK_ROWS rows of the columns put
@@ -44,20 +49,11 @@ def row_blocks(*columns: np.ndarray):
         yield lo, np.column_stack([c[lo : lo + BLOCK_ROWS] for c in columns]).tolist()
 
 
-class _Kahan:
-    """Componentwise compensated accumulator for cumulative vectors."""
-
-    __slots__ = ("total", "_c")
-
-    def __init__(self, shape) -> None:
-        self.total = np.zeros(shape)
-        self._c = np.zeros(shape)
-
-    def add(self, x: np.ndarray) -> None:
-        y = x - self._c
-        t = self.total + y
-        self._c = (t - self.total) - y
-        self.total = t
+def count_schedules(chosen: np.ndarray, last: np.ndarray, out: np.ndarray) -> None:
+    """out[k, s] = the number of slots t <= last[k] with chosen[t] == s: the
+    S_cum rows of the recorded slots last + 1, in exact integers."""
+    for s in range(out.shape[1]):
+        out[:, s] = np.cumsum(chosen == s)[last]
 
 
 def advance(
@@ -76,7 +72,7 @@ def advance(
     if model.is_single_hop:
         return np.maximum(q - dB, 0.0) + dA, dY
     served = dB - dY
-    routed = (model.routing.entries.T @ served[..., None])[..., 0]
+    routed = (model.routing.into @ served[..., None])[..., 0]
     return q - served + routed + dA, dY
 
 
@@ -196,11 +192,22 @@ def run_batch(
     its own Generator in the same order as a run of its own, and every
     operation acts on each row alone, so each path equals ``run`` with that
     Generator bit for bit.
+
+    Schedules are chosen through a selection table that lives for this call:
+    it maps the bytes of a state row to that state's maximizers (see
+    ``policy.maximizers``), so a revisited state is not weighed again and
+    only its tie, if it has one, is broken anew. This relies on the
+    maximizers being a function of q alone, which holds for mw, backpressure
+    and msmw_log; a custom weight f is assumed to be a function. A slot in
+    which some state misses the table weighs the whole batch in one call,
+    each state with its own matrix-vector product, so a state's maximizers
+    do not depend on the batch. The table stops growing at SELECTION_ROWS
+    states.
     """
     policy.validate_for(model)
     q0 = np.asarray(q0, dtype=float)
-    if q0.shape != (model.n_queues,) or np.any(q0 < 0):
-        raise ValueError("q0 must be a nonnegative vector of length n_queues")
+    if q0.shape != (model.n_queues,) or not np.isfinite(q0).all() or np.any(q0 < 0):
+        raise ValueError("q0 must be a finite nonnegative vector of length n_queues")
     if horizon < 0:
         raise ValueError("horizon must be >= 0")
     if record_every < 1:
@@ -225,47 +232,59 @@ def run_batch(
     nrec = len(rec_slots)
 
     Q = np.zeros((reps, nrec, n))
-    B = np.zeros((reps, nrec, n))
-    Y = np.zeros((reps, nrec, n))
-    S_cum = np.zeros((reps, nrec, ns), dtype=np.int64)
-    chosen = np.zeros((reps, horizon), dtype=np.int64)
+    BY = np.zeros((reps, nrec, 2 * n))  # [B | Y]
+    chosen = np.empty((horizon, reps), dtype=np.int64)  # slot-major, transposed after the loop
 
     q = np.tile(q0, (reps, 1))
-    b_acc = _Kahan((reps, n))
-    y_acc = _Kahan((reps, n))
-    s_counts = np.zeros((reps, ns), dtype=np.int64)
-    unit = np.eye(ns, dtype=np.int64)
+    # one compensated (Kahan) sum over the stacked [dB | dY]
+    total = np.zeros((reps, 2 * n))
+    comp = np.zeros((reps, 2 * n))
     q_sup = q.copy()  # running max of each queue; sup_q is its row max
     Q[:, 0] = q
     s_mat = model.schedules.as_array
+    lexicographic = policy.kind == "msmw_log"
+    table: dict = {}
+    row_bytes = np.dtype((np.void, n * q.itemsize))  # a state row as one key
 
     for tau in range(horizon):
-        pick = select_batch(model, policy, q, tie_states)
+        keys = q.view(row_bytes).ravel().tolist()
+        found = list(map(table.get, keys))
+        if None in found:  # weighing the known states again costs less than picking out the new ones
+            found = maximizers(policy, argmax_mask(batch_weights(model, policy, q), policy.rel_tol, lexicographic))
+            room = SELECTION_ROWS - len(table)
+            if room > 0:
+                table.update(zip(keys[:room], found))
+        pick = chosen[tau]
+        pick[:] = resolve(policy, found, tie_states, ns)
         dB = s_mat.take(pick, axis=0)
         q, dY = advance(model, q, dB, dA[tau])
-        if q.min() < 0.0:
+        if np.minimum.reduce(q, axis=None) < 0.0:
             bad = int(np.argmin(q.min(axis=1)))
             raise NegativeQueue(f"queue went negative at slot {tau}: {q[bad]}")
-        b_acc.add(dB)
-        y_acc.add(dY)
-        s_counts += unit.take(pick, axis=0)
-        chosen[:, tau] = pick
+        y = np.concatenate((dB, dY), axis=1)
+        y -= comp
+        t = total + y
+        np.subtract(t, total, out=comp)
+        comp -= y
+        total = t
         np.maximum(q_sup, q, out=q_sup)
         idx = rec_index.get(tau + 1)
         if idx is not None:
             Q[:, idx] = q
-            B[:, idx] = b_acc.total
-            Y[:, idx] = y_acc.total
-            S_cum[:, idx] = s_counts
+            BY[:, idx] = total
 
+    chosen = chosen.T
     tau_arr = np.asarray(rec_slots, dtype=np.int64)
+    S_cum = np.zeros((reps, nrec, ns), dtype=np.int64)
+    for i in range(reps):  # one replication at a time, so the temporaries stay O(horizon)
+        count_schedules(chosen[i], tau_arr[1:] - 1, S_cum[i, 1:])
     return [
         SystemPath(
             tau=tau_arr.copy(),
             Q=Q[i],
             A=a_path[i][tau_arr],
-            B=B[i],
-            Y=Y[i],
+            B=BY[i, :, :n],
+            Y=BY[i, :, n:],
             S_cum=S_cum[i],
             chosen=chosen[i],
             horizon=horizon,
@@ -479,7 +498,7 @@ def path_from_csv(text: str, model: NetworkModel) -> SystemPath:
                 raise CsvFormatError(f"data row {k + 1}: chosen_schedule {chosen[k]} is not in 0..{ns - 1}")
     Q, A, B, Y = (cells[:, j * n : (j + 1) * n] for j in range(4))
     s_cum = np.zeros((horizon + 1, ns), dtype=np.int64)
-    np.cumsum(np.eye(ns, dtype=np.int64)[chosen], axis=0, out=s_cum[1:])
+    count_schedules(chosen, np.arange(horizon), s_cum[1:])
     return SystemPath(
         tau=tau, Q=Q, A=A, B=B, Y=Y, S_cum=s_cum, chosen=chosen, horizon=horizon,
         sup_q=float(Q.max(initial=0.0)), meta={"model": model.name, "source": "csv"},

@@ -405,6 +405,12 @@ _SIM = {"kind": "simulate", "horizon": 20}
             "/network",
             id="cyclic-routing",
         ),
+        pytest.param(
+            {"preset": "ex2", "lambda": [1, 1], "policy": {"kind": "mw"},
+             "experiment": {"kind": "fluid", "h": 0.1, "T": 0.25}},
+            "/experiment/T",
+            id="fluid-T-not-a-multiple-of-h",
+        ),
     ],
 )
 def test_bad_input_is_a_schema_error(tmp_path, capsys, scenario, pointer):

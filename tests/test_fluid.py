@@ -5,6 +5,7 @@ from swnet import presets
 from swnet.arrivals import ArrivalModel
 from swnet.fluid import (
     GridMismatch,
+    HorizonNotMultiple,
     convergence_to_invariant,
     feasibility_preservation_check,
     integrate_fluid,
@@ -227,3 +228,29 @@ def test_integrate_fluid_equals_per_step_selection(name, policy, lam, q0):
     counts = np.zeros(len(model.schedules), dtype=np.int64)
     np.add.at(counts, chosen, 1)
     assert np.array_equal(traj.s[-1], counts * 0.01)
+
+
+@pytest.mark.parametrize(
+    "q0, lam", [([np.inf, 0.0], [1.0, 1.0]), ([np.nan, 0.0], [1.0, 1.0]), ([1.0, 0.0], [np.nan, 1.0])]
+)
+def test_integrate_fluid_refuses_non_finite_inputs(ex2, q0, lam):
+    with pytest.raises(ValueError, match="finite"):
+        integrate_fluid(ex2, Policy.mw_alpha(1.0), lam, q0, h=0.1, T=1.0)
+
+
+@pytest.mark.parametrize("h, T", [(0.1, 0.25), (0.01, 1.005), (1e-3, 0.0105)])
+def test_integrate_fluid_refuses_a_horizon_off_the_grid(ex2, h, T):
+    with pytest.raises(HorizonNotMultiple):
+        integrate_fluid(ex2, Policy.mw_alpha(1.0), [1.0, 1.0], [1.0, 0.0], h=h, T=T)
+
+
+@pytest.mark.parametrize("T", [-1.0, np.nan, np.inf])
+def test_integrate_fluid_refuses_a_negative_or_non_finite_horizon(ex2, T):
+    with pytest.raises(ValueError, match="horizon T must be finite and >= 0"):
+        integrate_fluid(ex2, Policy.mw_alpha(1.0), [1.0, 1.0], [1.0, 0.0], h=0.1, T=T)
+
+
+def test_integrate_fluid_ends_at_T_when_T_is_a_float_multiple_of_h(ex2):
+    # 0.3 / 0.1 is 2.9999999999999996 in floats: still three steps, ending at T
+    traj = integrate_fluid(ex2, Policy.mw_alpha(1.0), [1.0, 1.0], [1.0, 0.0], h=0.1, T=0.3)
+    assert len(traj.t) == 4 and traj.t[-1] == pytest.approx(0.3)

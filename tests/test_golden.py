@@ -40,6 +40,10 @@ GOLDEN = {
         "audit.json": "41a8f9c739ae3d522e4d24d59d724547131e8649d3d0c91526f11074f62f9a6b",
         "trajectory.csv": "f32a0f2f360e0d46e65e806393c1813643c3ca75eba8a232197f31b551e61a00",
     },
+    "simulate_iq2_random_ties.json": {
+        "audit.json": "ab6a0a352b882ceec15fe153f836b03378092a5a51ae77228183f1f1a4804f8c",
+        "trajectory.csv": "5c62a9013f5e8ff5d8cabdb0d299726e954b8011917f295a04783c5e00ea2326",
+    },
     "simulate_tandem_backpressure.json": {
         "audit.json": "509114a3e5d97f10b0e5b1110a98d5b8eb729e268fdffc5a7568b230ea78fa83",
         "trajectory.csv": "4ae56475ba11a1d1081e09bded3cf301668625caf56474c860ea0147246a8d85",

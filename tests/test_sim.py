@@ -6,9 +6,10 @@ from hypothesis import strategies as st
 from swnet import presets
 from swnet.arrivals import ArrivalModel, derive_rng, sample_increments
 from swnet.model import RoutingMatrix, ScheduleSet, WeightFunction, validate_network
-from swnet.policy import Policy, TieState
+from swnet.policy import Policy, TieState, argmax_mask, batch_weights
 from swnet.sim import (
     BLOCK_ROWS,
+    SELECTION_ROWS,
     AuditReport,
     AuditViolation,
     HorizonTooShort,
@@ -329,6 +330,142 @@ def test_run_batch_equals_per_replication_runs(name, policy, lam):
                 assert np.array_equal(q, path.Q[tau + 1])
             assert sup_q == path.sup_q
     assert ties > 0 or policy.tie_break == "highest_index"
+
+
+# ---------------------------------------------------------------------------
+# the selection table against the loop that weighs every state in every slot
+# ---------------------------------------------------------------------------
+
+
+def _reference_run_batch(model, policy, arrivals, q0, horizon, rngs, record_every=1):
+    """Reference: the lockstep slot loop without a selection table. Every
+    slot weighs every state, breaks ties on the argmax mask, routes with the
+    integer routing matrix and keeps two Kahan sums and a one-hot S_cum.
+    Returns one dict of path arrays (and sup_q) per replication."""
+    tie_states = [TieState(rng=rng) for rng in rngs]
+    reps, n, ns = len(rngs), model.n_queues, len(model.schedules)
+    a_path = np.stack([sample_increments(arrivals, horizon, rng) for rng in rngs])
+    dA = a_path[:, 1:] - a_path[:, :-1]
+    rec = list(range(0, horizon + 1, record_every))
+    if rec[-1] != horizon:
+        rec.append(horizon)
+    Q, B, Y = (np.zeros((reps, len(rec), n)) for _ in range(3))
+    S_cum = np.zeros((reps, len(rec), ns), dtype=np.int64)
+    chosen = np.zeros((reps, horizon), dtype=np.int64)
+    q = np.tile(np.asarray(q0, dtype=float), (reps, 1))
+    sums = {key: [np.zeros((reps, n)), np.zeros((reps, n))] for key in "BY"}  # total, compensation
+    counts = np.zeros((reps, ns), dtype=np.int64)
+    q_sup = q.copy()
+    Q[:, 0] = q
+    for tau in range(horizon):
+        mask = argmax_mask(batch_weights(model, policy, q), policy.rel_tol, policy.kind == "msmw_log")
+        pick = ns - 1 - mask[:, ::-1].argmax(axis=1)
+        for i in np.flatnonzero(mask.sum(axis=1) > 1) if policy.tie_break != "highest_index" else ():
+            argmax = np.flatnonzero(mask[i])
+            if policy.tie_break == "random":
+                pick[i] = argmax[tie_states[i].rng.integers(0, len(argmax))]
+            else:
+                after = argmax[argmax >= tie_states[i].pointer]
+                pick[i] = after[0] if len(after) else argmax[0]
+                tie_states[i].pointer = (pick[i] + 1) % ns
+        dB = model.schedules.as_array[pick]
+        dY = np.maximum(dB - q, 0.0)
+        if model.is_single_hop:
+            q = np.maximum(q - dB, 0.0) + dA[:, tau]
+        else:
+            served = dB - dY
+            q = q - served + (model.routing.entries.T @ served[..., None])[..., 0] + dA[:, tau]
+        for key, x in (("B", dB), ("Y", dY)):
+            total, comp = sums[key]
+            y = x - comp
+            t = total + y
+            sums[key] = [t, (t - total) - y]
+        counts += np.eye(ns, dtype=np.int64)[pick]
+        chosen[:, tau] = pick
+        np.maximum(q_sup, q, out=q_sup)
+        if tau + 1 in rec:
+            k = rec.index(tau + 1)
+            Q[:, k], B[:, k], Y[:, k], S_cum[:, k] = q, sums["B"][0], sums["Y"][0], counts
+    tau_arr = np.asarray(rec, dtype=np.int64)
+    return [
+        {"tau": tau_arr, "Q": Q[i], "A": a_path[i][tau_arr], "B": B[i], "Y": Y[i], "S_cum": S_cum[i],
+         "chosen": chosen[i], "sup_q": float(q_sup[i].max(initial=0.0))}
+        for i in range(reps)
+    ]
+
+
+def _assert_paths_equal(paths, reference):
+    assert len(paths) == len(reference)
+    for path, ref in zip(paths, reference):
+        for key in ("tau", "Q", "A", "B", "Y", "S_cum", "chosen"):
+            assert np.array_equal(getattr(path, key), ref[key]), key
+        assert path.sup_q == ref["sup_q"]
+
+
+def _ties_on_table_hits(model, policy, paths):
+    """Tied states met in slots where every state of the batch is already in
+    the selection table, which then decides the slot without weighing."""
+    table, ties = set(), 0
+    for states in np.stack([p.Q[:-1] for p in paths], axis=1):
+        keys = [row.tobytes() for row in states]
+        if all(key in table for key in keys):
+            mask = argmax_mask(batch_weights(model, policy, states), policy.rel_tol, policy.kind == "msmw_log")
+            ties += int((mask.sum(axis=1) > 1).sum())
+        else:
+            table.update(keys[: max(SELECTION_ROWS - len(table), 0)])
+    return ties
+
+
+_TABLE_CASES = [
+    ("ex2", Policy.mw(WeightFunction.power(1.0), tie_break="random"), [0.9, 0.5]),
+    ("ex2", Policy.mw(WeightFunction.power(1.0), tie_break="round_robin"), [0.9, 0.5]),
+    ("tandem2", Policy.backpressure(WeightFunction.power(1.0), tie_break="random"), [0.7, 0.1]),
+    ("merge3", Policy.backpressure(WeightFunction.power(1.0), tie_break="round_robin"), [0.3, 0.3, 0.3, 0.05]),
+    ("iq2", Policy.msmw_log(tie_break="random"), [0.45] * 4),
+]
+
+
+@pytest.mark.parametrize("reps", [1, 20])
+@pytest.mark.parametrize(
+    "name, policy, lam", _TABLE_CASES, ids=[f"{n}-{p.kind}-{p.tie_break}" for n, p, _ in _TABLE_CASES]
+)
+def test_selection_table_equals_weighing_every_slot(name, policy, lam, reps):
+    models = {"ex2": presets.ex2, "tandem2": lambda: presets.tandem(2), "iq2": lambda: presets.iq_switch(2)}
+    model = models.get(name, _merge3)()
+    args = (model, policy, ArrivalModel.bernoulli(lam), np.zeros(model.n_queues), 600)
+    paths = run_batch(*args, [derive_rng(11, rep) for rep in range(reps)])
+    _assert_paths_equal(paths, _reference_run_batch(*args, [derive_rng(11, rep) for rep in range(reps)]))
+    # the tie-break's draws and pointers must follow the replication also when the table decides
+    assert _ties_on_table_hits(model, policy, paths) > 0
+
+
+@pytest.mark.parametrize("name", ["ex2", "merge3"])
+@pytest.mark.parametrize("record_every", [1, 7])
+def test_selection_table_with_fractional_states_that_never_repeat(name, record_every):
+    # overloaded, so the queues grow, every state is new and the table only
+    # misses; on merge3 three fractional flows meet in queue 3, whose sum the
+    # float routing matrix must add in the order of the integer one
+    model = presets.ex2() if name == "ex2" else _merge3()
+    lam = [1.37, 1.61] if name == "ex2" else [0.61, 0.57, 0.43, 0.07]
+    args = (model, Policy.mw_alpha(1.0), ArrivalModel.deterministic(lam), np.full(model.n_queues, 0.5), 1500)
+    paths = run_batch(*args, [derive_rng(3)], record_every)
+    _assert_paths_equal(paths, _reference_run_batch(*args, [derive_rng(3)], record_every))
+    if record_every == 1:
+        assert len({row.tobytes() for row in paths[0].Q}) == len(paths[0].Q)
+
+
+def test_selection_table_past_its_cap():
+    model = presets.iq_switch(2)
+    args = (model, Policy.mw_alpha(1.0), ArrivalModel.bernoulli([0.5] * 4), np.full(4, 20.0), 400)
+    paths = run_batch(*args, [derive_rng(5, rep) for rep in range(20)])
+    _assert_paths_equal(paths, _reference_run_batch(*args, [derive_rng(5, rep) for rep in range(20)]))
+    assert len({row.tobytes() for p in paths for row in p.Q}) > SELECTION_ROWS
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_run_refuses_non_finite_initial_state(ex2, bad):
+    with pytest.raises(ValueError, match="finite"):
+        run(ex2, Policy.mw_alpha(1.0), ArrivalModel.bernoulli([0.9, 0.5]), [bad, 0.0], 10, seed=0)
 
 
 # ---------------------------------------------------------------------------
