@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Optional
 
 import numpy as np
@@ -35,9 +36,11 @@ class CsvFormatError(ValueError):
 # temporaries (and the Python floats of a CSV block) on long dense paths.
 BLOCK_ROWS = 512
 
-# Most queue states one run_batch call keeps in its selection table. A long
-# stable run on the integer lattice revisits tens to thousands of states; the
-# cap bounds the memory of runs whose states rarely repeat.
+# Most entries each of run_batch's two tables keeps in one call: queue states
+# in the selection table, (state, schedule, arrival row) keys in the
+# transition table. A long stable run on the integer lattice revisits tens to
+# thousands of states; the cap bounds the memory of runs whose states rarely
+# repeat.
 SELECTION_ROWS = 4096
 
 
@@ -176,6 +179,18 @@ def run(
     return path
 
 
+def exact_sums(q0: np.ndarray, dA: np.ndarray, s_mat: np.ndarray, horizon: int) -> bool:
+    """Whether every partial sum of B and Y is exact in floats: q0, every
+    arrival increment and every schedule entry are integers and horizon
+    times the largest schedule entry is below 2**53. Then every queue state
+    is an integer, each idling dY is an integer in [0, dB], and a plain
+    cumulative sum equals the compensated one bit for bit."""
+    for x in (q0, dA, s_mat):
+        if not (np.isfinite(x).all() and (x == np.trunc(x)).all()):
+            return False
+    return horizon * int(s_mat.max(initial=0.0)) < 2**53
+
+
 def run_batch(
     model: NetworkModel,
     policy: Policy,
@@ -193,16 +208,26 @@ def run_batch(
     operation acts on each row alone, so each path equals ``run`` with that
     Generator bit for bit.
 
-    Schedules are chosen through a selection table that lives for this call:
-    it maps the bytes of a state row to that state's maximizers (see
-    ``policy.maximizers``), so a revisited state is not weighed again and
-    only its tie, if it has one, is broken anew. This relies on the
+    The loop keeps each state as the bytes of its row and two tables that
+    live for this call. The selection table maps a state to its maximizers
+    (see ``policy.maximizers``), so a revisited state is not weighed again
+    and only its tie, if it has one, is broken anew. This relies on the
     maximizers being a function of q alone, which holds for mw, backpressure
     and msmw_log; a custom weight f is assumed to be a function. A slot in
     which some state misses the table weighs the whole batch in one call,
     each state with its own matrix-vector product, so a state's maximizers
-    do not depend on the batch. The table stops growing at SELECTION_ROWS
-    states.
+    do not depend on the batch. The transition table maps (state, chosen
+    schedule, arrival row) to the next state, which ``advance`` fixes row by
+    row: a slot whose every row is known is a lookup, any other slot steps
+    the whole batch through ``advance``. Moves are learnt only in slots
+    whose states are all known: in a wide batch where some state is new in
+    almost every slot, whole-batch hits never come. Each table stops
+    growing at SELECTION_ROWS entries.
+
+    Q, B, Y and sup_q are rebuilt from the visited states a block of
+    BLOCK_ROWS state rows (BLOCK_ROWS // reps slots) at a time, with
+    dY = [dB - Q]^+ as ``advance`` computes it. B and Y are one compensated (Kahan) sum over the stacked [dB | dY],
+    which on exact data (see ``exact_sums``) is a plain cumulative sum.
     """
     policy.validate_for(model)
     q0 = np.asarray(q0, dtype=float)
@@ -228,7 +253,7 @@ def run_batch(
     rec_slots = list(range(0, horizon + 1, record_every))
     if rec_slots[-1] != horizon:
         rec_slots.append(horizon)
-    rec_index = {t: i for i, t in enumerate(rec_slots)}
+    tau_arr = np.asarray(rec_slots, dtype=np.int64)
     nrec = len(rec_slots)
 
     Q = np.zeros((reps, nrec, n))
@@ -236,45 +261,73 @@ def run_batch(
     chosen = np.empty((horizon, reps), dtype=np.int64)  # slot-major, transposed after the loop
 
     q = np.tile(q0, (reps, 1))
-    # one compensated (Kahan) sum over the stacked [dB | dY]
-    total = np.zeros((reps, 2 * n))
-    comp = np.zeros((reps, 2 * n))
-    q_sup = q.copy()  # running max of each queue; sup_q is its row max
     Q[:, 0] = q
+    q_sup = q.copy()  # running max of each queue; sup_q is its row max
+    total = np.zeros((reps, 2 * n))  # B and Y at the end of the last block
+    comp = np.zeros((reps, 2 * n))  # their Kahan compensation
     s_mat = model.schedules.as_array
+    exact = exact_sums(q0, dA, s_mat, horizon)
     lexicographic = policy.kind == "msmw_log"
+    row_bytes = np.dtype((np.void, n * q.itemsize))  # a state or arrival row as one key
+    cur = q.view(row_bytes).ravel().tolist()
     table: dict = {}
-    row_bytes = np.dtype((np.void, n * q.itemsize))  # a state row as one key
+    moves: dict = {}
 
-    for tau in range(horizon):
-        keys = q.view(row_bytes).ravel().tolist()
-        found = list(map(table.get, keys))
-        if None in found:  # weighing the known states again costs less than picking out the new ones
-            found = maximizers(policy, argmax_mask(batch_weights(model, policy, q), policy.rel_tol, lexicographic))
-            room = SELECTION_ROWS - len(table)
-            if room > 0:
-                table.update(zip(keys[:room], found))
-        pick = chosen[tau]
-        pick[:] = resolve(policy, found, tie_states, ns)
-        dB = s_mat.take(pick, axis=0)
-        q, dY = advance(model, q, dB, dA[tau])
-        if np.minimum.reduce(q, axis=None) < 0.0:
-            bad = int(np.argmin(q.min(axis=1)))
-            raise NegativeQueue(f"queue went negative at slot {tau}: {q[bad]}")
-        y = np.concatenate((dB, dY), axis=1)
-        y -= comp
-        t = total + y
-        np.subtract(t, total, out=comp)
-        comp -= y
-        total = t
-        np.maximum(q_sup, q, out=q_sup)
-        idx = rec_index.get(tau + 1)
-        if idx is not None:
-            Q[:, idx] = q
-            BY[:, idx] = total
+    span = max(1, BLOCK_ROWS // reps)  # slots per block: BLOCK_ROWS state rows
+    for lo in range(0, horizon, span):
+        hi = min(lo + span, horizon)
+        picks: list = []
+        states = list(cur)  # the block's states, slot by slot, from slot lo
+        for tau, arrived in enumerate(dA[lo:hi].view(row_bytes).reshape(hi - lo, reps).tolist(), lo):
+            found = list(map(table.get, cur))
+            known = None not in found
+            if not known:  # weighing the known states again costs less than picking out the new ones
+                if q is None:
+                    q = np.frombuffer(b"".join(cur)).reshape(reps, n)
+                found = maximizers(policy, argmax_mask(batch_weights(model, policy, q), policy.rel_tol, lexicographic))
+                room = SELECTION_ROWS - len(table)
+                if room > 0:
+                    table.update(zip(cur[:room], found))
+            pick = resolve(policy, found, tie_states, ns)
+            nxt = list(map(moves.get, zip(cur, pick, arrived))) if known else [None]  # a new state has no move yet
+            if None in nxt:
+                if q is None:
+                    q = np.frombuffer(b"".join(cur)).reshape(reps, n)
+                q = advance(model, q, s_mat.take(pick, axis=0), dA[tau])[0]
+                if np.minimum.reduce(q, axis=None) < 0.0:
+                    bad = int(np.argmin(q.min(axis=1)))
+                    raise NegativeQueue(f"queue went negative at slot {tau}: {q[bad]}")
+                nxt = q.view(row_bytes).ravel().tolist()
+                if known and len(moves) < SELECTION_ROWS:
+                    moves.update(islice(zip(zip(cur, pick, arrived), nxt), SELECTION_ROWS - len(moves)))
+            else:
+                q = None
+            picks.append(pick)
+            states.extend(nxt)
+            cur = nxt
+
+        # fold the block into the outputs: path[k] is the state at slot lo + k
+        path = np.frombuffer(b"".join(states)).reshape(hi - lo + 1, reps, n)
+        chosen[lo:hi] = picks
+        dB = s_mat[chosen[lo:hi]]
+        inc = np.concatenate((dB, np.maximum(dB - path[:-1], 0.0)), axis=2)
+        if exact:  # every partial sum is exact, so the compensation stays 0
+            np.cumsum(inc, axis=0, out=inc)
+            inc += total
+            total = inc[-1].copy()
+        else:
+            for k in range(hi - lo):
+                y = inc[k] - comp
+                t = total + y
+                comp = (t - total) - y
+                total = inc[k] = t
+        np.maximum(q_sup, path[1:].max(axis=0), out=q_sup)
+        i0, i1 = np.searchsorted(tau_arr, (lo, hi), side="right")
+        rows = tau_arr[i0:i1] - lo
+        Q[:, i0:i1] = path[rows].swapaxes(0, 1)
+        BY[:, i0:i1] = inc[rows - 1].swapaxes(0, 1)
 
     chosen = chosen.T
-    tau_arr = np.asarray(rec_slots, dtype=np.int64)
     S_cum = np.zeros((reps, nrec, ns), dtype=np.int64)
     for i in range(reps):  # one replication at a time, so the temporaries stay O(horizon)
         count_schedules(chosen[i], tau_arr[1:] - 1, S_cum[i, 1:])
@@ -409,7 +462,7 @@ def conservation_audit(
     checks = 3 * nrec + 4 * max(nrec - 1, 0)
     thr = rtol * (1.0 + float(np.abs(path.Q).max(initial=0.0)) + float(np.abs(path.A).max(initial=0.0)))
     s_mat = path.S_cum.astype(float) @ model.schedules.as_array
-    rt = model.routing.entries.T.astype(float)
+    into = model.routing.into
     q0 = path.Q[0]
     # One residual column per check and row, a block of rows at a time; NaN
     # marks no check (row 0 has no predecessor), which fmax and > skip.
@@ -422,7 +475,7 @@ def conservation_audit(
             lhs = q0 + A - B + Y
         else:
             flow = B - Y
-            lhs = q0 + A - flow + (rt @ flow[..., None])[..., 0]
+            lhs = q0 + A - flow + (into @ flow[..., None])[..., 0]
         res = np.full((hi - lo, len(_AUDIT_CHECKS)), np.nan)
         res[:, 0] = np.abs(Q - lhs).max(axis=1, initial=0.0)
         res[:, 1] = np.abs(B - s_mat[lo:hi]).max(axis=1, initial=0.0)
@@ -445,11 +498,10 @@ def conservation_audit(
     # inter-slot bound on sampled pairs
     if nrec >= 2 and bound_pairs > 0:
         rng = derive_rng(seed, 0xA0D17)
-        r_mat = model.routing.entries.astype(float)
         for _ in range(bound_pairs):
             i = int(rng.integers(0, nrec - 1))
             j = int(rng.integers(i + 1, nrec))
-            rhs = path.Q[i] + (path.A[j] - path.A[i]) + r_mat.T @ (path.B[j] - path.B[i])
+            rhs = path.Q[i] + (path.A[j] - path.A[i]) + into @ (path.B[j] - path.B[i])
             residual = float((path.Q[j] - rhs).max(initial=0.0))
             max_res = max(max_res, residual)
             checks += 1

@@ -48,6 +48,10 @@ GOLDEN = {
         "audit.json": "509114a3e5d97f10b0e5b1110a98d5b8eb729e268fdffc5a7568b230ea78fa83",
         "trajectory.csv": "4ae56475ba11a1d1081e09bded3cf301668625caf56474c860ea0147246a8d85",
     },
+    "simulate_tandem_fractional.json": {
+        "audit.json": "0623f0a0f65a947ce9133329ecbe5f104420f3677c8a492cd722ea241407ca79",
+        "trajectory.csv": "c83da337b0b84eb3f74395b4a3044b8450b43444a84a3cfab5c0cc126df0731a",
+    },
 }
 
 

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from swnet import presets
+from swnet import presets, sim
 from swnet.arrivals import ArrivalModel, derive_rng, sample_increments
 from swnet.model import RoutingMatrix, ScheduleSet, WeightFunction, validate_network
 from swnet.policy import Policy, TieState, argmax_mask, batch_weights
@@ -14,6 +14,7 @@ from swnet.sim import (
     AuditViolation,
     HorizonTooShort,
     conservation_audit,
+    exact_sums,
     path_from_csv,
     rescale,
     run,
@@ -460,6 +461,111 @@ def test_selection_table_past_its_cap():
     paths = run_batch(*args, [derive_rng(5, rep) for rep in range(20)])
     _assert_paths_equal(paths, _reference_run_batch(*args, [derive_rng(5, rep) for rep in range(20)]))
     assert len({row.tobytes() for p in paths for row in p.Q}) > SELECTION_ROWS
+
+
+# ---------------------------------------------------------------------------
+# the transition table against the same reference loop
+# ---------------------------------------------------------------------------
+
+
+def _lookup_slots(paths, cap=SELECTION_ROWS):
+    """The slots that run_batch steps by lookup alone, replayed from densely
+    recorded paths: every state of the batch is in the selection table and
+    every (state, chosen schedule, arrival row) in the transition table.
+    As in the loop, a slot with a new state fills the selection table and
+    one with only new moves the transition table, each up to ``cap``."""
+    table, moves, hits = set(), set(), []
+    states = np.stack([p.Q for p in paths], axis=1)
+    arrived = np.stack([np.diff(p.A, axis=0) for p in paths], axis=1)  # the loop's dA bits
+    for tau in range(paths[0].horizon):
+        keys = [row.tobytes() for row in states[tau]]
+        moved = [(key, int(p.chosen[tau]), a.tobytes()) for key, p, a in zip(keys, paths, arrived[tau])]
+        if not all(key in table for key in keys):
+            table.update(keys[: max(cap - len(table), 0)])
+        elif all(m in moves for m in moved):
+            hits.append(tau)
+        else:
+            moves.update(moved[: max(cap - len(moves), 0)])
+    return hits
+
+
+def _ties_at(model, policy, paths, slots):
+    states = np.stack([p.Q for p in paths], axis=1)[slots]
+    mask = argmax_mask(batch_weights(model, policy, states), policy.rel_tol, policy.kind == "msmw_log")
+    return int((mask.sum(axis=-1) > 1).sum())
+
+
+@pytest.mark.parametrize("record_every", [1, 7])
+@pytest.mark.parametrize("reps", [1, 20])
+@pytest.mark.parametrize(
+    "name, policy, lam", _TABLE_CASES, ids=[f"{n}-{p.kind}-{p.tie_break}" for n, p, _ in _TABLE_CASES]
+)
+def test_transition_table_equals_reference(name, policy, lam, reps, record_every):
+    models = {"ex2": presets.ex2, "tandem2": lambda: presets.tandem(2), "iq2": lambda: presets.iq_switch(2)}
+    model = models.get(name, _merge3)()
+    args = (model, policy, ArrivalModel.bernoulli(lam), np.zeros(model.n_queues), 600)
+    paths = run_batch(*args, [derive_rng(13, rep) for rep in range(reps)], record_every)
+    _assert_paths_equal(paths, _reference_run_batch(*args, [derive_rng(13, rep) for rep in range(reps)], record_every))
+    if record_every == 1 and reps == 1:
+        # the tie-break's draws and pointers must follow the replication also on lookup slots
+        assert _ties_at(model, policy, paths, _lookup_slots(paths)) > 0
+
+
+@pytest.mark.parametrize("record_every", [1, 7])
+@pytest.mark.parametrize("arrivals", [ArrivalModel.bernoulli([0.6, 0.3]), ArrivalModel.deterministic([0.35, 0.15])])
+def test_transition_table_with_fractional_states_that_repeat(arrivals, record_every):
+    # a fractional q0 (and rates) keeps every state off the integer lattice,
+    # so B and Y take the compensated sum, whose compensation is not 0 with
+    # these rates, while the states still repeat
+    args = (presets.ex2(), Policy.mw_alpha(1.0), arrivals, np.array([0.1, 0.2]), 800)
+    paths = run_batch(*args, [derive_rng(17, rep) for rep in range(3)], record_every)
+    _assert_paths_equal(paths, _reference_run_batch(*args, [derive_rng(17, rep) for rep in range(3)], record_every))
+    if record_every == 1:
+        assert len(_lookup_slots(paths)) > 400
+
+
+def test_compensated_sums_equal_cumulative_sums_on_the_lattice(monkeypatch):
+    # on integer data both ways of summing B and Y give the same bits
+    model = _merge3()
+    args = (model, Policy.backpressure(WeightFunction.power(1.0)), ArrivalModel.bernoulli([0.3, 0.3, 0.3, 0.05]),
+            np.zeros(4), 700)
+    exact = run_batch(*args, [derive_rng(19, rep) for rep in range(4)], 3)
+    monkeypatch.setattr(sim, "exact_sums", lambda *a: False)
+    _assert_paths_equal(exact, [vars(p) for p in run_batch(*args, [derive_rng(19, rep) for rep in range(4)], 3)])
+
+
+@pytest.mark.parametrize("reps", [1, 20])
+def test_both_tables_past_their_cap(monkeypatch, reps):
+    # a cap below the batch width too: a miss slot then fills only part of a table
+    monkeypatch.setattr(sim, "SELECTION_ROWS", 5)
+    model = presets.ex2()
+    policy = Policy.mw(WeightFunction.power(1.0), tie_break="round_robin")
+    args = (model, policy, ArrivalModel.bernoulli([0.9, 0.5]), np.zeros(2), 500)
+    paths = run_batch(*args, [derive_rng(23, rep) for rep in range(reps)])
+    _assert_paths_equal(paths, _reference_run_batch(*args, [derive_rng(23, rep) for rep in range(reps)]))
+    states = {row.tobytes() for p in paths for row in p.Q}
+    moves = {(q.tobytes(), c, a.tobytes()) for p in paths for q, c, a in zip(p.Q, p.chosen, np.diff(p.A, axis=0))}
+    assert len(states) > 5 and len(moves) > 5
+    if reps == 1:
+        assert _lookup_slots(paths, cap=5)
+
+
+def test_exact_sums_at_the_float_boundary():
+    q0, dA = np.array([3.0, 0.0]), np.array([[1.0, 2.0], [0.0, 5.0]])
+    ones, twos = np.array([[1.0, 0.0], [0.0, 1.0]]), np.array([[2.0, 0.0], [1.0, 1.0]])
+    assert exact_sums(q0, dA, ones, 2**53 - 1)
+    assert not exact_sums(q0, dA, ones, 2**53)
+    assert exact_sums(q0, dA, twos, 2**52 - 1)
+    assert not exact_sums(q0, dA, twos, 2**52)
+    assert exact_sums(q0, dA, np.zeros((1, 2)), 2**60)
+    for bad_q0, bad_dA, bad_s in (
+        (np.array([0.5, 0.0]), dA, ones),
+        (q0, dA + 0.25, ones),
+        (q0, np.array([[np.inf, 0.0]]), ones),
+        (q0, np.array([[np.nan, 0.0]]), ones),
+        (q0, dA, ones * 0.5),
+    ):
+        assert not exact_sums(bad_q0, bad_dA, bad_s, 10)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
