@@ -350,6 +350,12 @@ def _run_collapse(
         T=T, reps=reps, master_seed=cfg.seed, grid_points=grid_points,
         gamma=None if gamma is None else np.asarray(gamma),
     )
+    for r in r_list:  # every scale's rates lam - gamma/r are checked before any simulation
+        try:
+            mcfg.arrival_for(r)
+        except ValueError as exc:
+            pointer = "/lambda" if gamma is None else "/experiment/gamma"
+            raise SchemaError(pointer, f"at scale r={r}: {exc}") from exc
     report = mssc_experiment(mcfg)
     buf = io.StringIO()
     lam_strs = [str(v) for v in fraction_vector(cfg.lam)]

@@ -85,38 +85,36 @@ class CollapseReport:
         return all(b < a for a, b in zip(meds, meds[1:]))
 
 
-def _mssc_scale(cfg: MsscConfig, problem: LiftProblem, ri: int, r: int) -> list[tuple[int, int, float]]:
-    """All replications of one scale, simulated and lifted in lockstep.
-    Replication rep draws from the stream (master_seed, ri, rep), so scales
-    are order-independent."""
-    horizon = int(math.ceil(r * r * cfg.T))
-    paths = run_batch(
-        cfg.model,
-        cfg.policy,
-        cfg.arrival_for(r),
-        r * cfg.qhat0,
-        horizon,
-        [derive_rng(cfg.master_seed, ri, rep) for rep in range(cfg.reps)],
-        record_every=max(1, horizon // (4 * cfg.grid_points)),
-    )
-    scaled = np.stack([rescale(path, "diffusion", r, cfg.T, num=cfg.grid_points).q for path in paths])
-    mu = None
-    worst = np.zeros(len(paths))
-    # one lift per grid index over all replications, each warm-started from
-    # its own multipliers at the previous index
-    for q in scaled.transpose(1, 0, 2):
-        r_star, mu, _, _ = problem.solve_many(q, mu0=mu)
-        worst = np.maximum(worst, np.abs(q - r_star).max(axis=1, initial=0.0))
-    return [(r, rep, float(worst[rep]) / max(path.sup_q / r, 1.0)) for rep, path in enumerate(paths)]
-
-
 def mssc_experiment(cfg: MsscConfig) -> CollapseReport:
     """Simulate r^2 T slots per scale from Q(0) = r*qhat0, diffusion-rescale,
     and measure the relative sup distance to the lifting map. The report
-    lists rows in sorted (r, rep) order."""
+    lists rows in sorted (r, rep) order.
+
+    Every scale is simulated first, replication rep of the ri-th sorted
+    scale from the stream (master_seed, ri, rep), so scales are
+    order-independent. Then one lift per grid index covers every (scale,
+    rep) row, each warm-started from its own multipliers at the last index."""
     trivial = len(cfg.clvr) == 0
+    scales, reps = sorted(cfg.r_list), cfg.reps
+    scaled = np.empty((cfg.grid_points, len(scales) * reps, cfg.model.n_queues))
+    sups = np.empty(len(scales) * reps)  # sup_t |qhat(t)| over every slot
+    for ri, r in enumerate(scales):
+        horizon = int(math.ceil(r * r * cfg.T))
+        record_every = max(1, horizon // (4 * cfg.grid_points))
+        rngs = [derive_rng(cfg.master_seed, ri, rep) for rep in range(reps)]
+        paths = run_batch(cfg.model, cfg.policy, cfg.arrival_for(r), r * cfg.qhat0, horizon, rngs, record_every)
+        for rep in range(reps):
+            scaled[:, ri * reps + rep] = rescale(paths[rep], "diffusion", r, cfg.T, num=cfg.grid_points).q
+            sups[ri * reps + rep] = paths[rep].sup_q / r
+        del paths  # each path holds views of its whole batch's arrays; free them before the next simulation
     problem = LiftProblem(cfg.model, cfg.lam, cfg.weight, cfg.clvr)
-    rows = sorted(row for ri, r in enumerate(sorted(cfg.r_list)) for row in _mssc_scale(cfg, problem, ri, r))
+    mu = None
+    worst = np.zeros(sups.shape)
+    for q in scaled:
+        r_star, mu, _, _ = problem.solve_many(q, mu0=mu)
+        worst = np.maximum(worst, np.abs(q - r_star).max(axis=1, initial=0.0))
+    ratios = (worst / np.maximum(sups, 1.0)).tolist()
+    rows = sorted((r, rep, ratios[ri * reps + rep]) for ri, r in enumerate(scales) for rep in range(reps))
     med = {}
     p90 = {}
     for r in sorted(set(cfg.r_list)):

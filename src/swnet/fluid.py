@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .lift import constraint_rows, lift
+from .lift import LiftProblem, constraint_rows, lift  # lift is unused here, but perfbench/tracer.py wraps fluid.lift
 from .model import NetworkModel, WeightFunction
 from .policy import Policy, TieState, select_batch, weight_vectors
 from .policy import select_schedule  # unused here, but perfbench/tracer.py wraps fluid.select_schedule
@@ -54,11 +54,13 @@ def integrate_fluid(
         raise HorizonNotMultiple(f"T={T!r} is not a whole number of steps h={h!r}")
     steps = round(ratio)
     policy.validate_for(model)
+    n, ns = model.n_queues, len(model.schedules)
     lam = np.asarray(lam, dtype=float)
     q = np.asarray(q0, dtype=float).copy()
-    if not (np.isfinite(q).all() and np.isfinite(lam).all()) or np.any(q < 0) or np.any(lam < 0):
-        raise ValueError("q0 and lam must be finite and >= 0")
-    n, ns = model.n_queues, len(model.schedules)
+    if lam.shape != (n,) or q.shape != (n,) or not (np.isfinite(q).all() and np.isfinite(lam).all()):
+        raise ValueError(f"q0 and lam must be finite vectors of length {n}")
+    if np.any(q < 0) or np.any(lam < 0):
+        raise ValueError("q0 and lam must be >= 0")
     qs = np.zeros((steps + 1, n))
     ys = np.zeros((steps + 1, n))
     counts = np.zeros((steps + 1, ns), dtype=np.int64)
@@ -157,13 +159,13 @@ def distance_to_lift(
     idx = np.arange(0, K + 1, stride)
     if idx[-1] != K:
         idx = np.append(idx, K)
-    dists = np.empty(idx.shape[0])
+    problem = LiftProblem(model, lam, weight, clvr)
+    Q = traj.q[idx]
+    R = np.empty_like(Q)
     mu = None
-    for j, k in enumerate(idx):
-        res = lift(model, lam, weight, clvr, traj.q[k], mu0=mu)
-        mu = res.multipliers
-        dists[j] = float(np.abs(traj.q[k] - res.r_star).max(initial=0.0))
-    return traj.t[idx], dists
+    for j in range(Q.shape[0]):
+        R[j : j + 1], mu, _, _ = problem.solve_many(Q[j : j + 1], mu0=mu)
+    return traj.t[idx], np.abs(Q - R).max(axis=1, initial=0.0)
 
 
 def convergence_to_invariant(
@@ -188,8 +190,6 @@ def convergence_to_invariant(
     # last index where the distance was >= eps; sustained from the next one
     above = np.flatnonzero(~below)
     first = 0 if above.size == 0 else int(above[-1]) + 1
-    if first >= below.size:
-        return None
     return float(times[first])
 
 

@@ -94,7 +94,7 @@ class LiftProblem:
 
     The float constraint matrix G and the constraint kinds (constraint_rows)
     are built here; ``solve_many`` runs the dual ascent for a batch of
-    states and ``solve`` is its one-state case. ``clvr`` is the set of
+    states, and ``lift`` is its one-state case. ``clvr`` is the set of
     critically loaded virtual resources (maximal vertices; passing the full
     critically loaded vertex set with ``include_caps=False`` yields the same
     minimizer).
@@ -155,12 +155,16 @@ class LiftProblem:
         zero-rate caps gives r* = 0."""
         K, N = self.G.shape
         Q = np.asarray(Q, dtype=float)
+        if Q.ndim != 2 or Q.shape[1] != N or not np.isfinite(Q).all():
+            raise ValueError(f"queue states must be a finite (B, {N}) array, got shape {Q.shape}")
         if np.any(Q < 0):
             raise ValueError("queue state must be >= 0")
         B = Q.shape[0]
         mu = np.zeros((B, K)) if mu0 is None else np.maximum(np.asarray(mu0, dtype=float), 0.0)
         if mu.shape != (B, K):
             raise ValueError(f"mu0 must have shape {(B, K)}, got {mu.shape}")
+        if not np.isfinite(mu).all():
+            raise ValueError("mu0 must be finite")
         if K == 0:
             return np.zeros((B, N)), mu, np.zeros(B), np.zeros(B, dtype=np.int64)
         h = (self.G @ Q[:, :, None])[:, :, 0]
@@ -207,20 +211,6 @@ class LiftProblem:
             )
         return cur[2], cur[0], cur[4], iterations
 
-    def solve(
-        self,
-        q,
-        tol: float = 1e-8,
-        max_iter: int = 50_000,
-        mu0: Optional[np.ndarray] = None,
-    ) -> LiftResult:
-        """Unique minimizer of L over the critical-workload polyhedron at q:
-        the one-state case of ``solve_many``. Deterministic given inputs;
-        ``mu0`` (K,) warm-starts the multipliers."""
-        mu0 = None if mu0 is None else np.asarray(mu0, dtype=float)[None]
-        r, mu, kkt, iterations = self.solve_many(np.asarray(q, dtype=float)[None], tol, max_iter, mu0)
-        return LiftResult(r[0], mu[0], self.kinds, float(kkt[0]), int(iterations[0]))
-
 
 def lift(
     model: NetworkModel,
@@ -233,9 +223,14 @@ def lift(
     mu0: Optional[np.ndarray] = None,
     include_caps: bool = True,
 ) -> LiftResult:
-    """Unique minimizer of L over the critical-workload polyhedron at q;
-    LiftProblem(model, lam, weight, clvr, include_caps).solve(q, ...)."""
-    return LiftProblem(model, lam, weight, clvr, include_caps).solve(q, tol=tol, max_iter=max_iter, mu0=mu0)
+    """Unique minimizer of L over the critical-workload polyhedron at q: the
+    one-state case of ``LiftProblem(model, lam, weight, clvr,
+    include_caps).solve_many``. Deterministic given inputs; ``mu0`` (K,)
+    warm-starts the multipliers."""
+    problem = LiftProblem(model, lam, weight, clvr, include_caps)
+    mu0 = None if mu0 is None else np.asarray(mu0, dtype=float)[None]
+    r, mu, kkt, iterations = problem.solve_many(np.asarray(q, dtype=float)[None], tol, max_iter, mu0)
+    return LiftResult(r[0], mu[0], problem.kinds, float(kkt[0]), int(iterations[0]))
 
 
 def is_fixed_point(r_star: np.ndarray, q, tol: float = 1e-6) -> bool:

@@ -37,7 +37,7 @@ from swnet.geometry import (
     solve_dual,
     solve_primal,
 )
-from swnet.lift import invariant_state_test, is_fixed_point, lift, lift_oracle
+from swnet.lift import LiftProblem, invariant_state_test, is_fixed_point, lift, lift_oracle
 from swnet.model import ScheduleSet, WeightFunction, validate_network
 from swnet.policy import Policy
 from swnet.sim import rescale, run
@@ -97,20 +97,20 @@ def test_criterion_03_strong_duality_random():
 
 def test_criterion_04_lift_vs_oracle(ex2, ex2_clvr):
     t0 = time.time()
-    weight1 = WeightFunction.power(1.0)
-    res = lift(ex2, [1, 1], weight1, ex2_clvr, [3.0, 0.0])
-    assert np.abs(res.r_star - [0.6, 1.2]).max() <= 1e-6
-    res = lift(ex2, [1, 1], weight1, ex2_clvr, [0.0, 3.0])
-    assert np.abs(res.r_star - [0.0, 3.0]).max() <= 1e-6
     rng = np.random.default_rng(4)
     qs = rng.random((200, 2)) * 5
     for alpha in (0.5, 1.0, 2.0):
         weight = WeightFunction.power(alpha)
-        for q in qs:
-            solved = lift(ex2, [1, 1], weight, ex2_clvr, q)
-            assert solved.kkt_residual <= 1e-8
+        problem = LiftProblem(ex2, [1, 1], weight, ex2_clvr)
+        if alpha == 1.0:
+            hand = problem.solve_many([[3.0, 0.0], [0.0, 3.0]])[0]
+            assert np.abs(hand[0] - [0.6, 1.2]).max() <= 1e-6
+            assert np.abs(hand[1] - [0.0, 3.0]).max() <= 1e-6
+        r_star, _, kkt, _ = problem.solve_many(qs)
+        for q, solved, residual in zip(qs, r_star, kkt):
+            assert residual <= 1e-8
             grid = lift_oracle(ex2, [1, 1], weight, ex2_clvr, q)
-            assert np.abs(solved.r_star - grid).max() <= 5e-3
+            assert np.abs(solved - grid).max() <= 5e-3
     _report(4, "lift vs independent grid oracle: 200 states x alpha in {0.5,1,2}, gap <= 5e-3, KKT <= 1e-8, hand cases to 1e-6", t0)
 
 
@@ -122,12 +122,12 @@ def test_criterion_05_fixed_point_equivalence(ex2, ex2_clvr, switch2, switch2_cl
         (ex2, [1, 1], ex2_clvr, 2),
         (switch2, switch2_lam, switch2_clvr, 4),
     ):
+        problem = LiftProblem(model, lam, weight, clvr)
+        qs = rng.random((500, n)) * 4  # the same draws as 500 of rng.random(n)
+        qs[1::2] = problem.solve_many(qs[1::2])[0]  # every odd state is a lifted one
         disagreements = 0
-        for i in range(500):
-            q = rng.random(n) * 4
-            if i % 2:
-                q = lift(model, lam, weight, clvr, q).r_star
-            fp = is_fixed_point(lift(model, lam, weight, clvr, q).r_star, q, tol=1e-6)
+        for q, r_star in zip(qs, problem.solve_many(qs)[0]):
+            fp = is_fixed_point(r_star, q, tol=1e-6)
             inv = invariant_state_test(model, lam, weight, q, tol=1e-6)
             disagreements += fp != inv
         assert disagreements == 0

@@ -379,6 +379,18 @@ _SIM = {"kind": "simulate", "horizon": 20}
             id="gamma-wrong-length",
         ),
         pytest.param(
+            {"preset": "iq_switch", "M": 2, "lambda": ["1/2"] * 4, "policy": {"kind": "mw"},
+             "experiment": {"kind": "collapse", "r_list": [10], "gamma": [-20, 0, 0, 0]}},
+            "/experiment/gamma",
+            id="gamma-pushes-a-rate-above-1",
+        ),
+        pytest.param(
+            {"preset": "iq_switch", "M": 2, "lambda": [2, 0, 0, 2], "policy": {"kind": "mw"},
+             "experiment": {"kind": "collapse", "r_list": [10]}},
+            "/lambda",
+            id="collapse-rate-above-1",
+        ),
+        pytest.param(
             dict(_EX2_SIM, **{"lambda": [1, 1], "experiment": {"kind": "collapse", "reps": 0}}),
             "/experiment/reps",
             id="zero-reps",

@@ -231,7 +231,15 @@ def test_integrate_fluid_equals_per_step_selection(name, policy, lam, q0):
 
 
 @pytest.mark.parametrize(
-    "q0, lam", [([np.inf, 0.0], [1.0, 1.0]), ([np.nan, 0.0], [1.0, 1.0]), ([1.0, 0.0], [np.nan, 1.0])]
+    "q0, lam",
+    [
+        ([np.inf, 0.0], [1.0, 1.0]),
+        ([np.nan, 0.0], [1.0, 1.0]),
+        ([1.0, 0.0], [np.nan, 1.0]),
+        ([1.0, 0.0], [0.5]),  # used to broadcast 0.5 onto both queues
+        ([1.0, 0.0], [1.0, 1.0, 1.0]),
+        ([1.0], [1.0, 1.0]),
+    ],
 )
 def test_integrate_fluid_refuses_non_finite_inputs(ex2, q0, lam):
     with pytest.raises(ValueError, match="finite"):

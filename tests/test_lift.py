@@ -209,7 +209,7 @@ def test_lift_with_custom_weight(ex2, ex2_clvr):
 def _reference_lift(problem, q, mu0, tol=1e-8):
     """The dual ascent written out point by point, re-evaluating r(mu), the
     dual value and the KKT residual wherever they are used: the reference
-    for LiftProblem.solve, which evaluates each dual point once."""
+    for LiftProblem.solve_many, which evaluates each dual point once."""
     from swnet.lift import _finv_deriv
 
     weight, G = problem.weight, problem.G
@@ -286,19 +286,19 @@ def test_lift_problem_chain_equals_lift(request, name, alpha):
         q = np.abs(q + rng.normal(size=model.n_queues) * 0.3)
         if k % 7 == 0:
             q[k % model.n_queues] = 0.0
-        a = problem.solve(q, mu0=mu_p)
+        r_p, mu, kkt, iterations = problem.solve_many(q[None], mu0=mu_p)
         b = lift(model, lam, weight, clvr, q, mu0=mu_l)
-        for x, y in ((a.r_star, b.r_star), (a.multipliers, b.multipliers)):
+        for x, y in ((r_p[0], b.r_star), (mu[0], b.multipliers)):
             assert np.array_equal(x, y)
-        assert (a.kkt_residual, a.iterations) == (b.kkt_residual, b.iterations)
-        assert a.constraint_kinds == b.constraint_kinds
-        assert a.kkt_residual <= 1e-8
+        assert (kkt[0], iterations[0]) == (b.kkt_residual, b.iterations)
+        assert problem.kinds == b.constraint_kinds
+        assert kkt[0] <= 1e-8
         # the batched Newton step solves with a pseudo-inverse where the
         # reference calls lstsq: the same path, rounded differently
-        r, _, _, iterations = _reference_lift(problem, q, mu_p)
-        assert a.iterations == iterations
-        assert np.abs(a.r_star - r).max() <= 1e-9 * (1.0 + np.abs(q).max())
-        mu_p, mu_l = a.multipliers, b.multipliers
+        r, _, _, ref_iterations = _reference_lift(problem, q, None if mu_p is None else mu_p[0])
+        assert iterations[0] == ref_iterations
+        assert np.abs(r_p[0] - r).max() <= 1e-9 * (1.0 + np.abs(q).max())
+        mu_p, mu_l = mu, b.multipliers
 
 
 LAMS = {"ex2": [1, 1], "switch2": [F(1, 2)] * 4, "tandem2": [1, 0]}
@@ -318,13 +318,12 @@ def test_solve_many_rows_equal_their_own_solve_chains(request, name):
     for step in range(8):
         Q[2:] = np.abs(Q[2:] + rng.normal(size=(B - 2, N)) * 0.5)  # row 1 is held: optimal after one solve
         if step == 4:
-            MU[3], mus[3] = 0.0, np.zeros(MU.shape[1])  # one row restarts cold
+            MU[3], mus[3] = 0.0, np.zeros((1, MU.shape[1]))  # one row restarts cold
         r, MU, kkt, iterations = problem.solve_many(Q, mu0=MU)
         for b in range(B):
-            one = problem.solve(Q[b], mu0=mus[b])
-            assert np.array_equal(one.r_star, r[b]) and np.array_equal(one.multipliers, MU[b])
-            assert (one.kkt_residual, one.iterations) == (kkt[b], iterations[b])
-            mus[b] = one.multipliers
+            r_1, mus[b], kkt_1, iterations_1 = problem.solve_many(Q[b : b + 1], mu0=mus[b])
+            assert np.array_equal(r_1[0], r[b]) and np.array_equal(mus[b][0], MU[b])
+            assert (kkt_1[0], iterations_1[0]) == (kkt[b], iterations[b])
         assert kkt.max() <= 1e-8 and iterations[0] == 1
         seen.update(iterations.tolist())
     assert 1 in seen and len(seen) >= 3  # rows stop at different iterations
@@ -346,7 +345,16 @@ def test_solve_many_rejects_bad_input(ex2, ex2_clvr):
     with pytest.raises(ValueError, match="mu0"):
         problem.solve_many(np.ones((3, 2)), mu0=np.zeros((2, 2)))
     with pytest.raises(ValueError, match="mu0"):
-        problem.solve([1.0, 2.0], mu0=np.zeros(3))  # no silent cold start
+        lift(ex2, [1, 1], WeightFunction.power(1.0), ex2_clvr, [1.0, 2.0], mu0=np.zeros(3))  # no silent cold start
+    for bad in ([np.nan, 1.0], [np.inf, 1.0], [1.0, 2.0, 3.0], 1.0):  # a NaN state used to pass as converged
+        with pytest.raises(ValueError, match="finite"):
+            lift(ex2, [1, 1], WeightFunction.power(1.0), ex2_clvr, bad)
+    for bad in (np.ones(3), np.ones((3, 3)), np.ones((3, 2, 1))):
+        with pytest.raises(ValueError, match="finite"):
+            problem.solve_many(bad)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="mu0 must be finite"):
+            problem.solve_many(np.ones((3, 2)), mu0=np.full((3, 2), bad))
 
 
 def test_solve_many_divergence_names_worst_residual(ex2, ex2_clvr):
@@ -358,7 +366,7 @@ def test_solve_many_divergence_names_worst_residual(ex2, ex2_clvr):
     single = []
     for q in Q[[0, 2]]:
         with pytest.raises(SolverDivergence) as err:
-            problem.solve(q, max_iter=1)
+            problem.solve_many(q[None], max_iter=1)
         single.append(residual(err))
     with pytest.raises(SolverDivergence, match="2 of 3 states") as err:
         problem.solve_many(Q, max_iter=1)
