@@ -56,7 +56,7 @@ from .geometry import (
 )
 from .lift import is_fixed_point, lift
 from .model import NetworkModel, RoutingMatrix, ScheduleSet, WeightFunction, validate_network
-from .policy import Policy, PolicyModelMismatch
+from .policy import Policy, PolicyModelMismatch, TieState
 from .schema import REQUIRED, Decreasing, Edge, Int, Is, Kind, ListOf, Num, SchemaError, Tagged, kind_of, read_object
 from .sim import CsvFormatError, conservation_audit, path_from_csv, row_blocks, run
 
@@ -295,8 +295,10 @@ def _run_simulate(cfg: ScenarioConfig, out: Path, *, horizon, q0, record_every, 
 def _run_fluid(cfg: ScenarioConfig, out: Path, *, q0, h, T, lift_stride) -> int:
     model = cfg.model
     lam_f = [float(v) for v in fraction_vector(cfg.lam)]
+    # only random ties draw from the seed; numpy.random costs about 2 MB to import
+    ties = TieState.seeded(cfg.seed) if cfg.policy.tie_break == "random" else None
     try:
-        traj = integrate_fluid(model, cfg.policy, lam_f, q0, h=h, T=T)
+        traj = integrate_fluid(model, cfg.policy, lam_f, q0, h=h, T=T, tie_state=ties)
     except HorizonNotMultiple as exc:
         raise SchemaError("/experiment/T", str(exc)) from exc
     weight, clvr = _lyapunov_view(cfg)

@@ -17,9 +17,9 @@ import numpy as np
 
 from .lift import LiftProblem, constraint_rows, lift  # lift is unused here, but perfbench/tracer.py wraps fluid.lift
 from .model import NetworkModel, WeightFunction
-from .policy import Policy, TieState, select_batch, weight_vectors
+from .policy import Policy, TieState, argmax_mask, batch_weights, maximizers, resolve, weight_vectors
 from .policy import select_schedule  # unused here, but perfbench/tracer.py wraps fluid.select_schedule
-from .sim import FluidTrajectory, _interp_rows, advance
+from .sim import FluidTrajectory, _interp_rows, advance, count_schedules
 
 
 class GridMismatch(ValueError):
@@ -62,30 +62,33 @@ def integrate_fluid(
     if np.any(q < 0) or np.any(lam < 0):
         raise ValueError("q0 and lam must be >= 0")
     qs = np.zeros((steps + 1, n))
-    ys = np.zeros((steps + 1, n))
-    counts = np.zeros((steps + 1, ns), dtype=np.int64)
+    dY = np.zeros((steps + 1, n))  # row k + 1: the idling of step k
+    chosen = np.empty(steps, dtype=np.int64)
     qs[0] = q
-    y = np.zeros(n)
-    count = np.zeros(ns, dtype=np.int64)
-    s_mat = model.schedules.as_array
+    service = h * model.schedules.as_array
     dA = lam * h
-    tie_states = [TieState() if tie_state is None else tie_state]
+    tie_state = TieState() if tie_state is None else tie_state
+    lexi = policy.kind == "msmw_log"
+    may_tie = policy.tie_break != "highest_index"
+    last = ns - 1
     for k in range(steps):
-        if q.min() < 0:  # multi-hop rounding can leave a queue an ulp below 0
+        if np.minimum.reduce(q) < 0:  # multi-hop rounding can leave a queue an ulp below 0
             raise ValueError("queue state must be >= 0")
-        chosen = select_batch(model, policy, q[None], tie_states)[0]
-        q, dY = advance(model, q, h * s_mat[chosen], dA)
-        y = y + dY
-        count[chosen] += 1
+        mask = argmax_mask(batch_weights(model, policy, q), policy.rel_tol, lexi)
+        pick = last - mask[::-1].argmax()  # the highest-index maximizer
+        if may_tie and mask.sum() > 1:
+            pick = resolve(policy, maximizers(policy, mask[None]), [tie_state], ns)[0]
+        q, dY[k + 1] = advance(model, q, service[pick], dA)
         qs[k + 1] = q
-        ys[k + 1] = y
-        counts[k + 1] = count
+        chosen[k] = pick
+    counts = np.zeros((steps + 1, ns), dtype=np.int64)
+    count_schedules(chosen, np.arange(steps), counts[1:])
     t = np.arange(steps + 1) * h
     return FluidTrajectory(
         t=t,
         q=qs,
         a=np.outer(t, lam),
-        y=ys,
+        y=np.cumsum(dY, axis=0),  # cumsum adds in sequence: each row is the step-by-step sum, bit for bit
         s=counts * h,
         h=h,
     )

@@ -197,14 +197,6 @@ def resolve(policy: Policy, found: list, tie_states: list, ns: int) -> list:
     return [_resolve_tie(policy, m, ts, ns) if type(m) is tuple else m for m, ts in zip(found, tie_states)]
 
 
-def select_batch(model: NetworkModel, policy: Policy, q: np.ndarray, tie_states: list) -> list:
-    """Chosen schedule of each state of a batch q (reps, N), as a list: a
-    maximal-weight schedule, ties broken with the row's own TieState. No
-    input checks."""
-    mask = argmax_mask(batch_weights(model, policy, q), policy.rel_tol, policy.kind == "msmw_log")
-    return resolve(policy, maximizers(policy, mask), tie_states, mask.shape[1])
-
-
 def select_schedule(
     model: NetworkModel,
     policy: Policy,

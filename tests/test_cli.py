@@ -467,6 +467,27 @@ def test_fluid_lift_distances_stay_on_their_rows_for_tiny_steps(tmp_path):
     assert [k for k, row in enumerate(rows) if row.split(",")[-1]] == [0, 10, 20, 30]
 
 
+def test_fluid_random_ties_draw_from_the_scenario_seed(tmp_path):
+    path = _write(
+        tmp_path,
+        "s.json",
+        {
+            "preset": "iq_switch",
+            "M": 2,
+            "lambda": ["1/2"] * 4,
+            "policy": {"kind": "mw", "alpha": 1.0, "tie_break": "random"},
+            "experiment": {"kind": "fluid", "q0": [1, 1, 1, 1], "h": 0.01, "T": 0.1},
+        },
+    )
+    runs = {name: ["fluid", path, "--out", str(tmp_path / name)] for name in ("a", "b", "c")}
+    runs["c"] += ["--seed", "1"]
+    assert [main(argv) for argv in runs.values()] == [0, 0, 0]
+    csv = {name: (tmp_path / name / "fluid.csv").read_bytes() for name in runs}
+    assert csv["a"] == csv["b"]
+    assert csv["a"] != csv["c"]
+    assert json.loads((tmp_path / "c" / "manifest.json").read_text())["seed"] == 1
+
+
 def test_other_arrival_kinds_through_schema(tmp_path):
     batch = {
         "preset": "ex2",

@@ -198,16 +198,32 @@ def test_distance_fluid_scaled_run_vs_integrator(ex2):
 
 
 def _fluid_reference(model, policy, lam, q0, h, T, tie_state):
-    """Reference: the integrator with one select_schedule call per step."""
+    """Reference: the integrator with one select_schedule call per step and
+    y, s summed as it goes; returns the rows of q, y, the schedule counts and
+    the number of tied steps."""
     q = np.asarray(q0, dtype=float)
-    qs, chosen, ties = [q], [], 0
+    y = np.zeros_like(q)
+    count = np.zeros(len(model.schedules), dtype=np.int64)
+    qs, ys, counts, ties = [q], [y], [count], 0
     for _ in range(int(round(T / h))):
         trace = select_schedule(model, policy, q, tie_state)
-        q, _ = advance(model, q, h * model.schedules.as_array[trace.chosen], np.asarray(lam) * h)
+        q, dY = advance(model, q, h * model.schedules.as_array[trace.chosen], np.asarray(lam) * h)
+        y = y + dY
+        count = count.copy()
+        count[trace.chosen] += 1
         qs.append(q)
-        chosen.append(trace.chosen)
+        ys.append(y)
+        counts.append(count)
         ties += len(trace.argmax_set) > 1
-    return np.array(qs), chosen, ties
+    return np.array(qs), np.array(ys), np.array(counts), ties
+
+
+_FLUID_MODELS = {
+    "ex2": presets.ex2,
+    "tandem2": lambda: presets.tandem(2),
+    "tandem3": lambda: presets.tandem(3),
+    "iq2": lambda: presets.iq_switch(2),
+}
 
 
 @pytest.mark.parametrize(
@@ -217,17 +233,31 @@ def _fluid_reference(model, policy, lam, q0, h, T, tie_state):
         ("ex2", Policy.mw(WeightFunction.power(1.0), tie_break="round_robin"), [1.0, 1.0], [0.0, 0.0]),
         ("tandem2", Policy.backpressure(WeightFunction.power(1.0), tie_break="random"), [0.5, 0.0], [1.0, 1.0]),
         ("iq2", Policy.msmw_log(tie_break="random"), [0.5] * 4, [0.0] * 4),
+        ("iq2", Policy.mw_alpha(2.0), [0.3, 0.45, 0.2, 0.35], [0.7, 1.3, 0.2, 0.9]),
+        ("iq2", Policy.mw(WeightFunction.power(1.0), tie_break="round_robin", rel_tol=0.05), [0.5] * 4, [1.0, 0.9, 0.8, 1.2]),
+        ("tandem3", Policy.backpressure(WeightFunction.power(1.0)), [0.35, 0.0, 0.0], [0.5, 0.25, 0.125]),
+        ("iq2", Policy.mw(WeightFunction.power(1.0), tie_break="round_robin"), [0.5] * 4, [1.0] * 4),
     ],
 )
 def test_integrate_fluid_equals_per_step_selection(name, policy, lam, q0):
-    model = {"ex2": presets.ex2, "tandem2": lambda: presets.tandem(2), "iq2": lambda: presets.iq_switch(2)}[name]()
+    model = _FLUID_MODELS[name]()
     traj = integrate_fluid(model, policy, lam, q0, h=0.01, T=2.0, tie_state=TieState.seeded(7))
-    qs, chosen, ties = _fluid_reference(model, policy, lam, q0, 0.01, 2.0, TieState.seeded(7))
+    qs, ys, counts, ties = _fluid_reference(model, policy, lam, q0, 0.01, 2.0, TieState.seeded(7))
     assert ties > 0 or policy.tie_break == "highest_index"
     assert np.array_equal(traj.q, qs)
-    counts = np.zeros(len(model.schedules), dtype=np.int64)
-    np.add.at(counts, chosen, 1)
-    assert np.array_equal(traj.s[-1], counts * 0.01)
+    assert np.array_equal(traj.y, ys)
+    assert np.array_equal(traj.s, counts * 0.01)
+    assert np.array_equal(traj.s[-1], counts[-1] * 0.01)
+
+
+def test_fluid_backpressure_on_tandem3_idles_and_routes():
+    # the tandem3 case above: the equality covers idling and routed work
+    model = presets.tandem(3)
+    lam, q0 = [0.35, 0.0, 0.0], [0.5, 0.25, 0.125]
+    traj = integrate_fluid(model, Policy.backpressure(WeightFunction.power(1.0)), lam, q0, h=0.01, T=2.0)
+    assert traj.y[-1].min() > 0  # every server idled at some step
+    served = traj.s[-1] @ model.schedules.as_array - traj.y[-1]
+    assert served[2] > q0[2]  # the last queue has no arrivals: it served routed work
 
 
 @pytest.mark.parametrize(

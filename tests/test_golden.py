@@ -30,6 +30,15 @@ GOLDEN = {
     "fluid_ex2.json": {
         "fluid.csv": "7a651817ef03900e0fc8c90c3770deb7e6e3741727ef782c37deb21d8b110812",
     },
+    "fluid_iq2_random_ties.json": {
+        "fluid.csv": "d8761d2124febfc9fe028e26e1cc6a3b455b72f30e110b2dc4ae4c17ffc3208e",
+    },
+    "fluid_iq2_round_robin.json": {
+        "fluid.csv": "8cc2f0214af3e4e71f96576639a2ba21791acebf36df9529b4ef05f9287f1ebb",
+    },
+    "fluid_iq2_sliding.json": {
+        "fluid.csv": "d2e6dd3a5e322a38fd13fe22e9462bca65d03447a0a42c78308a31f4fa542c0b",
+    },
     "iqcheck_m2.json": {
         "iqcheck.json": "16b9f0f18bad5f02eb41582ffa4eaf36509fabac017ce09f527c38e95a45bab3",
     },
