@@ -286,7 +286,8 @@ def _run_simulate(cfg: ScenarioConfig, out: Path, *, horizon, q0, record_every, 
     else:
         path = run(model, cfg.policy, cfg.arrivals, q0, horizon, cfg.seed, record_every=record_every)
         if len(path.tau) == path.horizon + 1:
-            (out / "trajectory.csv").write_text(path.to_csv(), encoding="utf-8", newline="\n")
+            with (out / "trajectory.csv").open("w", encoding="utf-8", newline="\n") as f:
+                path.to_csv(f)
     report = conservation_audit(path, model, rtol=cfg.tolerances["audit_rtol"])
     (out / "audit.json").write_bytes(_json_bytes(report.summary()))
     return 0 if report.ok else 2
@@ -313,9 +314,9 @@ def _run_fluid(cfg: ScenarioConfig, out: Path, *, q0, h, T, lift_stride) -> int:
             f"policy={cfg.policy.label()}, h={h!r}, T={T!r}\n"
         )
         f.write("t," + ",".join(f"q_{i+1}" for i in range(model.n_queues)) + ",L,drift_formula,drift_fd,dist_to_lift\n")
-        for lo, rows in row_blocks(traj.t, traj.q, L_vals, formula, fd):
+        for lo, block in row_blocks(traj.t, traj.q, L_vals, formula, fd):
             lines = []
-            for k, (*vals, fd_k) in enumerate(rows, lo):
+            for k, (*vals, fd_k) in enumerate(block.tolist(), lo):
                 d = dist_at.get(vals[0])
                 tail = [repr(fd_k) if 0 < k < K else "", "" if d is None else repr(d)]
                 lines.append(",".join([*map(repr, vals), *tail]) + "\n")

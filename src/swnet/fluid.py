@@ -68,6 +68,8 @@ def integrate_fluid(
     service = h * model.schedules.as_array
     dA = lam * h
     tie_state = TieState() if tie_state is None else tie_state
+    if policy.tie_break == "random" and tie_state.rng is None:  # refused before any step, tie or not
+        raise ValueError("random tie-break needs a seeded TieState")
     lexi = policy.kind == "msmw_log"
     may_tie = policy.tie_break != "highest_index"
     last = ns - 1

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import chain, islice
 from typing import Optional
 
 import numpy as np
@@ -45,11 +45,9 @@ SELECTION_ROWS = 4096
 
 
 def row_blocks(*columns: np.ndarray):
-    """Yield (lo, rows) for each block of BLOCK_ROWS rows of the columns put
-    side by side; rows are lists of Python floats, whose repr is that of
-    the numpy values."""
+    """Yield (lo, block) for each BLOCK_ROWS rows of the columns side by side, as one float ndarray."""
     for lo in range(0, len(columns[0]), BLOCK_ROWS):
-        yield lo, np.column_stack([c[lo : lo + BLOCK_ROWS] for c in columns]).tolist()
+        yield lo, np.column_stack([c[lo : lo + BLOCK_ROWS] for c in columns])
 
 
 def count_schedules(chosen: np.ndarray, last: np.ndarray, out: np.ndarray) -> None:
@@ -134,26 +132,25 @@ class SystemPath:
     def n_queues(self) -> int:
         return self.Q.shape[1]
 
-    def to_csv(self) -> str:
-        """Dense per-slot export; requires record_every=1.
+    def to_csv(self, f) -> None:
+        """Write the dense per-slot export into the open text file ``f``; requires record_every=1.
 
-        Columns: tau,q_1..q_N,a_1..a_N,b_1..b_N,y_1..y_N,chosen_schedule.
-        The final row's chosen_schedule is empty (no slot follows it). A
-        leading '#' comment names the run context.
+        Columns: tau,q_1..q_N,a_1..a_N,b_1..b_N,y_1..y_N,chosen_schedule (empty on the last row), after a '#'
+        comment naming the run context. Each BLOCK_ROWS rows are one %-template: "%d.0" of int64 cells (their
+        float repr) if all are integers in [0, 2**53) with the sign bit clear (tested before astype), else "%r".
         """
         if len(self.tau) != self.horizon + 1:
             raise ValueError("CSV export needs a densely recorded path")
         context = ", ".join(f"{k}={v}" for k, v in sorted(self.meta.items()))
         head = ["tau"] + [f"{c}_{i+1}" for c in "qaby" for i in range(self.n_queues)] + ["chosen_schedule"]
-        parts = [f"# {context}\n", ",".join(head) + "\n"]
-        for lo, rows in row_blocks(self.Q, self.A, self.B, self.Y):
-            hi = lo + len(rows)
+        f.write(f"# {context}\n" + ",".join(head) + "\n")
+        for lo, block in row_blocks(self.Q, self.A, self.B, self.Y):
+            hi = lo + len(block)
+            lattice = not np.signbit(block).any() and (block < 2**53).all() and (block == np.trunc(block)).all()
+            line = "%d," + ("%d.0," if lattice else "%r,") * block.shape[1] + "%s\n"
+            cols = (block.astype(np.int64) if lattice else block).T.tolist()
             picks = self.chosen[lo:hi].tolist() + [""]  # the last row's empty cell; zip drops it elsewhere
-            parts.append("".join(
-                f"{t},{','.join(map(repr, vals))},{c}\n"
-                for t, vals, c in zip(self.tau[lo:hi].tolist(), rows, picks)
-            ))
-        return "".join(parts)
+            f.write((line * len(block)) % tuple(chain.from_iterable(zip(self.tau[lo:hi].tolist(), *cols, picks))))
 
 
 def run(

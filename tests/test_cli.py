@@ -522,6 +522,7 @@ def test_strided_simulate_skips_csv_but_audits(tmp_path):
     out = tmp_path / "out"
     assert execute(parse_scenario(scenario), out) == 0
     assert not (out / "trajectory.csv").exists()
+    assert sorted(p.name for p in out.iterdir()) == ["audit.json", "manifest.json"]
     audit = json.loads((out / "audit.json").read_text())
     assert audit["ok"]
 

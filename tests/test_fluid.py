@@ -260,6 +260,21 @@ def test_fluid_backpressure_on_tandem3_idles_and_routes():
     assert served[2] > q0[2]  # the last queue has no arrivals: it served routed work
 
 
+@pytest.mark.parametrize("q0", [[2.0, 0.0, 0.0, 1.0], [1.0, 1.0, 1.0, 1.0]])  # no tie at step 0; a tie at step 0
+def test_integrate_fluid_refuses_unseeded_random_ties_before_any_step(monkeypatch, q0):
+    model, policy = presets.iq_switch(2), Policy.mw(WeightFunction.power(1.0), tie_break="random")
+    seeded = integrate_fluid(model, policy, [0.5] * 4, q0, h=1e-3, T=1.0, tie_state=TieState.seeded(3))
+    assert seeded.q.shape == (1001, 4)
+
+    def no_step(*args):
+        raise AssertionError("stepped before refusing")
+
+    monkeypatch.setattr("swnet.fluid.advance", no_step)
+    for ties in (None, TieState()):
+        with pytest.raises(ValueError, match="random tie-break needs a seeded TieState"):
+            integrate_fluid(model, policy, [0.5] * 4, q0, h=1e-3, T=20.0, tie_state=ties)
+
+
 @pytest.mark.parametrize(
     "q0, lam",
     [

@@ -1,3 +1,5 @@
+import io
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -204,7 +206,7 @@ def test_csv_roundtrip_audits_clean(ex2):
         200,
         seed=13,
     )
-    text = path.to_csv()
+    text = _csv_text(path)
     back = path_from_csv(text, ex2)
     assert conservation_audit(back, ex2).ok
     assert np.array_equal(back.Q, path.Q)
@@ -629,6 +631,13 @@ def _rowwise_audit(path, model, rtol=1e-9, bound_pairs=200, seed=0):
     return AuditReport(ok=not viol, violations=viol, max_residual=max_res, checks_run=checks)
 
 
+def _csv_text(path):
+    """The dense CSV export, written into a text buffer."""
+    buf = io.StringIO()
+    path.to_csv(buf)
+    return buf.getvalue()
+
+
 def _rowwise_csv(path):
     """Reference: the dense CSV export formatted one numpy scalar at a time."""
     n = path.n_queues
@@ -753,9 +762,76 @@ def test_audit_of_short_paths_equals_rowwise_reference(ex2):
 def test_csv_equals_rowwise_reference(ex2, horizon):
     # lam = 1/3 makes every arrival and queue cell a fraction with a long repr
     path = run(ex2, Policy.mw_alpha(1.0), ArrivalModel.deterministic([1 / 3, 1 / 3]), [0.5, 1 / 7], horizon, seed=4)
-    text = path.to_csv()
+    text = _csv_text(path)
     assert text == _rowwise_csv(path)
     assert len(text.splitlines()) == horizon + 3
     back = path_from_csv(text, ex2)
     for key in ("tau", "Q", "A", "B", "Y", "S_cum", "chosen"):
         assert np.array_equal(getattr(back, key), getattr(path, key)), key
+
+
+def _lattice_path(name, horizon):
+    """Integer arrivals and 0/1 schedules: every cell is an integer-valued float."""
+    if name == "ex2":
+        model = presets.ex2()
+        return model, run(model, Policy.mw_alpha(1.0), ArrivalModel.bernoulli([0.9, 0.5]), [1.0, 0.0], horizon, seed=13)
+    model = presets.tandem(3)
+    policy = Policy.backpressure(WeightFunction.power(1.0))
+    return model, run(model, policy, ArrivalModel.bernoulli([0.8, 0.0, 0.0]), [2.0, 1.0, 0.0], horizon, seed=5)
+
+
+@pytest.mark.parametrize("name", ["ex2", "tandem3"])
+@pytest.mark.parametrize("horizon", [0, BLOCK_ROWS - 2, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1])
+def test_lattice_csv_equals_rowwise_reference(name, horizon):
+    model, path = _lattice_path(name, horizon)
+    cells = np.hstack([path.Q, path.A, path.B, path.Y])
+    assert (cells == np.trunc(cells)).all() and not np.signbit(cells).any()  # every block takes "%d.0"
+    assert horizon == 0 or cells.max() > 1  # not only zeros and ones
+    text = _csv_text(path)
+    assert text == _rowwise_csv(path)
+    back = path_from_csv(text, model)
+    for key in ("tau", "Q", "A", "B", "Y", "S_cum", "chosen"):
+        assert np.array_equal(getattr(back, key), getattr(path, key)), key
+    assert conservation_audit(back, model).ok
+
+
+def test_csv_blocks_choose_their_own_template():
+    # block 0 stays on the lattice; block 1 holds every cell the lattice test must
+    # refuse; block 2 is on the lattice up to 2**53 - 1; block 3 differs from the
+    # lattice only by one -0.0, which "%d.0" would print as 0.0
+    _, path = _lattice_path("ex2", 4 * BLOCK_ROWS - 1)
+    odd = [-0.0, 0.5, 2.0**53 - 1, 2.0**53, 1e16, np.nan, np.inf, -np.inf, 1 / 3, 5e-324, -7.0]
+    for k, v in enumerate(odd):
+        getattr(path, "QABY"[k % 4])[BLOCK_ROWS + 3 * k, k % 2] = v
+    path.Y[2 * BLOCK_ROWS + 5, 1] = 2.0**53 - 1
+    path.B[3 * BLOCK_ROWS + 9, 0] = -0.0
+    text = _csv_text(path)
+    assert text == _rowwise_csv(path)
+    lines = text.splitlines()
+    assert "9007199254740991.0" in lines[2 + 2 * BLOCK_ROWS + 5].split(",")
+    assert "-0.0" in lines[2 + 3 * BLOCK_ROWS + 9].split(",")
+    for v in odd:
+        assert repr(v) in text
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.one_of(st.floats(), st.integers(-(2**60), 2**60).map(float)),
+    st.sampled_from(["Q", "A", "B", "Y"]),
+    st.integers(0, 2),
+)
+def test_csv_prints_any_float_cell_as_repr(value, block, row):
+    # the other cells are on the lattice, so this one cell picks the template
+    _, path = _lattice_path("ex2", 2)
+    getattr(path, block)[row, 1] = value
+    text = _csv_text(path)
+    assert text == _rowwise_csv(path)
+    assert text.splitlines()[2 + row].split(",")[1 + "QABY".index(block) * 2 + 1] == repr(value)
+
+
+def test_csv_refuses_a_strided_path(ex2):
+    path = run(ex2, Policy.mw_alpha(1.0), ArrivalModel.bernoulli([0.9, 0.5]), [1.0, 0.0], 20, seed=1, record_every=3)
+    buf = io.StringIO()
+    with pytest.raises(ValueError, match="CSV export needs a densely recorded path"):
+        path.to_csv(buf)
+    assert buf.getvalue() == ""
