@@ -49,6 +49,7 @@ from .geometry import (
     complete_loading_check,
     critically_loaded,
     enumerate_dual_vertices,
+    float_vector,
     fraction_vector,
     solve_dual,
     solve_primal,
@@ -150,11 +151,15 @@ def _preset_or_network(raw: dict) -> NetworkModel:
     return preset.read({k: raw[k] for k in preset.keys if k in raw}, "", None)
 
 
+# iqcheck brute-forces the M! matchings and the dual vertices of iq_switch(M): M = 4 exceeds the vertex budget
+_IQCHECK_SWITCH = Kind(presets.iq_switch, {"M": (Int(ge=1, le=3), REQUIRED)})
+
+
 def _iqcheck_switch(raw: dict) -> NetworkModel:
     """iq_switch(M) with the experiment's M, else the top-level M, else 2."""
     exp = raw["experiment"]
     obj, at = (exp, "/experiment") if "M" in exp else (raw, "")
-    return PRESETS["iq_switch"].read({"M": obj.get("M", 2)}, at, None)
+    return _IQCHECK_SWITCH.read({"M": obj.get("M", 2)}, at, None)
 
 
 @dataclass
@@ -253,7 +258,7 @@ def _run_analyze(cfg: ScenarioConfig, out: Path, *, budget) -> int:
     dvalue, xi = solve_dual(model, lam)
     load = classify_primal(value, cfg.lam)
     (clvr, clvr_plus), vrs = _clvr_for(cfg, budget)
-    cl_ok, cl_weights = complete_loading_check(model, lam, vrs)
+    cl_ok, cl_weights = complete_loading_check(model, clvr)
     doc = {
         "lambda": [str(v) for v in fraction_vector(cfg.lam)],
         "primal_value": str(value),
@@ -295,7 +300,7 @@ def _run_simulate(cfg: ScenarioConfig, out: Path, *, horizon, q0, record_every, 
 
 def _run_fluid(cfg: ScenarioConfig, out: Path, *, q0, h, T, lift_stride) -> int:
     model = cfg.model
-    lam_f = [float(v) for v in fraction_vector(cfg.lam)]
+    lam_f = float_vector(cfg.lam)
     # only random ties draw from the seed; numpy.random costs about 2 MB to import
     ties = TieState.seeded(cfg.seed) if cfg.policy.tie_break == "random" else None
     try:
@@ -394,14 +399,14 @@ def _run_collapse(
 
 def _run_iqcheck(cfg: ScenarioConfig, out: Path, *, alphas, samples, coverage_samples, grid_points) -> int:
     m = math.isqrt(cfg.model.n_queues)  # the model is iq_switch(M)
+    checks = matching_structure_checks(m, samples, seed=cfg.seed, coverage_samples=coverage_samples)
 
     # virtual resources must be exactly the row/column indicators
-    vrs = enumerate_dual_vertices(cfg.model)
     expected = set()
     for i in range(m):
         expected.add(tuple(Fraction(1) if k // m == i else Fraction(0) for k in range(m * m)))
         expected.add(tuple(Fraction(1) if k % m == i else Fraction(0) for k in range(m * m)))
-    resources_ok = set(map(tuple, vrs.maximal)) == expected
+    resources_ok = set(map(tuple, checks.resources.maximal)) == expected
 
     rng = np.random.default_rng(cfg.seed)
     disagreements = 0
@@ -414,7 +419,6 @@ def _run_iqcheck(cfg: ScenarioConfig, out: Path, *, alphas, samples, coverage_sa
             disagreements += 1
 
     mono = alpha_monotonicity_probe(alphas)
-    checks = matching_structure_checks(m, samples, seed=cfg.seed, coverage_samples=coverage_samples)
     ok = resources_ok and disagreements == 0 and mono.nested and checks.ok
     doc = {
         "M": m,

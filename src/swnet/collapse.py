@@ -13,11 +13,11 @@ import numpy as np
 
 from . import presets
 from .arrivals import ArrivalModel, derive_rng
-from .geometry import critically_loaded, enumerate_dual_vertices, to_fraction
+from .geometry import VirtualResourceSet, critically_loaded, enumerate_dual_vertices, float_vector
 from .lift import LiftProblem
 from .lift import lift  # unused here, but perfbench/tracer.py wraps collapse.lift
 from .model import NetworkModel, WeightFunction
-from .policy import Policy
+from .policy import Policy, weight_vectors
 from .sim import FluidTrajectory, rescale, run_batch
 from .sim import run  # unused here, but perfbench/tracer.py wraps collapse.run
 
@@ -57,7 +57,7 @@ class MsscConfig:
     arrival_kind: str = "bernoulli"  # or "deterministic"
 
     def arrival_for(self, r: int) -> ArrivalModel:
-        lam_f = np.array([float(to_fraction(v)) for v in self.lam])
+        lam_f = float_vector(self.lam)
         if self.gamma is not None:
             lam_f = np.maximum(lam_f - np.asarray(self.gamma, dtype=float) / r, 0.0)
         if self.arrival_kind == "deterministic":
@@ -342,6 +342,7 @@ def default_workload_grid():
 @dataclass
 class MatchingChecksReport:
     m: int
+    resources: VirtualResourceSet  # the switch's dual vertices, enumerated once per run
     closure_samples: int
     closure_violations: int
     coverage_samples: int
@@ -358,7 +359,10 @@ def matching_structure_checks(
     seed: int,
     coverage_samples: int = 100,
 ) -> MatchingChecksReport:
-    """Two structural facts about max-weight matchings, brute-forced.
+    """Two structural facts about max-weight matchings, brute-forced over
+    all M! matchings of iq_switch(M), M <= 3, at once: each matching's
+    weight is its schedule weight (policy.weight_vectors) and a union of
+    matchings is a boolean matrix product with their cells.
 
     Closure: for random integer weight matrices, every matching supported
     inside the union of max-weight matchings is itself max-weight (exact
@@ -367,48 +371,32 @@ def matching_structure_checks(
     some max-weight matching of q^alpha (within a relative 1e-7, since
     invariant states are produced numerically by the lift solver).
     """
-    if m > 4:
-        raise ValueError("brute force over matchings supports M <= 4")
+    if m > 3:
+        raise ValueError("brute force over matchings supports M <= 3")
     sw = presets.iq_switch(m)
-    matchings = [pi.reshape(m, m) for pi in sw.schedules]
+    cells = sw.schedules.as_array > 0  # (matchings, queues)
+    weight = WeightFunction.power(1.0)  # alpha = 1
     rng = derive_rng(seed)
-    closure_bad = 0
-    for _ in range(samples):
-        x = rng.integers(0, 7, size=(m, m)).astype(float)
-        weights = np.array([float((pi * x).sum()) for pi in matchings])
-        top = weights.max()
-        support = np.zeros((m, m), dtype=bool)
-        for pi, wt in zip(matchings, weights):
-            if wt == top:
-                support |= pi > 0
-        for pi, wt in zip(matchings, weights):
-            if np.all(support[pi > 0]) and wt != top:
-                closure_bad += 1
-                break
+    x = rng.integers(0, 7, size=(samples, m * m)).astype(float)  # the same draws as one matrix at a time
+    weights = weight_vectors(sw, weight, x, pressure=False)
+    top = weights == weights.max(axis=1, keepdims=True)
+    outside = ~(top @ cells) @ cells.T  # a matching with a cell outside the union of the max-weight ones
+    closure_bad = int((~outside & ~top).any(axis=1).sum())
 
     # invariant states via the lifting map under uniform rates
     vrs = enumerate_dual_vertices(sw)
     lam = [Fraction(1, m)] * (m * m)
     clvr, _ = critically_loaded(sw, lam, vrs)
-    alpha = 1.0
-    weight = WeightFunction.power(alpha)
     q0 = rng.random((coverage_samples, m * m)) * 3.0  # the same draws as one state at a time
     inv_states = LiftProblem(sw, lam, weight, clvr).solve_many(q0)[0]  # cold-started, one batch
-    coverage_bad = 0
-    for inv_state in inv_states:
-        xw = inv_state.reshape(m, m) ** alpha
-        weights = np.array([float((pi * xw).sum()) for pi in matchings])
-        top = weights.max()
-        covered = np.zeros((m, m), dtype=bool)
-        for pi, wt in zip(matchings, weights):
-            if wt >= top - 1e-7 * (1.0 + abs(top)):
-                covered |= pi > 0
-        if not covered.all():
-            coverage_bad += 1
+    weights = weight_vectors(sw, weight, inv_states, pressure=False)
+    top = weights.max(axis=1, keepdims=True)
+    covered = (weights >= top - 1e-7 * (1.0 + np.abs(top))) @ cells
     return MatchingChecksReport(
         m=m,
+        resources=vrs,
         closure_samples=samples,
         closure_violations=closure_bad,
         coverage_samples=coverage_samples,
-        coverage_violations=coverage_bad,
+        coverage_violations=int((~covered.all(axis=1)).sum()),
     )

@@ -17,7 +17,7 @@ import numpy as np
 
 from .lift import LiftProblem, constraint_rows, lift  # lift is unused here, but perfbench/tracer.py wraps fluid.lift
 from .model import NetworkModel, WeightFunction
-from .policy import Policy, TieState, argmax_mask, batch_weights, maximizers, resolve, weight_vectors
+from .policy import Policy, TieState, argmax_mask, batch_weights, drift_formula, maximizers, resolve
 from .policy import select_schedule  # unused here, but perfbench/tracer.py wraps fluid.select_schedule
 from .sim import FluidTrajectory, _interp_rows, advance, count_schedules
 
@@ -43,7 +43,8 @@ def integrate_fluid(
     T must be a whole number of steps (to 1e-9 relative).
 
     a(t) = lambda*t exactly; s counts h per step on the chosen schedule, so
-    sum_pi s_pi(t) = t; y accumulates the clipped idling.
+    sum_pi s_pi(t) = t; y sums the idling [h*pi - q]^+ of each step, derived
+    from the states and picks after the loop.
     """
     if not 0 < h <= 0.1:
         raise ValueError("step h must lie in (0, 0.1]")
@@ -62,7 +63,6 @@ def integrate_fluid(
     if np.any(q < 0) or np.any(lam < 0):
         raise ValueError("q0 and lam must be >= 0")
     qs = np.zeros((steps + 1, n))
-    dY = np.zeros((steps + 1, n))  # row k + 1: the idling of step k
     chosen = np.empty(steps, dtype=np.int64)
     qs[0] = q
     service = h * model.schedules.as_array
@@ -80,38 +80,30 @@ def integrate_fluid(
         pick = last - mask[::-1].argmax()  # the highest-index maximizer
         if may_tie and mask.sum() > 1:
             pick = resolve(policy, maximizers(policy, mask[None]), [tie_state], ns)[0]
-        q, dY[k + 1] = advance(model, q, service[pick], dA)
-        qs[k + 1] = q
+        q = qs[k + 1] = advance(model, q, service[pick], dA)
         chosen[k] = pick
+    y = np.zeros((steps + 1, n))
+    np.maximum(service[chosen] - qs[:-1], 0.0, out=y[1:])
+    np.cumsum(y, axis=0, out=y)  # cumsum adds in sequence: each row is the step-by-step sum, bit for bit
     counts = np.zeros((steps + 1, ns), dtype=np.int64)
     count_schedules(chosen, np.arange(steps), counts[1:])
     t = np.arange(steps + 1) * h
-    return FluidTrajectory(
-        t=t,
-        q=qs,
-        a=np.outer(t, lam),
-        y=np.cumsum(dY, axis=0),  # cumsum adds in sequence: each row is the step-by-step sum, bit for bit
-        s=counts * h,
-        h=h,
-    )
+    return FluidTrajectory(t=t, q=qs, a=np.outer(t, lam), y=y, s=counts * h, h=h)
 
 
 def lyapunov_drift(model: NetworkModel, lam, weight: WeightFunction, traj: FluidTrajectory):
     """Per grid row of a fluid path: (L(q), drift formula, central difference
     of L, argmax mask of the weights).
 
-    The formula is lambda . f(q) - max_pi (policy weight at q); it is <= 0
-    for admissible rates, and the fluid solution satisfies it with equality.
-    The central difference is NaN at the first and the last row.
+    The formula is policy.drift_formula; the fluid solution satisfies it
+    with equality. The central difference is NaN at the first and the last
+    row. The masks compare exactly, as the policies do by default.
     """
     L_vals = weight.lyapunov(traj.q)
-    weights = weight_vectors(model, weight, traj.q, pressure=not model.is_single_hop)
-    top = weights.max(axis=1)
-    formula = (weight.value(traj.q) @ np.asarray(lam, dtype=float)) - top
+    formula, weights = drift_formula(model, np.asarray(lam, dtype=float), weight, traj.q)
     fd = np.full(L_vals.shape, np.nan)
     fd[1:-1] = (L_vals[2:] - L_vals[:-2]) / (2.0 * traj.h)
-    # argmax sets as boolean masks; exact comparison mirrors the policies
-    return L_vals, formula, fd, weights >= top[:, None]
+    return L_vals, formula, fd, argmax_mask(weights, 0.0, False)
 
 
 def lyapunov_drift_check(

@@ -51,6 +51,11 @@ def fraction_vector(xs) -> tuple[Fraction, ...]:
     return tuple(to_fraction(x) for x in xs)
 
 
+def float_vector(xs) -> np.ndarray:
+    """Rates, vertices and other values as given (ints, floats, Fractions, 'p/q' strings) as the nearest floats."""
+    return np.array([float(to_fraction(x)) for x in xs])
+
+
 # ---------------------------------------------------------------------------
 # exact linear algebra
 # ---------------------------------------------------------------------------
@@ -469,15 +474,13 @@ def critically_loaded(
     return clvr, clvr_plus
 
 
-def complete_loading_check(
-    model: NetworkModel, lam, vrs: VirtualResourceSet
-) -> tuple[bool, Optional[list[Fraction]]]:
-    """Is 1/(max_pi 1.pi) in the convex hull of Xi(lam)?
+def complete_loading_check(model: NetworkModel, clvr) -> tuple[bool, Optional[list[Fraction]]]:
+    """Is 1/(max_pi 1.pi) in the convex hull of Xi(lam), given as ``clvr``
+    (the first list critically_loaded returns)?
 
-    Returns (True, convex weights over Xi(lam) in canonical vertex order)
+    Returns (True, convex weights over Xi(lam) in the order of ``clvr``)
     or (False, None). Exact LP feasibility over rationals.
     """
-    clvr, _ = critically_loaded(model, lam, vrs)
     if not clvr:
         return False, None
     n = model.n_queues

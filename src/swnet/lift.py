@@ -21,17 +21,13 @@ from typing import Optional
 
 import numpy as np
 
-from .geometry import fraction_vector, solve_lp, to_fraction
+from .geometry import float_vector, fraction_vector, solve_lp, to_fraction
 from .model import NetworkModel, WeightFunction
-from .policy import weight_vectors
+from .policy import drift_formula
 
 
 class SolverDivergence(RuntimeError):
     """Dual ascent failed to reach the KKT tolerance."""
-
-
-def _lam_floats(lam) -> np.ndarray:
-    return np.array([float(to_fraction(v)) for v in lam])
 
 
 def _zero_rate_mask(model: NetworkModel, lam) -> np.ndarray:
@@ -58,8 +54,7 @@ def constraint_rows(model: NetworkModel, lam, clvr, include_caps: bool) -> tuple
     rows: list[np.ndarray] = []
     kinds: list[str] = []
     for i, xi in enumerate(clvr):
-        xi_arr = np.array([float(to_fraction(v)) for v in xi])
-        rows.append(xi_arr @ rt)
+        rows.append(float_vector(xi) @ rt)
         kinds.append(f"workload_{i}")
     if include_caps:
         for n in np.flatnonzero(_zero_rate_mask(model, lam)):
@@ -312,14 +307,11 @@ def invariant_state_test(
     q,
     tol: float = 1e-6,
 ) -> bool:
-    """Fixed-point criterion without solving the program:
-    lambda . f(q) equals the maximal schedule weight at q (single-hop
-    weights pi . f(q); multi-hop pi . (I-R) f(q))."""
-    q = np.asarray(q, dtype=float)
-    weights = weight_vectors(model, weight, q, pressure=not model.is_single_hop)
-    max_w = float(weights.max())
-    lam_fq = float(_lam_floats(lam) @ weight.value(q))
-    return abs(lam_fq - max_w) <= tol * (1.0 + abs(max_w))
+    """Fixed-point criterion without solving the program: the drift formula
+    lambda . f(q) - max_pi (policy weight at q) is zero, to within tol
+    relative to the maximal weight; see policy.drift_formula."""
+    formula, weights = drift_formula(model, float_vector(lam), weight, q)
+    return abs(float(formula)) <= tol * (1.0 + abs(float(weights.max())))
 
 
 def representation_check(
@@ -338,7 +330,7 @@ def representation_check(
     """
     r_star = np.asarray(r_star, dtype=float)
     q = np.asarray(q, dtype=float)
-    lam_f = [to_fraction(float(v)) for v in _lam_floats(lam)]
+    lam_f = [to_fraction(v) for v in float_vector(lam)]
     tol_f = to_fraction(1e-6)
     n = model.n_queues
     pis = [[to_fraction(float(v)) for v in pi] for pi in model.schedules.as_array]

@@ -112,6 +112,16 @@ def weight_vectors(model: NetworkModel, weight: WeightFunction, q, pressure: boo
     return (model.schedules.as_array @ fq[..., None])[..., 0]
 
 
+def drift_formula(model: NetworkModel, lam: np.ndarray, weight: WeightFunction, q) -> tuple[np.ndarray, np.ndarray]:
+    """(lambda . f(q) - max_pi w_pi(q), w) at a state q (N,) or at each row
+    of q (..., N), with w the max-weight schedule weights of weight_vectors
+    (pressure weights on a multi-hop network). The formula is <= 0 for
+    admissible float rates ``lam`` and 0 at the invariant states."""
+    q = np.asarray(q, dtype=float)
+    weights = weight_vectors(model, weight, q, pressure=not model.is_single_hop)
+    return (weight.value(q) @ lam) - weights.max(axis=-1), weights
+
+
 def batch_weights(model: NetworkModel, policy: Policy, q: np.ndarray) -> np.ndarray:
     """Per-schedule weights of each state in a batch q (..., N).
 

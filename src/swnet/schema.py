@@ -160,7 +160,9 @@ def read_object(obj, at: str, keys: dict, n=None, extra=()) -> dict:
 
 def kind_of(obj, at: str, table: dict, what: str):
     """The entry of ``table`` that the object's "kind" names."""
-    if not isinstance(obj, dict) or "kind" not in obj:
+    if not isinstance(obj, dict):
+        raise SchemaError(at or "/", f"expected an object, got {obj!r}")
+    if "kind" not in obj:
         raise SchemaError(f"{at}/kind", "missing required key")
     name = obj["kind"]
     if not isinstance(name, str) or name not in table:

@@ -57,24 +57,21 @@ def count_schedules(chosen: np.ndarray, last: np.ndarray, out: np.ndarray) -> No
         out[:, s] = np.cumsum(chosen == s)[last]
 
 
-def advance(
-    model: NetworkModel, q: np.ndarray, dB: np.ndarray, dA: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """The queue recursion for one slot: returns (q_next, dY).
+def advance(model: NetworkModel, q: np.ndarray, dB: np.ndarray, dA: np.ndarray) -> np.ndarray:
+    """The queue recursion for one slot: returns the next state.
 
-    Single-hop: q_next = [q - dB]^+ + dA. Multi-hop: the work actually
-    served, dB - dY, leaves its queue and joins the downstream one. dY =
-    [dB - q]^+ is the idled service. The fluid integrator runs the same
-    recursion with increments h*pi and lambda*h. ``q`` is one state (N,) or
-    a batch (reps, N); each row is routed by its own matrix-vector product,
-    so a batch row equals the recursion of that state alone, bit for bit.
+    Single-hop: [q - dB]^+ + dA. Multi-hop: the work actually served, dB
+    less the idled service [dB - q]^+ (which callers derive from the states
+    they record), joins the downstream queue. The fluid integrator runs the
+    same recursion with increments h*pi and lambda*h. ``q`` is one state (N,)
+    or a batch (reps, N); each row is routed by its own matrix-vector
+    product, so a batch row equals the recursion of that state alone.
     """
-    dY = np.maximum(dB - q, 0.0)
     if model.is_single_hop:
-        return np.maximum(q - dB, 0.0) + dA, dY
-    served = dB - dY
+        return np.maximum(q - dB, 0.0) + dA
+    served = dB - np.maximum(dB - q, 0.0)
     routed = (model.routing.into @ served[..., None])[..., 0]
-    return q - served + routed + dA, dY
+    return q - served + routed + dA
 
 
 @dataclass
@@ -99,10 +96,10 @@ def step(
         raise ValueError("arrival increments must be >= 0")
     trace = select_schedule(model, policy, q, tie_state)
     dB = model.schedules[trace.chosen]
-    q_next, dY = advance(model, q, dB, dA)
+    q_next = advance(model, q, dB, dA)
     if q_next.min() < 0.0:
         raise NegativeQueue(f"queue went negative: {q_next}")
-    return StepResult(q_next=q_next, service=dB, idling=dY, trace=trace)
+    return StepResult(q_next=q_next, service=dB, idling=np.maximum(dB - q, 0.0), trace=trace)
 
 
 @dataclass
@@ -222,9 +219,9 @@ def run_batch(
     growing at SELECTION_ROWS entries.
 
     Q, B, Y and sup_q are rebuilt from the visited states a block of
-    BLOCK_ROWS state rows (BLOCK_ROWS // reps slots) at a time, with
-    dY = [dB - Q]^+ as ``advance`` computes it. B and Y are one compensated (Kahan) sum over the stacked [dB | dY],
-    which on exact data (see ``exact_sums``) is a plain cumulative sum.
+    BLOCK_ROWS state rows (BLOCK_ROWS // reps slots) at a time, with idling
+    dY = [dB - Q]^+. B and Y are one compensated (Kahan) sum over the stacked
+    [dB | dY], which on exact data (see ``exact_sums``) is a cumulative sum.
     """
     policy.validate_for(model)
     q0 = np.asarray(q0, dtype=float)
@@ -290,7 +287,7 @@ def run_batch(
             if None in nxt:
                 if q is None:
                     q = np.frombuffer(b"".join(cur)).reshape(reps, n)
-                q = advance(model, q, s_mat.take(pick, axis=0), dA[tau])[0]
+                q = advance(model, q, s_mat.take(pick, axis=0), dA[tau])
                 if np.minimum.reduce(q, axis=None) < 0.0:
                     bad = int(np.argmin(q.min(axis=1)))
                     raise NegativeQueue(f"queue went negative at slot {tau}: {q[bad]}")

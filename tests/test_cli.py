@@ -103,6 +103,20 @@ def _analysis(tmp_path, scenario):
     return json.loads((tmp_path / "out" / "analysis.json").read_text())
 
 
+def test_analyze_tests_complete_loading_against_the_reported_clvr(tmp_path):
+    # row 2 and column 2 load to 1 + 2**-53 in exact arithmetic; tolerances.clvr admits them,
+    # and complete loading is tested against the same four resources that analysis.json lists
+    doc = _analysis(tmp_path / "float", {
+        "preset": "iq_switch", "M": 2, "lambda": [0.5, 0.5, 0.5, 0.5000000000000001],
+        "tolerances": {"clvr": 1e-9}, "experiment": {"kind": "analyze"},
+    })
+    exact = _analysis(tmp_path / "exact", {"preset": "iq_switch", "M": 2, "lambda": ["1/2"] * 4,
+                                           "experiment": {"kind": "analyze"}})
+    assert doc["clvr"] == exact["clvr"] and len(doc["clvr"]) == 4
+    assert doc["complete_loading"] == exact["complete_loading"]
+    assert doc["complete_loading"]["holds"] is True
+
+
 def test_analyze_multi_hop_uses_aggregated_rates(tmp_path):
     # R~ (1/2, 1/2) = (1/2, 1) on tandem(2): the second queue is critically loaded
     doc = _analysis(tmp_path, {"preset": "tandem", "N": 2, "lambda": ["1/2", "1/2"], "experiment": {"kind": "analyze"}})
@@ -292,6 +306,32 @@ _SIM = {"kind": "simulate", "horizon": 20}
             id="string-iqcheck-top-level-M",
         ),
         pytest.param(
+            {"experiment": {"kind": "iqcheck", "M": 4}},
+            "/experiment/M",
+            id="iqcheck-M-above-3",
+        ),
+        pytest.param(
+            {"M": 4, "experiment": {"kind": "iqcheck"}},
+            "/M",
+            id="iqcheck-top-level-M-above-3",
+        ),
+        pytest.param(
+            {"preset": "ex2", "network": {"queues": 1, "schedules": [[1]]}, "lambda": [1, 1],
+             "experiment": {"kind": "analyze"}},
+            "/network",
+            id="preset-and-network",
+        ),
+        pytest.param(
+            {"lambda": [1, 1], "experiment": {"kind": "analyze"}},
+            "/network",
+            id="neither-preset-nor-network",
+        ),
+        pytest.param(
+            {"preset": "ex2", "experiment": {"kind": "analyze"}},
+            "/lambda",
+            id="analyze-without-lambda",
+        ),
+        pytest.param(
             {"preset": "ex2", "lambda": [1, 1], "experiment": {"kind": "analyze"}, "seed": 1.5},
             "/seed",
             id="fractional-seed",
@@ -433,6 +473,47 @@ def test_bad_input_is_a_schema_error(tmp_path, capsys, scenario, pointer):
     assert main([scenario["experiment"]["kind"], path, "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"swnet: schema error at {pointer}:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "text, pointer, message",
+    [
+        pytest.param('{"preset": "ex2", "lambda": [1, 1],', "/", "invalid JSON: ", id="invalid-json"),
+        pytest.param('{"preset": "ex2", "lambda": [1, 1], "experiment": {}}', "/experiment/kind",
+                     "missing required key", id="kind-less-experiment"),
+        pytest.param('{"preset": "ex2", "lambda": [1, 1], "experiment": {"kind": "optimize"}}', "/experiment/kind",
+                     "unknown experiment kind 'optimize'; expected one of analyze, ", id="unknown-experiment-kind"),
+        pytest.param('{"preset": "ex2", "lambda": [1, 1], "experiment": [1]}', "/experiment",
+                     "expected an object, got [1]", id="experiment-not-an-object"),
+        pytest.param('{"preset": "ex2", "lambda": [1, 1], "policy": "mw", "experiment": {"kind": "analyze"}}', "/policy",
+                     "expected an object, got 'mw'", id="policy-not-an-object"),
+    ],
+)
+def test_scenario_error_through_main(tmp_path, capsys, text, pointer, message):
+    path = tmp_path / "bad.json"
+    path.write_text(text, encoding="utf-8")
+    assert main(["analyze", str(path), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"swnet: schema error at {pointer}: {message}") and err.count("\n") == 1
+    assert not (tmp_path / "o").exists()
+
+
+def test_iqcheck_enumerates_the_dual_vertices_once(tmp_path, monkeypatch):
+    from swnet import cli, collapse, geometry
+
+    calls, enumerate_dual_vertices = [], geometry.enumerate_dual_vertices
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return enumerate_dual_vertices(*args, **kwargs)
+
+    for module in (cli, collapse, geometry):
+        monkeypatch.setattr(module, "enumerate_dual_vertices", counting)
+    scenario = {"experiment": {"kind": "iqcheck", "M": 3, "samples": 20, "coverage_samples": 4, "grid_points": 10}}
+    assert execute(parse_scenario(scenario), tmp_path / "out") == 0
+    doc = json.loads((tmp_path / "out" / "iqcheck.json").read_text())
+    assert doc["virtual_resources_are_row_column_indicators"] is True
+    assert len(calls) == 1
 
 
 def test_fluid_command_csv(tmp_path):

@@ -186,6 +186,11 @@ def test_matching_checks_m3():
     assert rep.coverage_violations == 0
 
 
+def test_matching_checks_refuse_m_above_3():
+    with pytest.raises(ValueError, match="M <= 3"):
+        matching_structure_checks(4, samples=1, seed=0, coverage_samples=1)
+
+
 def test_coverage_lifts_in_one_batch_equal_one_state_lifts():
     # matching_structure_checks lifts all its coverage states in one
     # cold-started batch: each row must be the lift of its state alone, bit for bit

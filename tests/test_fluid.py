@@ -207,8 +207,9 @@ def _fluid_reference(model, policy, lam, q0, h, T, tie_state):
     qs, ys, counts, ties = [q], [y], [count], 0
     for _ in range(int(round(T / h))):
         trace = select_schedule(model, policy, q, tie_state)
-        q, dY = advance(model, q, h * model.schedules.as_array[trace.chosen], np.asarray(lam) * h)
-        y = y + dY
+        service = h * model.schedules.as_array[trace.chosen]
+        y = y + np.maximum(service - q, 0.0)
+        q = advance(model, q, service, np.asarray(lam) * h)
         count = count.copy()
         count[trace.chosen] += 1
         qs.append(q)

@@ -295,13 +295,13 @@ def test_budget_guard():
 
 
 def test_complete_loading_examples(ex2, ex2_vrs, switch2, switch2_vrs, switch2_lam):
-    ok, _ = complete_loading_check(ex2, [1, 1], ex2_vrs)
+    ok, _ = complete_loading_check(ex2, critically_loaded(ex2, [1, 1], ex2_vrs)[0])
     assert not ok
-    ok, weights = complete_loading_check(switch2, switch2_lam, switch2_vrs)
+    clvr, _ = critically_loaded(switch2, switch2_lam, switch2_vrs)
+    ok, weights = complete_loading_check(switch2, clvr)
     assert ok
     # the certificate is a convex combination over Xi reproducing the
     # uniform direction 1/(max matching size) = (1/2, ..., 1/2)
-    clvr, _ = critically_loaded(switch2, switch2_lam, switch2_vrs)
     assert sum(weights) == 1 and all(w >= 0 for w in weights)
     combo = [
         sum(w * xi[k] for w, xi in zip(weights, sorted(clvr))) for k in range(4)
@@ -311,8 +311,23 @@ def test_complete_loading_examples(ex2, ex2_vrs, switch2, switch2_vrs, switch2_l
     uniform = [sum(F(1, 4) * xi[k] for xi in clvr) for k in range(4)]
     assert uniform == [F(1, 2)] * 4
     clvr_empty, _ = critically_loaded(ex2, [F(1, 2), F(1, 2)], ex2_vrs)
-    ok, cert = complete_loading_check(ex2, [F(1, 2), F(1, 2)], ex2_vrs)
+    assert clvr_empty == []
+    ok, cert = complete_loading_check(ex2, clvr_empty)
     assert not ok and cert is None
+
+
+def test_critically_loaded_with_tolerance(switch2, switch2_vrs):
+    # row 2 and column 2 load to 1 + 2**-53 in exact arithmetic: only a tolerance admits them
+    lam = [0.5, 0.5, 0.5, 0.5000000000000001]
+    exact, exact_plus = critically_loaded(switch2, lam, switch2_vrs)
+    assert len(exact) == 2 and len(exact_plus) == 2
+    clvr, clvr_plus = critically_loaded(switch2, lam, switch2_vrs, tol=1e-9)
+    assert clvr == switch2_vrs.maximal and len(clvr) == 4
+    assert clvr_plus == [xi for xi in switch2_vrs.vertices if sum(xi) == 2]
+    assert critically_loaded(switch2, [0.5, 0.5, 0.5, 0.5 + 1e-8], switch2_vrs, tol=1e-9)[0] == exact
+    # the run's Xi(lam) is what complete loading is tested against
+    assert complete_loading_check(switch2, clvr)[0]
+    assert not complete_loading_check(switch2, exact)[0]
 
 
 def test_hull_membership_examples(ex2):

@@ -197,6 +197,23 @@ def test_audit_detects_corruption(ex2):
     assert any(v.slot == 50 and v.check == "cumulative_identity" for v in report.violations)
 
 
+def test_audit_detects_idling_beyond_service():
+    # one queue served one unit per slot, idling two: Q = Q(0) + A - B + Y and every other
+    # identity hold, but Q grows by more than its arrivals and routed service allow
+    model = presets.single_queue()
+    k = np.arange(4.0)[:, None]
+    path = sim.SystemPath(
+        tau=np.arange(4), Q=k, A=np.zeros((4, 1)), B=k, Y=2 * k, S_cum=np.arange(4)[:, None],
+        chosen=np.zeros(3, dtype=np.int64), horizon=3, sup_q=3.0,
+    )
+    report = conservation_audit(path, model, bound_pairs=20)
+    assert not report.ok
+    assert {v.check for v in report.violations} == {"service_bound"}
+    assert report.checks_run == 3 * 4 + 4 * 3 + 20
+    # a pair tau' < tau has residual Q(tau) - Q(tau') = tau - tau'
+    assert all(v.residual in (1.0, 2.0, 3.0) and v.residual <= v.slot for v in report.violations)
+
+
 def test_csv_roundtrip_audits_clean(ex2):
     path = run(
         ex2,
