@@ -45,6 +45,7 @@ from .collapse import (
 )
 from .fluid import HorizonNotMultiple, distance_to_lift, integrate_fluid, lyapunov_drift
 from .geometry import (
+    BudgetExceeded,
     classify_primal,
     complete_loading_check,
     critically_loaded,
@@ -238,7 +239,11 @@ def _lyapunov_view(cfg: ScenarioConfig):
     weighted policy (msmw_log, or a lift run with no policy) the linear
     weight serves as a reference view."""
     weighted = cfg.policy is not None and cfg.policy.weight is not None
-    (clvr, _), _vrs = _clvr_for(cfg)
+    try:
+        (clvr, _), _vrs = _clvr_for(cfg)
+    except BudgetExceeded as exc:  # only analyze has a budget key; here the model's size is the input to change
+        size = "/network" if "network" in cfg.raw else "/" + next(iter(PRESETS[cfg.raw["preset"]].keys), "preset")
+        raise SchemaError(size, f"{cfg.model.name} has more than {DEFAULT_VERTEX_BUDGET} candidate bases") from exc
     return cfg.policy.weight if weighted else WeightFunction.power(1.0), clvr
 
 
@@ -303,11 +308,11 @@ def _run_fluid(cfg: ScenarioConfig, out: Path, *, q0, h, T, lift_stride) -> int:
     lam_f = float_vector(cfg.lam)
     # only random ties draw from the seed; numpy.random costs about 2 MB to import
     ties = TieState.seeded(cfg.seed) if cfg.policy.tie_break == "random" else None
+    weight, clvr = _lyapunov_view(cfg)  # before the path, so that a model too large for it fails at once
     try:
         traj = integrate_fluid(model, cfg.policy, lam_f, q0, h=h, T=T, tie_state=ties)
     except HorizonNotMultiple as exc:
         raise SchemaError("/experiment/T", str(exc)) from exc
-    weight, clvr = _lyapunov_view(cfg)
     times, dists = distance_to_lift(model, cfg.lam, weight, clvr, traj, stride=lift_stride)
     dist_at = dict(zip(times.tolist(), dists.tolist()))  # the times are grid times, exactly
     L_vals, formula, fd, _ = lyapunov_drift(model, lam_f, weight, traj)

@@ -366,10 +366,11 @@ def matching_structure_checks(
 
     Closure: for random integer weight matrices, every matching supported
     inside the union of max-weight matchings is itself max-weight (exact
-    integer arithmetic). Coverage: for invariant states of MW-alpha under a
+    integer arithmetic). Coverage: for invariant states of MW-1 under a
     strictly positive doubly stochastic rate matrix, every queue lies in
-    some max-weight matching of q^alpha (within a relative 1e-7, since
-    invariant states are produced numerically by the lift solver).
+    some max-weight matching of q (within a relative 1e-7, since invariant
+    states are produced numerically by the lift solver). Coverage is
+    checked for alpha = 1 only, whatever alphas an iqcheck scenario lists.
     """
     if m > 3:
         raise ValueError("brute force over matchings supports M <= 3")

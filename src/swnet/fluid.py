@@ -19,7 +19,7 @@ from .lift import LiftProblem, constraint_rows, lift  # lift is unused here, but
 from .model import NetworkModel, WeightFunction
 from .policy import Policy, TieState, argmax_mask, batch_weights, drift_formula, maximizers, resolve
 from .policy import select_schedule  # unused here, but perfbench/tracer.py wraps fluid.select_schedule
-from .sim import FluidTrajectory, _interp_rows, advance, count_schedules
+from .sim import BLOCK_ROWS, FluidTrajectory, _interp_rows, advance, count_schedules
 
 
 class GridMismatch(ValueError):
@@ -45,6 +45,11 @@ def integrate_fluid(
     a(t) = lambda*t exactly; s counts h per step on the chosen schedule, so
     sum_pi s_pi(t) = t; y sums the idling [h*pi - q]^+ of each step, derived
     from the states and picks after the loop.
+
+    The path is, bit for bit, that of one weighed and advanced state per
+    step. Where the picks repeat, a chunk of predicted rows is weighed and
+    advanced in one batch and kept up to its first miss; once a state
+    repeats (no tie ever broken), the rest of the path tiles the cycle.
     """
     if not 0 < h <= 0.1:
         raise ValueError("step h must lie in (0, 0.1]")
@@ -63,32 +68,81 @@ def integrate_fluid(
     if np.any(q < 0) or np.any(lam < 0):
         raise ValueError("q0 and lam must be >= 0")
     qs = np.zeros((steps + 1, n))
-    chosen = np.empty(steps, dtype=np.int64)
     qs[0] = q
     service = h * model.schedules.as_array
     dA = lam * h
+    # each schedule's step increments in advance's order when no queue idles: -h pi, (multi-hop) routed h pi, +lambda h
+    routed = [] if model.is_single_hop else [(model.routing.into @ service[..., None])[..., 0]]
+    incs = np.stack([-service, *routed, np.broadcast_to(dA, service.shape)], axis=1)
     tie_state = TieState() if tie_state is None else tie_state
     if policy.tie_break == "random" and tie_state.rng is None:  # refused before any step, tie or not
         raise ValueError("random tie-break needs a seeded TieState")
     lexi = policy.kind == "msmw_log"
     may_tie = policy.tie_break != "highest_index"
     last = ns - 1
-    for k in range(steps):
+    picks: list = []
+    tied = False  # a tie was resolved, so the choice no longer hangs on q alone
+    # verified steps; rows of the next chunk; plain steps before the next search; misses less full chunks
+    k, m, wait, misses = 0, 2, 0, 0
+    while k < steps:  # q is qs[k]
         if np.minimum.reduce(q) < 0:  # multi-hop rounding can leave a queue an ulp below 0
             raise ValueError("queue state must be >= 0")
-        mask = argmax_mask(batch_weights(model, policy, q), policy.rel_tol, lexi)
-        pick = last - mask[::-1].argmax()  # the highest-index maximizer
-        if may_tie and mask.sum() > 1:
-            pick = resolve(policy, maximizers(policy, mask[None]), [tie_state], ns)[0]
-        q = qs[k + 1] = advance(model, q, service[pick], dA)
-        chosen[k] = pick
+        if wait > 0:
+            p = 0
+        elif not (p := _period(picks)):  # nothing to repeat: a miss too
+            wait, misses = min(2**misses, BLOCK_ROWS), misses + 1
+        if p and not tied and qs[k - p].tobytes() == q.tobytes():  # q_k = q_{k-p}: the rest tiles the cycle
+            src = np.arange(steps - k) % p
+            qs[k + 1 :] = qs[k + 1 - p : k + 1][src]
+            picks += np.array(picks[-p:])[src].tolist()
+            break
+        if not p:  # a plain step
+            mask = argmax_mask(batch_weights(model, policy, q), policy.rel_tol, lexi)
+            pick = last - mask[::-1].argmax()  # the highest-index maximizer
+            if may_tie and mask.sum() > 1:
+                pick = resolve(policy, maximizers(policy, mask[None]), [tie_state], ns)[0]
+                tied = True
+            q = qs[k + 1] = advance(model, q, service[pick], dA)
+            picks.append(pick)
+            k, wait = k + 1, wait - 1
+            continue
+        # predict: repeat the last p picks; the rows q_k, C_1.. are one cumulative sum of their increments
+        m = min(m, steps - k)
+        rows = np.cumsum(np.concatenate((q[None], incs[(picks[-p:] * (m // p + 1))[: m - 1]].reshape(-1, n))), axis=0)
+        rows = rows[:: incs.shape[1]]
+        neg = np.minimum.reduce(rows, axis=1) < 0  # a row is weighed only if it is >= 0
+        rows = rows[: neg.argmax() if neg.any() else m]
+        mask = argmax_mask(batch_weights(model, policy, rows), policy.rel_tol, lexi)
+        chosen = last - mask[:, ::-1].argmax(axis=1)
+        if may_tie and (several := mask.sum(axis=1) > 1).any():  # ties are broken in plain steps: cut before one
+            rows, chosen = rows[: several.argmax()], chosen[: several.argmax()]
+        # verify: row j + 1 was right if advance of row j gives its bits; the first miss is itself an advanced row
+        nxt = advance(model, rows, service[chosen], dA)
+        same = (nxt[:-1].view(np.int64) == rows[1:].view(np.int64)).all(axis=1)
+        acc = len(rows) if same.all() else int(same.argmin()) + 1
+        qs[k + 1 : k + 1 + acc] = nxt[:acc]
+        picks += chosen[:acc].tolist()
+        k += acc
+        q = qs[k]
+        if acc == m:
+            m, misses = min(2 * m, BLOCK_ROWS), max(misses - 1, 0)
+        else:  # halve the chunk and take up to 2**misses plain steps
+            m, wait, misses = max(2, m // 2), min(2**misses, BLOCK_ROWS), misses + 1
+    chosen = np.array(picks, dtype=np.int64)
+    del picks
     y = np.zeros((steps + 1, n))
     np.maximum(service[chosen] - qs[:-1], 0.0, out=y[1:])
     np.cumsum(y, axis=0, out=y)  # cumsum adds in sequence: each row is the step-by-step sum, bit for bit
-    counts = np.zeros((steps + 1, ns), dtype=np.int64)
-    count_schedules(chosen, np.arange(steps), counts[1:])
+    s = np.zeros((steps + 1, ns))
+    count_schedules(chosen, np.arange(steps), s[1:])  # whole counts, exact in floats, then scaled in place
+    s *= h
     t = np.arange(steps + 1) * h
-    return FluidTrajectory(t=t, q=qs, a=np.outer(t, lam), y=y, s=counts * h, h=h)
+    return FluidTrajectory(t=t, q=qs, a=np.outer(t, lam), y=y, s=s, h=h)
+
+
+def _period(picks: list) -> int:
+    """The smallest period p <= 16 of the last 32 picks, else 0."""
+    return next((p for p in range(1, 17) if picks[p - 32 :] == picks[-32:-p]), 0) if len(picks) >= 32 else 0
 
 
 def lyapunov_drift(model: NetworkModel, lam, weight: WeightFunction, traj: FluidTrajectory):

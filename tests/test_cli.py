@@ -476,6 +476,31 @@ def test_bad_input_is_a_schema_error(tmp_path, capsys, scenario, pointer):
 
 
 @pytest.mark.parametrize(
+    "kind, scenario, pointer",
+    [
+        ("fluid", {"preset": "iq_switch", "M": 4, "lambda": ["1/4"] * 16, "experiment": {"T": 20.0}}, "/M"),
+        ("lift", {"preset": "iq_switch", "M": 4, "lambda": ["1/4"] * 16, "experiment": {"q": [1] * 16}}, "/M"),
+        ("collapse", {"preset": "iq_switch", "M": 4, "lambda": ["1/4"] * 16, "experiment": {}}, "/M"),
+        ("lift", {"preset": "tandem", "N": 5, "lambda": ["1/2", 0, 0, 0, 0], "experiment": {"q": [1, 0, 0, 0, 0]}}, "/N"),
+    ],
+)
+def test_a_model_too_large_for_exact_geometry_is_a_schema_error_at_its_size(
+    tmp_path, capsys, monkeypatch, kind, scenario, pointer
+):
+    # fluid, lift and collapse need the dual vertices; they have no budget key, so the error names the model's size
+    def no_path(*args, **kwargs):
+        raise AssertionError("integrated the path before the geometry")
+
+    monkeypatch.setattr("swnet.cli.integrate_fluid", no_path)
+    scenario = dict(scenario, policy={"kind": "mw"}, experiment=dict(scenario["experiment"], kind=kind))
+    with pytest.raises(SchemaError, match="candidate bases$") as err:
+        execute(parse_scenario(scenario), tmp_path / "direct")
+    assert err.value.pointer == pointer and "budget" not in str(err.value)
+    assert main([kind, _write(tmp_path, "big.json", scenario), "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err.startswith(f"swnet: schema error at {pointer}: ")
+
+
+@pytest.mark.parametrize(
     "text, pointer, message",
     [
         pytest.param('{"preset": "ex2", "lambda": [1, 1],', "/", "invalid JSON: ", id="invalid-json"),

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from swnet import presets
+from swnet import presets, sim
 from swnet.arrivals import ArrivalModel
 from swnet.fluid import (
     GridMismatch,
@@ -15,7 +17,7 @@ from swnet.fluid import (
 from swnet.lift import lift
 from swnet.model import WeightFunction
 from swnet.policy import Policy, TieState, select_schedule
-from swnet.sim import FluidTrajectory, advance, rescale, run
+from swnet.sim import BLOCK_ROWS, FluidTrajectory, advance, rescale, run
 
 
 def test_critical_single_queue_stays_put():
@@ -224,7 +226,34 @@ _FLUID_MODELS = {
     "tandem2": lambda: presets.tandem(2),
     "tandem3": lambda: presets.tandem(3),
     "iq2": lambda: presets.iq_switch(2),
+    "iq3": lambda: presets.iq_switch(3),
 }
+
+
+# MW-2 on iq2 idles and then cycles through two states; backpressure on tandem(3) routes, idles and cycles too
+_IDLES_AND_TILES = ("iq2", Policy.mw_alpha(2.0), [0.3, 0.2, 0.2, 0.3], [2.0, 0.0, 0.0, 1.0])
+_ROUTES_AND_TILES = ("tandem3", Policy.backpressure(WeightFunction.power(1.0)), [0.35, 0.0, 0.0], [0.5, 0.25, 0.125])
+
+
+def _counting_advance(monkeypatch, perturb=None):
+    """Replace advance, in fluid and in _fluid_reference, by a wrapper that
+    records the rows of each call, and that sets queue 0 of the output of the
+    row whose bytes are ``perturb`` an ulp below zero. Returns the list of
+    (rows, index of that row or None)."""
+    calls = []
+
+    def wrapped(model, q, dB, dA):
+        out = sim.advance(model, q, dB, dA)
+        rows, outs = np.atleast_2d(q), np.atleast_2d(out)
+        hit = next((i for i, row in enumerate(rows) if row.tobytes() == perturb), None)
+        if hit is not None:
+            outs[hit, 0] = -np.nextafter(0.0, 1.0)
+        calls.append((len(rows), hit))
+        return out
+
+    monkeypatch.setattr("swnet.fluid.advance", wrapped)
+    monkeypatch.setitem(globals(), "advance", wrapped)
+    return calls
 
 
 @pytest.mark.parametrize(
@@ -238,17 +267,94 @@ _FLUID_MODELS = {
         ("iq2", Policy.mw(WeightFunction.power(1.0), tie_break="round_robin", rel_tol=0.05), [0.5] * 4, [1.0, 0.9, 0.8, 1.2]),
         ("tandem3", Policy.backpressure(WeightFunction.power(1.0)), [0.35, 0.0, 0.0], [0.5, 0.25, 0.125]),
         ("iq2", Policy.mw(WeightFunction.power(1.0), tie_break="round_robin"), [0.5] * 4, [1.0] * 4),
+        _IDLES_AND_TILES,
+        _ROUTES_AND_TILES,
+        ("iq2", Policy.msmw_log(), [0.5] * 4, [2.0, 0.0, 0.0, 1.0]),
+        ("iq3", Policy.mw_alpha(1.0), [1 / 3] * 9, [3.0, 0.0, 1.0, 0.0, 2.0, 0.0, 1.0, 0.0, 2.0]),
+        ("iq2", Policy.mw(WeightFunction.power(1.0), tie_break="random", rel_tol=0.05), [0.5] * 4, [1.0, 0.9, 0.8, 1.2]),
     ],
 )
 def test_integrate_fluid_equals_per_step_selection(name, policy, lam, q0):
+    # T = 20 (2 000 steps): long enough for the speculative loop to grow its chunks, miss, back off and tile
     model = _FLUID_MODELS[name]()
-    traj = integrate_fluid(model, policy, lam, q0, h=0.01, T=2.0, tie_state=TieState.seeded(7))
-    qs, ys, counts, ties = _fluid_reference(model, policy, lam, q0, 0.01, 2.0, TieState.seeded(7))
+    traj = integrate_fluid(model, policy, lam, q0, h=0.01, T=20.0, tie_state=TieState.seeded(7))
+    qs, ys, counts, ties = _fluid_reference(model, policy, lam, q0, 0.01, 20.0, TieState.seeded(7))
     assert ties > 0 or policy.tie_break == "highest_index"
     assert np.array_equal(traj.q, qs)
     assert np.array_equal(traj.y, ys)
     assert np.array_equal(traj.s, counts * 0.01)
     assert np.array_equal(traj.s[-1], counts[-1] * 0.01)
+
+
+@pytest.mark.parametrize("name, policy, lam, q0", [_IDLES_AND_TILES, _ROUTES_AND_TILES])
+def test_integrate_fluid_tiles_a_cycle(monkeypatch, name, policy, lam, q0):
+    # once a state repeats, the rest of the path is copied: advance sees fewer rows than the 2 000 steps
+    # (test_integrate_fluid_equals_per_step_selection checks these paths against the reference)
+    calls = _counting_advance(monkeypatch)
+    traj = integrate_fluid(_FLUID_MODELS[name](), policy, lam, q0, h=0.01, T=20.0)
+    assert traj.y[-1].max() > 0
+    assert sum(rows for rows, _ in calls) < 1000
+
+
+def test_integrate_fluid_never_tiles_over_a_broken_tie():
+    # the empty state repeats at every step, but each tie may break otherwise than the last: no tiling after a tie
+    class Draws:  # a stand-in rng: the first 100 ties take their first maximizer, the later ones their last
+        calls = 0
+
+        def integers(self, lo, hi):
+            self.calls += 1
+            return lo if self.calls <= 100 else hi - 1
+
+    model, policy = presets.ex2(), Policy.mw(WeightFunction.power(1.0), tie_break="random")
+    traj = integrate_fluid(model, policy, [0.0, 0.0], [0.0, 0.0], h=0.01, T=2.0, tie_state=TieState(Draws()))
+    qs, ys, counts, ties = _fluid_reference(model, policy, [0.0, 0.0], [0.0, 0.0], 0.01, 2.0, TieState(Draws()))
+    assert ties == 200 and counts[-1].tolist() == [100, 100]
+    assert np.array_equal(traj.q, qs) and np.array_equal(traj.y, ys) and np.array_equal(traj.s, counts * 0.01)
+
+
+@pytest.mark.parametrize("steps", [BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 4 * BLOCK_ROWS + 1])
+def test_integrate_fluid_at_chunk_edges(steps):
+    # the fluid_iq2 path never idles: chunks double up to BLOCK_ROWS rows and the horizon cuts the last one
+    model, policy, lam, q0 = presets.iq_switch(2), Policy.mw_alpha(1.0), [0.5] * 4, [2.0, 0.0, 0.0, 1.0]
+    traj = integrate_fluid(model, policy, lam, q0, h=1e-3, T=steps * 1e-3)
+    qs, ys, counts, _ = _fluid_reference(model, policy, lam, q0, 1e-3, steps * 1e-3, None)
+    assert traj.q.shape == (steps + 1, 4)
+    assert np.array_equal(traj.q, qs) and np.array_equal(traj.y, ys) and np.array_equal(traj.s, counts * 1e-3)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    name=st.sampled_from(["ex2", "iq2"]),
+    alpha=st.sampled_from([0.5, 1.0, 2.0]),
+    q0=st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.0]) | st.floats(0.0, 3.0), min_size=4, max_size=4),
+    lam=st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4),
+)
+def test_integrate_fluid_equals_reference_on_random_paths(name, alpha, q0, lam):
+    model = _FLUID_MODELS[name]()
+    n = model.n_queues
+    policy = Policy.mw_alpha(alpha)
+    traj = integrate_fluid(model, policy, lam[:n], q0[:n], h=0.01, T=3.0)
+    qs, ys, counts, _ = _fluid_reference(model, policy, lam[:n], q0[:n], 0.01, 3.0, None)
+    assert np.array_equal(traj.q, qs) and np.array_equal(traj.y, ys) and np.array_equal(traj.s, counts * 0.01)
+
+
+@pytest.mark.parametrize("step, chunked", [(1, False), (100, True)], ids=["plain_step", "in_a_chunk"])
+def test_integrate_fluid_refuses_a_negative_state_at_the_same_step(monkeypatch, step, chunked):
+    # advance leaves the state of step + 1 an ulp below zero; both loops refuse it before weighing it, after the
+    # same step + 1 rows of the path: the row of step is the last row advanced, and no call follows its call
+    model, policy, lam, q0 = presets.iq_switch(2), Policy.mw_alpha(1.0), [0.5] * 4, [2.0, 0.0, 0.0, 1.0]
+    clean = _fluid_reference(model, policy, lam, q0, 1e-3, 1.0, None)[0]
+    for run_it, batched in (
+        (lambda: integrate_fluid(model, policy, lam, q0, h=1e-3, T=1.0), chunked),
+        (lambda: _fluid_reference(model, policy, lam, q0, 1e-3, 1.0, None), False),
+    ):
+        calls = _counting_advance(monkeypatch, perturb=clean[step].tobytes())
+        with pytest.raises(ValueError, match="queue state must be >= 0"):
+            run_it()
+        monkeypatch.undo()
+        width, hit = calls[-1]
+        assert hit is not None and sum(rows for rows, _ in calls[:-1]) + hit + 1 == step + 1
+        assert (width > 1) == batched
 
 
 def test_fluid_backpressure_on_tandem3_idles_and_routes():

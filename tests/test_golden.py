@@ -30,6 +30,9 @@ GOLDEN = {
     "fluid_ex2.json": {
         "fluid.csv": "7a651817ef03900e0fc8c90c3770deb7e6e3741727ef782c37deb21d8b110812",
     },
+    "fluid_iq2_msmw_log.json": {
+        "fluid.csv": "e5c840f5d6a79b47a5dbe968dcb0ea2328bd5d9628e970ee7bd012417aee9020",
+    },
     "fluid_iq2_random_ties.json": {
         "fluid.csv": "d8761d2124febfc9fe028e26e1cc6a3b455b72f30e110b2dc4ae4c17ffc3208e",
     },
@@ -38,6 +41,9 @@ GOLDEN = {
     },
     "fluid_iq2_sliding.json": {
         "fluid.csv": "d2e6dd3a5e322a38fd13fe22e9462bca65d03447a0a42c78308a31f4fa542c0b",
+    },
+    "fluid_tandem3_backpressure.json": {
+        "fluid.csv": "fe06648f4273aee7fb73e40420e0e96567eefb371d66753f95f52bff44f710f4",
     },
     "iqcheck_m2.json": {
         "iqcheck.json": "16b9f0f18bad5f02eb41582ffa4eaf36509fabac017ce09f527c38e95a45bab3",

@@ -11,6 +11,7 @@ from swnet.policy import (
     Policy,
     PolicyModelMismatch,
     TieState,
+    batch_weights,
     check_scale_invariance,
     schedule_weights,
     select_schedule,
@@ -141,6 +142,22 @@ def test_weight_vectors_batch_equals_rows(model, pressure):
         assert np.array_equal(batch, rows)
         stacked = weight_vectors(model, w, Q.reshape(3, 20, model.n_queues), pressure)
         assert np.array_equal(stacked.reshape(60, -1), rows)
+
+
+@pytest.mark.parametrize("model", [presets.iq_switch(2), presets.iq_switch(3)], ids=["iq2", "iq3"])
+def test_msmw_log_batch_weights_equal_rows(model):
+    # the fluid integrator weighs a chunk of states in one call and must pick as if it weighed each alone
+    rng = np.random.default_rng(23)
+    Q = rng.random((60, model.n_queues)) * 10.0
+    Q[rng.random(Q.shape) < 0.3] = 0.0  # empty queues: no log term, no size term
+    Q[:3] = 0.0
+    pol = Policy.msmw_log()
+    batch = batch_weights(model, pol, Q)
+    rows = np.stack([batch_weights(model, pol, q) for q in Q])
+    assert batch.shape == (60, len(model.schedules), 2)
+    assert np.array_equal(batch, rows)
+    stacked = batch_weights(model, pol, Q.reshape(3, 20, model.n_queues))
+    assert np.array_equal(stacked.reshape(60, -1, 2), rows)
 
 
 def test_scale_invariance_report_power_passes(switch2):

@@ -55,6 +55,21 @@ def test_step_tandem_idling_blocks_routing(tandem2):
     assert res.q_next[1] == 1.0 - served[1] + served[0]
 
 
+def test_advance_batch_equals_rows_on_tandem3():
+    # multi-hop: each row of a batch is routed as if it were stepped alone, idling rows included
+    model = presets.tandem(3)
+    rng = np.random.default_rng(29)
+    Q = rng.random((64, 3)) * 0.02
+    Q[::4, 1] = 0.0
+    Q[1::4] = 0.0
+    dB = model.schedules.as_array[rng.integers(0, len(model.schedules), 64)] * 0.01
+    dA = np.array([0.0035, 0.0, 0.0])
+    batch = sim.advance(model, Q, dB, dA)
+    rows = np.stack([sim.advance(model, q, b, dA) for q, b in zip(Q, dB)])
+    assert (np.maximum(dB - Q, 0.0) > 0).any(axis=1).sum() > 16  # many rows idle a server
+    assert batch.tobytes() == rows.tobytes()
+
+
 def test_run_ex2_drain_hand_case(ex2):
     path = run(
         ex2,
