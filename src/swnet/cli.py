@@ -33,7 +33,7 @@ from typing import Any, Callable, Optional
 import numpy as np
 
 from . import __version__, presets
-from .arrivals import ArrivalModel
+from .arrivals import ArrivalModel, derive_rng
 from .collapse import (
     Iq2x2Workload,
     MsscConfig,
@@ -258,11 +258,14 @@ def _run_analyze(cfg: ScenarioConfig, out: Path, *, budget) -> int:
     (the exogenous rates themselves on a single-hop network); a float among
     the rates as given makes the load class approximate."""
     model = cfg.model
+    try:  # before the LPs, so that a model over the budget is refused at once
+        (clvr, clvr_plus), vrs = _clvr_for(cfg, budget)
+    except BudgetExceeded as exc:
+        raise SchemaError("/experiment/budget", str(exc)) from exc
     lam = model.upstream.transform_exact(fraction_vector(cfg.lam))
     value, alpha = solve_primal(model, lam)
     dvalue, xi = solve_dual(model, lam)
     load = classify_primal(value, cfg.lam)
-    (clvr, clvr_plus), vrs = _clvr_for(cfg, budget)
     cl_ok, cl_weights = complete_loading_check(model, clvr)
     doc = {
         "lambda": [str(v) for v in fraction_vector(cfg.lam)],
@@ -413,7 +416,7 @@ def _run_iqcheck(cfg: ScenarioConfig, out: Path, *, alphas, samples, coverage_sa
         expected.add(tuple(Fraction(1) if k % m == i else Fraction(0) for k in range(m * m)))
     resources_ok = set(map(tuple, checks.resources.maximal)) == expected
 
-    rng = np.random.default_rng(cfg.seed)
+    rng = derive_rng(cfg.seed, 1)  # matching_structure_checks draws from derive_rng(cfg.seed)
     disagreements = 0
     for _ in range(grid_points):
         w1, wc1 = (float(v) for v in rng.random(2) * 2)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import chain, islice
+from itertools import chain
 from typing import Optional
 
 import numpy as np
@@ -36,11 +36,11 @@ class CsvFormatError(ValueError):
 # temporaries (and the Python floats of a CSV block) on long dense paths.
 BLOCK_ROWS = 512
 
-# Most entries each of run_batch's two tables keeps in one call: queue states
-# in the selection table, (state, schedule, arrival row) keys in the
-# transition table. A long stable run on the integer lattice revisits tens to
-# thousands of states; the cap bounds the memory of runs whose states rarely
-# repeat.
+# Most state rows each of run_batch's two tables keeps in one call, so
+# SELECTION_ROWS // reps entries: batch states in the selection table,
+# (batch state, picks, arrivals) keys in the transition table. A long stable
+# run on the integer lattice revisits tens to thousands of states; the cap
+# bounds the memory of runs whose states rarely repeat.
 SELECTION_ROWS = 4096
 
 
@@ -202,21 +202,19 @@ def run_batch(
     operation acts on each row alone, so each path equals ``run`` with that
     Generator bit for bit.
 
-    The loop keeps each state as the bytes of its row and two tables that
-    live for this call. The selection table maps a state to its maximizers
-    (see ``policy.maximizers``), so a revisited state is not weighed again
-    and only its tie, if it has one, is broken anew. This relies on the
-    maximizers being a function of q alone, which holds for mw, backpressure
-    and msmw_log; a custom weight f is assumed to be a function. A slot in
-    which some state misses the table weighs the whole batch in one call,
-    each state with its own matrix-vector product, so a state's maximizers
-    do not depend on the batch. The transition table maps (state, chosen
-    schedule, arrival row) to the next state, which ``advance`` fixes row by
-    row: a slot whose every row is known is a lookup, any other slot steps
-    the whole batch through ``advance``. Moves are learnt only in slots
-    whose states are all known: in a wide batch where some state is new in
-    almost every slot, whole-batch hits never come. Each table stops
-    growing at SELECTION_ROWS entries.
+    The loop keeps one key per slot, the (reps, N) state as one bytes
+    object, and two tables that live for this call. The selection table maps
+    a batch state to each row's maximizers (see ``policy.maximizers``), so a
+    revisited state is not weighed again and only its ties are broken anew,
+    each with its row's own TieState. This relies on the maximizers being a
+    function of q alone, which holds for mw, backpressure and msmw_log; a
+    custom weight f is assumed to be a function. A missed state is weighed
+    in one call, each row by its own matrix-vector product. The transition
+    table maps (state, every row's pick, the slot's arrival bytes) to the
+    next state: a known move is a lookup, any other slot steps the batch
+    through ``advance``. Moves are learnt only in slots whose state was
+    known. Each table stops growing at SELECTION_ROWS state rows. A wide
+    batch whose rows repeat but never all at once is stepped every slot.
 
     Q, B, Y and sup_q are rebuilt from the visited states a block of
     BLOCK_ROWS state rows (BLOCK_ROWS // reps slots) at a time, with idling
@@ -261,43 +259,42 @@ def run_batch(
     comp = np.zeros((reps, 2 * n))  # their Kahan compensation
     s_mat = model.schedules.as_array
     exact = exact_sums(q0, dA, s_mat, horizon)
-    lexicographic = policy.kind == "msmw_log"
-    row_bytes = np.dtype((np.void, n * q.itemsize))  # a state or arrival row as one key
-    cur = q.view(row_bytes).ravel().tolist()
-    table: dict = {}
-    moves: dict = {}
+    lex = policy.kind == "msmw_log"
+    slot_bytes = np.dtype((np.void, q.nbytes))  # a slot's (reps, N) arrivals as one key
+    cap = SELECTION_ROWS // reps  # entries per table: SELECTION_ROWS state rows
+    cur = q.tobytes()  # the batch state as one key
+    table, moves, shared = {}, {}, {}  # shared: each distinct tuple of maximizers, stored once
 
     span = max(1, BLOCK_ROWS // reps)  # slots per block: BLOCK_ROWS state rows
     for lo in range(0, horizon, span):
         hi = min(lo + span, horizon)
         picks: list = []
-        states = list(cur)  # the block's states, slot by slot, from slot lo
-        for tau, arrived in enumerate(dA[lo:hi].view(row_bytes).reshape(hi - lo, reps).tolist(), lo):
-            found = list(map(table.get, cur))
-            known = None not in found
-            if not known:  # weighing the known states again costs less than picking out the new ones
+        states = [cur]  # the block's batch states, slot by slot, from slot lo
+        for tau, arrived in enumerate(dA[lo:hi].reshape(hi - lo, -1).view(slot_bytes).ravel().tolist(), lo):
+            found = table.get(cur)
+            known = found is not None
+            if not known:
                 if q is None:
-                    q = np.frombuffer(b"".join(cur)).reshape(reps, n)
-                found = maximizers(policy, argmax_mask(batch_weights(model, policy, q), policy.rel_tol, lexicographic))
-                room = SELECTION_ROWS - len(table)
-                if room > 0:
-                    table.update(zip(cur[:room], found))
+                    q = np.frombuffer(cur).reshape(reps, n)
+                found = tuple(maximizers(policy, argmax_mask(batch_weights(model, policy, q), policy.rel_tol, lex)))
+                if len(table) < cap:
+                    table[cur] = shared.setdefault(found, found)
             pick = resolve(policy, found, tie_states, ns)
-            nxt = list(map(moves.get, zip(cur, pick, arrived))) if known else [None]  # a new state has no move yet
-            if None in nxt:
+            nxt = moves.get(move := (cur, *pick, arrived)) if known else None  # a new state has no move yet
+            if nxt is None:
                 if q is None:
-                    q = np.frombuffer(b"".join(cur)).reshape(reps, n)
+                    q = np.frombuffer(cur).reshape(reps, n)
                 q = advance(model, q, s_mat.take(pick, axis=0), dA[tau])
                 if np.minimum.reduce(q, axis=None) < 0.0:
                     bad = int(np.argmin(q.min(axis=1)))
                     raise NegativeQueue(f"queue went negative at slot {tau}: {q[bad]}")
-                nxt = q.view(row_bytes).ravel().tolist()
-                if known and len(moves) < SELECTION_ROWS:
-                    moves.update(islice(zip(zip(cur, pick, arrived), nxt), SELECTION_ROWS - len(moves)))
+                nxt = q.tobytes()
+                if known and len(moves) < cap:
+                    moves[move] = nxt
             else:
                 q = None
             picks.append(pick)
-            states.extend(nxt)
+            states.append(nxt)
             cur = nxt
 
         # fold the block into the outputs: path[k] is the state at slot lo + k
@@ -455,7 +452,6 @@ def conservation_audit(
     nrec = len(path.tau)
     checks = 3 * nrec + 4 * max(nrec - 1, 0)
     thr = rtol * (1.0 + float(np.abs(path.Q).max(initial=0.0)) + float(np.abs(path.A).max(initial=0.0)))
-    s_mat = path.S_cum.astype(float) @ model.schedules.as_array
     into = model.routing.into
     q0 = path.Q[0]
     # One residual column per check and row, a block of rows at a time; NaN
@@ -472,7 +468,7 @@ def conservation_audit(
             lhs = q0 + A - flow + (into @ flow[..., None])[..., 0]
         res = np.full((hi - lo, len(_AUDIT_CHECKS)), np.nan)
         res[:, 0] = np.abs(Q - lhs).max(axis=1, initial=0.0)
-        res[:, 1] = np.abs(B - s_mat[lo:hi]).max(axis=1, initial=0.0)
+        res[:, 1] = np.abs(B - path.S_cum[lo:hi].astype(float) @ model.schedules.as_array).max(axis=1, initial=0.0)
         for c, x in enumerate((path.A, path.B, path.Y), start=2):
             res[first:, c] = (x[prev] - x[cur]).max(axis=1, initial=0.0)
         ds = path.S_cum[cur] - path.S_cum[prev]

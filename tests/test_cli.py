@@ -500,6 +500,21 @@ def test_a_model_too_large_for_exact_geometry_is_a_schema_error_at_its_size(
     assert capsys.readouterr().err.startswith(f"swnet: schema error at {pointer}: ")
 
 
+def test_analyze_over_the_vertex_budget_is_a_schema_error_at_the_budget(tmp_path, capsys, monkeypatch):
+    # analyze has a budget key, the input to change, and refuses before it solves any LP
+    def no_lp(*args, **kwargs):
+        raise AssertionError("solved an LP before the vertex budget check")
+
+    monkeypatch.setattr("swnet.cli.solve_primal", no_lp)
+    monkeypatch.setattr("swnet.cli.solve_dual", no_lp)
+    scenario = {"preset": "iq_switch", "M": 4, "lambda": ["1/4"] * 16, "experiment": {"kind": "analyze"}}
+    with pytest.raises(SchemaError, match="candidate bases exceed budget 20000; raise the budget") as err:
+        execute(parse_scenario(scenario), tmp_path / "direct")
+    assert err.value.pointer == "/experiment/budget"
+    assert main(["analyze", _write(tmp_path, "big.json", scenario), "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err.startswith("swnet: schema error at /experiment/budget: ")
+
+
 @pytest.mark.parametrize(
     "text, pointer, message",
     [

@@ -437,18 +437,38 @@ def _assert_paths_equal(paths, reference):
         assert path.sup_q == ref["sup_q"]
 
 
-def _ties_on_table_hits(model, policy, paths):
-    """Tied states met in slots where every state of the batch is already in
-    the selection table, which then decides the slot without weighing."""
-    table, ties = set(), 0
-    for states in np.stack([p.Q[:-1] for p in paths], axis=1):
-        keys = [row.tobytes() for row in states]
-        if all(key in table for key in keys):
-            mask = argmax_mask(batch_weights(model, policy, states), policy.rel_tol, policy.kind == "msmw_log")
-            ties += int((mask.sum(axis=1) > 1).sum())
-        else:
-            table.update(keys[: max(SELECTION_ROWS - len(table), 0)])
-    return ties
+def _table_replay(paths, cap=SELECTION_ROWS):
+    """Replay run_batch's two tables from densely recorded paths, keyed as
+    the loop keys them: the batch state as the bytes of its stacked rows, and
+    (state, every row's chosen schedule, the slot's arrival bytes) as a move.
+    Each table holds ``cap`` state rows, so cap // reps entries. A slot with
+    a new state fills the selection table, and a known state with a new move
+    the transition table. Returns the slots where the selection table hit and
+    the slots stepped by lookup alone."""
+    size = cap // len(paths)
+    states = np.stack([p.Q for p in paths], axis=1)
+    arrived = np.stack([np.diff(p.A, axis=0) for p in paths], axis=1)  # the loop's dA bits
+    table, moves, hits, lookups = set(), set(), [], []
+    for tau in range(paths[0].horizon):
+        state = states[tau].tobytes()
+        if state not in table:
+            if len(table) < size:
+                table.add(state)
+            continue
+        hits.append(tau)
+        move = (state, *(int(p.chosen[tau]) for p in paths), arrived[tau].tobytes())
+        if move in moves:
+            lookups.append(tau)
+        elif len(moves) < size:
+            moves.add(move)
+    return hits, lookups
+
+
+def _ties_at(model, policy, paths, slots):
+    """The tied states of the batch in the given slots."""
+    states = np.stack([p.Q for p in paths], axis=1)[slots]
+    mask = argmax_mask(batch_weights(model, policy, states), policy.rel_tol, policy.kind == "msmw_log")
+    return int((mask.sum(axis=-1) > 1).sum())
 
 
 _TABLE_CASES = [
@@ -460,7 +480,7 @@ _TABLE_CASES = [
 ]
 
 
-@pytest.mark.parametrize("reps", [1, 20])
+@pytest.mark.parametrize("reps", [1, 2, 20])
 @pytest.mark.parametrize(
     "name, policy, lam", _TABLE_CASES, ids=[f"{n}-{p.kind}-{p.tie_break}" for n, p, _ in _TABLE_CASES]
 )
@@ -470,8 +490,9 @@ def test_selection_table_equals_weighing_every_slot(name, policy, lam, reps):
     args = (model, policy, ArrivalModel.bernoulli(lam), np.zeros(model.n_queues), 600)
     paths = run_batch(*args, [derive_rng(11, rep) for rep in range(reps)])
     _assert_paths_equal(paths, _reference_run_batch(*args, [derive_rng(11, rep) for rep in range(reps)]))
-    # the tie-break's draws and pointers must follow the replication also when the table decides
-    assert _ties_on_table_hits(model, policy, paths) > 0
+    if reps < 20:  # a batch of 20 rows never repeats as a whole, so there the table never decides
+        # the tie-break's draws and pointers must follow the replication also when the table decides
+        assert _ties_at(model, policy, paths, _table_replay(paths)[0]) > 0
 
 
 @pytest.mark.parametrize("name", ["ex2", "merge3"])
@@ -502,35 +523,8 @@ def test_selection_table_past_its_cap():
 # ---------------------------------------------------------------------------
 
 
-def _lookup_slots(paths, cap=SELECTION_ROWS):
-    """The slots that run_batch steps by lookup alone, replayed from densely
-    recorded paths: every state of the batch is in the selection table and
-    every (state, chosen schedule, arrival row) in the transition table.
-    As in the loop, a slot with a new state fills the selection table and
-    one with only new moves the transition table, each up to ``cap``."""
-    table, moves, hits = set(), set(), []
-    states = np.stack([p.Q for p in paths], axis=1)
-    arrived = np.stack([np.diff(p.A, axis=0) for p in paths], axis=1)  # the loop's dA bits
-    for tau in range(paths[0].horizon):
-        keys = [row.tobytes() for row in states[tau]]
-        moved = [(key, int(p.chosen[tau]), a.tobytes()) for key, p, a in zip(keys, paths, arrived[tau])]
-        if not all(key in table for key in keys):
-            table.update(keys[: max(cap - len(table), 0)])
-        elif all(m in moves for m in moved):
-            hits.append(tau)
-        else:
-            moves.update(moved[: max(cap - len(moves), 0)])
-    return hits
-
-
-def _ties_at(model, policy, paths, slots):
-    states = np.stack([p.Q for p in paths], axis=1)[slots]
-    mask = argmax_mask(batch_weights(model, policy, states), policy.rel_tol, policy.kind == "msmw_log")
-    return int((mask.sum(axis=-1) > 1).sum())
-
-
 @pytest.mark.parametrize("record_every", [1, 7])
-@pytest.mark.parametrize("reps", [1, 20])
+@pytest.mark.parametrize("reps", [1, 2, 20])
 @pytest.mark.parametrize(
     "name, policy, lam", _TABLE_CASES, ids=[f"{n}-{p.kind}-{p.tie_break}" for n, p, _ in _TABLE_CASES]
 )
@@ -540,9 +534,28 @@ def test_transition_table_equals_reference(name, policy, lam, reps, record_every
     args = (model, policy, ArrivalModel.bernoulli(lam), np.zeros(model.n_queues), 600)
     paths = run_batch(*args, [derive_rng(13, rep) for rep in range(reps)], record_every)
     _assert_paths_equal(paths, _reference_run_batch(*args, [derive_rng(13, rep) for rep in range(reps)], record_every))
-    if record_every == 1 and reps == 1:
+    if record_every == 1 and (reps == 1 or reps == 2 and model.n_queues == 2):
+        # here two rows of four queues never repeat a move as a whole, and twenty rows not even a state
         # the tie-break's draws and pointers must follow the replication also on lookup slots
-        assert _ties_at(model, policy, paths, _lookup_slots(paths)) > 0
+        assert _ties_at(model, policy, paths, _table_replay(paths)[1]) > 0
+
+
+def _count_advance(monkeypatch):
+    """Count the slots that run_batch steps through sim.advance."""
+    calls = []
+    advance = sim.advance
+    monkeypatch.setattr(sim, "advance", lambda *a: calls.append(1) or advance(*a))
+    return calls
+
+
+@pytest.mark.parametrize("reps", [1, 2, 20])
+def test_every_slot_but_the_lookups_steps_the_batch(monkeypatch, reps):
+    # one key per slot: a slot is a lookup only when the whole batch state and its move are known
+    calls = _count_advance(monkeypatch)
+    policy = Policy.mw(WeightFunction.power(1.0), tie_break="random")
+    paths = run_batch(presets.ex2(), policy, ArrivalModel.bernoulli([0.9, 0.5]), np.zeros(2), 600,
+                      [derive_rng(11, rep) for rep in range(reps)])
+    assert len(calls) == 600 - len(_table_replay(paths)[1])
 
 
 @pytest.mark.parametrize("record_every", [1, 7])
@@ -554,8 +567,8 @@ def test_transition_table_with_fractional_states_that_repeat(arrivals, record_ev
     args = (presets.ex2(), Policy.mw_alpha(1.0), arrivals, np.array([0.1, 0.2]), 800)
     paths = run_batch(*args, [derive_rng(17, rep) for rep in range(3)], record_every)
     _assert_paths_equal(paths, _reference_run_batch(*args, [derive_rng(17, rep) for rep in range(3)], record_every))
-    if record_every == 1:
-        assert len(_lookup_slots(paths)) > 400
+    if record_every == 1:  # three rows repeat as a whole too rarely; two rows repeat
+        assert len(_table_replay(run_batch(*args, [derive_rng(17, rep) for rep in range(2)]))[1]) > 400
 
 
 def test_compensated_sums_equal_cumulative_sums_on_the_lattice(monkeypatch):
@@ -570,8 +583,9 @@ def test_compensated_sums_equal_cumulative_sums_on_the_lattice(monkeypatch):
 
 @pytest.mark.parametrize("reps", [1, 20])
 def test_both_tables_past_their_cap(monkeypatch, reps):
-    # a cap below the batch width too: a miss slot then fills only part of a table
+    # a cap below the batch width too: at width 20 a 5-row cap admits no entry
     monkeypatch.setattr(sim, "SELECTION_ROWS", 5)
+    calls = _count_advance(monkeypatch)
     model = presets.ex2()
     policy = Policy.mw(WeightFunction.power(1.0), tie_break="round_robin")
     args = (model, policy, ArrivalModel.bernoulli([0.9, 0.5]), np.zeros(2), 500)
@@ -580,8 +594,9 @@ def test_both_tables_past_their_cap(monkeypatch, reps):
     states = {row.tobytes() for p in paths for row in p.Q}
     moves = {(q.tobytes(), c, a.tobytes()) for p in paths for q, c, a in zip(p.Q, p.chosen, np.diff(p.A, axis=0))}
     assert len(states) > 5 and len(moves) > 5
-    if reps == 1:
-        assert _lookup_slots(paths, cap=5)
+    lookups = _table_replay(paths, cap=5)[1]
+    assert len(calls) == 500 - len(lookups)
+    assert len(lookups) > 0 if reps == 1 else not lookups
 
 
 def test_exact_sums_at_the_float_boundary():
