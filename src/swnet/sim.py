@@ -214,7 +214,8 @@ def run_batch(
     next state: a known move is a lookup, any other slot steps the batch
     through ``advance``. Moves are learnt only in slots whose state was
     known. Each table stops growing at SELECTION_ROWS state rows. A wide
-    batch whose rows repeat but never all at once is stepped every slot.
+    batch whose rows repeat but never all at once, as in a subcritical
+    collapse run, is weighed and stepped every slot.
 
     Q, B, Y and sup_q are rebuilt from the visited states a block of
     BLOCK_ROWS state rows (BLOCK_ROWS // reps slots) at a time, with idling
@@ -259,7 +260,7 @@ def run_batch(
     comp = np.zeros((reps, 2 * n))  # their Kahan compensation
     s_mat = model.schedules.as_array
     exact = exact_sums(q0, dA, s_mat, horizon)
-    lex = policy.kind == "msmw_log"
+    lexicographic = policy.kind == "msmw_log"
     slot_bytes = np.dtype((np.void, q.nbytes))  # a slot's (reps, N) arrivals as one key
     cap = SELECTION_ROWS // reps  # entries per table: SELECTION_ROWS state rows
     cur = q.tobytes()  # the batch state as one key
@@ -276,7 +277,7 @@ def run_batch(
             if not known:
                 if q is None:
                     q = np.frombuffer(cur).reshape(reps, n)
-                found = tuple(maximizers(policy, argmax_mask(batch_weights(model, policy, q), policy.rel_tol, lex)))
+                found = tuple(maximizers(policy, argmax_mask(batch_weights(model, policy, q), policy.rel_tol, lexicographic)))
                 if len(table) < cap:
                     table[cur] = shared.setdefault(found, found)
             pick = resolve(policy, found, tie_states, ns)
