@@ -18,7 +18,6 @@ acceptance violated), 1 error. Outputs are byte-identical for identical
 
 from __future__ import annotations
 
-import argparse
 import hashlib
 import io
 import json
@@ -27,6 +26,7 @@ import platform
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from pathlib import Path
 from typing import Any, Callable, Optional
 
@@ -60,7 +60,7 @@ from .lift import is_fixed_point, lift
 from .model import NetworkModel, RoutingMatrix, ScheduleSet, WeightFunction, validate_network
 from .policy import Policy, PolicyModelMismatch, TieState
 from .schema import REQUIRED, Decreasing, Edge, Int, Is, Kind, ListOf, Num, SchemaError, Tagged, kind_of, read_object
-from .sim import CsvFormatError, conservation_audit, path_from_csv, row_blocks, run
+from .sim import TEXT_ROWS, CsvFormatError, conservation_audit, float_texts, path_from_csv, row_blocks, run
 
 
 class PresetUnknown(SchemaError):
@@ -317,23 +317,24 @@ def _run_fluid(cfg: ScenarioConfig, out: Path, *, q0, h, T, lift_stride) -> int:
     except HorizonNotMultiple as exc:
         raise SchemaError("/experiment/T", str(exc)) from exc
     times, dists = distance_to_lift(model, cfg.lam, weight, clvr, traj, stride=lift_stride)
-    dist_at = dict(zip(times.tolist(), dists.tolist()))  # the times are grid times, exactly
+    dist_text = {t: repr(d) for t, d in zip(times.tolist(), dists.tolist())}  # the times are grid times, exactly
     L_vals, formula, fd, _ = lyapunov_drift(model, lam_f, weight, traj)
     lam_label = ",".join(str(v) for v in fraction_vector(cfg.lam))
-    K = traj.t.shape[0] - 1
+    line = "%s," * (model.n_queues + 4) + "%s\n"  # t, q, L, drift_formula, drift_fd, dist_to_lift
     with (out / "fluid.csv").open("w", encoding="utf-8", newline="\n") as f:
         f.write(
             f"# model={model.name}, lambda=({lam_label}), weight={weight.label()}, "
             f"policy={cfg.policy.label()}, h={h!r}, T={T!r}\n"
         )
         f.write("t," + ",".join(f"q_{i+1}" for i in range(model.n_queues)) + ",L,drift_formula,drift_fd,dist_to_lift\n")
-        for lo, block in row_blocks(traj.t, traj.q, L_vals, formula, fd):
-            lines = []
-            for k, (*vals, fd_k) in enumerate(block.tolist(), lo):
-                d = dist_at.get(vals[0])
-                tail = [repr(fd_k) if 0 < k < K else "", "" if d is None else repr(d)]
-                lines.append(",".join([*map(repr, vals), *tail]) + "\n")
-            f.write("".join(lines))
+        for lo, block in row_blocks(traj.t, traj.q, L_vals, formula, fd, rows=TEXT_ROWS):
+            cols = float_texts(block)
+            if lo == 0:
+                cols[-1][0] = ""  # no finite difference at the first and the last row
+            if lo + len(block) == len(traj.t):
+                cols[-1][-1] = ""
+            dist = [dist_text.get(t, "") for t in block[:, 0].tolist()]
+            f.write((line * len(block)) % tuple(chain.from_iterable(zip(*cols, dist))))
     return 0
 
 
@@ -540,6 +541,8 @@ def execute(cfg: ScenarioConfig, out_dir, threads: int = 1) -> int:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
+    import argparse  # only the command line needs it; a run through execute() does not pay its import
+
     parser = argparse.ArgumentParser(prog="swnet", description="switched-network scheduling laboratory")
     sub = parser.add_subparsers(dest="command", required=True)
     for name in EXPERIMENTS:

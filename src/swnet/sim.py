@@ -36,6 +36,10 @@ class CsvFormatError(ValueError):
 # temporaries (and the Python floats of a CSV block) on long dense paths.
 BLOCK_ROWS = 512
 
+# Rows per block when a fluid path is formatted as CSV text: a block's cell
+# strings live until it is written (512-row blocks raised the writer's peak).
+TEXT_ROWS = 128
+
 # Most state rows each of run_batch's two tables keeps in one call, so
 # SELECTION_ROWS // reps entries: batch states in the selection table,
 # (batch state, picks, arrivals) keys in the transition table. A long stable
@@ -44,10 +48,21 @@ BLOCK_ROWS = 512
 SELECTION_ROWS = 4096
 
 
-def row_blocks(*columns: np.ndarray):
-    """Yield (lo, block) for each BLOCK_ROWS rows of the columns side by side, as one float ndarray."""
-    for lo in range(0, len(columns[0]), BLOCK_ROWS):
-        yield lo, np.column_stack([c[lo : lo + BLOCK_ROWS] for c in columns])
+def row_blocks(*columns: np.ndarray, rows: int = BLOCK_ROWS):
+    """Yield (lo, block) for each ``rows`` rows of the columns side by side, as one float ndarray."""
+    for lo in range(0, len(columns[0]), rows):
+        yield lo, np.column_stack([c[lo : lo + rows] for c in columns])
+
+
+def float_texts(block: np.ndarray) -> list[list[str]]:
+    """The repr of every cell of a 2-D float block, as one list of texts per column.
+
+    repr runs once per distinct bit pattern in the block. Keyed on the bits, not on
+    the values, 0.0 and -0.0 keep their own texts (a dict of floats would merge them).
+    """
+    bits, inverse = np.unique(block.T.ravel().view(np.int64), return_inverse=True)
+    texts = np.array([repr(v) for v in bits.view(np.float64).tolist()], dtype=object)
+    return texts[inverse.ravel()].reshape(block.shape[::-1]).tolist()
 
 
 def count_schedules(chosen: np.ndarray, last: np.ndarray, out: np.ndarray) -> None:
@@ -134,7 +149,8 @@ class SystemPath:
 
         Columns: tau,q_1..q_N,a_1..a_N,b_1..b_N,y_1..y_N,chosen_schedule (empty on the last row), after a '#'
         comment naming the run context. Each BLOCK_ROWS rows are one %-template: "%d.0" of int64 cells (their
-        float repr) if all are integers in [0, 2**53) with the sign bit clear (tested before astype), else "%r".
+        float repr) if all are integers in [0, 2**53) with the sign bit clear (tested before astype), else
+        the float_texts of the block.
         """
         if len(self.tau) != self.horizon + 1:
             raise ValueError("CSV export needs a densely recorded path")
@@ -144,8 +160,8 @@ class SystemPath:
         for lo, block in row_blocks(self.Q, self.A, self.B, self.Y):
             hi = lo + len(block)
             lattice = not np.signbit(block).any() and (block < 2**53).all() and (block == np.trunc(block)).all()
-            line = "%d," + ("%d.0," if lattice else "%r,") * block.shape[1] + "%s\n"
-            cols = (block.astype(np.int64) if lattice else block).T.tolist()
+            line = "%d," + ("%d.0," if lattice else "%s,") * block.shape[1] + "%s\n"
+            cols = block.astype(np.int64).T.tolist() if lattice else float_texts(block)
             picks = self.chosen[lo:hi].tolist() + [""]  # the last row's empty cell; zip drops it elsewhere
             f.write((line * len(block)) % tuple(chain.from_iterable(zip(self.tau[lo:hi].tolist(), *cols, picks))))
 

@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 
 from swnet.cli import PresetUnknown, SchemaError, execute, main, parse_scenario
+from swnet.sim import TEXT_ROWS
 
 
 def _write(tmp_path, name, obj):
@@ -570,6 +571,37 @@ def test_fluid_command_csv(tmp_path):
     assert lines[0].startswith("#") and "lambda=(1,1)" in lines[0]
     assert lines[1] == "t,q_1,q_2,L,drift_formula,drift_fd,dist_to_lift"
     assert len(lines) == 103
+
+
+def _fluid_rows(tmp_path, steps):
+    """The body rows of fluid.csv for an ex2 path of ``steps`` Euler steps, each cell checked to be a repr."""
+    h = 2.0**-7  # T = steps * h exactly
+    cfg = parse_scenario(
+        {
+            "preset": "ex2",
+            "lambda": [1, 1],
+            "policy": {"kind": "mw", "alpha": 1.0},
+            "experiment": {"kind": "fluid", "q0": [1, 0.5], "h": h, "T": steps * h},
+        }
+    )
+    assert execute(cfg, tmp_path / str(steps)) == 0
+    rows = [line.split(",") for line in (tmp_path / str(steps) / "fluid.csv").read_text().splitlines()[2:]]
+    assert len(rows) == steps + 1
+    for row in rows:
+        assert len(row) == 7
+        assert all(repr(float(cell)) == cell for cell in row if cell)
+    return rows
+
+
+def test_fluid_csv_blocks_end_on_the_last_row(tmp_path):
+    # the last text block has one row in the first run and is full in the second
+    short, full = _fluid_rows(tmp_path, TEXT_ROWS), _fluid_rows(tmp_path, 2 * TEXT_ROWS - 1)
+    for rows in (short, full):
+        assert [k for k, row in enumerate(rows) if not row[5]] == [0, len(rows) - 1]  # drift_fd
+        assert all(row[6] for row in rows)  # lift_stride 1: a distance on every row
+    assert short[:-1] == full[: TEXT_ROWS]
+    assert short[-1][:5] + short[-1][6:] == full[TEXT_ROWS][:5] + full[TEXT_ROWS][6:]
+    assert full[TEXT_ROWS][5]
 
 
 def test_fluid_lift_distances_stay_on_their_rows_for_tiny_steps(tmp_path):

@@ -1,8 +1,13 @@
+import json
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import swnet
 from swnet import presets
 from swnet.collapse import (
     Iq2x2Workload,
@@ -13,6 +18,7 @@ from swnet.collapse import (
     iq2x2_membership,
     iq2x2_root_exists,
     matching_structure_checks,
+    median_p90,
     mssc_experiment,
     near_optimality_audit,
 )
@@ -339,3 +345,43 @@ def test_mssc_ratio_scale_sane(switch2, switch2_clvr, switch2_lam):
     r1 = mssc_experiment(cfg_for(6)).rows[0][2]
     r2 = mssc_experiment(cfg_for(12)).rows[0][2]
     assert r1 == pytest.approx(r2, rel=0.15, abs=0.02)
+
+
+def _bits(x):
+    return np.float64(x).tobytes()
+
+
+def test_median_p90_equals_numpy_bit_for_bit():
+    rng = np.random.default_rng(7)
+    cases = [[0.25], [3.0, 1.0], [1.0] * 5, [0.0, 0.0, 1.0, 0.0], [0.1, 0.7, 0.7, 0.7, 0.2, 1e300, 1e-300]]
+    cases += [rng.random(n).tolist() for n in range(1, 45)]
+    cases += [(rng.integers(0, 3, n) / 7).tolist() for n in range(1, 45)]  # ties
+    cases += [(rng.standard_normal(n) * 10.0 ** rng.integers(-30, 30, n)).tolist() for n in range(1, 45)]
+    for vals in cases:
+        med, p90 = median_p90(vals)
+        assert (_bits(med), _bits(p90)) == (_bits(np.median(vals)), _bits(np.percentile(vals, 90))), vals
+    assert all(np.isnan(median_p90([1.0, np.nan, 2.0])))
+
+
+def test_collapse_run_does_not_import_numpy_ma(tmp_path):
+    # in a fresh interpreter: this process may have imported numpy.ma already
+    scenario = {
+        "preset": "iq_switch",
+        "M": 2,
+        "lambda": ["1/2"] * 4,
+        "policy": {"kind": "mw", "alpha": 1.0},
+        "experiment": {"kind": "collapse", "r_list": [5, 8], "reps": 2, "T": 1.0, "qhat0": [1, 1, 1, 1],
+                       "grid_points": 20, "median_max_at_largest_r": 1.0, "require_decreasing": False},
+        "seed": 3,
+    }
+    code = (
+        "import json, sys; from swnet.cli import execute, parse_scenario; "
+        f"execute(parse_scenario(json.loads(sys.argv[1])), sys.argv[2]); print('numpy.ma' in sys.modules)"
+    )
+    src = str(Path(swnet.__file__).parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", code, json.dumps(scenario), str(tmp_path / "out")],
+        capture_output=True, text=True, check=True, env={"PYTHONPATH": src},
+    )
+    assert done.stdout.split() == ["False"]
+    assert json.loads((tmp_path / "out" / "summary.json").read_text())["median_by_r"]

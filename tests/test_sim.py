@@ -17,6 +17,7 @@ from swnet.sim import (
     HorizonTooShort,
     conservation_audit,
     exact_sums,
+    float_texts,
     path_from_csv,
     rescale,
     run,
@@ -882,3 +883,45 @@ def test_csv_refuses_a_strided_path(ex2):
     with pytest.raises(ValueError, match="CSV export needs a densely recorded path"):
         path.to_csv(buf)
     assert buf.getvalue() == ""
+
+
+# repr switches to exponent notation below 1e-4 and from 1e16 on
+_ODD_FLOATS = [0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, 2.2250738585072014e-308, 1e16, 1e-5, 1e-4,
+               9999999999999998.0, 0.1, 1 / 3, -7.0]
+
+
+def _rowwise_texts(block):
+    return [[repr(v) for v in col] for col in block.T.tolist()]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 40),
+    st.integers(1, 6),
+    st.lists(st.one_of(st.floats(), st.sampled_from(_ODD_FLOATS)), min_size=1, max_size=12),
+    st.data(),
+)
+def test_float_texts_equal_repr_cell_by_cell(rows, cols, pool, data):
+    # cells drawn from a small pool, so most blocks repeat values within and across columns
+    picks = data.draw(st.lists(st.integers(0, len(pool) - 1), min_size=rows * cols, max_size=rows * cols))
+    block = np.array([pool[i] for i in picks], dtype=float).reshape(rows, cols)
+    assert float_texts(block) == _rowwise_texts(block)
+
+
+def test_float_texts_keep_signed_zeros_and_nans_apart():
+    nan_bits = np.array([np.nan, -np.nan]).view(np.int64)
+    assert nan_bits[0] != nan_bits[1]
+    block = np.array([[0.0, -0.0], [-0.0, 1e16], [np.nan, 1e-5], [-np.nan, 0.0], [0.0, 5e-324]])
+    assert float_texts(block) == [["0.0", "-0.0", "nan", "nan", "0.0"], ["-0.0", "1e+16", "1e-05", "0.0", "5e-324"]]
+    assert float_texts(block[:, :1]) == [["0.0", "-0.0", "nan", "nan", "0.0"]]
+
+
+def test_csv_prints_negative_zero_beside_fractions(ex2):
+    # one off-lattice block: -0.0 and 0.0 in one column, next to long fractions
+    path = run(ex2, Policy.mw_alpha(1.0), ArrivalModel.deterministic([1 / 3, 1 / 3]), [0.5, 1 / 7], 40, seed=4)
+    path.Q[3, 0], path.Q[4, 0], path.Y[5, 1] = -0.0, 0.0, -0.0
+    text = _csv_text(path)
+    assert text == _rowwise_csv(path)
+    lines = [line.split(",") for line in text.splitlines()[2:]]
+    assert (lines[3][1], lines[4][1], lines[5][8]) == ("-0.0", "0.0", "-0.0")
+    assert repr(1 / 3) in text
