@@ -14,6 +14,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+# Slots per block of the modulated chain's successor lists (k * CHAIN_SLOTS ints for k states).
+CHAIN_SLOTS = 4096
+
 
 def derive_rng(master_seed: int, *path: int) -> np.random.Generator:
     """Independent stream for (master seed, replication path)."""
@@ -108,7 +111,8 @@ def sample_increments(model: ArrivalModel, horizon: int, seed) -> np.ndarray:
     """Cumulative arrival path A(0..horizon), shape (horizon+1, n_queues).
 
     A(0) = 0, componentwise nondecreasing, bit-reproducible per seed.
-    ``seed`` may be an int or an rng produced by :func:`derive_rng`.
+    ``seed`` may be an int or an rng produced by :func:`derive_rng`. The modulated
+    chain steps by lookup: every state's successors are found per CHAIN_SLOTS draws.
     """
     if horizon < 0:
         raise ValueError("horizon must be >= 0")
@@ -124,13 +128,15 @@ def sample_increments(model: ArrivalModel, horizon: int, seed) -> np.ndarray:
     elif model.kind == "markov_modulated":
         pi = model.stationary_distribution()
         k = pi.shape[0]
-        cum = np.cumsum(model.transition, axis=1).tolist()
+        cum = np.cumsum(model.transition, axis=1)
         # bisect_right is searchsorted(side="right") on these sorted rows
         state = min(bisect_right(np.cumsum(pi).tolist(), rng.random()), k - 1)
-        states = []
-        for u in map(float, rng.random(horizon)):  # one float at a time: no list of them all
-            states.append(state)
-            state = min(bisect_right(cum[state], u), k - 1)
+        states, u = [], rng.random(horizon)
+        for lo in range(0, horizon, CHAIN_SLOTS):  # nxt[s][t]: the successor of s in slot lo + t
+            nxt = [np.minimum(np.searchsorted(row, u[lo : lo + CHAIN_SLOTS], side="right"), k - 1).tolist() for row in cum]
+            for t in range(len(nxt[0])):
+                states.append(state)
+                state = nxt[state][t]
         inc = model.state_rates[states]
     else:
         raise ValueError(f"unknown arrival kind {model.kind!r}")

@@ -40,11 +40,11 @@ BLOCK_ROWS = 512
 # strings live until it is written (512-row blocks raised the writer's peak).
 TEXT_ROWS = 128
 
-# Most state rows each of run_batch's two tables keeps in one call, so
-# SELECTION_ROWS // reps entries: batch states in the selection table,
-# (batch state, picks, arrivals) keys in the transition table. A long stable
-# run on the integer lattice revisits tens to thousands of states; the cap
-# bounds the memory of runs whose states rarely repeat.
+# Most state rows run_batch's table keeps in one call for its states and for
+# their moves each, so SELECTION_ROWS // reps batch states, and as many moves
+# over all the states' move dicts. A long stable run on the integer lattice
+# revisits tens to thousands of states; the cap bounds the memory of runs
+# whose states rarely repeat.
 SELECTION_ROWS = 4096
 
 
@@ -219,19 +219,19 @@ def run_batch(
     Generator bit for bit.
 
     The loop keeps one key per slot, the (reps, N) state as one bytes
-    object, and two tables that live for this call. The selection table maps
-    a batch state to each row's maximizers (see ``policy.maximizers``), so a
-    revisited state is not weighed again and only its ties are broken anew,
-    each with its row's own TieState. This relies on the maximizers being a
-    function of q alone, which holds for mw, backpressure and msmw_log; a
-    custom weight f is assumed to be a function. A missed state is weighed
-    in one call, each row by its own matrix-vector product. The transition
-    table maps (state, every row's pick, the slot's arrival bytes) to the
-    next state: a known move is a lookup, any other slot steps the batch
-    through ``advance``. Moves are learnt only in slots whose state was
-    known. Each table stops growing at SELECTION_ROWS state rows. A wide
-    batch whose rows repeat but never all at once, as in a subcritical
-    collapse run, is weighed and stepped every slot.
+    object, and a table that lives for this call. Its entry for a state is
+    (each row's maximizers, whether a row is tied, the state's moves), so a
+    revisited state is not weighed again, an untied one skips ``resolve``,
+    and only ties are broken anew, each with its row's own TieState. This
+    relies on the maximizers (``policy.maximizers``) being a function of q,
+    which holds for mw, backpressure and msmw_log. A missed state is weighed
+    in one call, each row by its own matrix-vector product. The moves map the
+    slot's arrival bytes (on a tied state: every row's pick and the arrival
+    bytes) to the next state: a known move is a lookup, any other slot steps
+    the batch through ``advance``. Moves are learnt only in known states, into a
+    dict made with the first one. States and moves each stop at SELECTION_ROWS
+    state rows. A wide batch whose rows repeat but never all at once, as in a
+    subcritical collapse run, is weighed and stepped every slot.
 
     Q, B, Y and sup_q are rebuilt from the visited states a block of
     BLOCK_ROWS state rows (BLOCK_ROWS // reps slots) at a time, with idling
@@ -277,10 +277,11 @@ def run_batch(
     s_mat = model.schedules.as_array
     exact = exact_sums(q0, dA, s_mat, horizon)
     lexicographic = policy.kind == "msmw_log"
+    untied = policy.tie_break == "highest_index"  # maximizers then holds no tuple
     slot_bytes = np.dtype((np.void, q.nbytes))  # a slot's (reps, N) arrivals as one key
-    cap = SELECTION_ROWS // reps  # entries per table: SELECTION_ROWS state rows
+    cap = SELECTION_ROWS // reps  # states, and moves, per call: SELECTION_ROWS state rows
     cur = q.tobytes()  # the batch state as one key
-    table, moves, shared = {}, {}, {}  # shared: each distinct tuple of maximizers, stored once
+    table, shared, learnt = {}, {}, 0  # shared: each distinct tuple of maximizers, stored once
 
     span = max(1, BLOCK_ROWS // reps)  # slots per block: BLOCK_ROWS state rows
     for lo in range(0, horizon, span):
@@ -288,16 +289,19 @@ def run_batch(
         picks: list = []
         states = [cur]  # the block's batch states, slot by slot, from slot lo
         for tau, arrived in enumerate(dA[lo:hi].reshape(hi - lo, -1).view(slot_bytes).ravel().tolist(), lo):
-            found = table.get(cur)
-            known = found is not None
-            if not known:
+            entry = table.get(cur)
+            if entry is None:  # a new state has no move yet
                 if q is None:
                     q = np.frombuffer(cur).reshape(reps, n)
                 found = tuple(maximizers(policy, argmax_mask(batch_weights(model, policy, q), policy.rel_tol, lexicographic)))
+                pick, nxt = resolve(policy, found, tie_states, ns), None
                 if len(table) < cap:
-                    table[cur] = shared.setdefault(found, found)
-            pick = resolve(policy, found, tie_states, ns)
-            nxt = moves.get(move := (cur, *pick, arrived)) if known else None  # a new state has no move yet
+                    table[cur] = (shared.setdefault(found, found), not untied and tuple in map(type, found), None)
+            else:  # an untied state's moves key on the arrivals alone, and its picks need no resolve
+                found, tied, known_moves = entry
+                pick = resolve(policy, found, tie_states, ns) if tied else found
+                key = (*pick, arrived) if tied else arrived
+                nxt = known_moves.get(key) if known_moves else None
             if nxt is None:
                 if q is None:
                     q = np.frombuffer(cur).reshape(reps, n)
@@ -306,8 +310,10 @@ def run_batch(
                     bad = int(np.argmin(q.min(axis=1)))
                     raise NegativeQueue(f"queue went negative at slot {tau}: {q[bad]}")
                 nxt = q.tobytes()
-                if known and len(moves) < cap:
-                    moves[move] = nxt
+                if entry is not None and learnt < cap:
+                    if known_moves is None:  # a state's move dict is made with its first move
+                        table[cur] = (found, tied, known_moves := {})
+                    known_moves[key], learnt = nxt, learnt + 1
             else:
                 q = None
             picks.append(pick)
@@ -483,20 +489,21 @@ def conservation_audit(
         else:
             flow = B - Y
             lhs = q0 + A - flow + (into @ flow[..., None])[..., 0]
+        # row max, min and int sums over contiguous transposed copies (fast, and exact in any order)
         res = np.full((hi - lo, len(_AUDIT_CHECKS)), np.nan)
-        res[:, 0] = np.abs(Q - lhs).max(axis=1, initial=0.0)
-        res[:, 1] = np.abs(B - path.S_cum[lo:hi].astype(float) @ model.schedules.as_array).max(axis=1, initial=0.0)
+        res[:, 0] = np.abs(Q - lhs).T.copy().max(axis=0, initial=0.0)
+        res[:, 1] = np.abs(B - path.S_cum[lo:hi].astype(float) @ model.schedules.as_array).T.copy().max(axis=0, initial=0.0)
         for c, x in enumerate((path.A, path.B, path.Y), start=2):
-            res[first:, c] = (x[prev] - x[cur]).max(axis=1, initial=0.0)
-        ds = path.S_cum[cur] - path.S_cum[prev]
-        gap = ds.sum(axis=1) - (path.tau[cur] - path.tau[prev])
+            res[first:, c] = (x[prev] - x[cur]).T.copy().max(axis=0, initial=0.0)
+        ds = (path.S_cum[cur] - path.S_cum[prev]).T.copy()
+        gap = ds.sum(axis=0) - (path.tau[cur] - path.tau[prev])
         res[first:, 5] = np.abs(gap)
-        res[:, 6] = -Q.min(axis=1)
+        res[:, 6] = -Q.T.copy().min(axis=0)
         # NaN and inf pass the tests above; either one in a row makes its identity residual non-finite
         if not np.isfinite(res[:, 0]).all():
             res[:, 7] = (~np.isfinite(np.hstack((Q, A, B, Y)))).sum(axis=1)
         bad = res > thr
-        bad[first:, 5] = (ds.min(axis=1) < 0) | (gap != 0)
+        bad[first:, 5] = (ds.min(axis=0) < 0) | (gap != 0)
         bad[:, 6:] = res[:, 6:] > 0.0
         max_res = max(max_res, float(np.fmax.reduce(res[:, :5], axis=None, initial=0.0)))
         for i, c in zip(*np.nonzero(bad)):  # by slot, then check order

@@ -116,18 +116,36 @@ def _markov_reference(model, horizon, rng):
     return out
 
 
+class _TopHeavy(np.random.Generator):
+    """A Generator whose vector draws hold the largest float below 1 in every 97th slot."""
+
+    def random(self, size=None):
+        u = super().random(size)
+        if size is not None:
+            u[::97] = np.nextafter(1.0, 0.0)
+        return u
+
+
 @pytest.mark.parametrize(
     "transition, rates",
     [
         ([[0.6, 0.4], [0.3, 0.7]], [[2.0, 0.0, 0.0], [0.0, 0.0, 0.0]]),
         # a zero entry repeats a cumulative value: that move never happens
         ([[0.5, 0.0, 0.5], [0.2, 0.3, 0.5], [0.0, 0.9, 0.1]], [[1.0, 0.25], [0.0, 3.0], [1 / 3, 0.5]]),
+        # the float cumsum of [0.7, 0.2, 0.1] ends at 0.9999999999999999, so a draw at or above it
+        # finds no cumulative value above it and the chain is clamped to its last state
+        ([[0.7, 0.2, 0.1], [0.1, 0.2, 0.7], [0.3, 0.3, 0.4]], [[1.0, 0.0], [0.0, 1.0], [2.0, 2.0]]),
     ],
 )
 def test_markov_modulated_equals_searchsorted_reference(transition, rates):
     model = ArrivalModel.markov_modulated(transition, rates)
+    # 4095 to 4097 and 9000 cross the edges of the sampler's blocks of successor lists
     for seed in range(6):
-        for horizon in (0, 1, 2000):
+        for horizon in (0, 1, 2000, 4095, 4096, 4097, 9000):
             got = sample_increments(model, horizon, derive_rng(seed, horizon))
             want = _markov_reference(model, horizon, derive_rng(seed, horizon))
             assert np.array_equal(got, want)
+    for horizon in (4097, 9000):  # the top-heavy draws reach the clamp
+        got = sample_increments(model, horizon, _TopHeavy(np.random.PCG64(horizon)))
+        want = _markov_reference(model, horizon, _TopHeavy(np.random.PCG64(horizon)))
+        assert np.array_equal(got, want)

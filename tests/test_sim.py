@@ -478,6 +478,9 @@ _TABLE_CASES = [
     ("tandem2", Policy.backpressure(WeightFunction.power(1.0), tie_break="random"), [0.7, 0.1]),
     ("merge3", Policy.backpressure(WeightFunction.power(1.0), tie_break="round_robin"), [0.3, 0.3, 0.3, 0.05]),
     ("iq2", Policy.msmw_log(tie_break="random"), [0.45] * 4),
+    # highest_index: no state is tied, so every known move keys on the slot's arrivals alone
+    ("iq2", Policy.mw(WeightFunction.power(1.0)), [0.45] * 4),
+    ("tandem2", Policy.backpressure(WeightFunction.power(1.0)), [0.7, 0.1]),
 ]
 
 
@@ -492,7 +495,8 @@ def test_selection_table_equals_weighing_every_slot(name, policy, lam, reps):
     paths = run_batch(*args, [derive_rng(11, rep) for rep in range(reps)])
     _assert_paths_equal(paths, _reference_run_batch(*args, [derive_rng(11, rep) for rep in range(reps)]))
     if reps < 20:  # a batch of 20 rows never repeats as a whole, so there the table never decides
-        # the tie-break's draws and pointers must follow the replication also when the table decides
+        # the tie-break's draws and pointers must follow the replication also when the table decides,
+        # and under highest_index a tied argmax mask must take its highest maximizer
         assert _ties_at(model, policy, paths, _table_replay(paths)[0]) > 0
 
 
@@ -539,6 +543,20 @@ def test_transition_table_equals_reference(name, policy, lam, reps, record_every
         # here two rows of four queues never repeat a move as a whole, and twenty rows not even a state
         # the tie-break's draws and pointers must follow the replication also on lookup slots
         assert _ties_at(model, policy, paths, _table_replay(paths)[1]) > 0
+
+
+def test_round_robin_revisits_a_tied_state_with_a_different_move():
+    # ex2 from (1, 2) with arrivals (1, 1/2) cycles through the tied state (1, 2), and the round-robin
+    # pointer alternates its pick: the state's known moves differ by the pick alone, with equal arrivals
+    model, policy = presets.ex2(), Policy.mw(WeightFunction.power(1.0), tie_break="round_robin")
+    args = (model, policy, ArrivalModel.deterministic([1.0, 0.5]), np.array([1.0, 2.0]), 40)
+    paths = run_batch(*args, [derive_rng(29)])
+    _assert_paths_equal(paths, _reference_run_batch(*args, [derive_rng(29)]))
+    path = paths[0]
+    tied = [t for t in _table_replay(paths)[1] if path.Q[t].tolist() == [1.0, 2.0]]
+    assert len(tied) > 2 and _ties_at(model, policy, paths, tied) == len(tied)
+    moves = {int(path.chosen[t]): path.Q[t + 1].tobytes() for t in tied}
+    assert len(moves) == 2 and len(set(moves.values())) == 2
 
 
 def _count_advance(monkeypatch):
@@ -667,6 +685,9 @@ def _rowwise_audit(path, model, rtol=1e-9, bound_pairs=200, seed=0):
         if path.Q[i].min() < 0:
             viol.append(AuditViolation(slot=tau, check="nonnegative_queue", residual=float(-path.Q[i].min())))
         checks += 1
+        cells = np.concatenate((path.Q[i], path.A[i], path.B[i], path.Y[i]))
+        if not np.isfinite(cells).all():  # a violation, but not one of checks_run
+            viol.append(AuditViolation(slot=tau, check="non_finite", residual=float((~np.isfinite(cells)).sum())))
     nrec = len(path.tau)
     if nrec >= 2 and bound_pairs > 0:
         rng = derive_rng(seed, 0xA0D17)
@@ -763,9 +784,6 @@ def test_audit_equals_rowwise_reference(name, record_every, kind):
     for rtol, pairs in ((1e-9, 200), (0.0, 50)):
         got = conservation_audit(path, model, rtol=rtol, bound_pairs=pairs, seed=3)
         want = _rowwise_audit(path, model, rtol=rtol, bound_pairs=pairs, seed=3)
-        if kind == "non_finite":  # the reference has no finite-values check; all else must agree
-            got.violations = [v for v in got.violations if v.check != "non_finite"]
-            got.ok = not got.violations
         assert got.summary() == want.summary()
     report = conservation_audit(path, model)
     # a NaN residual never exceeds the threshold and an inf A makes it inf,
@@ -778,6 +796,29 @@ def test_audit_equals_rowwise_reference(name, record_every, kind):
     elif kind != "clean":
         for row in (BLOCK_ROWS - 1, BLOCK_ROWS):
             assert (int(path.tau[row]), kind) in flagged
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")  # inf - inf
+@pytest.mark.parametrize("non_finite", [{"Q": np.nan, "A": np.inf}, {"B": np.nan, "Y": np.nan}], ids=["QA", "BY"])
+@pytest.mark.parametrize("name", ["ex2", "tandem2"])
+def test_audit_of_a_tall_path_with_bad_rows_in_its_second_block(name, non_finite):
+    # the row max, min and sums run over transposed copies of each block: the residuals, the
+    # violations in their order and max_residual must be the rowwise ones bit for bit. NaN in Q or
+    # inf in A leaves no finite threshold; NaN in B and Y leaves it, and max_residual finite.
+    model, path = _audit_path(name)
+    assert len(path.tau) > 2 * BLOCK_ROWS
+    for k, (column, value) in enumerate(non_finite.items()):
+        getattr(path, column)[BLOCK_ROWS + 10 + 10 * k, k % 2] = value
+    path.Q[BLOCK_ROWS + 30, 1] = -0.75
+    path.A[BLOCK_ROWS + 40, 0] = path.A[BLOCK_ROWS + 39, 0] - 1.0
+    for rtol, pairs in ((1e-9, 200), (0.0, 0)):
+        got = conservation_audit(path, model, rtol=rtol, bound_pairs=pairs, seed=5)
+        want = _rowwise_audit(path, model, rtol=rtol, bound_pairs=pairs, seed=5)
+        assert repr(got.summary()) == repr(want.summary())  # repr tells -0.0 from 0.0
+        flagged = [(v.slot - BLOCK_ROWS, v.check) for v in got.violations]
+        assert (10, "non_finite") in flagged and (30, "nonnegative_queue") in flagged
+        assert ((40, "monotone_A") in flagged) == ("B" in non_finite)
+        assert np.isfinite(got.max_residual) == ("B" in non_finite)
 
 
 @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
