@@ -68,8 +68,8 @@ class ArrivalModel:
         rates = np.asarray(state_rates, dtype=float)
         if p.ndim != 2 or p.shape[0] != p.shape[1]:
             raise ValueError("transition matrix must be square")
-        if rates.shape[0] != p.shape[0]:
-            raise ValueError("one rate vector per chain state is required")
+        if rates.ndim != 2 or rates.shape[0] != p.shape[0] or rates.shape[1] == 0:
+            raise ValueError("state rates must be a (k, N) matrix: one rate vector per chain state")
         if np.any(p < 0) or not np.allclose(p.sum(axis=1), 1.0, atol=1e-12):
             raise ValueError("transition matrix rows must be distributions")
         if np.any(rates < 0):

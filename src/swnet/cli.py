@@ -57,7 +57,7 @@ from .geometry import (
     DEFAULT_VERTEX_BUDGET,
 )
 from .lift import is_fixed_point, lift
-from .model import NetworkModel, RoutingMatrix, ScheduleSet, WeightFunction, validate_network
+from .model import NetworkModel, WeightFunction, validate_network
 from .policy import Policy, PolicyModelMismatch, TieState
 from .schema import REQUIRED, Decreasing, Edge, Int, Is, Kind, ListOf, Num, SchemaError, Tagged, kind_of, read_object
 from .sim import TEXT_ROWS, CsvFormatError, conservation_audit, float_texts, path_from_csv, row_blocks, run
@@ -76,8 +76,8 @@ class PresetUnknown(SchemaError):
 
 
 def _network(queues: int, schedules: list, routing: list) -> NetworkModel:
-    edges = RoutingMatrix.from_edges(queues, routing) if routing else None
-    return validate_network(ScheduleSet(schedules), edges, name="network")
+    # "queues" has already sized the schedule vectors and bounded the edges
+    return validate_network(schedules, routing, name="network")
 
 
 PRESETS = {
@@ -229,7 +229,7 @@ def _clvr_for(cfg: ScenarioConfig, budget: int = DEFAULT_VERTEX_BUDGET):
     """((clvr, clvr_plus), vertices) for the model at the aggregated rates
     R~ cfg.lam."""
     vrs = enumerate_dual_vertices(cfg.model, budget=budget)
-    lam_tilde = cfg.model.upstream.transform_exact(fraction_vector(cfg.lam))
+    lam_tilde = cfg.model.transform_exact(fraction_vector(cfg.lam))
     return critically_loaded(cfg.model, lam_tilde, vrs, tol=cfg.tolerances["clvr"]), vrs
 
 
@@ -262,7 +262,7 @@ def _run_analyze(cfg: ScenarioConfig, out: Path, *, budget) -> int:
         (clvr, clvr_plus), vrs = _clvr_for(cfg, budget)
     except BudgetExceeded as exc:
         raise SchemaError("/experiment/budget", str(exc)) from exc
-    lam = model.upstream.transform_exact(fraction_vector(cfg.lam))
+    lam = model.transform_exact(fraction_vector(cfg.lam))
     value, alpha = solve_primal(model, lam)
     dvalue, xi = solve_dual(model, lam)
     load = classify_primal(value, cfg.lam)

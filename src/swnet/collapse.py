@@ -391,7 +391,7 @@ def matching_structure_checks(
     if m > 3:
         raise ValueError("brute force over matchings supports M <= 3")
     sw = presets.iq_switch(m)
-    cells = sw.schedules.as_array > 0  # (matchings, queues)
+    cells = sw.schedules > 0  # (matchings, queues)
     weight = WeightFunction.power(1.0)  # alpha = 1
     rng = derive_rng(seed)
     x = rng.integers(0, 7, size=(samples, m * m)).astype(float)  # the same draws as one matrix at a time

@@ -69,10 +69,10 @@ def integrate_fluid(
         raise ValueError("q0 and lam must be >= 0")
     qs = np.zeros((steps + 1, n))
     qs[0] = q
-    service = h * model.schedules.as_array
+    service = h * model.schedules
     dA = lam * h
     # each schedule's step increments in advance's order when no queue idles: -h pi, (multi-hop) routed h pi, +lambda h
-    routed = [] if model.is_single_hop else [(model.routing.into @ service[..., None])[..., 0]]
+    routed = [] if model.is_single_hop else [(model.into @ service[..., None])[..., 0]]
     incs = np.stack([-service, *routed, np.broadcast_to(dA, service.shape)], axis=1)
     tie_state = TieState() if tie_state is None else tie_state
     if policy.tie_break == "random" and tie_state.rng is None:  # refused before any step, tie or not

@@ -216,7 +216,7 @@ def solve_lp(
 
 
 def _schedule_rows(model: NetworkModel) -> list[tuple[Fraction, ...]]:
-    return [fraction_vector(pi) for pi in model.schedules.as_array]
+    return [fraction_vector(pi) for pi in model.schedules]
 
 
 def solve_primal(model: NetworkModel, lam) -> tuple[Fraction, list[Fraction]]:
@@ -484,7 +484,7 @@ def complete_loading_check(model: NetworkModel, clvr) -> tuple[bool, Optional[li
     if not clvr:
         return False, None
     n = model.n_queues
-    denom = max(sum(fraction_vector(pi)) for pi in model.schedules.as_array)
+    denom = max(sum(fraction_vector(pi)) for pi in model.schedules)
     target = [Fraction(1) / denom] * n
     k = len(clvr)
     a_eq = [[clvr[j][q] for j in range(k)] for q in range(n)]

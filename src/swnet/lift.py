@@ -32,7 +32,7 @@ class SolverDivergence(RuntimeError):
 
 def _zero_rate_mask(model: NetworkModel, lam) -> np.ndarray:
     """Exact mask of queues whose aggregated rate [R~ lambda]_n is zero."""
-    return np.array([v == 0 for v in model.upstream.transform_exact(fraction_vector(lam))], dtype=bool)
+    return np.array([v == 0 for v in model.transform_exact(fraction_vector(lam))], dtype=bool)
 
 
 def workload(model: NetworkModel, xi_set, q) -> np.ndarray:
@@ -41,7 +41,7 @@ def workload(model: NetworkModel, xi_set, q) -> np.ndarray:
     The dot products are accumulated exactly (rational xi against the exact
     binary values of q) before conversion to float.
     """
-    q_tilde = model.upstream.transform_exact(fraction_vector(np.asarray(q, dtype=float)))
+    q_tilde = model.transform_exact(fraction_vector(np.asarray(q, dtype=float)))
     return np.array([float(sum(to_fraction(x) * qt for x, qt in zip(xi, q_tilde))) for xi in xi_set])
 
 
@@ -50,7 +50,7 @@ def constraint_rows(model: NetworkModel, lam, clvr, include_caps: bool) -> tuple
     workload row xi . R~ per resource in clvr, then (with ``include_caps``)
     a cap row -R~_n per queue whose aggregated rate [R~ lambda]_n is zero.
     Returns (G, kinds)."""
-    rt = model.upstream.entries.astype(float)
+    rt = model.upstream.astype(float)
     rows: list[np.ndarray] = []
     kinds: list[str] = []
     for i, xi in enumerate(clvr):
@@ -333,7 +333,7 @@ def representation_check(
     lam_f = [to_fraction(v) for v in float_vector(lam)]
     tol_f = to_fraction(1e-6)
     n = model.n_queues
-    pis = [[to_fraction(float(v)) for v in pi] for pi in model.schedules.as_array]
+    pis = [[to_fraction(float(v)) for v in pi] for pi in model.schedules]
     ns = len(pis)
     # variables: x = (t, b_1..b_ns) with b = t * hull weights
     one = Fraction(1)
@@ -357,7 +357,7 @@ def representation_check(
                 a_ub.append(row)
                 b_ub.append(-to_fraction(float(q[k])) + tol_f)
     else:
-        rt = model.routing.entries
+        rt = model.routing
         for k in range(n):
             # (I - R^T) sigma at k: sigma_k - sum_m R_mk sigma_m
             row = [lam_f[k]]

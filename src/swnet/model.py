@@ -1,7 +1,7 @@
 """Static network data: queues, schedule set, routing, weight functions.
 
-Everything here is immutable after construction and safe to share across
-concurrent tasks.
+Everything here is immutable after construction (the model's arrays are
+read-only) and safe to share across concurrent tasks.
 """
 
 from __future__ import annotations
@@ -28,61 +28,17 @@ class EmptyScheduleSet(NetworkError):
     """The schedule set has no schedules."""
 
 
-class ScheduleSet:
-    """Finite ordered set of service vectors, one row per schedule.
-
-    Indices 0..len-1 are stable for the lifetime of the object; tie-breaking
-    in the scheduling policies depends on them.
-    """
-
-    def __init__(self, schedules) -> None:
-        arr = np.asarray(schedules, dtype=float)
-        if arr.ndim != 2 or arr.shape[0] == 0:
-            raise EmptyScheduleSet("schedule set must be a nonempty list of vectors")
-        if not np.all(np.isfinite(arr)) or np.any(arr < 0):
-            raise NetworkError("schedule components must be finite and >= 0")
-        arr.setflags(write=False)
-        self._arr = arr
-
-    @property
-    def as_array(self) -> np.ndarray:
-        """Matrix of shape (num_schedules, num_queues), read-only."""
-        return self._arr
-
-    @property
-    def n_queues(self) -> int:
-        return self._arr.shape[1]
-
-    def __len__(self) -> int:
-        return self._arr.shape[0]
-
-    def __getitem__(self, index: int) -> np.ndarray:
-        return self._arr[index]
-
-    def __iter__(self):
-        return iter(self._arr)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, ScheduleSet) and np.array_equal(self._arr, other._arr)
-
-    def __repr__(self) -> str:
-        return f"ScheduleSet({self._arr.tolist()!r})"
-
-
-def monotone_closure(schedules: ScheduleSet) -> ScheduleSet:
+def monotone_closure(schedules) -> np.ndarray:
     """Smallest superset closed under zeroing any subset of components.
 
     Original schedules keep their indices as a prefix of the result; the
     added variants follow in first-seen order. Idempotent.
     """
+    rows = np.asarray(schedules, dtype=float)
     seen: dict[tuple, None] = {}
-    out: list[tuple] = []
-    for row in schedules.as_array:
-        key = tuple(row.tolist())
-        if key not in seen:
-            seen[key] = None
-            out.append(key)
-    for row in schedules.as_array:
+    for row in rows:
+        seen.setdefault(tuple(row.tolist()))
+    for row in rows:
         support = np.flatnonzero(row)
         # all subsets of the support, zeroed out; masks ordered by bit pattern
         for mask in range(1, 1 << len(support)):
@@ -90,123 +46,24 @@ def monotone_closure(schedules: ScheduleSet) -> ScheduleSet:
             for b, n in enumerate(support):
                 if mask >> b & 1:
                     variant[n] = 0.0
-            key = tuple(variant.tolist())
-            if key not in seen:
-                seen[key] = None
-                out.append(key)
-    return ScheduleSet(out)
+            seen.setdefault(tuple(variant.tolist()))
+    return np.array(list(seen), dtype=float)
 
 
-def is_monotone_closed(schedules: ScheduleSet) -> bool:
+def is_monotone_closed(schedules: np.ndarray) -> bool:
     """Check the schedule-set closure needed for multi-hop backpressure.
 
     Closure under zeroing single components implies closure under zeroing
     arbitrary subsets, so only single zeroings are tested.
     """
-    keys = {tuple(row.tolist()) for row in schedules.as_array}
-    for row in schedules.as_array:
+    keys = {tuple(row.tolist()) for row in schedules}
+    for row in schedules:
         for n in np.flatnonzero(row):
             variant = row.copy()
             variant[n] = 0.0
             if tuple(variant.tolist()) not in keys:
                 return False
     return True
-
-
-class RoutingMatrix:
-    """Fixed acyclic routing: entry (m, n) = 1 sends work served at m to n."""
-
-    def __init__(self, entries) -> None:
-        arr = np.asarray(entries, dtype=np.int64)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise NetworkError("routing matrix must be square")
-        if not np.isin(arr, (0, 1)).all():
-            raise NetworkError("routing entries must be 0 or 1")
-        rows = arr.sum(axis=1)
-        if np.any(rows > 1):
-            m = int(np.argmax(rows > 1))
-            raise MultipleDownstream(f"queue {m} routes to more than one queue")
-        self._check_acyclic(arr)
-        arr.setflags(write=False)
-        self._arr = arr
-        # C order, as the cast numpy makes for the int matrix, so that the
-        # matrix-vector products keep their summation order and bits
-        into = np.ascontiguousarray(arr.T, dtype=float)
-        into.setflags(write=False)
-        self._into = into
-
-    @staticmethod
-    def _check_acyclic(arr: np.ndarray) -> None:
-        # With at most one successor per node, any walk either terminates or
-        # closes a cycle within N steps.
-        n = arr.shape[0]
-        succ = [int(np.argmax(arr[m])) if arr[m].any() else -1 for m in range(n)]
-        for start in range(n):
-            node, hops = start, 0
-            while node != -1 and hops <= n:
-                node = succ[node]
-                hops += 1
-            if hops > n:
-                raise CyclicRouting(f"routing cycle reachable from queue {start}")
-
-    @classmethod
-    def from_edges(cls, n_queues: int, edges) -> "RoutingMatrix":
-        """Build from a list of (m, n) pairs, 0-based."""
-        arr = np.zeros((n_queues, n_queues), dtype=np.int64)
-        for m, n in edges:
-            arr[m, n] = 1
-        return cls(arr)
-
-    @property
-    def entries(self) -> np.ndarray:
-        return self._arr
-
-    @property
-    def into(self) -> np.ndarray:
-        """R^T as floats, built once: (R^T x)_n is the work x routes into n."""
-        return self._into
-
-    @property
-    def n_queues(self) -> int:
-        return self._arr.shape[0]
-
-    def is_zero(self) -> bool:
-        return not self._arr.any()
-
-
-class UpstreamMatrix:
-    """I + R^T + (R^T)^2 + ...; entry (m, n) = 1 iff work injected at n passes
-    through m. Exact inverse of (I - R^T) in integer arithmetic."""
-
-    def __init__(self, routing: RoutingMatrix) -> None:
-        rt = routing.entries.T
-        n = rt.shape[0]
-        acc = np.eye(n, dtype=np.int64)
-        power = np.eye(n, dtype=np.int64)
-        for _ in range(n):
-            power = power @ rt
-            if not power.any():
-                break
-            acc = acc + power
-        if not np.isin(acc, (0, 1)).all():
-            raise CyclicRouting("upstream series did not converge to a 0/1 matrix")
-        ident = (np.eye(n, dtype=np.int64) - rt) @ acc
-        if not np.array_equal(ident, np.eye(n, dtype=np.int64)):
-            raise NetworkError("(I - R^T) R~ != I; routing matrix is inconsistent")
-        acc.setflags(write=False)
-        self._arr = acc
-
-    @property
-    def entries(self) -> np.ndarray:
-        return self._arr
-
-    def transform(self, x) -> np.ndarray:
-        """R~ x: aggregate each queue's value with everything upstream of it."""
-        return self._arr @ np.asarray(x, dtype=float)
-
-    def transform_exact(self, x) -> list:
-        """R~ x in exact arithmetic: Fractions x in, Fractions out."""
-        return [sum(x[m] for m in np.flatnonzero(row)) for row in self._arr]
 
 
 @dataclass(frozen=True)
@@ -277,50 +134,90 @@ class WeightFunction:
         return f"power({self.alpha:g})" if self.kind == "power" else "custom"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NetworkModel:
-    """Validated static network: queues, schedules, routing, upstream matrix."""
+    """Validated static network, built by ``validate_network``; every array
+    is read-only.
 
+    ``schedules``: float (num_schedules, N), one service vector per row; the
+    row indices are stable, and tie-breaking depends on them. ``routing``:
+    int64 0/1 (N, N), entry (m, n) = 1 sends work served at m to n.
+    ``into``: R^T as C-ordered floats, so (R^T x)_n is the work x routes into
+    n. ``upstream``: R~ = (I - R^T)^-1 = I + R^T + (R^T)^2 + ... in int64;
+    entry (m, n) = 1 iff work injected at n passes through m.
+    """
+
+    schedules: np.ndarray
+    routing: np.ndarray
+    into: np.ndarray
+    upstream: np.ndarray
     n_queues: int
-    schedules: ScheduleSet
-    routing: RoutingMatrix
-    upstream: UpstreamMatrix
-    hop_kind: str  # "single" | "multi"
+    is_single_hop: bool
     schedules_monotone_closed: bool
     name: str = "network"
 
-    @property
-    def is_single_hop(self) -> bool:
-        return self.hop_kind == "single"
+    def transform_exact(self, x) -> list:
+        """R~ x in exact arithmetic: Fractions x in, Fractions out."""
+        return [sum(x[m] for m in np.flatnonzero(row)) for row in self.upstream]
 
 
-def validate_network(
-    schedules: ScheduleSet,
-    routing: Optional[RoutingMatrix] = None,
-    name: str = "network",
-) -> NetworkModel:
-    """Validate and assemble the static model, deriving the upstream matrix.
+def validate_network(schedules, edges=(), name: str = "network") -> NetworkModel:
+    """Validate and assemble the static model, deriving R^T and R~.
 
-    ``routing=None`` (or the all-zero matrix) gives a single-hop network.
+    ``schedules`` is copied, one row per schedule; ``edges`` lists the
+    routing pairs (m, n), 0-based, meaning work served at m goes to n (a
+    repeated pair counts once); no edges gives a single-hop network.
     Multi-hop models record whether the schedule set is monotone-closed;
     backpressure refuses models where it is not.
     """
-    n = schedules.n_queues
-    if routing is None:
-        routing = RoutingMatrix(np.zeros((n, n), dtype=np.int64))
-    if routing.n_queues != n:
-        raise NetworkError(
-            f"routing is {routing.n_queues}x{routing.n_queues} but schedules have {n} queues"
-        )
-    upstream = UpstreamMatrix(routing)
-    hop_kind = "single" if routing.is_zero() else "multi"
-    closed = is_monotone_closed(schedules)
+    sched = np.array(schedules, dtype=float)
+    if sched.ndim != 2 or sched.shape[0] == 0 or sched.shape[1] == 0:
+        raise EmptyScheduleSet("schedule set must be a nonempty list of vectors over at least one queue")
+    if not np.all(np.isfinite(sched)) or np.any(sched < 0):
+        raise NetworkError("schedule components must be finite and >= 0")
+    n = sched.shape[1]
+    routing = np.zeros((n, n), dtype=np.int64)
+    for m, k in edges:
+        if not all(isinstance(i, (int, np.integer)) and not isinstance(i, bool) and 0 <= i < n for i in (m, k)):
+            raise NetworkError(f"routing edge ({m}, {k}) is not a pair of queue indices in 0..{n - 1}")
+        routing[m, k] = 1
+    downstream = routing.sum(axis=1)
+    if np.any(downstream > 1):
+        raise MultipleDownstream(f"queue {int(np.argmax(downstream > 1))} routes to more than one queue")
+    # With at most one successor per queue, any walk either ends or closes a
+    # cycle within N steps.
+    succ = [int(np.argmax(row)) if row.any() else -1 for row in routing]
+    for start in range(n):
+        node, hops = start, 0
+        while node != -1 and hops <= n:
+            node = succ[node]
+            hops += 1
+        if hops > n:
+            raise CyclicRouting(f"routing cycle reachable from queue {start}")
+    rt = routing.T
+    upstream = np.eye(n, dtype=np.int64)
+    power = np.eye(n, dtype=np.int64)
+    for _ in range(n):
+        power = power @ rt
+        if not power.any():
+            break
+        upstream = upstream + power
+    if not np.isin(upstream, (0, 1)).all():
+        raise CyclicRouting("upstream series did not converge to a 0/1 matrix")
+    if not np.array_equal((np.eye(n, dtype=np.int64) - rt) @ upstream, np.eye(n, dtype=np.int64)):
+        raise NetworkError("(I - R^T) R~ != I; routing matrix is inconsistent")
+    # C order, as the cast numpy makes for the int matrix, so that the
+    # matrix-vector products keep their summation order and bits
+    into = np.ascontiguousarray(rt, dtype=float)
+    for arr in (sched, routing, into, upstream):
+        arr.setflags(write=False)
     return NetworkModel(
-        n_queues=n,
-        schedules=schedules,
+        schedules=sched,
         routing=routing,
+        into=into,
         upstream=upstream,
-        hop_kind=hop_kind,
-        schedules_monotone_closed=closed,
+        n_queues=n,
+        is_single_hop=not routing.any(),
+        schedules_monotone_closed=is_monotone_closed(sched),
         name=name,
     )

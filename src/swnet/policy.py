@@ -57,14 +57,14 @@ class Policy:
 
     def validate_for(self, model: NetworkModel) -> None:
         if self.kind == "backpressure":
-            if model.hop_kind != "multi":
+            if model.is_single_hop:
                 raise PolicyModelMismatch("backpressure needs a multi-hop model")
             if not model.schedules_monotone_closed:
                 raise PolicyModelMismatch(
                     "backpressure needs a monotone-closed schedule set"
                 )
         elif self.kind == "msmw_log":
-            if model.hop_kind != "single":
+            if not model.is_single_hop:
                 raise PolicyModelMismatch("msmw_log is defined for single-hop networks")
         elif self.kind != "mw":
             raise PolicyModelMismatch(f"unknown policy kind {self.kind!r}")
@@ -108,8 +108,8 @@ def weight_vectors(model: NetworkModel, weight: WeightFunction, q, pressure: boo
     q = np.asarray(q, dtype=float)
     fq = weight.value(q)
     if pressure:
-        fq = fq - weight.value(q @ model.routing.entries.T)
-    return (model.schedules.as_array @ fq[..., None])[..., 0]
+        fq = fq - weight.value(q @ model.routing.T)
+    return (model.schedules @ fq[..., None])[..., 0]
 
 
 def drift_formula(model: NetworkModel, lam: np.ndarray, weight: WeightFunction, q) -> tuple[np.ndarray, np.ndarray]:
@@ -133,7 +133,7 @@ def batch_weights(model: NetworkModel, policy: Policy, q: np.ndarray) -> np.ndar
     """
     if policy.kind != "msmw_log":
         return weight_vectors(model, policy.weight, q, pressure=policy.kind == "backpressure")
-    s_mat = model.schedules.as_array
+    s_mat = model.schedules
     pos = q > 0
     logs = np.where(pos, np.log(np.where(pos, q, 1.0)), 0.0)
     size = (s_mat @ pos.astype(float)[..., None])[..., 0]

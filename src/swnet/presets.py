@@ -6,12 +6,12 @@ import itertools
 
 import numpy as np
 
-from .model import NetworkModel, RoutingMatrix, ScheduleSet, validate_network
+from .model import NetworkModel, validate_network
 
 
 def ex2() -> NetworkModel:
     """Two queues, schedules (3,0) and (1,1); the worked 2-queue example."""
-    return validate_network(ScheduleSet([[3.0, 0.0], [1.0, 1.0]]), name="ex2")
+    return validate_network([[3.0, 0.0], [1.0, 1.0]], name="ex2")
 
 
 def iq_switch(m: int) -> NetworkModel:
@@ -29,7 +29,7 @@ def iq_switch(m: int) -> NetworkModel:
         for i, j in enumerate(perm):
             mat[i, j] = 1.0
         scheds.append(mat.reshape(-1))
-    return validate_network(ScheduleSet(scheds), name=f"iq_switch({m})")
+    return validate_network(scheds, name=f"iq_switch({m})")
 
 
 def tandem(n: int) -> NetworkModel:
@@ -38,10 +38,9 @@ def tandem(n: int) -> NetworkModel:
     if not 1 <= n <= 10:
         raise ValueError("tandem preset supports 1 <= N <= 10")
     scheds = [list(bits) for bits in itertools.product((0.0, 1.0), repeat=n)]
-    routing = RoutingMatrix.from_edges(n, [(k, k + 1) for k in range(n - 1)])
-    return validate_network(ScheduleSet(scheds), routing, name=f"tandem({n})")
+    return validate_network(scheds, [(k, k + 1) for k in range(n - 1)], name=f"tandem({n})")
 
 
 def single_queue() -> NetworkModel:
     """One queue with one schedule serving one unit per slot."""
-    return validate_network(ScheduleSet([[1.0]]), name="single_queue")
+    return validate_network([[1.0]], name="single_queue")

@@ -85,7 +85,7 @@ def advance(model: NetworkModel, q: np.ndarray, dB: np.ndarray, dA: np.ndarray) 
     if model.is_single_hop:
         return np.maximum(q - dB, 0.0) + dA
     served = dB - np.maximum(dB - q, 0.0)
-    routed = (model.routing.into @ served[..., None])[..., 0]
+    routed = (model.into @ served[..., None])[..., 0]
     return q - served + routed + dA
 
 
@@ -274,7 +274,7 @@ def run_batch(
     q_sup = q.copy()  # running max of each queue; sup_q is its row max
     total = np.zeros((reps, 2 * n))  # B and Y at the end of the last block
     comp = np.zeros((reps, 2 * n))  # their Kahan compensation
-    s_mat = model.schedules.as_array
+    s_mat = model.schedules
     exact = exact_sums(q0, dA, s_mat, horizon)
     lexicographic = policy.kind == "msmw_log"
     untied = policy.tie_break == "highest_index"  # maximizers then holds no tuple
@@ -453,6 +453,13 @@ _AUDIT_CHECKS = ("cumulative_identity", "service_decomposition", "monotone_A", "
                  "one_schedule_per_slot", "nonnegative_queue", "non_finite")
 
 
+def _finite_max_abs(x: np.ndarray) -> float:
+    """max |x| over the finite cells of x (0.0 if there are none), so that a
+    NaN or inf cell leaves the audit threshold finite."""
+    top = float(np.abs(x).max(initial=0.0))
+    return top if np.isfinite(top) else float(np.abs(x[np.isfinite(x)]).max(initial=0.0))
+
+
 def conservation_audit(
     path: SystemPath,
     model: NetworkModel,
@@ -465,7 +472,8 @@ def conservation_audit(
     At every recorded slot: Q = Q(0) + A - B + Y (single-hop) or
     Q = Q(0) + A - (I - R^T)(B - Y) (multi-hop), and B = sum_pi S_pi * pi;
     monotonicity of A, B, Y, S_cum; exactly one schedule per slot; finite
-    Q, A, B, Y (residual: the row's count of NaN and inf cells). On
+    Q, A, B, Y (residual: the row's count of NaN and inf cells). The
+    threshold is rtol (1 + max|Q| + max|A|), both maxima over finite cells. On
     sampled slot pairs tau' <= tau:
     Q_n(tau) <= Q_n(tau') + A_n(tau) - A_n(tau') + sum_m R_mn (B_m(tau) - B_m(tau')).
     Reports violations; never raises.
@@ -474,8 +482,8 @@ def conservation_audit(
     max_res = 0.0
     nrec = len(path.tau)
     checks = 3 * nrec + 4 * max(nrec - 1, 0)
-    thr = rtol * (1.0 + float(np.abs(path.Q).max(initial=0.0)) + float(np.abs(path.A).max(initial=0.0)))
-    into = model.routing.into
+    thr = rtol * (1.0 + _finite_max_abs(path.Q) + _finite_max_abs(path.A))
+    into = model.into
     q0 = path.Q[0]
     # One residual column per check and row, a block of rows at a time; NaN
     # marks no check (row 0 has no predecessor), which fmax and > skip.
@@ -492,7 +500,7 @@ def conservation_audit(
         # row max, min and int sums over contiguous transposed copies (fast, and exact in any order)
         res = np.full((hi - lo, len(_AUDIT_CHECKS)), np.nan)
         res[:, 0] = np.abs(Q - lhs).T.copy().max(axis=0, initial=0.0)
-        res[:, 1] = np.abs(B - path.S_cum[lo:hi].astype(float) @ model.schedules.as_array).T.copy().max(axis=0, initial=0.0)
+        res[:, 1] = np.abs(B - path.S_cum[lo:hi].astype(float) @ model.schedules).T.copy().max(axis=0, initial=0.0)
         for c, x in enumerate((path.A, path.B, path.Y), start=2):
             res[first:, c] = (x[prev] - x[cur]).T.copy().max(axis=0, initial=0.0)
         ds = (path.S_cum[cur] - path.S_cum[prev]).T.copy()

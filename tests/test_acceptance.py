@@ -38,7 +38,7 @@ from swnet.geometry import (
     solve_primal,
 )
 from swnet.lift import LiftProblem, invariant_state_test, is_fixed_point, lift, lift_oracle
-from swnet.model import ScheduleSet, WeightFunction, validate_network
+from swnet.model import WeightFunction, validate_network
 from swnet.policy import Policy
 from swnet.sim import rescale, run
 
@@ -89,7 +89,7 @@ def test_criterion_03_strong_duality_random():
         for q in range(n):
             if not scheds[:, q].any():
                 scheds[int(rng.integers(0, ns)), q] = 1
-        model = validate_network(ScheduleSet(scheds))
+        model = validate_network(scheds)
         lam = [F(int(v), int(rng.integers(1, 7))) for v in rng.integers(0, 5, size=n)]
         assert solve_primal(model, lam)[0] == solve_dual(model, lam)[0]
     _report(3, "strong duality exact on 100 random rational instances (N<=4, |S|<=8)", t0)

@@ -100,6 +100,16 @@ def test_invalid_rates_rejected():
         ArrivalModel.deterministic([-0.1])
 
 
+@pytest.mark.parametrize(
+    "transition, rates",
+    [([[1.0]], [0.5]), ([[1.0]], 0.5), ([[1.0]], [[]]), ([[0.5, 0.5], [0.5, 0.5]], [[0.1, 0.2]]), ([[1.0]], [[[0.5]]])],
+)
+def test_markov_modulated_refuses_malformed_rates(transition, rates):
+    with pytest.raises(ValueError, match=r"\(k, N\) matrix"):
+        ArrivalModel.markov_modulated(transition, rates)
+    assert ArrivalModel.markov_modulated([[1.0]], [[0.5]]).n_queues == 1
+
+
 def _markov_reference(model, horizon, rng):
     """Reference: the modulated chain with one searchsorted per slot."""
     pi = model.stationary_distribution()

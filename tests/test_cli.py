@@ -61,7 +61,7 @@ def test_explicit_network_with_routing():
             "lambda": [1, 1],
         }
     )
-    assert cfg.model.hop_kind == "multi"
+    assert not cfg.model.is_single_hop
 
 
 def test_rational_strings_exact(tmp_path):

@@ -41,7 +41,7 @@ def test_trajectory_equations_hold(ex2):
     assert (np.diff(traj.s, axis=0) >= 0).all()
     assert (np.diff(traj.y, axis=0) >= 0).all()
     # queue equation q = q0 + a - sum s pi + y up to round-off
-    served = traj.s @ ex2.schedules.as_array
+    served = traj.s @ ex2.schedules
     recon = traj.q[0] + traj.a - served + traj.y
     assert np.abs(recon - traj.q).max() <= 1e-9
     # idling only at empty queues (discrete shadow: q < h * max service)
@@ -83,7 +83,7 @@ def test_drift_identity_residual(ex2):
 def test_drift_formula_spot_values(ex2):
     # at q=(3,0): lam.f(q) - max weight = 3 - 9 = -6
     w = WeightFunction.power(1.0)
-    weights = ex2.schedules.as_array @ w.value(np.array([3.0, 0.0]))
+    weights = ex2.schedules @ w.value(np.array([3.0, 0.0]))
     assert float(np.array([1.0, 1.0]) @ w.value(np.array([3.0, 0.0])) - weights.max()) == -6.0
     # single queue drain: dL/dt = -q^alpha
     model = presets.single_queue()
@@ -209,7 +209,7 @@ def _fluid_reference(model, policy, lam, q0, h, T, tie_state):
     qs, ys, counts, ties = [q], [y], [count], 0
     for _ in range(int(round(T / h))):
         trace = select_schedule(model, policy, q, tie_state)
-        service = h * model.schedules.as_array[trace.chosen]
+        service = h * model.schedules[trace.chosen]
         y = y + np.maximum(service - q, 0.0)
         q = advance(model, q, service, np.asarray(lam) * h)
         count = count.copy()
@@ -363,7 +363,7 @@ def test_fluid_backpressure_on_tandem3_idles_and_routes():
     lam, q0 = [0.35, 0.0, 0.0], [0.5, 0.25, 0.125]
     traj = integrate_fluid(model, Policy.backpressure(WeightFunction.power(1.0)), lam, q0, h=0.01, T=2.0)
     assert traj.y[-1].min() > 0  # every server idled at some step
-    served = traj.s[-1] @ model.schedules.as_array - traj.y[-1]
+    served = traj.s[-1] @ model.schedules - traj.y[-1]
     assert served[2] > q0[2]  # the last queue has no arrivals: it served routed work
 
 

@@ -25,7 +25,7 @@ from swnet.geometry import (
     to_fraction,
     verify_vertex,
 )
-from swnet.model import ScheduleSet, validate_network
+from swnet.model import validate_network
 
 
 def test_to_fraction_forms():
@@ -174,11 +174,11 @@ def test_solve_square_tall_systems():
 
 def test_verify_vertex_with_more_tight_rows_than_queues():
     # (1, 0) is tight on xi_2 = 0, xi_1 = 1 and xi_1 + xi_2 = 1: a degenerate vertex
-    square = validate_network(ScheduleSet([[1, 0], [0, 1], [1, 1]]))
+    square = validate_network([[1, 0], [0, 1], [1, 1]])
     assert verify_vertex(square, [F(1), F(0)])
     assert all(verify_vertex(square, xi) for xi in enumerate_dual_vertices(square).vertices)
     # a schedule listed twice: three tight rows of rank 2 at (1/2, 1/2, 0), four of rank 3 at (1, 0, 1)
-    twice = validate_network(ScheduleSet([[1, 1, 0], [1, 1, 0], [0, 0, 1]]))
+    twice = validate_network([[1, 1, 0], [1, 1, 0], [0, 0, 1]])
     assert not verify_vertex(twice, [F(1, 2), F(1, 2), F(0)])
     assert verify_vertex(twice, [F(1), F(0), F(1)])
 
@@ -231,7 +231,7 @@ def _fractional_models(count=40):
         for q in range(n):
             if not scheds[:, q].any():
                 scheds[int(rng.integers(0, ns)), q] = 0.25
-        yield validate_network(ScheduleSet(scheds))
+        yield validate_network(scheds)
 
 
 def _criterion3_models():
@@ -247,7 +247,7 @@ def _shrink(xs):
 def _assert_both_paths_match_reference(model):
     # schedules times 2^40 push the Hadamard bound past int64: the same
     # elimination then runs on Python ints, and the vertices scale by 2^-40
-    big = validate_network(ScheduleSet(model.schedules.as_array * 2.0**40))
+    big = validate_network(model.schedules * 2.0**40)
     assert _exact_dtype(*_integer_rows(_schedule_rows(model))) is np.int64
     assert _exact_dtype(*_integer_rows(_schedule_rows(big))) is object
     vertices, maximal = _reference_vertices(model)
@@ -339,7 +339,7 @@ def test_hull_membership_examples(ex2):
 
 
 def test_infeasible_plan_raises():
-    model = validate_network(ScheduleSet([[1, 0]]))
+    model = validate_network([[1, 0]])
     with pytest.raises(InfeasiblePlan):
         solve_primal(model, [0, 1])
     with pytest.raises(InfeasiblePlan):
@@ -355,7 +355,7 @@ def _random_instance(rng):
         if not scheds[:, q].any():
             scheds[rng.integers(0, ns), q] = 1
     lam = [F(int(v), int(rng.integers(1, 7))) for v in rng.integers(0, 5, size=n)]
-    return validate_network(ScheduleSet(scheds)), lam
+    return validate_network(scheds), lam
 
 
 def test_strong_duality_random_instances():
@@ -367,5 +367,5 @@ def test_strong_duality_random_instances():
         assert pv == dv
         # dual maximizer is feasible
         assert all(v >= 0 for v in xi)
-        for pi in model.schedules.as_array:
+        for pi in model.schedules:
             assert sum(to_fraction(p) * v for p, v in zip(pi, xi)) <= 1

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from swnet import presets
-from swnet.model import ScheduleSet, WeightFunction, validate_network
+from swnet.model import WeightFunction, validate_network
 from swnet.policy import (
     Policy,
     PolicyModelMismatch,
@@ -28,7 +28,7 @@ def test_backpressure_weight_tandem(tandem2):
     pol = Policy.backpressure(WeightFunction.power(1.0))
     w = schedule_weights(tandem2, pol, [2.0, 5.0])
     # schedule (1,0) has weight f(2) - f(5) = -3
-    idx = next(i for i, s in enumerate(tandem2.schedules.as_array) if tuple(s) == (1.0, 0.0))
+    idx = next(i for i, s in enumerate(tandem2.schedules) if tuple(s) == (1.0, 0.0))
     assert w[idx] == -3.0
 
 
@@ -88,10 +88,7 @@ def test_policy_model_mismatch(ex2, tandem2):
         schedule_weights(ex2, Policy.backpressure(WeightFunction.power(1.0)), [1.0, 1.0])
     with pytest.raises(PolicyModelMismatch):
         schedule_weights(tandem2, Policy.msmw_log(), [1.0, 1.0])
-    open_model = validate_network(
-        ScheduleSet([[1, 1]]),
-        presets.tandem(2).routing,
-    )
+    open_model = validate_network([[1, 1]], [(0, 1)])
     with pytest.raises(PolicyModelMismatch):
         schedule_weights(open_model, Policy.backpressure(WeightFunction.power(1.0)), [1.0, 1.0])
 
@@ -202,7 +199,7 @@ def test_backpressure_zeroed_variant_never_beats_chosen(tandem2):
     # all zeroed variants, so negative-pressure components are never forced
     pol = Policy.backpressure(WeightFunction.power(1.0))
     rng = np.random.default_rng(4)
-    s_keys = {tuple(s): i for i, s in enumerate(tandem2.schedules.as_array)}
+    s_keys = {tuple(s): i for i, s in enumerate(tandem2.schedules)}
     for _ in range(200):
         q = rng.random(2) * 5
         trace = select_schedule(tandem2, pol, q)
