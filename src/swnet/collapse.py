@@ -273,7 +273,7 @@ def iq2x2_invariant_solve(w: Iq2x2Workload, alpha: float) -> np.ndarray:
     q11^a + q22^a = q12^a + q21^a. Raises NoRoot iff membership fails.
     """
     lo, hi = iq2x2_theta_bracket(w)
-    if lo > hi or not iq2x2_root_exists(w, alpha):
+    if lo > hi or not iq2x2_membership(w, alpha):
         raise NoRoot(f"workload {w} is not in the invariant image at alpha={alpha}")
     f_lo = _theta(lo, w, alpha)
     f_hi = _theta(hi, w, alpha)

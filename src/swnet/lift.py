@@ -8,9 +8,9 @@ plus [R~ r]_n <= [R~ q]_n wherever the aggregated arrival rate is zero
 
 Solver: dual ascent on the constraint multipliers. The inner minimization
 is closed-form because F' = f is invertible, so r(mu) = f^{-1}([G^T mu]^+);
-the concave dual is maximized by projected gradient with backtracking, with
-an active-set Newton polish to push the KKT residual to tolerance. The KKT
-certificate is checkable independently of the iteration path.
+the concave dual is maximized by projected gradient with backtracking and
+polished by active-set Newton steps in bases cached per (active, t > 0)
+mask. The KKT certificate is checkable independently of the iteration path.
 """
 
 from __future__ import annotations
@@ -101,6 +101,7 @@ class LiftProblem:
     def __init__(self, model: NetworkModel, lam, weight: WeightFunction, clvr, include_caps: bool = True) -> None:
         self.weight = weight
         self.G, self.kinds = constraint_rows(model, lam, clvr, include_caps)
+        self._bases: dict = {}  # code -> _basis(act, pos) of that code, built on its first visit
 
     def _point(self, mu: np.ndarray, h: np.ndarray) -> list[np.ndarray]:
         """[mu, t, r, grad, kkt, dual] at each row of mu (B, K): t = G^T mu,
@@ -118,20 +119,39 @@ class LiftProblem:
         dual = (weight.antiderivative(r) - tp * r).sum(axis=1) + (mu * h).sum(axis=1)
         return [mu, t, r, grad, kkt, dual]
 
+    def _basis(self, act: np.ndarray, pos: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+        """(U, Gu, lim) of the code (act, pos): U (K, r) an orthonormal basis of the range
+        of diag(act) G diag(pos), Gu = U^T G and lim = 1e10 / cond(Gu diag(pos))^2."""
+        w, s, _ = np.linalg.svd(self.G[np.ix_(act, pos)])
+        r = int((s > s.max(initial=0.0) * max(self.G.shape) * np.finfo(float).eps).sum())
+        U = np.eye(len(act))[:, act] @ w[:, :r]  # w's rows put back at the active positions
+        return U, U.T @ self.G, 1e10 * (s[r - 1] / s[0]) ** 2 if r else 1.0
+
     def _newton(self, mu: np.ndarray, t: np.ndarray, grad: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Active-set Newton candidates, treating near-active constraints as
-        equalities: the Hessian is masked to them. Returns the candidate
-        multipliers and the mask of rows whose step is usable."""
+        equalities, and the mask of rows whose step is usable. Dependent
+        resources (switch rows vs columns) leave the Hessian singular; its
+        minimum-norm step is U y with (Gu diag(d) Gu^T) y = U^T grad, d =
+        (f^{-1})'(t), in the basis of the row's code (act, t > 0). Where max d >
+        lim min d over t > 0, the system's condition number may exceed 1e10,
+        and y comes from its pseudo-inverse at rcond 1e-12."""
         scale = 1.0 + mu.max(axis=1) + np.abs(grad).max(axis=1)  # mu >= 0
         act = np.maximum(mu, grad) > 1e-12 * scale[:, None]
-        Ga = act[:, :, None] * self.G
-        hess = (Ga * _finv_deriv(self.weight, t)[:, None, :]) @ Ga.transpose(0, 2, 1)  # = -d2 D / d mu_act^2, PSD
-        norm2 = (hess * hess).sum(axis=(1, 2))
-        ok = (norm2 > 1e-24) & (norm2 < np.inf)  # a row with nothing active has hess = 0
-        hess[~ok] = 0.0  # keeps the batched SVD finite
-        # pseudo-inverse: resources can be linearly dependent (e.g. switch rows
-        # vs columns), leaving the Hessian singular
-        delta = (np.linalg.pinv(hess, rcond=1e-12) @ (grad * act)[:, :, None])[:, :, 0]
+        d, pos = _finv_deriv(self.weight, t), t > 0
+        delta, ok, groups = np.zeros_like(mu), np.zeros(len(mu), dtype=bool), {}
+        codes = np.packbits(np.concatenate([act, pos], axis=1), axis=1)
+        for i, code in enumerate(codes.view(f"V{codes.shape[1]}")[:, 0].tolist()):
+            groups.setdefault(code, []).append(i)
+        for code, rows in groups.items():
+            U, Gu, lim = self._bases.get(code) or self._bases.setdefault(code, self._basis(act[rows[0]], pos[rows[0]]))
+            rows, dr = np.array(rows), d[rows]
+            hess, rhs = (Gu * dr[:, None, :]) @ Gu.T, U.T @ grad[rows, :, None]  # r x r and r x 1, r = 0 at rank 0
+            norm2 = (hess * hess).sum(axis=(1, 2))
+            ok[rows] = good = (norm2 > 1e-24) & (norm2 < np.inf)
+            fast = good & (dr.max(axis=1) <= lim * np.where(pos[rows], dr, np.inf).min(axis=1))
+            delta[rows[fast]] = (U @ np.linalg.solve(hess[fast], rhs[fast]))[:, :, 0]
+            if (slow := good & ~fast).any():
+                delta[rows[slow]] = (U @ (np.linalg.pinv(hess[slow], rcond=1e-12) @ rhs[slow]))[:, :, 0]
         ok &= np.abs(delta).max(axis=1) <= 1e8 * scale  # false where delta is not finite
         return np.where(act, np.maximum(mu + delta, 0.0), mu), ok
 

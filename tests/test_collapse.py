@@ -385,3 +385,38 @@ def test_collapse_run_does_not_import_numpy_ma(tmp_path):
     )
     assert done.stdout.split() == ["False"]
     assert json.loads((tmp_path / "out" / "summary.json").read_text())["median_by_r"]
+
+
+SOLVE_MANY_RUNS = {  # kind -> (scenario, the output it writes)
+    "fluid": ({
+        "preset": "iq_switch",
+        "M": 2,
+        "lambda": ["1/2"] * 4,
+        "policy": {"kind": "mw", "alpha": 1.0},
+        "experiment": {"kind": "fluid", "q0": [2, 0, 0, 1], "h": 0.01, "T": 1.0},
+        "seed": 0,
+    }, "fluid.csv"),
+    "lift": ({
+        "preset": "ex2",
+        "lambda": ["1", "1"],
+        "policy": {"kind": "mw", "alpha": 1.0},
+        "experiment": {"kind": "lift", "q": [3, 0]},
+    }, "lift.json"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(SOLVE_MANY_RUNS))
+def test_fluid_and_lift_runs_do_not_import_numpy_ma(tmp_path, kind):
+    # both lift through LiftProblem.solve_many, as the collapse run above does
+    code = (
+        "import json, sys; from swnet.cli import execute, parse_scenario; "
+        f"execute(parse_scenario(json.loads(sys.argv[1])), sys.argv[2]); print('numpy.ma' in sys.modules)"
+    )
+    scenario, output = SOLVE_MANY_RUNS[kind]
+    src = str(Path(swnet.__file__).parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", code, json.dumps(scenario), str(tmp_path / "out")],
+        capture_output=True, text=True, check=True, env={"PYTHONPATH": src},
+    )
+    assert done.stdout.split() == ["False"]
+    assert (tmp_path / "out" / output).stat().st_size > 0

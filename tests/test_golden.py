@@ -24,14 +24,14 @@ GOLDEN = {
         "analysis.json": "ba8784bd4c131965f744f919d486c96b4e3d216b5dada5581267fe59590013e1",
     },
     "collapse_iq2_canonical.json": {
-        "mssc.csv": "2fa420786930be2d6b8f4eba52d87bfa9998141a74af234c7135e5622543e0b4",
-        "summary.json": "77d0ae6718c191345e7fef3c59a0f15588e24c559198c72258d84408b02a1585",
+        "mssc.csv": "5c485af5ea5f852e38341092cd7f1fe50afd41160f12fda36c05c201467d69e8",
+        "summary.json": "0d90175098496e11ac7053d85b10649d9040bbad9d57b2952b36b09dad1593f4",
     },
     "fluid_ex2.json": {
         "fluid.csv": "7a651817ef03900e0fc8c90c3770deb7e6e3741727ef782c37deb21d8b110812",
     },
     "fluid_iq2_msmw_log.json": {
-        "fluid.csv": "e5c840f5d6a79b47a5dbe968dcb0ea2328bd5d9628e970ee7bd012417aee9020",
+        "fluid.csv": "89a0452598ac131d5068930d49bdb92f634f75fcd9f7e2a9ed785904b0b82689",
     },
     "fluid_iq2_random_ties.json": {
         "fluid.csv": "d8761d2124febfc9fe028e26e1cc6a3b455b72f30e110b2dc4ae4c17ffc3208e",
@@ -40,7 +40,7 @@ GOLDEN = {
         "fluid.csv": "8cc2f0214af3e4e71f96576639a2ba21791acebf36df9529b4ef05f9287f1ebb",
     },
     "fluid_iq2_sliding.json": {
-        "fluid.csv": "d2e6dd3a5e322a38fd13fe22e9462bca65d03447a0a42c78308a31f4fa542c0b",
+        "fluid.csv": "8afd304f49e44e750cee37613fc413dc07018a8bc3918ca1235528edac1b3c7a",
     },
     "fluid_tandem3_backpressure.json": {
         "fluid.csv": "fe06648f4273aee7fb73e40420e0e96567eefb371d66753f95f52bff44f710f4",

@@ -293,8 +293,9 @@ def test_lift_problem_chain_equals_lift(request, name, alpha):
         assert (kkt[0], iterations[0]) == (b.kkt_residual, b.iterations)
         assert problem.kinds == b.constraint_kinds
         assert kkt[0] <= 1e-8
-        # the batched Newton step solves with a pseudo-inverse where the
-        # reference calls lstsq: the same path, rounded differently
+        # the batched Newton step solves in the basis cached per code (active
+        # mask, t > 0) where the reference calls lstsq: the same path,
+        # rounded differently
         r, _, _, ref_iterations = _reference_lift(problem, q, None if mu_p is None else mu_p[0])
         assert iterations[0] == ref_iterations
         assert np.abs(r_p[0] - r).max() <= 1e-9 * (1.0 + np.abs(q).max())
@@ -371,3 +372,100 @@ def test_solve_many_divergence_names_worst_residual(ex2, ex2_clvr):
     with pytest.raises(SolverDivergence, match="2 of 3 states") as err:
         problem.solve_many(Q, max_iter=1)
     assert residual(err) == max(single)
+
+
+def _reference_newton(problem, mu, t, grad):
+    """LiftProblem._newton with the batched pseudo-inverse of the whole
+    masked K x K Hessian: the reference for the step in a per-code basis."""
+    from swnet.lift import _finv_deriv
+
+    scale = 1.0 + mu.max(axis=1) + np.abs(grad).max(axis=1)
+    act = np.maximum(mu, grad) > 1e-12 * scale[:, None]
+    Ga = act[:, :, None] * problem.G
+    hess = (Ga * _finv_deriv(problem.weight, t)[:, None, :]) @ Ga.transpose(0, 2, 1)
+    norm2 = (hess * hess).sum(axis=(1, 2))
+    ok = (norm2 > 1e-24) & (norm2 < np.inf)
+    hess[~ok] = 0.0
+    delta = (np.linalg.pinv(hess, rcond=1e-12) @ (grad * act)[:, :, None])[:, :, 0]
+    ok &= np.abs(delta).max(axis=1) <= 1e8 * scale
+    return np.where(act, np.maximum(mu + delta, 0.0), mu), ok
+
+
+def _newton_counting_pinv(problem, mu, t, grad, monkeypatch):
+    """problem._newton(mu, t, grad) and the number of pinv calls it made."""
+    calls, pinv = [], np.linalg.pinv
+    with monkeypatch.context() as patch:
+        patch.setattr(np.linalg, "pinv", lambda *a, **k: calls.append(1) or pinv(*a, **k))
+        return problem._newton(mu, t, grad), len(calls)
+
+
+def _assert_same_step(new, ref):
+    (cand, ok), (cand_ref, ok_ref) = new, ref
+    assert np.array_equal(ok, ok_ref)
+    assert np.abs(cand - cand_ref).max() <= 1e-12 * (1.0 + np.abs(cand_ref).max())
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
+@pytest.mark.parametrize("name", ["ex2", "switch2", "tandem2"])
+def test_newton_step_equals_pinv_reference(request, name, alpha, monkeypatch):
+    model = request.getfixturevalue(name)
+    problem = LiftProblem(model, LAMS[name], WeightFunction.power(alpha), request.getfixturevalue(f"{name}_clvr"))
+    K, N = problem.G.shape
+    rng = np.random.default_rng(31)
+    mu = rng.random((60, K)) + 0.1
+    grad = rng.normal(size=(60, K))
+    t = (mu[:, None, :] @ problem.G)[:, 0]  # rows 0-19: every resource active
+    mu[20:40] *= rng.random((20, K)) < 0.5  # rows 20-39: partly active masks
+    grad[20:40] = np.where(mu[20:40] > 0, grad[20:40], -np.abs(grad[20:40]))
+    grad[25] = np.abs(grad[25])  # active through the gradient alone
+    t[40:] = rng.normal(size=(20, N))  # rows 40-59: some t <= 0
+    t[41] = -1.0  # active, but with no t > 0: a code of rank 0
+    mu[42], grad[42] = 0.0, -1.0  # nothing active
+    (cand, ok), pinv_calls = _newton_counting_pinv(problem, mu, t, grad, monkeypatch)
+    _assert_same_step((cand, ok), _reference_newton(problem, mu, t, grad))
+    assert not ok[41] and not ok[42] and ok[:20].all()  # on switch2, rows 0-19 have rank 3 of 4
+    if alpha == 1.0:
+        assert pinv_calls == 0  # d = 1 wherever t > 0: every row takes the reduced solve
+
+
+def test_newton_falls_back_to_pinv_on_a_singular_reduced_system(switch2, switch2_clvr, switch2_lam, monkeypatch):
+    # f(x) = x**0.5: d = (f^-1)'(t) = 2t, so d spreads over 150 orders of
+    # magnitude in the first row and its rank-3 reduced system is singular
+    # at rcond 1e-12; the second row is regular
+    problem = LiftProblem(switch2, switch2_lam, WeightFunction.power(0.5), switch2_clvr)
+    mu = np.array([[0.3, 0.7, 0.5, 0.5], [0.3, 0.7, 0.5, 0.5]])
+    grad = np.array([[0.2, -0.1, 0.4, 0.3], [0.2, -0.1, 0.4, 0.3]])
+    t = np.array([[1e-200, 1e-200, 1.0, 1.0], [1.0, 2.0, 1.0, 3.0]])
+    (cand, ok), pinv_calls = _newton_counting_pinv(problem, mu, t, grad, monkeypatch)
+    assert pinv_calls == 1 and ok.all()
+    _assert_same_step((cand, ok), _reference_newton(problem, mu, t, grad))
+    for b in range(2):  # the fallback is per row: each row alone gives its batch row
+        alone, _ = _newton_counting_pinv(problem, mu[b : b + 1], t[b : b + 1], grad[b : b + 1], monkeypatch)
+        assert np.array_equal(alone[0][0], cand[b]) and alone[1][0] == ok[b]
+
+
+@pytest.mark.parametrize("name", ["ex2", "switch2", "tandem2"])
+def test_basis_cache_never_changes_a_result(request, name):
+    # a problem that has already solved unrelated states returns, bit for
+    # bit, the chain of a fresh problem; every basis it cached is the one a
+    # fresh problem builds from the code alone
+    model, clvr = request.getfixturevalue(name), request.getfixturevalue(f"{name}_clvr")
+    weight = WeightFunction.power(1.5)
+    warm, fresh = (LiftProblem(model, LAMS[name], weight, clvr) for _ in range(2))
+    rng = np.random.default_rng(37)
+    N = model.n_queues
+    unrelated = rng.random((30, N)) * 5.0 * (rng.random((30, N)) < 0.7)
+    warm.solve_many(unrelated)
+    assert len(warm._bases) >= 2
+    Q, mus = rng.random((5, N)) * 3.0, [None, None]
+    for _ in range(6):
+        Q = np.abs(Q + rng.normal(size=Q.shape) * 0.5)
+        out = [p.solve_many(Q, mu0=m) for p, m in ((warm, mus[0]), (fresh, mus[1]))]
+        for a, b in zip(*out):
+            assert np.array_equal(a, b)
+        mus = [out[0][1], out[1][1]]
+    K = len(warm.G)
+    for code, basis in warm._bases.items():
+        bits = np.unpackbits(np.frombuffer(code, dtype=np.uint8), count=K + N).astype(bool)
+        for a, b in zip(basis, fresh._basis(bits[:K], bits[K:])):
+            assert np.array_equal(a, b)
