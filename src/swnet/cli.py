@@ -317,7 +317,7 @@ def _run_fluid(cfg: ScenarioConfig, out: Path, *, q0, h, T, lift_stride) -> int:
     except HorizonNotMultiple as exc:
         raise SchemaError("/experiment/T", str(exc)) from exc
     times, dists = distance_to_lift(model, cfg.lam, weight, clvr, traj, stride=lift_stride)
-    dist_text = {t: repr(d) for t, d in zip(times.tolist(), dists.tolist())}  # the times are grid times, exactly
+    at, j = np.searchsorted(traj.t, times).tolist(), 0  # each distance's grid row (its time is a grid time, exactly)
     L_vals, formula, fd, _ = lyapunov_drift(model, lam_f, weight, traj)
     lam_label = ",".join(str(v) for v in fraction_vector(cfg.lam))
     line = "%s," * (model.n_queues + 4) + "%s\n"  # t, q, L, drift_formula, drift_fd, dist_to_lift
@@ -333,7 +333,9 @@ def _run_fluid(cfg: ScenarioConfig, out: Path, *, q0, h, T, lift_stride) -> int:
                 cols[-1][0] = ""  # no finite difference at the first and the last row
             if lo + len(block) == len(traj.t):
                 cols[-1][-1] = ""
-            dist = [dist_text.get(t, "") for t in block[:, 0].tolist()]
+            dist = [""] * len(block)
+            while j < len(at) and at[j] < lo + len(block):
+                dist[at[j] - lo], j = repr(float(dists[j])), j + 1
             f.write((line * len(block)) % tuple(chain.from_iterable(zip(*cols, dist))))
     return 0
 

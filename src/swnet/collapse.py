@@ -258,11 +258,13 @@ def iq2x2_theta_bracket(w: Iq2x2Workload) -> tuple[float, float]:
 
 def iq2x2_root_exists(w: Iq2x2Workload, alpha: float) -> bool:
     """Brute existence check: theta is increasing, so a root exists iff
-    theta <= 0 at the lower bracket end and >= 0 at the upper."""
+    theta <= 0 at the lower bracket end and >= 0 at the upper, up to a guard
+    1e-12 (1 + w..)^a in theta's units, as iq2x2_membership has in w's."""
     lo, hi = iq2x2_theta_bracket(w)
     if lo > hi:
         return False
-    return _theta(lo, w, alpha) <= 0.0 <= _theta(hi, w, alpha)
+    guard = 1e-12 * (1.0 + w.total) ** alpha
+    return _theta(lo, w, alpha) <= guard and _theta(hi, w, alpha) >= -guard
 
 
 def iq2x2_invariant_solve(w: Iq2x2Workload, alpha: float) -> np.ndarray:

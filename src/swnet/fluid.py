@@ -203,19 +203,12 @@ def distance_to_lift(
     stride: Optional[int] = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """|q(t) - lift(q(t))| (sup norm) on a strided subgrid; returns
-    (times, distances). Lift solves are warm-started along the path."""
+    (times, distances), lifted as one LiftProblem.solve_chain: a fluid path
+    keeps its critical workloads, so a row's warm start mostly passes at once."""
     K = traj.q.shape[0] - 1
-    if stride is None:
-        stride = max(1, K // 400)
-    idx = np.arange(0, K + 1, stride)
-    if idx[-1] != K:
-        idx = np.append(idx, K)
-    problem = LiftProblem(model, lam, weight, clvr)
+    idx = np.append(np.arange(0, K, max(1, K // 400) if stride is None else stride), K)  # and the last row
     Q = traj.q[idx]
-    R = np.empty_like(Q)
-    mu = None
-    for j in range(Q.shape[0]):
-        R[j : j + 1], mu, _, _ = problem.solve_many(Q[j : j + 1], mu0=mu)
+    R = LiftProblem(model, lam, weight, clvr).solve_chain(Q)[0]
     return traj.t[idx], np.abs(Q - R).max(axis=1, initial=0.0)
 
 

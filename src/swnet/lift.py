@@ -6,11 +6,11 @@ xi . (R~ r) >= xi . (R~ q) for every critically loaded virtual resource xi,
 plus [R~ r]_n <= [R~ q]_n wherever the aggregated arrival rate is zero
 (single-hop: R~ = I, so the caps are r_n <= q_n where lambda_n = 0).
 
-Solver: dual ascent on the constraint multipliers. The inner minimization
-is closed-form because F' = f is invertible, so r(mu) = f^{-1}([G^T mu]^+);
-the concave dual is maximized by projected gradient with backtracking and
-polished by active-set Newton steps in bases cached per (active, t > 0)
-mask. The KKT certificate is checkable independently of the iteration path.
+Solver: dual ascent on the multipliers; r(mu) = f^{-1}([G^T mu]^+) is closed
+form (F' = f is invertible) and the concave dual is maximized by projected
+gradient with backtracking, polished by active-set Newton steps in bases
+cached per (active, t > 0) mask; a chain of states (a fluid path) has its
+warm starts tested a chunk at a time. The KKT certificate is path-independent.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ import numpy as np
 from .geometry import float_vector, fraction_vector, solve_lp, to_fraction
 from .model import NetworkModel, WeightFunction
 from .policy import drift_formula
+from .sim import BLOCK_ROWS
 
 
 class SolverDivergence(RuntimeError):
@@ -89,10 +90,11 @@ class LiftProblem:
 
     The float constraint matrix G and the constraint kinds (constraint_rows)
     are built here; ``solve_many`` runs the dual ascent for a batch of
-    states, and ``lift`` is its one-state case. ``clvr`` is the set of
-    critically loaded virtual resources (maximal vertices; passing the full
-    critically loaded vertex set with ``include_caps=False`` yields the same
-    minimizer).
+    states, ``lift`` is its one-state case and ``solve_chain`` its loop over
+    a sequence, each state warm-started from the one before. ``clvr`` is
+    the set of critically loaded virtual resources (maximal vertices; passing
+    the full critically loaded vertex set with ``include_caps=False`` yields
+    the same minimizer).
 
     Every contraction is a stacked per-row matmul and every reduction runs
     along a row, so a row's result does not depend on the batch it is in.
@@ -155,6 +157,22 @@ class LiftProblem:
         ok &= np.abs(delta).max(axis=1) <= 1e8 * scale  # false where delta is not finite
         return np.where(act, np.maximum(mu + delta, 0.0), mu), ok
 
+    def _checked(self, Q, mu0, chain: bool) -> tuple[np.ndarray, np.ndarray]:
+        """Q, a finite (B, N) float array >= 0, and [mu0]^+ of shape (K,) for a chain, else (B, K); 0 if None."""
+        K, N = self.G.shape
+        Q = np.asarray(Q, dtype=float)
+        if Q.ndim != 2 or Q.shape[1] != N or not np.isfinite(Q).all():
+            raise ValueError(f"queue states must be a finite (B, {N}) array, got shape {Q.shape}")
+        if np.any(Q < 0):
+            raise ValueError("queue state must be >= 0")
+        shape = (K,) if chain else (len(Q), K)
+        mu = np.zeros(shape) if mu0 is None else np.maximum(np.asarray(mu0, dtype=float), 0.0)
+        if mu.shape != shape:
+            raise ValueError(f"mu0 must have shape {shape}, got {mu.shape}")
+        if not np.isfinite(mu).all():
+            raise ValueError("mu0 must be finite")
+        return Q, mu
+
     def solve_many(
         self,
         Q,
@@ -168,18 +186,8 @@ class LiftProblem:
         axis B. Each row has its own step size and stopping test and is
         frozen once its KKT residual is <= tol. Empty ``clvr`` with no
         zero-rate caps gives r* = 0."""
-        K, N = self.G.shape
-        Q = np.asarray(Q, dtype=float)
-        if Q.ndim != 2 or Q.shape[1] != N or not np.isfinite(Q).all():
-            raise ValueError(f"queue states must be a finite (B, {N}) array, got shape {Q.shape}")
-        if np.any(Q < 0):
-            raise ValueError("queue state must be >= 0")
-        B = Q.shape[0]
-        mu = np.zeros((B, K)) if mu0 is None else np.maximum(np.asarray(mu0, dtype=float), 0.0)
-        if mu.shape != (B, K):
-            raise ValueError(f"mu0 must have shape {(B, K)}, got {mu.shape}")
-        if not np.isfinite(mu).all():
-            raise ValueError("mu0 must be finite")
+        Q, mu = self._checked(Q, mu0, chain=False)
+        (B, N), K = Q.shape, len(self.G)
         if K == 0:
             return np.zeros((B, N)), mu, np.zeros(B), np.zeros(B, dtype=np.int64)
         h = (self.G @ Q[:, :, None])[:, :, 0]
@@ -225,6 +233,31 @@ class LiftProblem:
                 f"after {max_iter} iterations ({live.size} of {B} states)"
             )
         return cur[2], cur[0], cur[4], iterations
+
+    def solve_chain(self, Q, tol: float = 1e-8, mu0: Optional[np.ndarray] = None) -> tuple[np.ndarray, ...]:
+        """solve_many's four arrays at the rows of Q (J, N), bit for bit as one one-row call per row, each warm-started
+        from the row before (row 0 from ``mu0`` (K,)). A chunk of rows is tested at the current mu and kept up to its
+        first KKT failure; then, as in integrate_fluid, 2**misses rows, that one first, are solved alone."""
+        Q, mu = self._checked(Q, mu0, chain=True)  # every later mu comes out of solve_many, already >= 0
+        if len(self.G) == 0:
+            return self.solve_many(Q, tol)
+        out = np.zeros(Q.shape), np.zeros((len(Q), len(mu))), np.zeros(len(Q)), np.ones(len(Q), dtype=np.int64)
+        k, m, wait, misses = 0, 2, 0, 0  # rows done, next chunk's rows, rows to solve alone, misses less full accepts
+        while k < len(Q):
+            if wait == 0:
+                rows = min(m, len(Q) - k)
+                _, _, r, _, kkt, _ = self._point(np.tile(mu, (rows, 1)), (self.G @ Q[k : k + rows, :, None])[:, :, 0])
+                acc = int((kkt > tol).argmax()) if (kkt > tol).any() else rows
+                out[0][k : k + acc], out[1][k : k + acc], out[2][k : k + acc] = r[:acc], mu, kkt[:acc]
+                k += acc
+                if acc == rows:
+                    m, misses = min(2 * m, BLOCK_ROWS), max(misses - 1, 0)
+                    continue
+                m, wait, misses = max(2, m // 2), min(2**misses, BLOCK_ROWS), misses + 1
+            for a, b in zip(out, self.solve_many(Q[k : k + 1], tol, mu0=mu[None])):
+                a[k] = b[0]
+            mu, k, wait = out[1][k], k + 1, wait - 1
+        return out
 
 
 def lift(

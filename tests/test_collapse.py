@@ -153,6 +153,17 @@ def test_membership_matches_bracket_existence_random():
         assert iq2x2_membership(w, a) == iq2x2_root_exists(w, a)
 
 
+def test_bracket_existence_matches_membership_at_a_tight_lift():
+    # the lift of the 8th state of test_invariant_solve_matches_lift_fixed_points:
+    # r22 = 0, so the workload is on the boundary of the invariant image and
+    # theta at the lower bracket end is +8.9e-16, round-off above the root
+    from swnet.collapse import _theta, iq2x2_theta_bracket
+
+    w = Iq2x2Workload.of_state(np.array([2.470403721056058, 0.20173433602757893, 2.2686693850284794, 0.0]))
+    assert 0.0 < _theta(iq2x2_theta_bracket(w)[0], w, 1.0) < 1e-14
+    assert iq2x2_membership(w, 1.0) and iq2x2_root_exists(w, 1.0)
+
+
 def test_alpha_monotonicity_probe_nesting():
     rep = alpha_monotonicity_probe([1.0, 0.5, 0.2])
     assert rep.nested

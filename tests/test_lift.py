@@ -469,3 +469,204 @@ def test_basis_cache_never_changes_a_result(request, name):
         bits = np.unpackbits(np.frombuffer(code, dtype=np.uint8), count=K + N).astype(bool)
         for a, b in zip(basis, fresh._basis(bits[:K], bits[K:])):
             assert np.array_equal(a, b)
+
+
+def _reference_chain(problem, Q, tol=1e-8, mu0=None):
+    """LiftProblem.solve_chain written as one one-row solve_many call per row,
+    each warm-started from the multipliers of the row before: the reference
+    for the chain's batched warm-start tests."""
+    (J, N), K = np.shape(Q), len(problem.G)
+    out = np.zeros((J, N)), np.zeros((J, K)), np.zeros(J), np.zeros(J, dtype=np.int64)
+    mu = None if mu0 is None else np.asarray(mu0, dtype=float)[None]
+    for j in range(J):
+        one = problem.solve_many(Q[j : j + 1], tol, mu0=mu)
+        for a, b in zip(out, one):
+            a[j] = b[0]
+        mu = one[1]
+    return out
+
+
+def _assert_bitwise(got, ref):
+    assert len(got) == len(ref) == 4
+    for a, b in zip(got, ref):
+        assert a.shape == b.shape and a.dtype == b.dtype
+        assert np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def _count_solve_many(problem, monkeypatch):
+    """A list that gets one entry per problem.solve_many call from now on."""
+    calls, solve_many = [], problem.solve_many
+    monkeypatch.setattr(problem, "solve_many", lambda *a, **k: calls.append(1) or solve_many(*a, **k))
+    return calls
+
+
+def _count_chunk_tests(problem, monkeypatch):
+    """A list that gets the row count of each _point call that solve_chain
+    makes itself, outside solve_many: one entry per chunk tested."""
+    tests, solving = [], []
+    point, solve_many = problem._point, problem.solve_many
+
+    def counted_point(mu, h):
+        if not solving:
+            tests.append(len(mu))
+        return point(mu, h)
+
+    def counted_solve_many(*args, **kwargs):
+        solving.append(1)
+        try:
+            return solve_many(*args, **kwargs)
+        finally:
+            solving.pop()
+
+    monkeypatch.setattr(problem, "_point", counted_point)
+    monkeypatch.setattr(problem, "solve_many", counted_solve_many)
+    return tests
+
+
+def _chain_problem(request, name, alpha):
+    model = request.getfixturevalue(name)
+    return model, LiftProblem(model, LAMS[name], WeightFunction.power(alpha), request.getfixturevalue(f"{name}_clvr"))
+
+
+FLUID_PATHS = {  # (lambda, q0) of a critically loaded fluid path on each model
+    "ex2": ([1.0, 1.0], [3.0, 0.0]),
+    "switch2": ([0.5] * 4, [2.0, 0.0, 0.0, 1.0]),
+    "tandem2": ([1.0, 0.0], [1.0, 0.5]),
+}
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
+@pytest.mark.parametrize("name", ["ex2", "switch2", "tandem2"])
+def test_solve_chain_equals_one_row_solves_on_a_fluid_path(request, name, alpha, monkeypatch):
+    from swnet.fluid import integrate_fluid
+    from swnet.policy import Policy
+
+    model, problem = _chain_problem(request, name, alpha)
+    weight = WeightFunction.power(alpha)
+    policy = Policy.mw(weight) if model.is_single_hop else Policy.backpressure(weight)
+    traj = integrate_fluid(model, policy, *FLUID_PATHS[name], h=1e-3, T=3.0)
+    Q = traj.q[::7]  # distance_to_lift's default subgrid of a 3 000-step path
+    ref = _reference_chain(problem, Q)
+    calls = _count_solve_many(problem, monkeypatch)
+    _assert_bitwise(problem.solve_chain(Q), ref)
+    assert ref[2].max() <= 1e-8
+    # the path keeps its critical workloads, so the warm start mostly passes:
+    # only the rows that iterate are solved alone, the others pass in chunks
+    iterating = int((ref[3] > 1).sum())
+    assert len(calls) == iterating < 0.01 * len(Q)
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
+@pytest.mark.parametrize("name", ["ex2", "switch2", "tandem2"])
+def test_solve_chain_equals_one_row_solves_on_a_random_walk(request, name, alpha, monkeypatch):
+    # rows jump, so every warm start fails and every row iterates: the chunks
+    # keep missing and the chain backs off, testing a chunk again only after
+    # 1, 2, 4, ... rows solved alone (rows 0, 1, 3, 7, 15, 31 and 63)
+    model, problem = _chain_problem(request, name, alpha)
+    rng = np.random.default_rng(41)
+    Q = np.abs(np.cumsum(rng.normal(size=(120, model.n_queues)), axis=0)) + 0.1
+    Q[::9, 0] = 0.0
+    ref = _reference_chain(problem, Q)
+    assert (ref[3] > 1).all()
+    tests = _count_chunk_tests(problem, monkeypatch)
+    _assert_bitwise(problem.solve_chain(Q), ref)
+    assert len(tests) == 7
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
+@pytest.mark.parametrize("name", ["ex2", "switch2", "tandem2"])
+def test_solve_chain_warm_start_fails_inside_a_chunk(request, name, alpha, monkeypatch):
+    # a state held for a while and then moved: rows 0, 20, 50 and 90 iterate,
+    # the last three in the middle of a chunk (rows 15-30, 45-76 and 67-98
+    # after the doubling and halving); each is the one row solved alone, and
+    # every other row keeps its predecessor's mu
+    model, problem = _chain_problem(request, name, alpha)
+    rng = np.random.default_rng(43)
+    jumps = [0, 20, 50, 90, 140]
+    Q = np.repeat(rng.random((4, model.n_queues)) * 3.0, np.diff(jumps), axis=0)
+    ref = _reference_chain(problem, Q)
+    assert np.flatnonzero(ref[3] > 1).tolist() == jumps[:-1]
+    calls = _count_solve_many(problem, monkeypatch)
+    _assert_bitwise(problem.solve_chain(Q), ref)
+    assert len(calls) == 4
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
+@pytest.mark.parametrize("name", ["ex2", "switch2", "tandem2"])
+def test_solve_chain_from_a_given_mu0(request, name, alpha):
+    model, problem = _chain_problem(request, name, alpha)
+    rng = np.random.default_rng(47)
+    Q = np.repeat(rng.random((3, model.n_queues)) * 3.0, [1, 30, 30], axis=0)
+    K = len(problem.G)
+    mu_star = _reference_chain(problem, Q[:1])[1][0]
+    for mu0 in (rng.normal(size=K), np.zeros(K), -np.ones(K), mu_star, mu_star - (np.arange(K) == 0), mu_star - 1e-300):
+        # a negative entry is projected to 0 before the first test; the optimal
+        # multipliers of row 0 pass it at once, and so do those of mu_star - 1e-300,
+        # whose zero entries the projection restores
+        _assert_bitwise(problem.solve_chain(Q, mu0=mu0), _reference_chain(problem, Q, mu0=mu0))
+    Z = np.vstack([np.zeros((5, model.n_queues)), Q])  # optimal at mu = 0, and at -0.0 before the projection
+    _assert_bitwise(problem.solve_chain(Z, mu0=np.full(K, -0.0)), _reference_chain(problem, Z, mu0=np.full(K, -0.0)))
+    assert problem.solve_chain(Q, mu0=mu_star)[3][0] == 1
+    assert problem.solve_chain(Q, mu0=mu_star - 1.0)[3][0] > 1  # mu0 < 0 everywhere: a cold start
+
+
+@pytest.mark.parametrize("J", [0, 1, 2])
+def test_solve_chain_short_and_empty_chains(switch2, switch2_clvr, switch2_lam, J):
+    problem = LiftProblem(switch2, switch2_lam, WeightFunction.power(1.0), switch2_clvr)
+    Q = np.random.default_rng(53).random((J, 4)) * 2.0
+    for mu0 in (None, np.full(len(problem.G), 0.5)):
+        got = problem.solve_chain(Q, mu0=mu0)
+        _assert_bitwise(got, _reference_chain(problem, Q, mu0=mu0))
+        assert [a.shape[0] for a in got] == [J] * 4
+
+
+def test_solve_chain_without_constraints(ex2):
+    # empty clvr (K = 0) and no zero-rate caps: r* = 0 on every row, no iteration
+    problem = LiftProblem(ex2, [F(1, 2), F(1, 2)], WeightFunction.power(1.0), [])
+    for J in (0, 1, 5):
+        Q = np.ones((J, 2)) * np.arange(1, J + 1)[:, None]
+        got = problem.solve_chain(Q)
+        _assert_bitwise(got, _reference_chain(problem, Q))
+        assert got[1].shape == (J, 0) and not got[0].any() and not got[3].any()
+    _assert_bitwise(problem.solve_chain(np.ones((3, 2)), mu0=np.zeros(0)), _reference_chain(problem, np.ones((3, 2))))
+
+
+def test_solve_chain_rejects_bad_input_as_solve_many_does(ex2, ex2_clvr):
+    problem = LiftProblem(ex2, [1, 1], WeightFunction.power(1.0), ex2_clvr)
+
+    def message(solve, *args, **kwargs):
+        with pytest.raises(ValueError) as err:
+            solve(*args, **kwargs)
+        return str(err.value)
+
+    negative = np.ones((3, 2))
+    negative[2, 1] = -1e-9
+    nan = np.ones((3, 2))
+    nan[1, 0] = np.nan
+    for bad in (negative, nan, np.ones(3), np.ones((3, 3)), np.ones((3, 2, 1)), [[1.0, np.inf]]):
+        assert message(problem.solve_chain, bad) == message(problem.solve_many, bad)
+    assert "mu0 must have shape (2,)" in message(problem.solve_chain, np.ones((3, 2)), mu0=np.zeros((3, 2)))
+    assert "mu0 must have shape (2,)" in message(problem.solve_chain, np.ones((3, 2)), mu0=np.zeros(3))
+    for bad in (np.nan, np.inf):
+        assert message(problem.solve_chain, np.ones((3, 2)), mu0=np.full(2, bad)) == "mu0 must be finite"
+
+
+def test_distance_to_lift_solves_the_sliding_path_in_one_chain(monkeypatch):
+    # on fluid_iq2_sliding's path only the cold first row iterates, so the
+    # chain makes one solve_many call for its 430 rows
+    from pathlib import Path
+
+    from swnet import cli, fluid
+    from swnet.geometry import float_vector
+
+    cfg = cli.parse_scenario(Path(__file__).parent.parent / "scenarios" / "fluid_iq2_sliding.json")
+    weight, clvr = cli._lyapunov_view(cfg)
+    exp = cfg.params
+    traj = fluid.integrate_fluid(cfg.model, cfg.policy, float_vector(cfg.lam), exp["q0"], h=exp["h"], T=exp["T"])
+    calls, solve_many = [], LiftProblem.solve_many
+    monkeypatch.setattr(LiftProblem, "solve_many", lambda *a, **k: calls.append(1) or solve_many(*a, **k))
+    times, dists = fluid.distance_to_lift(cfg.model, cfg.lam, weight, clvr, traj)
+    assert len(times) == 430 and len(calls) == 1
+    problem = LiftProblem(cfg.model, cfg.lam, weight, clvr)
+    ref = _reference_chain(problem, traj.q[np.searchsorted(traj.t, times)])
+    assert np.array_equal(dists, np.abs(traj.q[np.searchsorted(traj.t, times)] - ref[0]).max(axis=1))
