@@ -257,9 +257,8 @@ def iq2x2_theta_bracket(w: Iq2x2Workload) -> tuple[float, float]:
 
 
 def iq2x2_root_exists(w: Iq2x2Workload, alpha: float) -> bool:
-    """Brute existence check: theta is increasing, so a root exists iff
-    theta <= 0 at the lower bracket end and >= 0 at the upper, up to a guard
-    1e-12 (1 + w..)^a in theta's units, as iq2x2_membership has in w's."""
+    """Brute existence check: theta is increasing, so a root exists iff theta <= 0 at the lower bracket
+    end and >= 0 at the upper, up to iq2x2_membership's relative 1e-12 guard carried into theta's units."""
     lo, hi = iq2x2_theta_bracket(w)
     if lo > hi:
         return False

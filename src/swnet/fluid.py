@@ -19,7 +19,7 @@ from .lift import LiftProblem, constraint_rows, lift  # lift is unused here, but
 from .model import NetworkModel, WeightFunction
 from .policy import Policy, TieState, argmax_mask, batch_weights, drift_formula, maximizers, resolve
 from .policy import select_schedule  # unused here, but perfbench/tracer.py wraps fluid.select_schedule
-from .sim import BLOCK_ROWS, FluidTrajectory, _interp_rows, advance, count_schedules
+from .sim import FluidTrajectory, _interp_rows, advance, count_schedules, next_chunk
 
 
 class GridMismatch(ValueError):
@@ -90,7 +90,7 @@ def integrate_fluid(
         if wait > 0:
             p = 0
         elif not (p := _period(picks)):  # nothing to repeat: a miss too
-            wait, misses = min(2**misses, BLOCK_ROWS), misses + 1
+            _, wait, misses = next_chunk(m, misses, False)  # the chunk keeps its size
         if p and not tied and qs[k - p].tobytes() == q.tobytes():  # q_k = q_{k-p}: the rest tiles the cycle
             src = np.arange(steps - k) % p
             qs[k + 1 :] = qs[k + 1 - p : k + 1][src]
@@ -124,10 +124,7 @@ def integrate_fluid(
         picks += chosen[:acc].tolist()
         k += acc
         q = qs[k]
-        if acc == m:
-            m, misses = min(2 * m, BLOCK_ROWS), max(misses - 1, 0)
-        else:  # halve the chunk and take up to 2**misses plain steps
-            m, wait, misses = max(2, m // 2), min(2**misses, BLOCK_ROWS), misses + 1
+        m, wait, misses = next_chunk(m, misses, acc == m)  # on a miss, up to 2**misses plain steps
     chosen = np.array(picks, dtype=np.int64)
     del picks
     y = np.zeros((steps + 1, n))

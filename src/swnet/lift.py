@@ -24,7 +24,7 @@ import numpy as np
 from .geometry import float_vector, fraction_vector, solve_lp, to_fraction
 from .model import NetworkModel, WeightFunction
 from .policy import drift_formula
-from .sim import BLOCK_ROWS
+from .sim import next_chunk
 
 
 class SolverDivergence(RuntimeError):
@@ -157,21 +157,14 @@ class LiftProblem:
         ok &= np.abs(delta).max(axis=1) <= 1e8 * scale  # false where delta is not finite
         return np.where(act, np.maximum(mu + delta, 0.0), mu), ok
 
-    def _checked(self, Q, mu0, chain: bool) -> tuple[np.ndarray, np.ndarray]:
-        """Q, a finite (B, N) float array >= 0, and [mu0]^+ of shape (K,) for a chain, else (B, K); 0 if None."""
-        K, N = self.G.shape
+    def _states(self, Q) -> np.ndarray:
+        """Q as a finite (B, N) float array >= 0."""
         Q = np.asarray(Q, dtype=float)
-        if Q.ndim != 2 or Q.shape[1] != N or not np.isfinite(Q).all():
-            raise ValueError(f"queue states must be a finite (B, {N}) array, got shape {Q.shape}")
+        if Q.ndim != 2 or Q.shape[1] != self.G.shape[1] or not np.isfinite(Q).all():
+            raise ValueError(f"queue states must be a finite (B, {self.G.shape[1]}) array, got shape {Q.shape}")
         if np.any(Q < 0):
             raise ValueError("queue state must be >= 0")
-        shape = (K,) if chain else (len(Q), K)
-        mu = np.zeros(shape) if mu0 is None else np.maximum(np.asarray(mu0, dtype=float), 0.0)
-        if mu.shape != shape:
-            raise ValueError(f"mu0 must have shape {shape}, got {mu.shape}")
-        if not np.isfinite(mu).all():
-            raise ValueError("mu0 must be finite")
-        return Q, mu
+        return Q
 
     def solve_many(
         self,
@@ -186,8 +179,13 @@ class LiftProblem:
         axis B. Each row has its own step size and stopping test and is
         frozen once its KKT residual is <= tol. Empty ``clvr`` with no
         zero-rate caps gives r* = 0."""
-        Q, mu = self._checked(Q, mu0, chain=False)
+        Q = self._states(Q)
         (B, N), K = Q.shape, len(self.G)
+        mu = np.zeros((B, K)) if mu0 is None else np.maximum(np.asarray(mu0, dtype=float), 0.0)
+        if mu.shape != (B, K):
+            raise ValueError(f"mu0 must have shape {(B, K)}, got {mu.shape}")
+        if not np.isfinite(mu).all():
+            raise ValueError("mu0 must be finite")
         if K == 0:
             return np.zeros((B, N)), mu, np.zeros(B), np.zeros(B, dtype=np.int64)
         h = (self.G @ Q[:, :, None])[:, :, 0]
@@ -234,14 +232,14 @@ class LiftProblem:
             )
         return cur[2], cur[0], cur[4], iterations
 
-    def solve_chain(self, Q, tol: float = 1e-8, mu0: Optional[np.ndarray] = None) -> tuple[np.ndarray, ...]:
-        """solve_many's four arrays at the rows of Q (J, N), bit for bit as one one-row call per row, each warm-started
-        from the row before (row 0 from ``mu0`` (K,)). A chunk of rows is tested at the current mu and kept up to its
-        first KKT failure; then, as in integrate_fluid, 2**misses rows, that one first, are solved alone."""
-        Q, mu = self._checked(Q, mu0, chain=True)  # every later mu comes out of solve_many, already >= 0
-        if len(self.G) == 0:
-            return self.solve_many(Q, tol)
-        out = np.zeros(Q.shape), np.zeros((len(Q), len(mu))), np.zeros(len(Q)), np.ones(len(Q), dtype=np.int64)
+    def solve_chain(self, Q) -> tuple[np.ndarray, ...]:
+        """solve_many's four arrays at the rows of Q (J, N), bit for bit as one one-row call per row from the mu of the
+        row before (row 0 from 0): a chunk tested at mu is kept up to its first failure, solved alone (next_chunk)."""
+        Q, tol, K = self._states(Q), 1e-8, len(self.G)  # solve_many's default tol
+        if K == 0:
+            return self.solve_many(Q)
+        out = np.zeros(Q.shape), np.zeros((len(Q), K)), np.zeros(len(Q)), np.ones(len(Q), dtype=np.int64)
+        mu = np.zeros(K)  # every later mu comes out of solve_many, already >= 0
         k, m, wait, misses = 0, 2, 0, 0  # rows done, next chunk's rows, rows to solve alone, misses less full accepts
         while k < len(Q):
             if wait == 0:
@@ -250,13 +248,11 @@ class LiftProblem:
                 acc = int((kkt > tol).argmax()) if (kkt > tol).any() else rows
                 out[0][k : k + acc], out[1][k : k + acc], out[2][k : k + acc] = r[:acc], mu, kkt[:acc]
                 k += acc
-                if acc == rows:
-                    m, misses = min(2 * m, BLOCK_ROWS), max(misses - 1, 0)
-                    continue
-                m, wait, misses = max(2, m // 2), min(2**misses, BLOCK_ROWS), misses + 1
-            for a, b in zip(out, self.solve_many(Q[k : k + 1], tol, mu0=mu[None])):
-                a[k] = b[0]
-            mu, k, wait = out[1][k], k + 1, wait - 1
+                m, wait, misses = next_chunk(m, misses, acc == rows)
+            if wait > 0:  # row k failed its test, or follows a miss
+                for a, b in zip(out, self.solve_many(Q[k : k + 1], tol, mu0=mu[None])):
+                    a[k] = b[0]
+                mu, k, wait = out[1][k], k + 1, wait - 1
         return out
 
 

@@ -471,15 +471,15 @@ def test_basis_cache_never_changes_a_result(request, name):
             assert np.array_equal(a, b)
 
 
-def _reference_chain(problem, Q, tol=1e-8, mu0=None):
+def _reference_chain(problem, Q):
     """LiftProblem.solve_chain written as one one-row solve_many call per row,
     each warm-started from the multipliers of the row before: the reference
     for the chain's batched warm-start tests."""
     (J, N), K = np.shape(Q), len(problem.G)
     out = np.zeros((J, N)), np.zeros((J, K)), np.zeros(J), np.zeros(J, dtype=np.int64)
-    mu = None if mu0 is None else np.asarray(mu0, dtype=float)[None]
+    mu = None
     for j in range(J):
-        one = problem.solve_many(Q[j : j + 1], tol, mu0=mu)
+        one = problem.solve_many(Q[j : j + 1], mu0=mu)
         for a, b in zip(out, one):
             a[j] = b[0]
         mu = one[1]
@@ -591,33 +591,13 @@ def test_solve_chain_warm_start_fails_inside_a_chunk(request, name, alpha, monke
     assert len(calls) == 4
 
 
-@pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
-@pytest.mark.parametrize("name", ["ex2", "switch2", "tandem2"])
-def test_solve_chain_from_a_given_mu0(request, name, alpha):
-    model, problem = _chain_problem(request, name, alpha)
-    rng = np.random.default_rng(47)
-    Q = np.repeat(rng.random((3, model.n_queues)) * 3.0, [1, 30, 30], axis=0)
-    K = len(problem.G)
-    mu_star = _reference_chain(problem, Q[:1])[1][0]
-    for mu0 in (rng.normal(size=K), np.zeros(K), -np.ones(K), mu_star, mu_star - (np.arange(K) == 0), mu_star - 1e-300):
-        # a negative entry is projected to 0 before the first test; the optimal
-        # multipliers of row 0 pass it at once, and so do those of mu_star - 1e-300,
-        # whose zero entries the projection restores
-        _assert_bitwise(problem.solve_chain(Q, mu0=mu0), _reference_chain(problem, Q, mu0=mu0))
-    Z = np.vstack([np.zeros((5, model.n_queues)), Q])  # optimal at mu = 0, and at -0.0 before the projection
-    _assert_bitwise(problem.solve_chain(Z, mu0=np.full(K, -0.0)), _reference_chain(problem, Z, mu0=np.full(K, -0.0)))
-    assert problem.solve_chain(Q, mu0=mu_star)[3][0] == 1
-    assert problem.solve_chain(Q, mu0=mu_star - 1.0)[3][0] > 1  # mu0 < 0 everywhere: a cold start
-
-
 @pytest.mark.parametrize("J", [0, 1, 2])
 def test_solve_chain_short_and_empty_chains(switch2, switch2_clvr, switch2_lam, J):
     problem = LiftProblem(switch2, switch2_lam, WeightFunction.power(1.0), switch2_clvr)
     Q = np.random.default_rng(53).random((J, 4)) * 2.0
-    for mu0 in (None, np.full(len(problem.G), 0.5)):
-        got = problem.solve_chain(Q, mu0=mu0)
-        _assert_bitwise(got, _reference_chain(problem, Q, mu0=mu0))
-        assert [a.shape[0] for a in got] == [J] * 4
+    got = problem.solve_chain(Q)
+    _assert_bitwise(got, _reference_chain(problem, Q))
+    assert [a.shape[0] for a in got] == [J] * 4
 
 
 def test_solve_chain_without_constraints(ex2):
@@ -628,7 +608,6 @@ def test_solve_chain_without_constraints(ex2):
         got = problem.solve_chain(Q)
         _assert_bitwise(got, _reference_chain(problem, Q))
         assert got[1].shape == (J, 0) and not got[0].any() and not got[3].any()
-    _assert_bitwise(problem.solve_chain(np.ones((3, 2)), mu0=np.zeros(0)), _reference_chain(problem, np.ones((3, 2))))
 
 
 def test_solve_chain_rejects_bad_input_as_solve_many_does(ex2, ex2_clvr):
@@ -645,10 +624,6 @@ def test_solve_chain_rejects_bad_input_as_solve_many_does(ex2, ex2_clvr):
     nan[1, 0] = np.nan
     for bad in (negative, nan, np.ones(3), np.ones((3, 3)), np.ones((3, 2, 1)), [[1.0, np.inf]]):
         assert message(problem.solve_chain, bad) == message(problem.solve_many, bad)
-    assert "mu0 must have shape (2,)" in message(problem.solve_chain, np.ones((3, 2)), mu0=np.zeros((3, 2)))
-    assert "mu0 must have shape (2,)" in message(problem.solve_chain, np.ones((3, 2)), mu0=np.zeros(3))
-    for bad in (np.nan, np.inf):
-        assert message(problem.solve_chain, np.ones((3, 2)), mu0=np.full(2, bad)) == "mu0 must be finite"
 
 
 def test_distance_to_lift_solves_the_sliding_path_in_one_chain(monkeypatch):
