@@ -46,6 +46,7 @@ from .collapse import (
 from .fluid import HorizonNotMultiple, distance_to_lift, integrate_fluid, lyapunov_drift
 from .geometry import (
     BudgetExceeded,
+    InfeasiblePlan,
     classify_primal,
     complete_loading_check,
     critically_loaded,
@@ -263,8 +264,11 @@ def _run_analyze(cfg: ScenarioConfig, out: Path, *, budget) -> int:
     except BudgetExceeded as exc:
         raise SchemaError("/experiment/budget", str(exc)) from exc
     lam = model.transform_exact(fraction_vector(cfg.lam))
-    value, alpha = solve_primal(model, lam)
-    dvalue, xi = solve_dual(model, lam)
+    try:
+        value, alpha = solve_primal(model, lam)
+        dvalue, xi = solve_dual(model, lam)
+    except InfeasiblePlan as exc:  # a positive rate that no schedule serves
+        raise SchemaError("/lambda", str(exc)) from exc
     load = classify_primal(value, cfg.lam)
     cl_ok, cl_weights = complete_loading_check(model, clvr)
     doc = {

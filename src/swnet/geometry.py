@@ -1,12 +1,13 @@
 """Exact static-planning geometry: admissibility LPs, dual-polytope vertex
 enumeration, virtual resources, critically loaded sets, complete loading.
 
-All geometry runs in exact rational arithmetic (fractions.Fraction); the
-dual-vertex enumeration works on integer-scaled rows and makes Fractions only
-for the vertices it finds. Floats entering through lambda are converted to
-their exact binary value; when that happens, classifications near the
-critical boundary can be snapped by a configurable tolerance and are flagged
-approximate.
+All geometry is exact rational arithmetic carried out on integers: the
+simplex tableau and solve_square keep each row as integer numerators over one
+denominator, the dual-vertex enumeration eliminates integer-scaled systems,
+and Fractions are made only for the results. Floats entering through lambda
+are converted to their exact binary value; when that happens, classifications
+near the critical boundary can be snapped by a configurable tolerance and are
+flagged approximate.
 """
 
 from __future__ import annotations
@@ -61,8 +62,39 @@ def float_vector(xs) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def _int_row(values) -> list[int]:
+    """Rationals as one integer row: numerators over the lcm of the denominators, then that lcm."""
+    fs = [to_fraction(v) for v in values]
+    d = math.lcm(*(v.denominator for v in fs))
+    return [v.numerator * (d // v.denominator) for v in fs] + [d]
+
+
+def _reduced(row: list[int]) -> list[int]:
+    g = math.gcd(*row)
+    return row if g == 1 else [v // g for v in row]
+
+
+def _pivot(rows: list[list[int]], r: int, col: int) -> None:
+    """Divide integer row r by its entry at col and clear col from every other row: row i becomes
+    p_c n_i - n_ic p over d_i p_c, where the reduced pivot row p has p_c > 0."""
+    s = 1 if rows[r][col] > 0 else -1
+    rows[r] = prow = _reduced([s * v for v in rows[r][:-1]] + [s * rows[r][col]])
+    for i, row in enumerate(rows):
+        if i != r and row[col] != 0:
+            rows[i] = _cancel(row, prow, col)
+
+
+def _cancel(row: list[int], prow: list[int], col: int) -> list[int]:
+    """row minus the multiple of prow (with prow[col] > 0) that clears its entry at col."""
+    f, c = row[col], prow[col]
+    new = [c * a - f * b for a, b in zip(row, prow)]
+    new[-1] = c * row[-1]
+    return _reduced(new)
+
+
 def solve_square(a: list[list[Fraction]], b: list[Fraction]) -> Optional[list[Fraction]]:
-    """Solve a rational system a x = b by Gauss-Jordan elimination.
+    """Solve a rational system a x = b by Gauss-Jordan elimination on
+    integer rows (_pivot).
 
     ``a`` has one column per unknown and at least as many rows as columns
     (verify_vertex passes every tight row). Returns None at the first column
@@ -70,22 +102,16 @@ def solve_square(a: list[list[Fraction]], b: list[Fraction]) -> Optional[list[Fr
     beyond the pivots contradicts them.
     """
     n, rows = len(a[0]), len(b)
-    m = [row[:] + [rhs] for row, rhs in zip(a, b)]
+    m = [_int_row([*row, rhs]) for row, rhs in zip(a, b)]
     for col in range(n):
         piv = next((r for r in range(col, rows) if m[r][col] != 0), None)
         if piv is None:
             return None
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-        inv = m[col][col]
-        m[col] = [v / inv for v in m[col]]
-        for r in range(rows):
-            if r != col and m[r][col] != 0:
-                f = m[r][col]
-                m[r] = [v - f * w for v, w in zip(m[r], m[col])]
+        m[col], m[piv] = m[piv], m[col]
+        _pivot(m, col, col)
     if any(m[r][n] != 0 for r in range(n, rows)):
         return None
-    return [m[r][n] for r in range(n)]
+    return [Fraction(m[r][n], m[r][-1]) for r in range(n)]
 
 
 # ---------------------------------------------------------------------------
@@ -100,35 +126,22 @@ class LpResult:
     x: Optional[list[Fraction]]
 
 
-def _pivot(rows, cost, basis, r, col) -> None:
-    piv = rows[r][col]
-    rows[r] = [v / piv for v in rows[r]]
-    prow = rows[r]
-    for i in range(len(rows)):
-        if i != r and rows[i][col] != 0:
-            f = rows[i][col]
-            rows[i] = [a - f * b for a, b in zip(rows[i], prow)]
-    if cost[col] != 0:
-        f = cost[col]
-        cost[:] = [a - f * b for a, b in zip(cost, prow)]
-    basis[r] = col
-
-
-def _run_phase(rows, cost, basis, allowed) -> str:
+def _run_phase(tab, basis, allowed) -> str:
+    """Bland's rule on tab, the constraint rows and then the cost row."""
     while True:
-        enter = next((j for j in allowed if cost[j] < 0), None)  # Bland: lowest index
+        enter = next((j for j in allowed if tab[-1][j] < 0), None)  # Bland: lowest index
         if enter is None:
             return "optimal"
-        best = None
-        for i, row in enumerate(rows):
+        best = None  # (rhs, entry, basic index, row) of the least ratio rhs / entry, by cross-multiplication
+        for i, (row, b) in enumerate(zip(tab, basis)):
             if row[enter] > 0:
-                ratio = row[-1] / row[enter]
-                key = (ratio, basis[i])
-                if best is None or key < best[0]:
-                    best = (key, i)
+                rhs, a = row[-2], row[enter]
+                if best is None or rhs * best[1] < best[0] * a or (rhs * best[1] == best[0] * a and b < best[2]):
+                    best = (rhs, a, b, i)
         if best is None:
             return "unbounded"
-        _pivot(rows, cost, basis, best[1], enter)
+        _pivot(tab, best[3], enter)
+        basis[best[3]] = enter
 
 
 def solve_lp(
@@ -141,45 +154,31 @@ def solve_lp(
     """Exact rational simplex: minimize c.x s.t. a_ub x <= b_ub,
     a_eq x = b_eq, x >= 0. Bland's rule prevents cycling; problem sizes here
     are tiny, so no effort is spent on sparsity or revised form.
-    """
-    zero, one = Fraction(0), Fraction(1)
-    nx = len(c)
-    rows: list[list[Fraction]] = []
-    kinds: list[str] = []  # "ub" gets a slack, "eq" does not
-    for row, rhs in zip(a_ub, b_ub):
-        rows.append([to_fraction(v) for v in row] + [to_fraction(rhs)])
-        kinds.append("ub")
-    for row, rhs in zip(a_eq, b_eq):
-        rows.append([to_fraction(v) for v in row] + [to_fraction(rhs)])
-        kinds.append("eq")
-    m = len(rows)
-    n_slack = sum(1 for k in kinds if k == "ub")
-    ncols = nx + n_slack + m  # x, slacks, artificials
-    tab: list[list[Fraction]] = []
-    slack_at = 0
-    for i, (row, kind) in enumerate(zip(rows, kinds)):
-        body = row[:-1] + [zero] * (n_slack + m)
-        rhs = row[-1]
-        if kind == "ub":
-            body[nx + slack_at] = one
-            slack_at += 1
-        if rhs < 0:
-            body = [-v for v in body]
-            rhs = -rhs
-        body[nx + n_slack + i] = one
-        tab.append(body + [rhs])
 
-    # phase 1: minimize the artificial total
+    Each tableau row, the cost row too, is integer numerators and then one
+    positive denominator, reduced by their gcd, so its entries are exactly
+    the rationals of the same simplex over Fractions, and so are its pivots.
+    Only x and the value become Fractions.
+    """
+    nx = len(c)
+    ub = [_int_row([*row, rhs]) for row, rhs in zip(a_ub, b_ub)]
+    rows = ub + [_int_row([*row, rhs]) for row, rhs in zip(a_eq, b_eq)]
+    m, n_slack = len(rows), len(ub)  # a "ub" row gets a slack, an "eq" row does not
+    ncols = nx + n_slack + m  # x, slacks, artificials
+    tab = []  # each row negated where its rhs is negative, then its artificial
+    for i, row in enumerate(rows):
+        s, d = -1 if row[nx] < 0 else 1, row[-1]
+        units = [s * d * (j == i) for j in range(n_slack)] + [d * (j == i) for j in range(m)]
+        tab.append([s * v for v in row[:nx]] + units + [s * row[nx], d])
+
+    # phase 1: minimize the artificial total, cost -sum(rows) + artificials
     basis = [nx + n_slack + i for i in range(m)]
-    cost = [zero] * (ncols + 1)
-    for row in tab:
-        for j in range(ncols + 1):
-            cost[j] -= row[j]
-    for i in range(m):
-        cost[nx + n_slack + i] += one
+    d = math.lcm(*(row[-1] for row in tab))
+    tab.append(_reduced([d * (nx + n_slack <= j < ncols) - sum(row[j] * (d // row[-1]) for row in tab)
+                         for j in range(ncols + 1)] + [d]))
     allowed = list(range(nx + n_slack))
-    status = _run_phase(tab, cost, basis, allowed)
-    if -cost[-1] > 0:
+    _run_phase(tab, basis, allowed)
+    if tab[-1][-2] < 0:
         return LpResult(status="infeasible", value=None, x=None)
     # drive leftover artificials out of the basis
     drop: list[int] = []
@@ -189,25 +188,21 @@ def solve_lp(
             if col is None:
                 drop.append(i)  # redundant row
             else:
-                _pivot(tab, cost, basis, i, col)
+                _pivot(tab, i, col)
+                basis[i] = col
     for i in reversed(drop):
-        del tab[i]
-        del basis[i]
+        del tab[i], basis[i]
 
     # phase 2: original objective over x and slacks
-    cost = [to_fraction(v) for v in c] + [zero] * (n_slack + m) + [zero]
+    tab[-1] = _int_row([*c, *[0] * (n_slack + m + 1)])
     for i, b in enumerate(basis):
-        if cost[b] != 0:
-            f = cost[b]
-            cost = [a - f * v for a, v in zip(cost, tab[i])]
-    status = _run_phase(tab, cost, basis, allowed)
-    if status == "unbounded":
+        if tab[-1][b] != 0:
+            tab[-1] = _cancel(tab[-1], tab[i], b)
+    if _run_phase(tab, basis, allowed) == "unbounded":
         return LpResult(status="unbounded", value=None, x=None)
-    x = [zero] * nx
-    for i, b in enumerate(basis):
-        if b < nx:
-            x[b] = tab[i][-1]
-    return LpResult(status="optimal", value=-cost[-1], x=x)
+    basic = {b: Fraction(row[-2], row[-1]) for row, b in zip(tab, basis)}
+    x = [basic.get(j, Fraction(0)) for j in range(nx)]
+    return LpResult(status="optimal", value=Fraction(-tab[-1][-2], tab[-1][-1]), x=x)
 
 
 # ---------------------------------------------------------------------------

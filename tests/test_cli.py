@@ -516,6 +516,20 @@ def test_analyze_over_the_vertex_budget_is_a_schema_error_at_the_budget(tmp_path
     assert capsys.readouterr().err.startswith("swnet: schema error at /experiment/budget: ")
 
 
+def test_analyze_with_an_unserved_loaded_queue_is_a_schema_error_at_lambda(tmp_path, capsys):
+    # queue 1 has rate 1/2 but no schedule serves it: PRIMAL(lambda) is infeasible
+    scenario = {
+        "network": {"queues": 2, "schedules": [[1, 0]], "routing": []},
+        "lambda": ["1/2", "1/2"],
+        "experiment": {"kind": "analyze"},
+    }
+    with pytest.raises(SchemaError, match=r"no schedule serves positively loaded queue\(s\) \[1\]$") as err:
+        execute(parse_scenario(scenario), tmp_path / "direct")
+    assert err.value.pointer == "/lambda"
+    assert main(["analyze", _write(tmp_path, "unserved.json", scenario), "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == "swnet: schema error at /lambda: no schedule serves positively loaded queue(s) [1]\n"
+
+
 @pytest.mark.parametrize(
     "text, pointer, message",
     [

@@ -1,7 +1,12 @@
+import importlib.util
 import itertools
+import json
 import math
 import tracemalloc
+from collections import Counter
 from fractions import Fraction as F
+from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 import pytest
@@ -13,6 +18,7 @@ from swnet.geometry import (
     _integer_rows,
     _schedule_rows,
     InfeasiblePlan,
+    LpResult,
     classify_load,
     complete_loading_check,
     critically_loaded,
@@ -25,6 +31,7 @@ from swnet.geometry import (
     to_fraction,
     verify_vertex,
 )
+from swnet.cli import execute, parse_scenario
 from swnet.model import validate_network
 
 
@@ -53,6 +60,207 @@ def test_simplex_infeasible_and_unbounded():
     assert bad.status == "infeasible"
     unb = solve_lp([F(-1)], a_ub=[[F(-1)]], b_ub=[F(0)])
     assert unb.status == "unbounded"
+
+
+# The exact two-phase simplex as it was written over Fractions, kept verbatim
+# as the reference for solve_lp, whose tableau holds integer rows.
+
+
+def _reference_pivot(rows, cost, basis, r, col) -> None:
+    piv = rows[r][col]
+    rows[r] = [v / piv for v in rows[r]]
+    prow = rows[r]
+    for i in range(len(rows)):
+        if i != r and rows[i][col] != 0:
+            f = rows[i][col]
+            rows[i] = [a - f * b for a, b in zip(rows[i], prow)]
+    if cost[col] != 0:
+        f = cost[col]
+        cost[:] = [a - f * b for a, b in zip(cost, prow)]
+    basis[r] = col
+
+
+def _reference_run_phase(rows, cost, basis, allowed) -> str:
+    while True:
+        enter = next((j for j in allowed if cost[j] < 0), None)  # Bland: lowest index
+        if enter is None:
+            return "optimal"
+        best = None
+        for i, row in enumerate(rows):
+            if row[enter] > 0:
+                ratio = row[-1] / row[enter]
+                key = (ratio, basis[i])
+                if best is None or key < best[0]:
+                    best = (key, i)
+        if best is None:
+            return "unbounded"
+        _reference_pivot(rows, cost, basis, best[1], enter)
+
+
+def _reference_solve_lp(
+    c: Sequence[F],
+    a_ub: Sequence[Sequence[F]] = (),
+    b_ub: Sequence[F] = (),
+    a_eq: Sequence[Sequence[F]] = (),
+    b_eq: Sequence[F] = (),
+) -> LpResult:
+    """Exact rational simplex: minimize c.x s.t. a_ub x <= b_ub,
+    a_eq x = b_eq, x >= 0. Bland's rule prevents cycling; problem sizes here
+    are tiny, so no effort is spent on sparsity or revised form.
+    """
+    zero, one = F(0), F(1)
+    nx = len(c)
+    rows: list[list[F]] = []
+    kinds: list[str] = []  # "ub" gets a slack, "eq" does not
+    for row, rhs in zip(a_ub, b_ub):
+        rows.append([to_fraction(v) for v in row] + [to_fraction(rhs)])
+        kinds.append("ub")
+    for row, rhs in zip(a_eq, b_eq):
+        rows.append([to_fraction(v) for v in row] + [to_fraction(rhs)])
+        kinds.append("eq")
+    m = len(rows)
+    n_slack = sum(1 for k in kinds if k == "ub")
+    ncols = nx + n_slack + m  # x, slacks, artificials
+    tab: list[list[F]] = []
+    slack_at = 0
+    for i, (row, kind) in enumerate(zip(rows, kinds)):
+        body = row[:-1] + [zero] * (n_slack + m)
+        rhs = row[-1]
+        if kind == "ub":
+            body[nx + slack_at] = one
+            slack_at += 1
+        if rhs < 0:
+            body = [-v for v in body]
+            rhs = -rhs
+        body[nx + n_slack + i] = one
+        tab.append(body + [rhs])
+
+    # phase 1: minimize the artificial total
+    basis = [nx + n_slack + i for i in range(m)]
+    cost = [zero] * (ncols + 1)
+    for row in tab:
+        for j in range(ncols + 1):
+            cost[j] -= row[j]
+    for i in range(m):
+        cost[nx + n_slack + i] += one
+    allowed = list(range(nx + n_slack))
+    status = _reference_run_phase(tab, cost, basis, allowed)
+    if -cost[-1] > 0:
+        return LpResult(status="infeasible", value=None, x=None)
+    # drive leftover artificials out of the basis
+    drop: list[int] = []
+    for i in range(m):
+        if basis[i] >= nx + n_slack:
+            col = next((j for j in range(nx + n_slack) if tab[i][j] != 0), None)
+            if col is None:
+                drop.append(i)  # redundant row
+            else:
+                _reference_pivot(tab, cost, basis, i, col)
+    for i in reversed(drop):
+        del tab[i]
+        del basis[i]
+
+    # phase 2: original objective over x and slacks
+    cost = [to_fraction(v) for v in c] + [zero] * (n_slack + m) + [zero]
+    for i, b in enumerate(basis):
+        if cost[b] != 0:
+            f = cost[b]
+            cost = [a - f * v for a, v in zip(cost, tab[i])]
+    status = _reference_run_phase(tab, cost, basis, allowed)
+    if status == "unbounded":
+        return LpResult(status="unbounded", value=None, x=None)
+    x = [zero] * nx
+    for i, b in enumerate(basis):
+        if b < nx:
+            x[b] = tab[i][-1]
+    return LpResult(status="optimal", value=-cost[-1], x=x)
+
+
+MULTIPLES = (F(2), F(-1), F(1, 3))
+
+
+def _random_lp(rng):
+    """A small LP over entries in {0, +-1/4, ..., +-4}: ub and eq rows in any
+    mix, negative and zero right-hand sides, and often an equality row that
+    is a multiple of another, which phase 1 drops."""
+
+    def entry():
+        return F(0) if rng.random() < 0.35 else F(int(rng.integers(-4, 5)), int(rng.choice([1, 1, 2, 3, 4])))
+
+    nx, n_ub, n_eq = int(rng.integers(1, 6)), int(rng.integers(0, 5)), int(rng.integers(0, 4))
+    a_ub = [[entry() for _ in range(nx)] for _ in range(n_ub)]
+    a_eq = [[entry() for _ in range(nx)] for _ in range(n_eq)]
+    b_ub, b_eq = [entry() for _ in range(n_ub)], [entry() for _ in range(n_eq)]
+    if a_eq and rng.random() < 0.4:
+        k = MULTIPLES[int(rng.integers(0, len(MULTIPLES)))]
+        a_eq.append([k * v for v in a_eq[0]])
+        b_eq.append(k * b_eq[0])
+    return [entry() for _ in range(nx)], a_ub, b_ub, a_eq, b_eq
+
+
+def test_simplex_equals_the_fraction_reference_on_random_lps():
+    rng = np.random.default_rng(24)
+    statuses = Counter()
+    kinds = Counter()
+    for _ in range(1500):
+        lp = _random_lp(rng)
+        res = solve_lp(*lp)
+        assert res == _reference_solve_lp(*lp), lp
+        statuses[res.status] += 1
+        c, a_ub, b_ub, a_eq, b_eq = lp
+        kinds["mixed"] += bool(a_ub and a_eq)
+        kinds["negative rhs"] += any(v < 0 for v in b_ub + b_eq)
+        kinds["zero rhs"] += any(v == 0 for v in b_ub + b_eq)
+        kinds["redundant"] += len(a_eq) > 1 and any(
+            a_eq[-1] == [k * v for v in a_eq[0]] and b_eq[-1] == k * b_eq[0] for k in MULTIPLES
+        )
+    assert min(statuses[s] for s in ("optimal", "infeasible", "unbounded")) >= 200, statuses
+    assert min(kinds.values()) >= 100, kinds
+
+
+def test_simplex_drops_a_redundant_equality_row():
+    # the second row is twice the first: phase 1 ends with its artificial basic at 0 and no column to pivot on
+    lp = ([F(1), F(2)], [], [], [[F(1), F(1)], [F(2), F(2)]], [F(1), F(2)])
+    res = solve_lp(*lp)
+    assert res == _reference_solve_lp(*lp) == LpResult("optimal", F(1), [F(1), F(0)])
+
+
+def test_simplex_ends_beales_cycling_example_at_its_optimum():
+    # Beale (1955): the largest-coefficient rule cycles on these degenerate rows; Bland's rule ends at -5/4
+    c = [F(-3, 4), F(20), F(-1, 2), F(6)]
+    a_ub = [[F(1, 4), F(-8), F(-1), F(9)], [F(1, 2), F(-12), F(-1, 2), F(3)], [F(0), F(0), F(1), F(0)]]
+    b_ub = [F(0), F(0), F(1)]
+    res = solve_lp(c, a_ub, b_ub)
+    assert res == _reference_solve_lp(c, a_ub, b_ub) == LpResult("optimal", F(-5, 4), [F(1), F(0), F(1), F(0)])
+
+
+def _analyze_scenarios():
+    """scenarios/analyze_*.json and the benchmark's analyze_iq3 at seeds 0, 3 and 5."""
+    root = Path(__file__).resolve().parents[1]
+    spec = importlib.util.spec_from_file_location("workloads", root / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    named = {p.stem: json.loads(p.read_text()) for p in sorted((root / "scenarios").glob("analyze_*.json"))}
+    return named | {f"analyze_iq3 seed {s}": workloads.scenario("analyze_iq3", s) for s in (0, 3, 5)}
+
+
+ANALYZE_SCENARIOS = _analyze_scenarios()
+
+
+@pytest.mark.parametrize("name", sorted(ANALYZE_SCENARIOS))
+def test_every_analyze_lp_equals_the_fraction_reference(name, tmp_path, monkeypatch):
+    # the primal, the dual and the complete-loading LP of each analyze run
+    posed = []
+
+    def recording(*args, **kwargs):
+        posed.append((args, kwargs, solve_lp(*args, **kwargs)))
+        return posed[-1][2]
+
+    monkeypatch.setattr("swnet.geometry.solve_lp", recording)
+    assert execute(parse_scenario(ANALYZE_SCENARIOS[name]), tmp_path) == 0
+    assert len(posed) == 3
+    for args, kwargs, res in posed:
+        assert res == _reference_solve_lp(*args, **kwargs)
 
 
 def test_ex2_vertices_exact(ex2, ex2_vrs):
@@ -170,6 +378,45 @@ def test_solve_square_tall_systems():
     assert solve_square([[F(1), F(2)], [F(2), F(4)]], [F(1), F(2)]) is None  # dependent columns
     assert solve_square([[F(1)], [F(2)], [F(3)]], [F(1), F(2), F(3)]) == [F(1)]
     assert solve_square([[F(1)], [F(2)]], [F(1), F(3)]) is None  # the second row contradicts the first
+
+
+def _reference_solve_square(a, b):
+    """solve_square as it was written over Fractions."""
+    n, rows = len(a[0]), len(b)
+    m = [row[:] + [rhs] for row, rhs in zip(a, b)]
+    for col in range(n):
+        piv = next((r for r in range(col, rows) if m[r][col] != 0), None)
+        if piv is None:
+            return None
+        if piv != col:
+            m[col], m[piv] = m[piv], m[col]
+        inv = m[col][col]
+        m[col] = [v / inv for v in m[col]]
+        for r in range(rows):
+            if r != col and m[r][col] != 0:
+                f = m[r][col]
+                m[r] = [v - f * w for v, w in zip(m[r], m[col])]
+    if any(m[r][n] != 0 for r in range(n, rows)):
+        return None
+    return [m[r][n] for r in range(n)]
+
+
+def test_solve_square_equals_the_fraction_reference():
+    # square and tall systems over small rationals: unique, dependent and contradicted ones all occur
+    rng = np.random.default_rng(7)
+    outcomes = Counter()
+    for _ in range(600):
+        n = int(rng.integers(1, 5))
+        rows = n + int(rng.integers(0, 3))
+        a = [[F(int(rng.integers(-2, 3)), int(rng.integers(1, 4))) for _ in range(n)] for _ in range(rows)]
+        b = [F(int(rng.integers(-3, 4)), int(rng.integers(1, 3))) for _ in range(rows)]
+        if rows > n and rng.random() < 0.5:  # a consistent extra row: the sum of the first two
+            a[-1] = [u + v for u, v in zip(a[0], a[min(1, rows - 2)])]
+            b[-1] = b[0] + b[min(1, rows - 2)]
+        x = solve_square(a, b)
+        assert x == _reference_solve_square(a, b)
+        outcomes["none" if x is None else "tall" if rows > n else "square"] += 1
+    assert min(outcomes[k] for k in ("none", "tall", "square")) >= 50, outcomes
 
 
 def test_verify_vertex_with_more_tight_rows_than_queues():
