@@ -2,6 +2,7 @@ import importlib.util
 import itertools
 import json
 import math
+import sys
 import tracemalloc
 from collections import Counter
 from fractions import Fraction as F
@@ -11,7 +12,7 @@ from typing import Sequence
 import numpy as np
 import pytest
 
-from swnet import presets
+from swnet import geometry, presets
 from swnet.geometry import (
     BudgetExceeded,
     _exact_dtype,
@@ -198,14 +199,35 @@ def _random_lp(rng):
     return [entry() for _ in range(nx)], a_ub, b_ub, a_eq, b_eq
 
 
+def _pivots_of(solve, owner, name, *args, **kwargs):
+    """solve's result and the (row, column) of each pivot it made through owner.name."""
+    real, made = getattr(owner, name), []
+
+    def recording(*pivot_args):
+        made.append(pivot_args[-2:])
+        return real(*pivot_args)
+
+    setattr(owner, name, recording)
+    try:
+        return solve(*args, **kwargs), made
+    finally:
+        setattr(owner, name, real)
+
+
+def _solve_as_the_reference(*args, **kwargs):
+    """solve_lp's result, asserting that it equals the reference's and that both made the same pivots."""
+    res = _pivots_of(solve_lp, geometry, "_pivot", *args, **kwargs)
+    assert res == _pivots_of(_reference_solve_lp, sys.modules[__name__], "_reference_pivot", *args, **kwargs)
+    return res[0]
+
+
 def test_simplex_equals_the_fraction_reference_on_random_lps():
     rng = np.random.default_rng(24)
     statuses = Counter()
     kinds = Counter()
     for _ in range(1500):
         lp = _random_lp(rng)
-        res = solve_lp(*lp)
-        assert res == _reference_solve_lp(*lp), lp
+        res = _solve_as_the_reference(*lp)
         statuses[res.status] += 1
         c, a_ub, b_ub, a_eq, b_eq = lp
         kinds["mixed"] += bool(a_ub and a_eq)
@@ -221,8 +243,7 @@ def test_simplex_equals_the_fraction_reference_on_random_lps():
 def test_simplex_drops_a_redundant_equality_row():
     # the second row is twice the first: phase 1 ends with its artificial basic at 0 and no column to pivot on
     lp = ([F(1), F(2)], [], [], [[F(1), F(1)], [F(2), F(2)]], [F(1), F(2)])
-    res = solve_lp(*lp)
-    assert res == _reference_solve_lp(*lp) == LpResult("optimal", F(1), [F(1), F(0)])
+    assert _solve_as_the_reference(*lp) == LpResult("optimal", F(1), [F(1), F(0)])
 
 
 def test_simplex_ends_beales_cycling_example_at_its_optimum():
@@ -230,8 +251,7 @@ def test_simplex_ends_beales_cycling_example_at_its_optimum():
     c = [F(-3, 4), F(20), F(-1, 2), F(6)]
     a_ub = [[F(1, 4), F(-8), F(-1), F(9)], [F(1, 2), F(-12), F(-1, 2), F(3)], [F(0), F(0), F(1), F(0)]]
     b_ub = [F(0), F(0), F(1)]
-    res = solve_lp(c, a_ub, b_ub)
-    assert res == _reference_solve_lp(c, a_ub, b_ub) == LpResult("optimal", F(-5, 4), [F(1), F(0), F(1), F(0)])
+    assert _solve_as_the_reference(c, a_ub, b_ub) == LpResult("optimal", F(-5, 4), [F(1), F(0), F(1), F(0)])
 
 
 def _analyze_scenarios():
@@ -260,7 +280,7 @@ def test_every_analyze_lp_equals_the_fraction_reference(name, tmp_path, monkeypa
     assert execute(parse_scenario(ANALYZE_SCENARIOS[name]), tmp_path) == 0
     assert len(posed) == 3
     for args, kwargs, res in posed:
-        assert res == _reference_solve_lp(*args, **kwargs)
+        assert res == _solve_as_the_reference(*args, **kwargs)
 
 
 def test_ex2_vertices_exact(ex2, ex2_vrs):
