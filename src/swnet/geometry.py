@@ -74,6 +74,14 @@ def _reduced(row: list[int]) -> list[int]:
     return row if g == 1 else [v // g for v in row]
 
 
+def _cancel(row: list[int], prow: list[int], col: int) -> list[int]:
+    """row minus the multiple of prow (with prow[col] > 0) that clears its entry at col."""
+    f, c = row[col], prow[col]
+    new = [c * a - f * b for a, b in zip(row, prow)]
+    new[-1] = c * row[-1]
+    return _reduced(new)
+
+
 def _pivot(rows: list[list[int]], r: int, col: int) -> None:
     """Divide integer row r by its entry at col and clear col from every other row: row i becomes
     p_c n_i - n_ic p over d_i p_c, where the reduced pivot row p has p_c > 0."""
@@ -82,14 +90,6 @@ def _pivot(rows: list[list[int]], r: int, col: int) -> None:
     for i, row in enumerate(rows):
         if i != r and row[col] != 0:
             rows[i] = _cancel(row, prow, col)
-
-
-def _cancel(row: list[int], prow: list[int], col: int) -> list[int]:
-    """row minus the multiple of prow (with prow[col] > 0) that clears its entry at col."""
-    f, c = row[col], prow[col]
-    new = [c * a - f * b for a, b in zip(row, prow)]
-    new[-1] = c * row[-1]
-    return _reduced(new)
 
 
 def solve_square(a: list[list[Fraction]], b: list[Fraction]) -> Optional[list[Fraction]]:
@@ -134,8 +134,8 @@ def _run_phase(tab, basis, allowed) -> str:
             return "optimal"
         best = None  # (rhs, entry, basic index, row) of the least ratio rhs / entry, by cross-multiplication
         for i, (row, b) in enumerate(zip(tab, basis)):
-            if row[enter] > 0:
-                rhs, a = row[-2], row[enter]
+            rhs, a = row[-2], row[enter]
+            if a > 0:
                 if best is None or rhs * best[1] < best[0] * a or (rhs * best[1] == best[0] * a and b < best[2]):
                     best = (rhs, a, b, i)
         if best is None:
@@ -165,7 +165,7 @@ def solve_lp(
     rows = ub + [_int_row([*row, rhs]) for row, rhs in zip(a_eq, b_eq)]
     m, n_slack = len(rows), len(ub)  # a "ub" row gets a slack, an "eq" row does not
     ncols = nx + n_slack + m  # x, slacks, artificials
-    tab = []  # each row negated where its rhs is negative, then its artificial
+    tab = []  # x, slack ("ub"), artificial, rhs, denominator; negated where rhs < 0, except the artificial
     for i, row in enumerate(rows):
         s, d = -1 if row[nx] < 0 else 1, row[-1]
         units = [s * d * (j == i) for j in range(n_slack)] + [d * (j == i) for j in range(m)]
