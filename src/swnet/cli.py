@@ -53,6 +53,7 @@ from .geometry import (
     enumerate_dual_vertices,
     float_vector,
     fraction_vector,
+    require_served,
     solve_dual,
     solve_primal,
     DEFAULT_VERTEX_BUDGET,
@@ -228,9 +229,14 @@ def _json_bytes(obj: Any) -> bytes:
 
 def _clvr_for(cfg: ScenarioConfig, budget: int = DEFAULT_VERTEX_BUDGET):
     """((clvr, clvr_plus), vertices) for the model at the aggregated rates
-    R~ cfg.lam."""
+    R~ cfg.lam. Rates that load a queue no schedule serves, where PRIMAL is
+    infeasible, are a SchemaError at /lambda."""
     vrs = enumerate_dual_vertices(cfg.model, budget=budget)
     lam_tilde = cfg.model.transform_exact(fraction_vector(cfg.lam))
+    try:
+        require_served(cfg.model, lam_tilde)
+    except InfeasiblePlan as exc:
+        raise SchemaError("/lambda", str(exc)) from exc
     return critically_loaded(cfg.model, lam_tilde, vrs, tol=cfg.tolerances["clvr"]), vrs
 
 
@@ -264,11 +270,8 @@ def _run_analyze(cfg: ScenarioConfig, out: Path, *, budget) -> int:
     except BudgetExceeded as exc:
         raise SchemaError("/experiment/budget", str(exc)) from exc
     lam = model.transform_exact(fraction_vector(cfg.lam))
-    try:
-        value, alpha = solve_primal(model, lam)
-        dvalue, xi = solve_dual(model, lam)
-    except InfeasiblePlan as exc:  # a positive rate that no schedule serves
-        raise SchemaError("/lambda", str(exc)) from exc
+    value, alpha = solve_primal(model, lam)  # _clvr_for has refused rates where PRIMAL is infeasible
+    dvalue, xi = solve_dual(model, lam)
     load = classify_primal(value, cfg.lam)
     cl_ok, cl_weights = complete_loading_check(model, clvr)
     doc = {

@@ -110,8 +110,8 @@ def mssc_experiment(cfg: MsscConfig) -> CollapseReport:
 
     Every scale is simulated first, replication rep of the ri-th sorted
     scale from the stream (master_seed, ri, rep), so scales are
-    order-independent. Then one lift per grid index covers every (scale,
-    rep) row, each warm-started from its own multipliers at the last index."""
+    order-independent. Then one LiftProblem.solve lifts the grid, one chain
+    per (scale, rep) row, each grid index warm-started from the last."""
     trivial = len(cfg.clvr) == 0
     scales, reps = sorted(cfg.r_list), cfg.reps
     scaled = np.empty((cfg.grid_points, len(scales) * reps, cfg.model.n_queues))
@@ -125,13 +125,8 @@ def mssc_experiment(cfg: MsscConfig) -> CollapseReport:
             scaled[:, ri * reps + rep] = rescale(paths[rep], "diffusion", r, cfg.T, num=cfg.grid_points).q
             sups[ri * reps + rep] = paths[rep].sup_q / r
         del paths  # each path holds views of its whole batch's arrays; free them before the next simulation
-    problem = LiftProblem(cfg.model, cfg.lam, cfg.weight, cfg.clvr)
-    mu = None
-    worst = np.zeros(sups.shape)
-    for q in scaled:
-        r_star, mu, _, _ = problem.solve_many(q, mu0=mu)
-        worst = np.maximum(worst, np.abs(q - r_star).max(axis=1, initial=0.0))
-    ratios = (worst / np.maximum(sups, 1.0)).tolist()
+    r_star = LiftProblem(cfg.model, cfg.lam, cfg.weight, cfg.clvr).solve(scaled)[0]
+    ratios = (np.abs(scaled - r_star).max(axis=(0, 2)) / np.maximum(sups, 1.0)).tolist()
     rows = sorted((r, rep, ratios[ri * reps + rep]) for ri, r in enumerate(scales) for rep in range(reps))
     med = {}
     p90 = {}
@@ -406,7 +401,7 @@ def matching_structure_checks(
     lam = [Fraction(1, m)] * (m * m)
     clvr, _ = critically_loaded(sw, lam, vrs)
     q0 = rng.random((coverage_samples, m * m)) * 3.0  # the same draws as one state at a time
-    inv_states = LiftProblem(sw, lam, weight, clvr).solve_many(q0)[0]  # cold-started, one batch
+    inv_states = LiftProblem(sw, lam, weight, clvr).solve(q0[None])[0][0]  # one cold step of every state
     weights = weight_vectors(sw, weight, inv_states, pressure=False)
     top = weights.max(axis=1, keepdims=True)
     covered = (weights >= top - 1e-7 * (1.0 + np.abs(top))) @ cells

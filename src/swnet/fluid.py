@@ -200,12 +200,12 @@ def distance_to_lift(
     stride: Optional[int] = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """|q(t) - lift(q(t))| (sup norm) on a strided subgrid; returns
-    (times, distances), lifted as one LiftProblem.solve_chain: a fluid path
+    (times, distances), lifted as one chain of LiftProblem.solve: a fluid path
     keeps its critical workloads, so a row's warm start mostly passes at once."""
     K = traj.q.shape[0] - 1
     idx = np.append(np.arange(0, K, max(1, K // 400) if stride is None else stride), K)  # and the last row
     Q = traj.q[idx]
-    R = LiftProblem(model, lam, weight, clvr).solve_chain(Q)[0]
+    R = LiftProblem(model, lam, weight, clvr).solve(Q[:, None])[0][:, 0]
     return traj.t[idx], np.abs(Q - R).max(axis=1, initial=0.0)
 
 

@@ -214,11 +214,24 @@ def _schedule_rows(model: NetworkModel) -> list[tuple[Fraction, ...]]:
     return [fraction_vector(pi) for pi in model.schedules]
 
 
+def require_served(model: NetworkModel, lam) -> None:
+    """Raise InfeasiblePlan naming the queues with a positive rate in lam
+    that no schedule serves. PRIMAL(lam) is feasible exactly when there are
+    none: a served queue takes any rate once its schedule's weight is large
+    enough."""
+    served = (model.schedules > 0).any(axis=0)
+    missing = [q for q, v in enumerate(fraction_vector(lam)) if v > 0 and not served[q]]
+    if missing:
+        raise InfeasiblePlan(f"no schedule serves positively loaded queue(s) {missing}")
+
+
 def solve_primal(model: NetworkModel, lam) -> tuple[Fraction, list[Fraction]]:
     """Minimize sum(alpha) subject to lam <= sum alpha_pi * pi, alpha >= 0.
 
-    Returns the exact optimal value and one optimal weight vector alpha.
+    Returns the exact optimal value and one optimal weight vector alpha;
+    raises InfeasiblePlan (require_served) where there is none.
     """
+    require_served(model, lam)
     pis = _schedule_rows(model)
     lam = fraction_vector(lam)
     n, ns = model.n_queues, len(pis)
@@ -226,14 +239,6 @@ def solve_primal(model: NetworkModel, lam) -> tuple[Fraction, list[Fraction]]:
     a_ub = [[-pis[s][q] for s in range(ns)] for q in range(n)]
     b_ub = [-lam[q] for q in range(n)]
     res = solve_lp([Fraction(1)] * ns, a_ub=a_ub, b_ub=b_ub)
-    if res.status != "optimal":
-        served = {q for pi in pis for q in range(n) if pi[q] > 0}
-        missing = [q for q in range(n) if lam[q] > 0 and q not in served]
-        raise InfeasiblePlan(
-            f"no schedule serves positively loaded queue(s) {missing}"
-            if missing
-            else "static planning primal is infeasible"
-        )
     return res.value, res.x
 
 
@@ -316,20 +321,9 @@ class VirtualResourceSet:
 _BLOCK_ENTRIES = 1 << 13
 
 
-def _integer_rows(pis: list[tuple[Fraction, ...]]) -> tuple[list[list[int]], list[int]]:
-    """Each schedule row times the lcm of its denominators: pi.xi <= 1
-    becomes p.xi <= d with integer p and d."""
-    p_rows, d = [], []
-    for pi in pis:
-        scale = math.lcm(*(v.denominator for v in pi))
-        p_rows.append([int(v * scale) for v in pi])
-        d.append(scale)
-    return p_rows, d
-
-
-def _exact_dtype(p_rows: list[list[int]], d: list[int]):
+def _exact_dtype(rows: list[list[int]]):
     """int64 when Hadamard's bound shows that nothing can overflow it, else
-    object (Python ints).
+    object (Python ints), for the integer schedule rows [P | D] (_int_row).
 
     Every elimination entry is a minor of [P | D], hence at most H in
     absolute value, where H^2 is the product over the columns of [P | D] of
@@ -337,9 +331,8 @@ def _exact_dtype(p_rows: list[list[int]], d: list[int]):
     most 2 H^2, and a feasibility product P.num or D.det at most
     max_s |[P | D]_s|_1 H.
     """
-    columns = [*zip(*p_rows), d]
-    h2 = math.prod(max(1, sum(v * v for v in col)) for col in columns)
-    l1 = max(sum(map(abs, row)) + ds for row, ds in zip(p_rows, d))
+    h2 = math.prod(max(1, sum(v * v for v in col)) for col in zip(*rows))
+    l1 = max(sum(map(abs, row)) for row in rows)
     return np.int64 if 2 * h2 < 2**63 and l1 * l1 * h2 < 2**126 else object
 
 
@@ -400,9 +393,9 @@ def enumerate_dual_vertices(
             f"{n_candidates} candidate bases exceed budget {budget}; "
             "raise the budget explicitly to force enumeration"
         )
-    p_rows, d_rows = _integer_rows(pis)
-    dtype = _exact_dtype(p_rows, d_rows)
-    p, d = np.array(p_rows, dtype=dtype), np.array(d_rows, dtype=dtype)
+    int_rows = [_int_row(pi) for pi in pis]  # pi.xi <= 1 as p.xi <= d with integer p and d
+    pd = np.array(int_rows, dtype=_exact_dtype(int_rows))
+    p, d = pd[:, :-1], pd[:, -1]
     seen: dict[tuple[int, ...], None] = {}  # reduced rows (num..., det)
     for k in range(min(n, ns) + 1):
         tight, free = _subsets(ns, k), _subsets(n, k)
@@ -412,7 +405,7 @@ def enumerate_dual_vertices(
             t, f = tight[idx // len(free)], free[idx % len(free)]
             m = np.concatenate([p[t[:, :, None], f[:, None, :]], d[t][:, :, None]], axis=2)
             kept, det, num = _eliminate(m)
-            x = np.zeros((len(kept), n), dtype=dtype)
+            x = np.zeros((len(kept), n), dtype=pd.dtype)
             x[np.arange(len(kept))[:, None], f[kept]] = num
             ok = (num >= 0).all(axis=1) & (x @ p.T <= det[:, None] * d).all(axis=1)
             rows = np.concatenate([x[ok], det[ok, None]], axis=1)

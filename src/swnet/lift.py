@@ -9,15 +9,17 @@ plus [R~ r]_n <= [R~ q]_n wherever the aggregated arrival rate is zero
 Solver: dual ascent on the multipliers; r(mu) = f^{-1}([G^T mu]^+) is closed
 form (F' = f is invertible) and the concave dual is maximized by projected
 gradient with backtracking, polished by active-set Newton steps in bases
-cached per (active, t > 0) mask; a chain of states (a fluid path) has its
-warm starts tested a chunk at a time. The KKT certificate is path-independent.
+cached per (active, t > 0) mask. LiftProblem.solve is the one entry point: it
+lifts J steps of B chains (a fluid path is one chain, a collapse run's grid
+one chain per replication), warm-starting each step from the multipliers of
+the step before and testing those warm starts a chunk of steps at a time.
+The KKT certificate is path-independent.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 import numpy as np
 
@@ -27,8 +29,11 @@ from .policy import drift_formula
 from .sim import next_chunk
 
 
+MAX_ITER = 50_000  # dual-ascent iterations before a row counts as stalled
+
+
 class SolverDivergence(RuntimeError):
-    """Dual ascent failed to reach the KKT tolerance."""
+    """Dual ascent failed to reach the KKT tolerance within MAX_ITER iterations."""
 
 
 def _zero_rate_mask(model: NetworkModel, lam) -> np.ndarray:
@@ -89,12 +94,11 @@ class LiftProblem:
     """The lifting program of one (model, lam, weight, clvr), compiled once.
 
     The float constraint matrix G and the constraint kinds (constraint_rows)
-    are built here; ``solve_many`` runs the dual ascent for a batch of
-    states, ``lift`` is its one-state case and ``solve_chain`` its loop over
-    a sequence, each state warm-started from the one before. ``clvr`` is
-    the set of critically loaded virtual resources (maximal vertices; passing
-    the full critically loaded vertex set with ``include_caps=False`` yields
-    the same minimizer).
+    are built here; ``solve`` lifts J steps of B chains, each state
+    warm-started from the one before it in its chain, and ``lift`` is its
+    one-state case. ``clvr`` is the set of critically loaded virtual
+    resources (maximal vertices; passing the full critically loaded vertex
+    set with ``include_caps=False`` yields the same minimizer).
 
     Every contraction is a stacked per-row matmul and every reduction runs
     along a row, so a row's result does not depend on the batch it is in.
@@ -157,43 +161,18 @@ class LiftProblem:
         ok &= np.abs(delta).max(axis=1) <= 1e8 * scale  # false where delta is not finite
         return np.where(act, np.maximum(mu + delta, 0.0), mu), ok
 
-    def _states(self, Q) -> np.ndarray:
-        """Q as a finite (B, N) float array >= 0."""
-        Q = np.asarray(Q, dtype=float)
-        if Q.ndim != 2 or Q.shape[1] != self.G.shape[1] or not np.isfinite(Q).all():
-            raise ValueError(f"queue states must be a finite (B, {self.G.shape[1]}) array, got shape {Q.shape}")
-        if np.any(Q < 0):
-            raise ValueError("queue state must be >= 0")
-        return Q
-
-    def solve_many(
-        self,
-        Q,
-        tol: float = 1e-8,
-        max_iter: int = 50_000,
-        mu0: Optional[np.ndarray] = None,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Unique minimizers of L over the critical-workload polyhedron at
-        the rows of Q (B, N), warm-started from ``mu0`` (B, K). Returns
-        (r_star, multipliers, kkt_residual, iterations), each with leading
-        axis B. Each row has its own step size and stopping test and is
-        frozen once its KKT residual is <= tol. Empty ``clvr`` with no
-        zero-rate caps gives r* = 0."""
-        Q = self._states(Q)
-        (B, N), K = Q.shape, len(self.G)
-        mu = np.zeros((B, K)) if mu0 is None else np.maximum(np.asarray(mu0, dtype=float), 0.0)
-        if mu.shape != (B, K):
-            raise ValueError(f"mu0 must have shape {(B, K)}, got {mu.shape}")
-        if not np.isfinite(mu).all():
-            raise ValueError("mu0 must be finite")
-        if K == 0:
-            return np.zeros((B, N)), mu, np.zeros(B), np.zeros(B, dtype=np.int64)
+    def _ascend(self, Q: np.ndarray, mu: np.ndarray, tol: float) -> tuple[np.ndarray, ...]:
+        """Dual ascent at the rows of Q (B, N) from the multipliers mu (B, K):
+        solve's four arrays, each with leading axis B. Each row has its own
+        step size and stopping test and is frozen once its KKT residual is
+        <= tol; the first test is at mu itself."""
+        B = len(Q)
         h = (self.G @ Q[:, :, None])[:, :, 0]
-        cur = self._point(mu, h)
+        cur = self._point(mu.copy(), h)  # updated in place below, so not the caller's mu
         step, iterations = np.ones(B), np.ones(B, dtype=np.int64)
         live = np.arange(B)  # rows still iterating
         res = cur[4]  # KKT residuals of the rows that failed the last test
-        for it in range(1, max_iter + 1):
+        for it in range(1, MAX_ITER + 1):
             live = live[cur[4][live] > tol]
             if live.size == 0:
                 break
@@ -228,30 +207,44 @@ class LiftProblem:
         else:
             raise SolverDivergence(
                 f"lift solver stalled: kkt residual {res.max():.3e} > tol {tol:.1e} "
-                f"after {max_iter} iterations ({live.size} of {B} states)"
+                f"after {MAX_ITER} iterations ({live.size} of {B} states)"
             )
         return cur[2], cur[0], cur[4], iterations
 
-    def solve_chain(self, Q) -> tuple[np.ndarray, ...]:
-        """solve_many's four arrays at the rows of Q (J, N), bit for bit as one one-row call per row from the mu of the
-        row before (row 0 from 0): a chunk tested at mu is kept up to its first failure, solved alone (next_chunk)."""
-        Q, tol, K = self._states(Q), 1e-8, len(self.G)  # solve_many's default tol
-        if K == 0:
-            return self.solve_many(Q)
-        out = np.zeros(Q.shape), np.zeros((len(Q), K)), np.zeros(len(Q)), np.ones(len(Q), dtype=np.int64)
-        mu = np.zeros(K)  # every later mu comes out of solve_many, already >= 0
-        k, m, wait, misses = 0, 2, 0, 0  # rows done, next chunk's rows, rows to solve alone, misses less full accepts
-        while k < len(Q):
+    def solve(self, Q, tol: float = 1e-8) -> tuple[np.ndarray, ...]:
+        """Unique minimizers of L over the critical-workload polyhedron at
+        the rows of Q (J, B, N): J steps of B chains. Returns (r_star,
+        multipliers, kkt_residual, iterations), each with leading axes (J,
+        B). Row (j, b) is warm-started from the multipliers of row (j - 1,
+        b), row 0 from zero, and gets, bit for bit, what its own one-row
+        ascent returns. A chunk of steps is tested at the current multipliers
+        in one evaluation and kept up to the first step where any chain
+        fails; that step is solved for all B chains by one ascent, and the
+        chunk backs off as sim.next_chunk says. Empty ``clvr`` with no
+        zero-rate caps gives r* = 0 and no iteration."""
+        Q, (K, N) = np.asarray(Q, dtype=float), self.G.shape
+        if Q.ndim != 3 or Q.shape[2] != N or not np.isfinite(Q).all():
+            raise ValueError(f"queue states must be a finite (J, B, {N}) array, got shape {Q.shape}")
+        if np.any(Q < 0):
+            raise ValueError("queue state must be >= 0")
+        J, B = Q.shape[:2]
+        out = np.zeros((J, B, N)), np.zeros((J, B, K)), np.zeros((J, B)), np.full((J, B), K > 0, dtype=np.int64)
+        mu = np.zeros((B, K))  # every later mu comes out of _ascend, already >= 0
+        k, m, wait, misses = 0, 2, 0, 0  # steps done, next chunk's steps, steps to solve alone, misses less full accepts
+        while k < J and K > 0:
             if wait == 0:
-                rows = min(m, len(Q) - k)
-                _, _, r, _, kkt, _ = self._point(np.tile(mu, (rows, 1)), (self.G @ Q[k : k + rows, :, None])[:, :, 0])
-                acc = int((kkt > tol).argmax()) if (kkt > tol).any() else rows
-                out[0][k : k + acc], out[1][k : k + acc], out[2][k : k + acc] = r[:acc], mu, kkt[:acc]
+                rows = min(m, J - k)
+                h = (self.G @ Q[k : k + rows].reshape(-1, N, 1))[:, :, 0]
+                _, _, r, _, kkt, _ = self._point(np.tile(mu, (rows, 1)), h)
+                fail = (kkt.reshape(rows, B) > tol).any(axis=1)
+                acc = int(fail.argmax()) if fail.any() else rows
+                out[0][k : k + acc], out[1][k : k + acc] = r.reshape(rows, B, N)[:acc], mu
+                out[2][k : k + acc] = kkt.reshape(rows, B)[:acc]
                 k += acc
                 m, wait, misses = next_chunk(m, misses, acc == rows)
-            if wait > 0:  # row k failed its test, or follows a miss
-                for a, b in zip(out, self.solve_many(Q[k : k + 1], tol, mu0=mu[None])):
-                    a[k] = b[0]
+            if wait > 0:  # step k failed its test, or follows a miss
+                for a, b in zip(out, self._ascend(Q[k], mu, tol)):
+                    a[k] = b
                 mu, k, wait = out[1][k], k + 1, wait - 1
         return out
 
@@ -263,18 +256,14 @@ def lift(
     clvr,
     q,
     tol: float = 1e-8,
-    max_iter: int = 50_000,
-    mu0: Optional[np.ndarray] = None,
     include_caps: bool = True,
 ) -> LiftResult:
     """Unique minimizer of L over the critical-workload polyhedron at q: the
     one-state case of ``LiftProblem(model, lam, weight, clvr,
-    include_caps).solve_many``. Deterministic given inputs; ``mu0`` (K,)
-    warm-starts the multipliers."""
+    include_caps).solve``, cold-started. Deterministic given inputs."""
     problem = LiftProblem(model, lam, weight, clvr, include_caps)
-    mu0 = None if mu0 is None else np.asarray(mu0, dtype=float)[None]
-    r, mu, kkt, iterations = problem.solve_many(np.asarray(q, dtype=float)[None], tol, max_iter, mu0)
-    return LiftResult(r[0], mu[0], problem.kinds, float(kkt[0]), int(iterations[0]))
+    r, mu, kkt, iterations = problem.solve(np.asarray(q, dtype=float)[None, None], tol)
+    return LiftResult(r[0, 0], mu[0, 0], problem.kinds, float(kkt[0, 0]), int(iterations[0, 0]))
 
 
 def is_fixed_point(r_star: np.ndarray, q, tol: float = 1e-6) -> bool:

@@ -103,11 +103,11 @@ def test_criterion_04_lift_vs_oracle(ex2, ex2_clvr):
         weight = WeightFunction.power(alpha)
         problem = LiftProblem(ex2, [1, 1], weight, ex2_clvr)
         if alpha == 1.0:
-            hand = problem.solve_many([[3.0, 0.0], [0.0, 3.0]])[0]
+            hand = problem.solve([[[3.0, 0.0], [0.0, 3.0]]])[0][0]
             assert np.abs(hand[0] - [0.6, 1.2]).max() <= 1e-6
             assert np.abs(hand[1] - [0.0, 3.0]).max() <= 1e-6
-        r_star, _, kkt, _ = problem.solve_many(qs)
-        for q, solved, residual in zip(qs, r_star, kkt):
+        r_star, _, kkt, _ = problem.solve(qs[None])
+        for q, solved, residual in zip(qs, r_star[0], kkt[0]):
             assert residual <= 1e-8
             grid = lift_oracle(ex2, [1, 1], weight, ex2_clvr, q)
             assert np.abs(solved - grid).max() <= 5e-3
@@ -124,9 +124,9 @@ def test_criterion_05_fixed_point_equivalence(ex2, ex2_clvr, switch2, switch2_cl
     ):
         problem = LiftProblem(model, lam, weight, clvr)
         qs = rng.random((500, n)) * 4  # the same draws as 500 of rng.random(n)
-        qs[1::2] = problem.solve_many(qs[1::2])[0]  # every odd state is a lifted one
+        qs[1::2] = problem.solve(qs[None, 1::2])[0][0]  # every odd state is a lifted one
         disagreements = 0
-        for q, r_star in zip(qs, problem.solve_many(qs)[0]):
+        for q, r_star in zip(qs, problem.solve(qs[None])[0][0]):
             fp = is_fixed_point(r_star, q, tol=1e-6)
             inv = invariant_state_test(model, lam, weight, q, tol=1e-6)
             disagreements += fp != inv

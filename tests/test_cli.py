@@ -531,6 +531,27 @@ def test_analyze_with_an_unserved_loaded_queue_is_a_schema_error_at_lambda(tmp_p
 
 
 @pytest.mark.parametrize(
+    "experiment",
+    [{"kind": "lift", "q": [1, 1]}, {"kind": "fluid", "q0": [1, 1], "T": 0.1}, {"kind": "collapse", "r_list": [5]}],
+    ids=lambda exp: exp["kind"],
+)
+def test_an_unserved_loaded_queue_is_refused_before_any_lift(tmp_path, capsys, experiment):
+    # the lifting program needs PRIMAL(lambda) feasible; queue 1 is loaded but never served
+    scenario = {
+        "network": {"queues": 2, "schedules": [[1, 0]], "routing": []},
+        "lambda": ["1/2", "1/2"],
+        "policy": {"kind": "mw"},
+        "experiment": experiment,
+    }
+    with pytest.raises(SchemaError, match=r"no schedule serves positively loaded queue\(s\) \[1\]$") as err:
+        execute(parse_scenario(scenario), tmp_path / "direct")
+    assert err.value.pointer == "/lambda" and not any((tmp_path / "direct").iterdir())
+    path = _write(tmp_path, "unserved.json", scenario)
+    assert main([experiment["kind"], path, "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == "swnet: schema error at /lambda: no schedule serves positively loaded queue(s) [1]\n"
+
+
+@pytest.mark.parametrize(
     "text, pointer, message",
     [
         pytest.param('{"preset": "ex2", "lambda": [1, 1],', "/", "invalid JSON: ", id="invalid-json"),

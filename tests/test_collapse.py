@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -9,6 +10,7 @@ import pytest
 
 import swnet
 from swnet import presets
+from swnet.arrivals import derive_rng
 from swnet.collapse import (
     Iq2x2Workload,
     MsscConfig,
@@ -27,6 +29,7 @@ from swnet.geometry import critically_loaded, enumerate_dual_vertices
 from swnet.lift import LiftProblem, invariant_state_test, lift
 from swnet.model import WeightFunction
 from swnet.policy import Policy
+from swnet.sim import rescale, run_batch
 
 
 def test_membership_hand_cases():
@@ -214,7 +217,7 @@ def test_coverage_lifts_in_one_batch_equal_one_state_lifts():
     sw, lam, weight = presets.iq_switch(3), [F(1, 3)] * 9, WeightFunction.power(1.0)
     clvr, _ = critically_loaded(sw, lam, enumerate_dual_vertices(sw))
     q = np.random.default_rng(8).random((12, 9)) * 3.0
-    r_star = LiftProblem(sw, lam, weight, clvr).solve_many(q)[0]
+    r_star = LiftProblem(sw, lam, weight, clvr).solve(q[None])[0][0]
     for row, state in zip(r_star, q):
         assert np.array_equal(row, lift(sw, lam, weight, clvr, state).r_star)
 
@@ -272,6 +275,49 @@ def test_mssc_rows_do_not_depend_on_reps(switch2, switch2_clvr, switch2_lam):
         return mssc_experiment(cfg).rows
 
     assert rows(2) == [row for row in rows(5) if row[1] < 2]
+
+
+def _mssc_rows_one_grid_index_at_a_time(cfg):
+    """mssc_experiment's rows with the lift written as one ascent per grid
+    index over every (scale, rep) row, each warm-started from its own
+    multipliers at the index before: the reference for its one
+    LiftProblem.solve over the whole grid."""
+    scales, reps = sorted(cfg.r_list), cfg.reps
+    scaled, sups = [], []
+    for ri, r in enumerate(scales):
+        horizon = int(math.ceil(r * r * cfg.T))
+        rngs = [derive_rng(cfg.master_seed, ri, rep) for rep in range(reps)]
+        q0, every = r * cfg.qhat0, max(1, horizon // (4 * cfg.grid_points))
+        for path in run_batch(cfg.model, cfg.policy, cfg.arrival_for(r), q0, horizon, rngs, every):
+            scaled.append(rescale(path, "diffusion", r, cfg.T, num=cfg.grid_points).q)
+            sups.append(path.sup_q / r)
+    problem = LiftProblem(cfg.model, cfg.lam, cfg.weight, cfg.clvr)
+    mu, worst = np.zeros((len(sups), len(problem.G))), np.zeros(len(sups))
+    for q in np.stack(scaled, axis=1):
+        r_star, mu, _, _ = problem._ascend(q, mu, 1e-8)
+        worst = np.maximum(worst, np.abs(q - r_star).max(axis=1, initial=0.0))
+    ratios = (worst / np.maximum(sups, 1.0)).tolist()
+    return sorted((r, rep, ratios[ri * reps + rep]) for ri, r in enumerate(scales) for rep in range(reps))
+
+
+@pytest.mark.parametrize("name", ["switch2", "tandem2"])
+def test_mssc_rows_equal_one_lift_per_grid_index(request, name):
+    model, clvr = request.getfixturevalue(name), request.getfixturevalue(f"{name}_clvr")
+    weight = WeightFunction.power(1.0)
+    cfg = MsscConfig(
+        model=model,
+        policy=Policy.mw(weight) if model.is_single_hop else Policy.backpressure(weight),
+        lam=[F(1, 2)] * 4 if name == "switch2" else [1, 0],
+        clvr=clvr,
+        weight=weight,
+        qhat0=np.ones(4) if name == "switch2" else np.array([1.0, 0.5]),
+        r_list=[9, 5],
+        T=1.0,
+        reps=3,
+        master_seed=11,
+        grid_points=40,
+    )
+    assert mssc_experiment(cfg).rows == _mssc_rows_one_grid_index_at_a_time(cfg)
 
 
 def test_mssc_trivial_lift_flag(ex2):
@@ -398,7 +444,7 @@ def test_collapse_run_does_not_import_numpy_ma(tmp_path):
     assert json.loads((tmp_path / "out" / "summary.json").read_text())["median_by_r"]
 
 
-SOLVE_MANY_RUNS = {  # kind -> (scenario, the output it writes)
+LIFTING_RUNS = {  # kind -> (scenario, the output it writes)
     "fluid": ({
         "preset": "iq_switch",
         "M": 2,
@@ -416,14 +462,14 @@ SOLVE_MANY_RUNS = {  # kind -> (scenario, the output it writes)
 }
 
 
-@pytest.mark.parametrize("kind", sorted(SOLVE_MANY_RUNS))
+@pytest.mark.parametrize("kind", sorted(LIFTING_RUNS))
 def test_fluid_and_lift_runs_do_not_import_numpy_ma(tmp_path, kind):
-    # both lift through LiftProblem.solve_many, as the collapse run above does
+    # both lift through LiftProblem.solve, as the collapse run above does
     code = (
         "import json, sys; from swnet.cli import execute, parse_scenario; "
         f"execute(parse_scenario(json.loads(sys.argv[1])), sys.argv[2]); print('numpy.ma' in sys.modules)"
     )
-    scenario, output = SOLVE_MANY_RUNS[kind]
+    scenario, output = LIFTING_RUNS[kind]
     src = str(Path(swnet.__file__).parents[1])
     done = subprocess.run(
         [sys.executable, "-c", code, json.dumps(scenario), str(tmp_path / "out")],

@@ -16,7 +16,7 @@ from swnet import geometry, presets
 from swnet.geometry import (
     BudgetExceeded,
     _exact_dtype,
-    _integer_rows,
+    _int_row,
     _schedule_rows,
     InfeasiblePlan,
     LpResult,
@@ -515,8 +515,8 @@ def _assert_both_paths_match_reference(model):
     # schedules times 2^40 push the Hadamard bound past int64: the same
     # elimination then runs on Python ints, and the vertices scale by 2^-40
     big = validate_network(model.schedules * 2.0**40)
-    assert _exact_dtype(*_integer_rows(_schedule_rows(model))) is np.int64
-    assert _exact_dtype(*_integer_rows(_schedule_rows(big))) is object
+    assert _exact_dtype([_int_row(pi) for pi in _schedule_rows(model)]) is np.int64
+    assert _exact_dtype([_int_row(pi) for pi in _schedule_rows(big)]) is object
     vertices, maximal = _reference_vertices(model)
     small, large = enumerate_dual_vertices(model), enumerate_dual_vertices(big)
     assert (small.vertices, small.maximal) == (vertices, maximal)

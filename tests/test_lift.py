@@ -4,6 +4,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
+import swnet.lift as lift_module
 from swnet.geometry import critically_loaded
 from swnet.lift import (
     LiftProblem,
@@ -184,11 +185,12 @@ def test_lift_rejects_negative_state(ex2, ex2_clvr):
         lift(ex2, [1, 1], WeightFunction.power(1.0), ex2_clvr, [-1.0, 0.0])
 
 
-def test_lift_divergence_reported(ex2, ex2_clvr):
+def test_lift_divergence_reported(ex2, ex2_clvr, monkeypatch):
     from swnet.lift import SolverDivergence
 
+    monkeypatch.setattr(lift_module, "MAX_ITER", 1)
     with pytest.raises(SolverDivergence):
-        lift(ex2, [1, 1], WeightFunction.power(1.0), ex2_clvr, [3.0, 0.0], max_iter=1)
+        lift(ex2, [1, 1], WeightFunction.power(1.0), ex2_clvr, [3.0, 0.0])
 
 
 def test_lift_with_custom_weight(ex2, ex2_clvr):
@@ -209,7 +211,7 @@ def test_lift_with_custom_weight(ex2, ex2_clvr):
 def _reference_lift(problem, q, mu0, tol=1e-8):
     """The dual ascent written out point by point, re-evaluating r(mu), the
     dual value and the KKT residual wherever they are used: the reference
-    for LiftProblem.solve_many, which evaluates each dual point once."""
+    for LiftProblem's ascent, which evaluates each dual point once."""
     from swnet.lift import _finv_deriv
 
     weight, G = problem.weight, problem.G
@@ -280,26 +282,28 @@ def test_lift_problem_chain_equals_lift(request, name, alpha):
     weight = WeightFunction.power(alpha)
     problem = LiftProblem(model, lam, weight, clvr)
     rng = np.random.default_rng(11)
+    Q = np.zeros((50, model.n_queues))
     q = rng.random(model.n_queues) * 3.0
-    mu_p = mu_l = None
     for k in range(50):
         q = np.abs(q + rng.normal(size=model.n_queues) * 0.3)
         if k % 7 == 0:
             q[k % model.n_queues] = 0.0
-        r_p, mu, kkt, iterations = problem.solve_many(q[None], mu0=mu_p)
-        b = lift(model, lam, weight, clvr, q, mu0=mu_l)
-        for x, y in ((r_p[0], b.r_star), (mu[0], b.multipliers)):
-            assert np.array_equal(x, y)
-        assert (kkt[0], iterations[0]) == (b.kkt_residual, b.iterations)
+        Q[k] = q
+    r_p, mu, kkt, iterations = (a[:, 0] for a in problem.solve(Q[:, None]))
+    assert kkt.max() <= 1e-8
+    for k, q in enumerate(Q):
+        # lift is solve's cold one-state case: the ascent from zero multipliers
+        b = lift(model, lam, weight, clvr, q)
+        cold = problem._ascend(q[None], np.zeros((1, len(problem.G))), 1e-8)
+        for x, y in zip((b.r_star, b.multipliers, b.kkt_residual, b.iterations), cold):
+            assert np.array_equal(x, y[0])
         assert problem.kinds == b.constraint_kinds
-        assert kkt[0] <= 1e-8
         # the batched Newton step solves in the basis cached per code (active
         # mask, t > 0) where the reference calls lstsq: the same path,
         # rounded differently
-        r, _, _, ref_iterations = _reference_lift(problem, q, None if mu_p is None else mu_p[0])
-        assert iterations[0] == ref_iterations
-        assert np.abs(r_p[0] - r).max() <= 1e-9 * (1.0 + np.abs(q).max())
-        mu_p, mu_l = mu, b.multipliers
+        r, _, _, ref_iterations = _reference_lift(problem, q, mu[k - 1] if k else None)
+        assert iterations[k] == ref_iterations
+        assert np.abs(r_p[k] - r).max() <= 1e-9 * (1.0 + np.abs(q).max())
 
 
 LAMS = {"ex2": [1, 1], "switch2": [F(1, 2)] * 4, "tandem2": [1, 0]}
@@ -307,22 +311,23 @@ LAMS = {"ex2": [1, 1], "switch2": [F(1, 2)] * 4, "tandem2": [1, 0]}
 
 @pytest.mark.parametrize("name", ["ex2", "switch2", "tandem2"])
 def test_solve_many_rows_equal_their_own_solve_chains(request, name):
-    # batch width never changes a result: each row of a batched chain equals
-    # the chain of one-state solves on that row, bit for bit
+    # batch width never changes a result: each row of a batched ascent equals
+    # the ascent of that row alone, bit for bit, and so does each row of a
+    # chain of batched ascents
     model = request.getfixturevalue(name)
     problem = LiftProblem(model, LAMS[name], WeightFunction.power(1.5), request.getfixturevalue(f"{name}_clvr"))
     rng = np.random.default_rng(23)
-    B, N = 6, model.n_queues
+    B, N, K = 6, model.n_queues, len(problem.G)
     Q = rng.random((B, N)) * 3.0
     Q[0] = 0.0  # optimal at the cold start
-    MU, mus, seen = None, [None] * B, set()
+    MU, mus, seen = np.zeros((B, K)), [np.zeros((1, K))] * B, set()
     for step in range(8):
         Q[2:] = np.abs(Q[2:] + rng.normal(size=(B - 2, N)) * 0.5)  # row 1 is held: optimal after one solve
         if step == 4:
-            MU[3], mus[3] = 0.0, np.zeros((1, MU.shape[1]))  # one row restarts cold
-        r, MU, kkt, iterations = problem.solve_many(Q, mu0=MU)
+            MU[3], mus[3] = 0.0, np.zeros((1, K))  # one row restarts cold
+        r, MU, kkt, iterations = problem._ascend(Q, MU, 1e-8)
         for b in range(B):
-            r_1, mus[b], kkt_1, iterations_1 = problem.solve_many(Q[b : b + 1], mu0=mus[b])
+            r_1, mus[b], kkt_1, iterations_1 = problem._ascend(Q[b : b + 1], mus[b], 1e-8)
             assert np.array_equal(r_1[0], r[b]) and np.array_equal(mus[b][0], MU[b])
             assert (kkt_1[0], iterations_1[0]) == (kkt[b], iterations[b])
         assert kkt.max() <= 1e-8 and iterations[0] == 1
@@ -332,45 +337,39 @@ def test_solve_many_rows_equal_their_own_solve_chains(request, name):
 
 def test_solve_many_trivial_lift(ex2):
     problem = LiftProblem(ex2, [F(1, 2), F(1, 2)], WeightFunction.power(1.0), [])
-    r, mu, kkt, iterations = problem.solve_many(np.ones((3, 2)))
-    assert np.array_equal(r, np.zeros((3, 2))) and mu.shape == (3, 0)
+    r, mu, kkt, iterations = problem.solve(np.ones((1, 3, 2)))
+    assert np.array_equal(r, np.zeros((1, 3, 2))) and mu.shape == (1, 3, 0)
     assert not kkt.any() and not iterations.any()
 
 
 def test_solve_many_rejects_bad_input(ex2, ex2_clvr):
     problem = LiftProblem(ex2, [1, 1], WeightFunction.power(1.0), ex2_clvr)
-    Q = np.ones((3, 2))
-    Q[2, 1] = -1e-9
+    Q = np.ones((1, 3, 2))
+    Q[0, 2, 1] = -1e-9
     with pytest.raises(ValueError, match=">= 0"):
-        problem.solve_many(Q)
-    with pytest.raises(ValueError, match="mu0"):
-        problem.solve_many(np.ones((3, 2)), mu0=np.zeros((2, 2)))
-    with pytest.raises(ValueError, match="mu0"):
-        lift(ex2, [1, 1], WeightFunction.power(1.0), ex2_clvr, [1.0, 2.0], mu0=np.zeros(3))  # no silent cold start
+        problem.solve(Q)
     for bad in ([np.nan, 1.0], [np.inf, 1.0], [1.0, 2.0, 3.0], 1.0):  # a NaN state used to pass as converged
         with pytest.raises(ValueError, match="finite"):
             lift(ex2, [1, 1], WeightFunction.power(1.0), ex2_clvr, bad)
-    for bad in (np.ones(3), np.ones((3, 3)), np.ones((3, 2, 1))):
-        with pytest.raises(ValueError, match="finite"):
-            problem.solve_many(bad)
-    for bad in (np.nan, np.inf):
-        with pytest.raises(ValueError, match="mu0 must be finite"):
-            problem.solve_many(np.ones((3, 2)), mu0=np.full((3, 2), bad))
+    for bad in (np.ones(3), np.ones((3, 2)), np.ones((1, 3, 3)), np.ones((3, 2, 1)), np.ones((1, 3, 2, 1))):
+        with pytest.raises(ValueError, match=r"finite \(J, B, 2\) array"):
+            problem.solve(bad)
 
 
-def test_solve_many_divergence_names_worst_residual(ex2, ex2_clvr):
+def test_solve_many_divergence_names_worst_residual(ex2, ex2_clvr, monkeypatch):
     from swnet.lift import SolverDivergence
 
+    monkeypatch.setattr(lift_module, "MAX_ITER", 1)
     problem = LiftProblem(ex2, [1, 1], WeightFunction.power(1.0), ex2_clvr)
     Q = np.array([[3.0, 0.0], [0.0, 0.0], [1.0, 5.0]])
     residual = lambda err: float(re.search(r"residual (\S+)", str(err.value)).group(1))
     single = []
     for q in Q[[0, 2]]:
         with pytest.raises(SolverDivergence) as err:
-            problem.solve_many(q[None], max_iter=1)
+            problem.solve(q[None, None])
         single.append(residual(err))
-    with pytest.raises(SolverDivergence, match="2 of 3 states") as err:
-        problem.solve_many(Q, max_iter=1)
+    with pytest.raises(SolverDivergence, match="after 1 iterations \\(2 of 3 states\\)") as err:
+        problem.solve(Q[None])
     assert residual(err) == max(single)
 
 
@@ -455,15 +454,11 @@ def test_basis_cache_never_changes_a_result(request, name):
     rng = np.random.default_rng(37)
     N = model.n_queues
     unrelated = rng.random((30, N)) * 5.0 * (rng.random((30, N)) < 0.7)
-    warm.solve_many(unrelated)
+    warm.solve(unrelated[None])
     assert len(warm._bases) >= 2
-    Q, mus = rng.random((5, N)) * 3.0, [None, None]
-    for _ in range(6):
-        Q = np.abs(Q + rng.normal(size=Q.shape) * 0.5)
-        out = [p.solve_many(Q, mu0=m) for p, m in ((warm, mus[0]), (fresh, mus[1]))]
-        for a, b in zip(*out):
-            assert np.array_equal(a, b)
-        mus = [out[0][1], out[1][1]]
+    Q = np.abs(np.cumsum(rng.normal(size=(6, 5, N)) * 0.5, axis=0) + rng.random((5, N)) * 3.0)  # 5 chains
+    for a, b in zip(warm.solve(Q), fresh.solve(Q)):
+        assert np.array_equal(a, b)
     K = len(warm.G)
     for code, basis in warm._bases.items():
         bits = np.unpackbits(np.frombuffer(code, dtype=np.uint8), count=K + N).astype(bool)
@@ -472,18 +467,23 @@ def test_basis_cache_never_changes_a_result(request, name):
 
 
 def _reference_chain(problem, Q):
-    """LiftProblem.solve_chain written as one one-row solve_many call per row,
-    each warm-started from the multipliers of the row before: the reference
-    for the chain's batched warm-start tests."""
+    """One chain of LiftProblem.solve written as one one-row ascent per row
+    of Q (J, N), each from the multipliers of the row before (row 0 from
+    zero): the reference for solve's batched warm-start tests."""
     (J, N), K = np.shape(Q), len(problem.G)
     out = np.zeros((J, N)), np.zeros((J, K)), np.zeros(J), np.zeros(J, dtype=np.int64)
-    mu = None
+    mu = np.zeros((1, K))
     for j in range(J):
-        one = problem.solve_many(Q[j : j + 1], mu0=mu)
+        one = problem._ascend(Q[j : j + 1], mu, 1e-8)
         for a, b in zip(out, one):
             a[j] = b[0]
         mu = one[1]
     return out
+
+
+def _chain(problem, Q):
+    """solve's four arrays for the one chain Q (J, N)."""
+    return tuple(a[:, 0] for a in problem.solve(Q[:, None]))
 
 
 def _assert_bitwise(got, ref):
@@ -493,33 +493,33 @@ def _assert_bitwise(got, ref):
         assert np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
-def _count_solve_many(problem, monkeypatch):
-    """A list that gets one entry per problem.solve_many call from now on."""
-    calls, solve_many = [], problem.solve_many
-    monkeypatch.setattr(problem, "solve_many", lambda *a, **k: calls.append(1) or solve_many(*a, **k))
+def _count_ascents(problem, monkeypatch):
+    """A list that gets one entry per problem._ascend call from now on."""
+    calls, ascend = [], problem._ascend
+    monkeypatch.setattr(problem, "_ascend", lambda *a, **k: calls.append(1) or ascend(*a, **k))
     return calls
 
 
 def _count_chunk_tests(problem, monkeypatch):
-    """A list that gets the row count of each _point call that solve_chain
-    makes itself, outside solve_many: one entry per chunk tested."""
+    """A list that gets the row count of each _point call that solve makes
+    itself, outside _ascend: one entry per chunk tested."""
     tests, solving = [], []
-    point, solve_many = problem._point, problem.solve_many
+    point, ascend = problem._point, problem._ascend
 
     def counted_point(mu, h):
         if not solving:
             tests.append(len(mu))
         return point(mu, h)
 
-    def counted_solve_many(*args, **kwargs):
+    def counted_ascend(*args, **kwargs):
         solving.append(1)
         try:
-            return solve_many(*args, **kwargs)
+            return ascend(*args, **kwargs)
         finally:
             solving.pop()
 
     monkeypatch.setattr(problem, "_point", counted_point)
-    monkeypatch.setattr(problem, "solve_many", counted_solve_many)
+    monkeypatch.setattr(problem, "_ascend", counted_ascend)
     return tests
 
 
@@ -547,8 +547,8 @@ def test_solve_chain_equals_one_row_solves_on_a_fluid_path(request, name, alpha,
     traj = integrate_fluid(model, policy, *FLUID_PATHS[name], h=1e-3, T=3.0)
     Q = traj.q[::7]  # distance_to_lift's default subgrid of a 3 000-step path
     ref = _reference_chain(problem, Q)
-    calls = _count_solve_many(problem, monkeypatch)
-    _assert_bitwise(problem.solve_chain(Q), ref)
+    calls = _count_ascents(problem, monkeypatch)
+    _assert_bitwise(_chain(problem, Q), ref)
     assert ref[2].max() <= 1e-8
     # the path keeps its critical workloads, so the warm start mostly passes:
     # only the rows that iterate are solved alone, the others pass in chunks
@@ -569,7 +569,7 @@ def test_solve_chain_equals_one_row_solves_on_a_random_walk(request, name, alpha
     ref = _reference_chain(problem, Q)
     assert (ref[3] > 1).all()
     tests = _count_chunk_tests(problem, monkeypatch)
-    _assert_bitwise(problem.solve_chain(Q), ref)
+    _assert_bitwise(_chain(problem, Q), ref)
     assert len(tests) == 7
 
 
@@ -586,16 +586,41 @@ def test_solve_chain_warm_start_fails_inside_a_chunk(request, name, alpha, monke
     Q = np.repeat(rng.random((4, model.n_queues)) * 3.0, np.diff(jumps), axis=0)
     ref = _reference_chain(problem, Q)
     assert np.flatnonzero(ref[3] > 1).tolist() == jumps[:-1]
-    calls = _count_solve_many(problem, monkeypatch)
-    _assert_bitwise(problem.solve_chain(Q), ref)
+    calls = _count_ascents(problem, monkeypatch)
+    _assert_bitwise(_chain(problem, Q), ref)
     assert len(calls) == 4
+
+
+@pytest.mark.parametrize("path", ["random_walk", "held_then_moved"])
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
+@pytest.mark.parametrize("name", ["ex2", "switch2", "tandem2"])
+def test_solve_chains_equal_independent_chains(request, name, alpha, path):
+    # B chains lifted together equal each chain lifted alone, bit for bit. On
+    # random walks every step of every chain iterates. Held states that move
+    # at different steps make the chains fail their warm-start tests at
+    # different steps, so a step is solved again for the chains that passed.
+    model, problem = _chain_problem(request, name, alpha)
+    rng = np.random.default_rng(47)
+    J, B, N = 120, 4, model.n_queues
+    if path == "random_walk":
+        Q = np.abs(np.cumsum(rng.normal(size=(J, B, N)), axis=0)) + 0.1
+    else:
+        Q = np.stack([np.repeat(rng.random((4, N)) * 3.0, np.diff([0, 10 + 7 * b, 40 + 11 * b, 100 - 5 * b, J]), axis=0)
+                      for b in range(B)], axis=1)
+    refs = [_reference_chain(problem, Q[:, b]) for b in range(B)]
+    _assert_bitwise(problem.solve(Q), tuple(np.stack(arrays, axis=1) for arrays in zip(*refs)))
+    iterating = np.stack([ref[3] for ref in refs], axis=1) > 1
+    if path == "random_walk":
+        assert iterating.all()
+    else:  # the 13 steps where a chain moves, and at 12 of them the other chains pass
+        assert iterating.any(axis=1).sum() == 13 and (iterating.any(axis=1) & ~iterating.all(axis=1)).sum() == 12
 
 
 @pytest.mark.parametrize("J", [0, 1, 2])
 def test_solve_chain_short_and_empty_chains(switch2, switch2_clvr, switch2_lam, J):
     problem = LiftProblem(switch2, switch2_lam, WeightFunction.power(1.0), switch2_clvr)
     Q = np.random.default_rng(53).random((J, 4)) * 2.0
-    got = problem.solve_chain(Q)
+    got = _chain(problem, Q)
     _assert_bitwise(got, _reference_chain(problem, Q))
     assert [a.shape[0] for a in got] == [J] * 4
 
@@ -604,31 +629,27 @@ def test_solve_chain_without_constraints(ex2):
     # empty clvr (K = 0) and no zero-rate caps: r* = 0 on every row, no iteration
     problem = LiftProblem(ex2, [F(1, 2), F(1, 2)], WeightFunction.power(1.0), [])
     for J in (0, 1, 5):
-        Q = np.ones((J, 2)) * np.arange(1, J + 1)[:, None]
-        got = problem.solve_chain(Q)
-        _assert_bitwise(got, _reference_chain(problem, Q))
-        assert got[1].shape == (J, 0) and not got[0].any() and not got[3].any()
+        Q = np.ones((J, 3, 2)) * np.arange(1, J + 1)[:, None, None]
+        zero = np.zeros((J, 3, 2)), np.zeros((J, 3, 0)), np.zeros((J, 3)), np.zeros((J, 3), dtype=np.int64)
+        _assert_bitwise(problem.solve(Q), zero)
 
 
 def test_solve_chain_rejects_bad_input_as_solve_many_does(ex2, ex2_clvr):
+    # a bad state is refused before any solve, as one chain of steps and as one step of chains alike
     problem = LiftProblem(ex2, [1, 1], WeightFunction.power(1.0), ex2_clvr)
-
-    def message(solve, *args, **kwargs):
-        with pytest.raises(ValueError) as err:
-            solve(*args, **kwargs)
-        return str(err.value)
-
     negative = np.ones((3, 2))
     negative[2, 1] = -1e-9
     nan = np.ones((3, 2))
     nan[1, 0] = np.nan
-    for bad in (negative, nan, np.ones(3), np.ones((3, 3)), np.ones((3, 2, 1)), [[1.0, np.inf]]):
-        assert message(problem.solve_chain, bad) == message(problem.solve_many, bad)
+    for bad, match in ((negative, ">= 0"), (nan, "finite"), (np.ones((3, 3)), "finite"), ([[1.0, np.inf]], "finite")):
+        for layout in (np.asarray(bad)[:, None], np.asarray(bad)[None]):
+            with pytest.raises(ValueError, match=match):
+                problem.solve(layout)
 
 
 def test_distance_to_lift_solves_the_sliding_path_in_one_chain(monkeypatch):
     # on fluid_iq2_sliding's path only the cold first row iterates, so the
-    # chain makes one solve_many call for its 430 rows
+    # chain makes one ascent for its 430 rows
     from pathlib import Path
 
     from swnet import cli, fluid
@@ -638,8 +659,8 @@ def test_distance_to_lift_solves_the_sliding_path_in_one_chain(monkeypatch):
     weight, clvr = cli._lyapunov_view(cfg)
     exp = cfg.params
     traj = fluid.integrate_fluid(cfg.model, cfg.policy, float_vector(cfg.lam), exp["q0"], h=exp["h"], T=exp["T"])
-    calls, solve_many = [], LiftProblem.solve_many
-    monkeypatch.setattr(LiftProblem, "solve_many", lambda *a, **k: calls.append(1) or solve_many(*a, **k))
+    calls, ascend = [], LiftProblem._ascend
+    monkeypatch.setattr(LiftProblem, "_ascend", lambda *a, **k: calls.append(1) or ascend(*a, **k))
     times, dists = fluid.distance_to_lift(cfg.model, cfg.lam, weight, clvr, traj)
     assert len(times) == 430 and len(calls) == 1
     problem = LiftProblem(cfg.model, cfg.lam, weight, clvr)
