@@ -88,6 +88,7 @@ PRESETS = {
     "tandem": Kind(presets.tandem, {"N": (Int(ge=1, le=10), REQUIRED)}),
     "single_queue": Kind(presets.single_queue, {}),
 }
+FLUID_CELLS = 4_000_000  # a fluid run's (T/h + 1) x N grid cells: about 32 MB for the path alone
 _PER_QUEUE = ListOf(Num(ge=0), "n")  # one number >= 0 per queue: rates, service, queue contents
 NETWORK = Kind(
     _network,
@@ -315,6 +316,9 @@ def _run_simulate(cfg: ScenarioConfig, out: Path, *, horizon, q0, record_every, 
 
 def _run_fluid(cfg: ScenarioConfig, out: Path, *, q0, h, T, lift_stride) -> int:
     model = cfg.model
+    if (T / h + 1) * model.n_queues > FLUID_CELLS:  # before any allocation: h = 1e-9 asks for gigabytes
+        cells = f"T/h + 1 = {T / h + 1:.4g} grid rows of {model.n_queues} queues"
+        raise SchemaError("/experiment/h", f"{cells} exceed the fluid budget of {FLUID_CELLS} cells")
     lam_f = float_vector(cfg.lam)
     # only random ties draw from the seed; numpy.random costs about 2 MB to import
     ties = TieState.seeded(cfg.seed) if cfg.policy.tie_break == "random" else None

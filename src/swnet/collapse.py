@@ -223,18 +223,21 @@ def iq2x2_membership(w: Iq2x2Workload, alpha: float) -> bool:
     w_i. + w_.j + (w_i.^a + w_.j^a)^(1/a) >= w_.. for all i, j in {1,2}.
 
     The power mean degenerates to max() when a coordinate is zero; that
-    case is evaluated exactly, and the comparison carries a relative
-    1e-12 guard so exactly-tight boundary points do not flip on float
-    round-off.
+    case is evaluated exactly. Otherwise it is taken relative to the larger
+    weight, so that no power overflows at a small or a large alpha. The
+    comparison carries a relative 1e-12 guard so exactly-tight boundary
+    points do not flip on float round-off.
     """
     if alpha <= 0:
         raise ValueError("alpha must be > 0")
     for wi in (w.w1, w.w2):
         for wj in (w.wc1, w.wc2):
+            hi = max(wi, wj)
             if wi == 0.0 or wj == 0.0:
-                mean = max(wi, wj)
-            else:
-                mean = (wi**alpha + wj**alpha) ** (1.0 / alpha)
+                mean = hi
+            else:  # scaled by the larger weight; past the float range the mean is inf
+                base = 1.0 + (min(wi, wj) / hi) ** alpha  # in (1, 2]
+                mean = hi * base ** (1.0 / alpha) if math.log(base) < 709.0 * alpha else math.inf
             if wi + wj + mean < w.total - 1e-12 * (1.0 + w.total):
                 return False
     return True

@@ -9,10 +9,13 @@ plus [R~ r]_n <= [R~ q]_n wherever the aggregated arrival rate is zero
 Solver: dual ascent on the multipliers; r(mu) = f^{-1}([G^T mu]^+) is closed
 form (F' = f is invertible) and the concave dual is maximized by projected
 gradient with backtracking, polished by active-set Newton steps in bases
-cached per (active, t > 0) mask. LiftProblem.solve is the one entry point: it
+cached per code (active, t > 0). LiftProblem.solve is the one entry point: it
 lifts J steps of B chains (a fluid path is one chain, a collapse run's grid
 one chain per replication), warm-starting each step from the multipliers of
 the step before and testing those warm starts a chunk of steps at a time.
+Under MW-1 (F(r) = r^2 / 2) the program is a strictly convex QP, and r* is
+linear in q once its code (A, P) is known (Goldfarb & Idnani 1983): there
+solve lifts every row in one batch by the closed form of its canonical code.
 The KKT certificate is path-independent.
 """
 
@@ -20,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, combinations
 
 import numpy as np
 
@@ -30,6 +34,7 @@ from .sim import next_chunk
 
 
 MAX_ITER = 50_000  # dual-ascent iterations before a row counts as stalled
+CODE_ROWS = 1024  # MW-1 rows lifted by codes at a time, which bounds the working arrays
 
 
 class SolverDivergence(RuntimeError):
@@ -84,6 +89,14 @@ class LiftResult:
         return {k: float(m) for k, m in zip(self.constraint_kinds, self.multipliers)}
 
 
+def _groups(codes: np.ndarray) -> dict:
+    """Row indices by code: the bytes of each row of the packed codes (B, n) -> its rows."""
+    groups: dict = {}
+    for i, code in enumerate(codes.view(f"V{codes.shape[1]}")[:, 0].tolist()):
+        groups.setdefault(code, []).append(i)
+    return groups
+
+
 def _finv_deriv(weight: WeightFunction, t: np.ndarray) -> np.ndarray:
     """(f^{-1})'(t) for t > 0, and 0 where the inner minimum sits at r = 0."""
     fp = weight.derivative(np.maximum(weight.inverse(np.maximum(t, 0.0)), 1e-300))
@@ -95,10 +108,11 @@ class LiftProblem:
 
     The float constraint matrix G and the constraint kinds (constraint_rows)
     are built here; ``solve`` lifts J steps of B chains, each state
-    warm-started from the one before it in its chain, and ``lift`` is its
-    one-state case. ``clvr`` is the set of critically loaded virtual
-    resources (maximal vertices; passing the full critically loaded vertex
-    set with ``include_caps=False`` yields the same minimizer).
+    warm-started from the one before it in its chain (under MW-1, each by
+    its code's closed form), and ``lift`` is its one-state case. ``clvr`` is
+    the set of critically loaded virtual resources (maximal vertices; passing
+    the full critically loaded vertex set with ``include_caps=False`` yields
+    the same minimizer).
 
     Every contraction is a stacked per-row matmul and every reduction runs
     along a row, so a row's result does not depend on the batch it is in.
@@ -108,6 +122,7 @@ class LiftProblem:
         self.weight = weight
         self.G, self.kinds = constraint_rows(model, lam, clvr, include_caps)
         self._bases: dict = {}  # code -> _basis(act, pos) of that code, built on its first visit
+        self._codes: list = []  # MW-1: the codes (act, pos) found so far, in order
 
     def _point(self, mu: np.ndarray, h: np.ndarray) -> list[np.ndarray]:
         """[mu, t, r, grad, kkt, dual] at each row of mu (B, K): t = G^T mu,
@@ -125,13 +140,14 @@ class LiftProblem:
         dual = (weight.antiderivative(r) - tp * r).sum(axis=1) + (mu * h).sum(axis=1)
         return [mu, t, r, grad, kkt, dual]
 
-    def _basis(self, act: np.ndarray, pos: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-        """(U, Gu, lim) of the code (act, pos): U (K, r) an orthonormal basis of the range
-        of diag(act) G diag(pos), Gu = U^T G and lim = 1e10 / cond(Gu diag(pos))^2."""
+    def _basis(self, act: np.ndarray, pos: np.ndarray) -> tuple[np.ndarray, np.ndarray, float, np.ndarray]:
+        """(U, Gu, lim, M) of the code (act, pos): U (K, r) an orthonormal basis of the range
+        of diag(act) G diag(pos), Gu = U^T G, lim = 1e10 / cond(Gu diag(pos))^2 and the
+        (K, K) map M = U S^-2 U^T, so that M h is (G_AP G_AP^T)^+ h_A on A and zero off it."""
         w, s, _ = np.linalg.svd(self.G[np.ix_(act, pos)])
         r = int((s > s.max(initial=0.0) * max(self.G.shape) * np.finfo(float).eps).sum())
         U = np.eye(len(act))[:, act] @ w[:, :r]  # w's rows put back at the active positions
-        return U, U.T @ self.G, 1e10 * (s[r - 1] / s[0]) ** 2 if r else 1.0
+        return U, U.T @ self.G, 1e10 * (s[r - 1] / s[0]) ** 2 if r else 1.0, (U / s[:r] ** 2) @ U.T
 
     def _newton(self, mu: np.ndarray, t: np.ndarray, grad: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Active-set Newton candidates, treating near-active constraints as
@@ -144,12 +160,9 @@ class LiftProblem:
         scale = 1.0 + mu.max(axis=1) + np.abs(grad).max(axis=1)  # mu >= 0
         act = np.maximum(mu, grad) > 1e-12 * scale[:, None]
         d, pos = _finv_deriv(self.weight, t), t > 0
-        delta, ok, groups = np.zeros_like(mu), np.zeros(len(mu), dtype=bool), {}
-        codes = np.packbits(np.concatenate([act, pos], axis=1), axis=1)
-        for i, code in enumerate(codes.view(f"V{codes.shape[1]}")[:, 0].tolist()):
-            groups.setdefault(code, []).append(i)
-        for code, rows in groups.items():
-            U, Gu, lim = self._bases.get(code) or self._bases.setdefault(code, self._basis(act[rows[0]], pos[rows[0]]))
+        delta, ok = np.zeros_like(mu), np.zeros(len(mu), dtype=bool)
+        for code, rows in _groups(np.packbits(np.concatenate([act, pos], axis=1), axis=1)).items():
+            U, Gu, lim, _ = self._bases.get(code) or self._bases.setdefault(code, self._basis(act[rows[0]], pos[rows[0]]))
             rows, dr = np.array(rows), d[rows]
             hess, rhs = (Gu * dr[:, None, :]) @ Gu.T, U.T @ grad[rows, :, None]  # r x r and r x 1, r = 0 at rank 0
             norm2 = (hess * hess).sum(axis=(1, 2))
@@ -211,23 +224,86 @@ class LiftProblem:
             )
         return cur[2], cur[0], cur[4], iterations
 
+    def _take(self, act: np.ndarray, pos: np.ndarray, h: np.ndarray, rows: np.ndarray, cur: list, tol: float) -> np.ndarray:
+        """Put the closed form of the code (act, pos), mu = [M h]^+ (see _basis), into cur ([mu, r,
+        kkt] of _point and each point's code) at the rows where it passes; return the others."""
+        code, hr = np.packbits(np.concatenate([act, pos])), h[rows]
+        M = (self._bases.get(key := code.tobytes()) or self._bases.setdefault(key, self._basis(act, pos)))[3]
+        p = self._point(np.maximum((M @ hr[:, :, None])[:, :, 0], 0.0), hr)
+        ok = p[4] <= tol
+        for a, b in zip(cur, p[0:5:2]):
+            a[rows[ok]] = b[ok]
+        cur[3][rows[ok]] = code
+        return rows[~ok]
+
+    def _canonical(self, h: np.ndarray, cur: list, tol: float, rows: np.ndarray) -> list:
+        """Give the rows their canonical closed forms; return the codes taken. From a row's passing
+        point, with eps = tol (1 + |h|), T = {slack <= eps} and P = {r > eps}, A runs over T, then
+        its subsets, largest first and in index order, and the first (A, P) that passes is taken."""
+        hr, r = h[rows], cur[1][rows]
+        eps = tol * (1.0 + np.abs(hr).max(axis=1, initial=0.0))[:, None]
+        (K, N), taken = self.G.shape, []
+        slack = (self.G @ r[:, :, None])[:, :, 0] - hr  # -grad of _point, bit for bit
+        codes = np.packbits(np.concatenate([slack <= eps, r > eps], axis=1), axis=1)
+        redo = np.flatnonzero((codes != cur[3][rows]).any(axis=1))  # a point at (T, P)'s closed form stays
+        for group in _groups(codes[redo]).values():
+            bits, left = np.unpackbits(codes[redo[group[0]]], count=K + N).astype(bool), rows[redo[group]]
+            T, P = np.flatnonzero(bits[:K]), bits[K:]
+            for A in chain.from_iterable(combinations(T, k) for k in range(len(T), -1, -1)):
+                act = np.isin(np.arange(K), A)
+                pos = P | (self.G[act] < 0).any(axis=0)  # a cap in A pins the queues it bounds
+                if len(left) > len(left := self._take(act, pos, h, left, cur, tol)):
+                    taken.append((act, pos))
+                if left.size == 0:
+                    break
+        return taken
+
+    def _by_codes(self, Q: np.ndarray, tol: float, out: list) -> None:
+        """MW-1: solve's four arrays at the rows of Q (R, N), written to out. The codes found so far
+        (kept on the problem) are tried on all open rows at once; when none passes, one open row gets
+        a cold ascent and its code is tried on the rest. Then every row takes its canonical closed
+        form, which depends on the row alone."""
+        (R, N), K = Q.shape, len(self.G)
+        h = (self.G @ Q[:, :, None])[:, :, 0]
+        # mu, r and kkt of each row's point, and the code whose closed form it is
+        cur = [np.zeros((R, K)), np.zeros((R, N)), np.zeros(R), np.zeros((R, -(-(K + N) // 8)), dtype=np.uint8)]
+        todo, new = np.arange(R), self._codes
+        while todo.size:
+            for act, pos in new:
+                todo = self._take(act, pos, h, todo, cur, tol)
+            if todo.size:  # a cold ascent; where its code fails, the row keeps the ascent's point
+                i, todo = todo[:1], todo[1:]
+                r, mu, kkt, out[3][i] = self._ascend(Q[i], np.zeros((1, K)), tol)
+                cur[0][i], cur[1][i], cur[2][i] = mu, r, kkt
+                self._codes = self._codes + (new := self._canonical(h, cur, tol, i))
+        self._canonical(h, cur, tol, np.arange(R))
+        out[0][:], out[1][:], out[2][:] = cur[1], cur[0], cur[2]
+
     def solve(self, Q, tol: float = 1e-8) -> tuple[np.ndarray, ...]:
         """Unique minimizers of L over the critical-workload polyhedron at
         the rows of Q (J, B, N): J steps of B chains. Returns (r_star,
         multipliers, kkt_residual, iterations), each with leading axes (J,
-        B). Row (j, b) is warm-started from the multipliers of row (j - 1,
-        b), row 0 from zero, and gets, bit for bit, what its own one-row
-        ascent returns. A chunk of steps is tested at the current multipliers
-        in one evaluation and kept up to the first step where any chain
-        fails; that step is solved for all B chains by one ascent, and the
-        chunk backs off as sim.next_chunk says. Empty ``clvr`` with no
-        zero-rate caps gives r* = 0 and no iteration."""
+        B). Under power weight alpha = 1, _by_codes lifts the J x B rows
+        CODE_ROWS at a time, and each gets, bit for bit, the canonical closed
+        form of its own code; its iteration count is 1, or its ascent's where
+        a code was read from it. Otherwise row (j, b) is warm-started from the
+        multipliers of row (j - 1, b), row 0 from zero, and gets, bit for
+        bit, what its own one-row ascent returns. A chunk of steps is tested
+        at the current multipliers in one evaluation and kept up to the first
+        step where any chain fails; that step is solved for all B chains by
+        one ascent, and the chunk backs off as sim.next_chunk says. Empty
+        ``clvr`` with no zero-rate caps gives r* = 0 and no iteration."""
         Q, (K, N) = np.asarray(Q, dtype=float), self.G.shape
         if Q.ndim != 3 or Q.shape[2] != N or not np.isfinite(Q).all():
             raise ValueError(f"queue states must be a finite (J, B, {N}) array, got shape {Q.shape}")
         if np.any(Q < 0):
             raise ValueError("queue state must be >= 0")
         J, B = Q.shape[:2]
+        if K > 0 and self.weight.kind == "power" and self.weight.alpha == 1.0:
+            out = np.zeros((J * B, N)), np.zeros((J * B, K)), np.zeros(J * B), np.ones(J * B, dtype=np.int64)
+            for lo in range(0, J * B, CODE_ROWS):
+                self._by_codes(Q.reshape(J * B, N)[lo : lo + CODE_ROWS], tol, [a[lo : lo + CODE_ROWS] for a in out])
+            return tuple(a.reshape(J, B, *a.shape[1:]) for a in out)
         out = np.zeros((J, B, N)), np.zeros((J, B, K)), np.zeros((J, B)), np.full((J, B), K > 0, dtype=np.int64)
         mu = np.zeros((B, K))  # every later mu comes out of _ascend, already >= 0
         k, m, wait, misses = 0, 2, 0, 0  # steps done, next chunk's steps, steps to solve alone, misses less full accepts

@@ -551,6 +551,46 @@ def test_an_unserved_loaded_queue_is_refused_before_any_lift(tmp_path, capsys, e
     assert capsys.readouterr().err == "swnet: schema error at /lambda: no schedule serves positively loaded queue(s) [1]\n"
 
 
+def test_a_fluid_grid_over_the_cell_budget_is_a_schema_error_at_h(tmp_path, capsys, monkeypatch):
+    # h = 1e-9 is inside the schema's (0, 0.1], but T/h + 1 = 1e9 rows of 2 queues used to die in a MemoryError;
+    # the budget is checked before the path is integrated
+    def no_path(*args, **kwargs):
+        raise AssertionError("integrated the path before the budget check")
+
+    monkeypatch.setattr("swnet.cli.integrate_fluid", no_path)
+    scenario = {"preset": "ex2", "lambda": [1, 1], "policy": {"kind": "mw"},
+                "experiment": {"kind": "fluid", "h": 1e-9, "T": 1.0}}
+    with pytest.raises(SchemaError, match="1e\\+09 grid rows of 2 queues exceed the fluid budget of 4000000 cells$") as err:
+        execute(parse_scenario(scenario), tmp_path / "direct")
+    assert err.value.pointer == "/experiment/h"
+    assert main(["fluid", _write(tmp_path, "fine.json", scenario), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("swnet: schema error at /experiment/h: ") and err.count("\n") == 1
+
+
+def test_the_fluid_cell_budget_counts_every_grid_row_and_queue(tmp_path, monkeypatch):
+    # (T/h + 1) x N cells: 10 rows of 2 queues fit a budget of 20 cells, 11 rows do not
+    import swnet.cli as cli
+
+    monkeypatch.setattr(cli, "FLUID_CELLS", 20)
+    scenario = {"preset": "ex2", "lambda": [1, 1], "policy": {"kind": "mw"}, "experiment": {"kind": "fluid", "h": 0.1}}
+    scenario["experiment"]["T"] = 0.9
+    assert execute(parse_scenario(scenario), tmp_path / "fits") == 0
+    scenario["experiment"]["T"] = 1.0
+    with pytest.raises(SchemaError, match="exceed the fluid budget of 20 cells$") as err:
+        execute(parse_scenario(scenario), tmp_path / "over")
+    assert err.value.pointer == "/experiment/h"
+
+
+def test_iqcheck_runs_at_a_tiny_alpha(tmp_path, capsys):
+    # iq2x2_membership raised OverflowError at alpha = 1e-9: (w^a + w^a)^(1/a) is past the float range
+    scenario = {"experiment": {"kind": "iqcheck", "M": 2, "alphas": [1.0, 1e-9], "samples": 10, "coverage_samples": 5,
+                               "grid_points": 300}, "seed": 12}
+    assert main(["iqcheck", _write(tmp_path, "tiny.json", scenario), "--out", str(tmp_path / "o")]) == 0
+    doc = json.loads((tmp_path / "o" / "iqcheck.json").read_text())
+    assert doc["membership_disagreements"] == 0 and doc["ok"] and capsys.readouterr().err == ""
+
+
 @pytest.mark.parametrize(
     "text, pointer, message",
     [

@@ -38,6 +38,25 @@ def test_membership_hand_cases():
     assert iq2x2_membership(Iq2x2Workload(1.0, 1.0, 5.0), 0.2)
 
 
+def test_membership_at_extreme_alphas():
+    # the power mean (w_i^a + w_j^a)^(1/a) overflowed a float at alpha = 1e-9 (2^1e9) and at alpha = 1e3 (3^1e3);
+    # taken relative to the larger weight it tends to +inf as a -> 0 and to max(w_i, w_j) as a -> inf
+    assert iq2x2_membership(Iq2x2Workload(1.0, 1.0, 3.0), 1e-9)
+    assert iq2x2_membership(Iq2x2Workload(1.0, 1.0, 1e300), 1e-9)
+    assert iq2x2_membership(Iq2x2Workload(3.0, 3.0, 9.0), 1e3)
+    assert not iq2x2_membership(Iq2x2Workload(3.0, 2.0, 8.1), 1e3)  # 3 + 2 + max = 8 < 8.1
+    rng = np.random.default_rng(29)
+    for _ in range(300):  # where the plain power mean is finite, the answer is the same
+        w1, wc1 = rng.random(2) * 2
+        w = Iq2x2Workload(float(w1), float(wc1), float(max(w1, wc1) + rng.random() * 6))
+        alpha = float(rng.choice([0.2, 0.5, 1.0, 2.0]))
+        plain = all(
+            wi + wj + (wi**alpha + wj**alpha) ** (1.0 / alpha) >= w.total - 1e-12 * (1.0 + w.total)
+            for wi in (w.w1, w.w2) for wj in (w.wc1, w.wc2)
+        )
+        assert iq2x2_membership(w, alpha) == plain
+
+
 def test_membership_is_interval_in_total():
     # at fixed (w1_, w_1) the admissible totals form an interval: the (1,1)
     # inequality caps the total from above while the other three bound it
@@ -317,7 +336,10 @@ def test_mssc_rows_equal_one_lift_per_grid_index(request, name):
         master_seed=11,
         grid_points=40,
     )
-    assert mssc_experiment(cfg).rows == _mssc_rows_one_grid_index_at_a_time(cfg)
+    # MW-1 lifts each state by its code's closed form: within 1e-12 of the ascent's
+    got, ref = mssc_experiment(cfg).rows, _mssc_rows_one_grid_index_at_a_time(cfg)
+    assert [row[:2] for row in got] == [row[:2] for row in ref]
+    assert max(abs(a[2] - b[2]) for a, b in zip(got, ref)) <= 1e-12
 
 
 def test_mssc_trivial_lift_flag(ex2):

@@ -24,23 +24,23 @@ GOLDEN = {
         "analysis.json": "ba8784bd4c131965f744f919d486c96b4e3d216b5dada5581267fe59590013e1",
     },
     "collapse_iq2_canonical.json": {
-        "mssc.csv": "5c485af5ea5f852e38341092cd7f1fe50afd41160f12fda36c05c201467d69e8",
-        "summary.json": "0d90175098496e11ac7053d85b10649d9040bbad9d57b2952b36b09dad1593f4",
+        "mssc.csv": "20d5d50010ec8bbb414ae84a06810c5dad24e0db95263cba5fd2a6aa6695bf32",
+        "summary.json": "85ac51fb7f926bdbeb4371a02f49bbcce9a5feb41e136a263c196715def5ed79",
     },
     "fluid_ex2.json": {
-        "fluid.csv": "7a651817ef03900e0fc8c90c3770deb7e6e3741727ef782c37deb21d8b110812",
+        "fluid.csv": "5fb71577ab0d900cb4dd45c2af4d0169f0d143399784777ee7f9ab81d2f02547",
     },
     "fluid_iq2_msmw_log.json": {
-        "fluid.csv": "89a0452598ac131d5068930d49bdb92f634f75fcd9f7e2a9ed785904b0b82689",
+        "fluid.csv": "7f62f3532a1e2068811b5917a15aab90bdd88de8c7123e074571e1892d58e25a",
     },
     "fluid_iq2_random_ties.json": {
-        "fluid.csv": "d8761d2124febfc9fe028e26e1cc6a3b455b72f30e110b2dc4ae4c17ffc3208e",
+        "fluid.csv": "2e2a0314f6143d4b7c72234df4a25b2d59916fdd58c67f5886a96ec0311a7213",
     },
     "fluid_iq2_round_robin.json": {
-        "fluid.csv": "8cc2f0214af3e4e71f96576639a2ba21791acebf36df9529b4ef05f9287f1ebb",
+        "fluid.csv": "eb53908cb47bebbc66667c4fd82582aea27a361626eb1bea364b14efdc655979",
     },
     "fluid_iq2_sliding.json": {
-        "fluid.csv": "8afd304f49e44e750cee37613fc413dc07018a8bc3918ca1235528edac1b3c7a",
+        "fluid.csv": "bf8e0faa105bbafa37ec912baa103be280bdb7247bc07b79a287b1f669ee9f1b",
     },
     "fluid_tandem3_backpressure.json": {
         "fluid.csv": "fe06648f4273aee7fb73e40420e0e96567eefb371d66753f95f52bff44f710f4",
@@ -49,7 +49,7 @@ GOLDEN = {
         "iqcheck.json": "16b9f0f18bad5f02eb41582ffa4eaf36509fabac017ce09f527c38e95a45bab3",
     },
     "lift_ex2.json": {
-        "lift.json": "a4a8e7721d57fac7c271680e87c3082b8c0a10ef44b7dd12fa553b20c15d08d8",
+        "lift.json": "bc4e80a6cb40f19906013c6328a0ad0d9aa9b330239912d660f7392074251f7f",
     },
     "simulate_ex2.json": {
         "audit.json": "41a8f9c739ae3d522e4d24d59d724547131e8649d3d0c91526f11074f62f9a6b",

@@ -292,17 +292,22 @@ def test_lift_problem_chain_equals_lift(request, name, alpha):
     r_p, mu, kkt, iterations = (a[:, 0] for a in problem.solve(Q[:, None]))
     assert kkt.max() <= 1e-8
     for k, q in enumerate(Q):
-        # lift is solve's cold one-state case: the ascent from zero multipliers
+        # lift is solve's cold one-state case: the ascent from zero multipliers,
+        # and under MW-1 the closed form of the code that the ascent ends in
         b = lift(model, lam, weight, clvr, q)
         cold = problem._ascend(q[None], np.zeros((1, len(problem.G))), 1e-8)
-        for x, y in zip((b.r_star, b.multipliers, b.kkt_residual, b.iterations), cold):
-            assert np.array_equal(x, y[0])
+        if alpha == 1.0:
+            assert np.abs(b.r_star - cold[0][0]).max() <= 1e-12 and b.kkt_residual <= 1e-8
+            assert b.iterations == cold[3][0]
+        else:
+            for x, y in zip((b.r_star, b.multipliers, b.kkt_residual, b.iterations), cold):
+                assert np.array_equal(x, y[0])
         assert problem.kinds == b.constraint_kinds
         # the batched Newton step solves in the basis cached per code (active
         # mask, t > 0) where the reference calls lstsq: the same path,
-        # rounded differently
+        # rounded differently; MW-1 rows are not warm-started
         r, _, _, ref_iterations = _reference_lift(problem, q, mu[k - 1] if k else None)
-        assert iterations[k] == ref_iterations
+        assert alpha == 1.0 or iterations[k] == ref_iterations
         assert np.abs(r_p[k] - r).max() <= 1e-9 * (1.0 + np.abs(q).max())
 
 
@@ -360,17 +365,23 @@ def test_solve_many_divergence_names_worst_residual(ex2, ex2_clvr, monkeypatch):
     from swnet.lift import SolverDivergence
 
     monkeypatch.setattr(lift_module, "MAX_ITER", 1)
-    problem = LiftProblem(ex2, [1, 1], WeightFunction.power(1.0), ex2_clvr)
     Q = np.array([[3.0, 0.0], [0.0, 0.0], [1.0, 5.0]])
     residual = lambda err: float(re.search(r"residual (\S+)", str(err.value)).group(1))
-    single = []
-    for q in Q[[0, 2]]:
-        with pytest.raises(SolverDivergence) as err:
-            problem.solve(q[None, None])
-        single.append(residual(err))
-    with pytest.raises(SolverDivergence, match="after 1 iterations \\(2 of 3 states\\)") as err:
-        problem.solve(Q[None])
-    assert residual(err) == max(single)
+    for alpha in (2.0, 1.0):
+        problem = LiftProblem(ex2, [1, 1], WeightFunction.power(alpha), ex2_clvr)
+        single = []
+        for q in Q[[0, 2]]:
+            with pytest.raises(SolverDivergence) as err:
+                problem.solve(q[None, None])
+            single.append(residual(err))
+        if alpha != 1.0:  # the chain ascends every chain's first step at once
+            with pytest.raises(SolverDivergence, match="after 1 iterations \\(2 of 3 states\\)") as err:
+                problem.solve(Q[None])
+            assert residual(err) == max(single)
+        else:  # MW-1 ascends one open row at a time, the first one first
+            with pytest.raises(SolverDivergence, match="after 1 iterations \\(1 of 1 states\\)") as err:
+                problem.solve(Q[None])
+            assert residual(err) == single[0]
 
 
 def _reference_newton(problem, mu, t, grad):
@@ -493,6 +504,17 @@ def _assert_bitwise(got, ref):
         assert np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
+def _assert_as_reference(got, ref, alpha):
+    """solve's arrays against the reference chain of one-row ascents: bit for
+    bit on the warm-start chain (alpha != 1). Under MW-1 each row is instead
+    the closed form of its code: r* within 1e-12 of the reference's, and the
+    KKT residual within the tolerance."""
+    if alpha != 1.0:
+        return _assert_bitwise(got, ref)
+    assert [(a.shape, a.dtype) for a in got] == [(b.shape, b.dtype) for b in ref]
+    assert np.abs(got[0] - ref[0]).max(initial=0.0) <= 1e-12 and got[2].max(initial=0.0) <= 1e-8
+
+
 def _count_ascents(problem, monkeypatch):
     """A list that gets one entry per problem._ascend call from now on."""
     calls, ascend = [], problem._ascend
@@ -548,10 +570,12 @@ def test_solve_chain_equals_one_row_solves_on_a_fluid_path(request, name, alpha,
     Q = traj.q[::7]  # distance_to_lift's default subgrid of a 3 000-step path
     ref = _reference_chain(problem, Q)
     calls = _count_ascents(problem, monkeypatch)
-    _assert_bitwise(_chain(problem, Q), ref)
+    _assert_as_reference(_chain(problem, Q), ref, alpha)
     assert ref[2].max() <= 1e-8
     # the path keeps its critical workloads, so the warm start mostly passes:
     # only the rows that iterate are solved alone, the others pass in chunks
+    # (under MW-1, the code found by the ascent of the cold first row lifts
+    # every other row)
     iterating = int((ref[3] > 1).sum())
     assert len(calls) == iterating < 0.01 * len(Q)
 
@@ -569,8 +593,10 @@ def test_solve_chain_equals_one_row_solves_on_a_random_walk(request, name, alpha
     ref = _reference_chain(problem, Q)
     assert (ref[3] > 1).all()
     tests = _count_chunk_tests(problem, monkeypatch)
-    _assert_bitwise(_chain(problem, Q), ref)
-    assert len(tests) == 7
+    calls = _count_ascents(problem, monkeypatch)
+    _assert_as_reference(_chain(problem, Q), ref, alpha)
+    # under MW-1 the rows are one batch: one ascent per code found, not per row
+    assert len(tests) == 7 if alpha != 1.0 else len(calls) < 0.1 * len(Q)
 
 
 @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
@@ -587,8 +613,8 @@ def test_solve_chain_warm_start_fails_inside_a_chunk(request, name, alpha, monke
     ref = _reference_chain(problem, Q)
     assert np.flatnonzero(ref[3] > 1).tolist() == jumps[:-1]
     calls = _count_ascents(problem, monkeypatch)
-    _assert_bitwise(_chain(problem, Q), ref)
-    assert len(calls) == 4
+    _assert_as_reference(_chain(problem, Q), ref, alpha)
+    assert len(calls) == 4 if alpha != 1.0 else len(calls) <= 4  # under MW-1 one held state's code may lift another
 
 
 @pytest.mark.parametrize("path", ["random_walk", "held_then_moved"])
@@ -608,7 +634,7 @@ def test_solve_chains_equal_independent_chains(request, name, alpha, path):
         Q = np.stack([np.repeat(rng.random((4, N)) * 3.0, np.diff([0, 10 + 7 * b, 40 + 11 * b, 100 - 5 * b, J]), axis=0)
                       for b in range(B)], axis=1)
     refs = [_reference_chain(problem, Q[:, b]) for b in range(B)]
-    _assert_bitwise(problem.solve(Q), tuple(np.stack(arrays, axis=1) for arrays in zip(*refs)))
+    _assert_as_reference(problem.solve(Q), tuple(np.stack(arrays, axis=1) for arrays in zip(*refs)), alpha)
     iterating = np.stack([ref[3] for ref in refs], axis=1) > 1
     if path == "random_walk":
         assert iterating.all()
@@ -621,7 +647,7 @@ def test_solve_chain_short_and_empty_chains(switch2, switch2_clvr, switch2_lam, 
     problem = LiftProblem(switch2, switch2_lam, WeightFunction.power(1.0), switch2_clvr)
     Q = np.random.default_rng(53).random((J, 4)) * 2.0
     got = _chain(problem, Q)
-    _assert_bitwise(got, _reference_chain(problem, Q))
+    _assert_as_reference(got, _reference_chain(problem, Q), 1.0)
     assert [a.shape[0] for a in got] == [J] * 4
 
 
@@ -648,8 +674,8 @@ def test_solve_chain_rejects_bad_input_as_solve_many_does(ex2, ex2_clvr):
 
 
 def test_distance_to_lift_solves_the_sliding_path_in_one_chain(monkeypatch):
-    # on fluid_iq2_sliding's path only the cold first row iterates, so the
-    # chain makes one ascent for its 430 rows
+    # fluid_iq2_sliding runs MW-1: the code that the cold first row's ascent
+    # ends in lifts the other 429 rows, so its 430 rows take one ascent
     from pathlib import Path
 
     from swnet import cli, fluid
@@ -665,4 +691,180 @@ def test_distance_to_lift_solves_the_sliding_path_in_one_chain(monkeypatch):
     assert len(times) == 430 and len(calls) == 1
     problem = LiftProblem(cfg.model, cfg.lam, weight, clvr)
     ref = _reference_chain(problem, traj.q[np.searchsorted(traj.t, times)])
-    assert np.array_equal(dists, np.abs(traj.q[np.searchsorted(traj.t, times)] - ref[0]).max(axis=1))
+    # MW-1: each row is its code's closed form, within 1e-12 of the ascent's
+    assert np.abs(dists - np.abs(traj.q[np.searchsorted(traj.t, times)] - ref[0]).max(axis=1)).max() <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# MW-1: every row is the closed form of its own canonical code
+# ---------------------------------------------------------------------------
+
+
+def _canonical_reference(problem, Q, tol=1e-8):
+    """r* at the rows of Q (R, N), the MW-1 rule written out: each row's
+    tight rows T and support P are read from its own cold ascent (an ascent
+    row does not depend on its batch), and A runs over T and then its
+    subsets, largest first and in index order (a cap in A adds the queues
+    it bounds to P), until the closed form mu = [(G_AP G_AP^T)^+ h_A]^+
+    passes the KKT test. This is what a one-row solve of each row returns."""
+    from itertools import combinations
+
+    R, (K, N) = len(Q), problem.G.shape
+    h = (problem.G @ Q[:, :, None])[:, :, 0]
+    r = problem._ascend(Q, np.zeros((R, K)), tol)[0]
+    eps = tol * (1.0 + np.abs(h).max(axis=1))[:, None]
+    tight, pos = (problem.G @ r[:, :, None])[:, :, 0] - h <= eps, r > eps
+    out = r.copy()
+    for mask in {tuple(row) for row in np.concatenate([tight, pos], axis=1).tolist()}:
+        rows = np.flatnonzero((np.concatenate([tight, pos], axis=1) == mask).all(axis=1))
+        T, P = np.flatnonzero(mask[:K]), np.array(mask[K:], dtype=bool)
+        for size in range(len(T), -1, -1):
+            for A in combinations(T, size):
+                act = np.isin(np.arange(K), A)
+                M = problem._basis(act, P | (problem.G[act] < 0).any(axis=0))[3]
+                point = problem._point(np.maximum((M @ h[rows, :, None])[:, :, 0], 0.0), h[rows])
+                ok = point[4] <= tol
+                out[rows[ok]] = point[2][ok]
+                rows = rows[~ok]
+    return out
+
+
+def _collapse_grid(seed, tmp_path, monkeypatch):
+    """The (grid_points, scales x reps, 4) states that the collapse run of
+    scenarios/collapse_iq2_canonical.json lifts at the seed, and the
+    (model, lam, weight, clvr) of its lifting problem."""
+    import json
+    from pathlib import Path
+
+    from swnet import cli
+
+    raw = json.loads((Path(__file__).parent.parent / "scenarios" / "collapse_iq2_canonical.json").read_text())
+    cfg = cli.parse_scenario(dict(raw, seed=seed))
+    grids, solve = [], LiftProblem.solve
+    with monkeypatch.context() as patch:
+        patch.setattr(LiftProblem, "solve", lambda self, Q, tol=1e-8: grids.append(Q) or solve(self, Q, tol))
+        cli.execute(cfg, tmp_path / "out")
+    return (cfg.model, cfg.lam, *cli._lyapunov_view(cfg)), grids[0]
+
+
+@pytest.mark.parametrize("seed", [2024, 5, 7])
+def test_mw1_grid_rows_equal_their_one_row_solves(seed, tmp_path, monkeypatch):
+    # on iq2 the row and column indicators are dependent, so a row passes
+    # under several codes whose closed forms differ in the last bits; the
+    # canonical code keeps every row's result independent of its batch
+    args, grid = _collapse_grid(seed, tmp_path, monkeypatch)
+    fresh = lambda: LiftProblem(*args)
+    problem = fresh()
+    calls = _count_ascents(problem, monkeypatch)
+    r, mu, kkt, iterations = problem.solve(grid)
+    assert grid.shape == (200, 60, 4) and kkt.max() <= 1e-8
+    assert len(calls) == (iterations > 1).sum() <= 10  # one cold ascent per code found, not 12 000
+    rows, (r, mu, kkt) = grid.reshape(-1, 4), (a.reshape(12_000, -1) for a in (r, mu, kkt))
+    assert np.array_equal(r, _canonical_reference(fresh(), rows))
+    assert np.array_equal(r, fresh().solve(rows[::-1, None])[0][::-1, 0])  # another batch order
+    for k in np.random.default_rng(seed).choice(len(rows), 40, replace=False):
+        alone = fresh().solve(rows[k][None, None])
+        assert all(np.array_equal(a.reshape(-1), b[k].reshape(-1)) for a, b in zip(alone, (r, mu, kkt)))
+
+
+def _mw1_problem(request, name):
+    """(model, lam, clvr) of switch2, iq3 (at lambda = 1/3), tandem2, ex2,
+    or ex2 at lambda = (3, 0), which adds the zero-rate cap r_1 <= q_1."""
+    if name.startswith("ex2"):
+        model, lam = request.getfixturevalue("ex2"), [3, 0] if name == "ex2_caps" else LAMS["ex2"]
+        return model, lam, critically_loaded(model, lam, request.getfixturevalue("ex2_vrs"))[0]
+    if name == "iq3":
+        from swnet import presets
+        from swnet.geometry import enumerate_dual_vertices
+
+        model, lam = presets.iq_switch(3), [F(1, 3)] * 9
+        return model, lam, critically_loaded(model, lam, enumerate_dual_vertices(model))[0]
+    return request.getfixturevalue(name), LAMS[name], request.getfixturevalue(f"{name}_clvr")
+
+
+def _random_states(n_queues, seed, count=60):
+    """Random states with zero coordinates, all-zero rows and repeats."""
+    rng = np.random.default_rng(seed)
+    Q = rng.random((count, n_queues)) * 4.0 * (rng.random((count, n_queues)) < 0.75)
+    Q[::13] = 0.0
+    Q[5::11] = Q[4::11][: len(Q[5::11])]
+    return Q
+
+
+@pytest.mark.parametrize("name", ["switch2", "iq3", "tandem2", "ex2_caps"])
+def test_mw1_random_states_equal_their_one_row_solves(request, name):
+    model, lam, clvr = _mw1_problem(request, name)
+    weight = WeightFunction.power(1.0)
+    Q = _random_states(model.n_queues, 59)
+    r, mu, kkt, _ = (a[0] for a in LiftProblem(model, lam, weight, clvr).solve(Q[None]))
+    assert kkt.max() <= 1e-8
+    for k, q in enumerate(Q):
+        b = lift(model, lam, weight, clvr, q)
+        assert np.array_equal(b.r_star, r[k]) and np.array_equal(b.multipliers, mu[k]) and b.kkt_residual == kkt[k]
+
+
+def _exact_certificate(model, lam, clvr, q, r_float, tol=1e-8):
+    """The exact lift at q, certified in Fractions, or None. T (slack <=
+    eps) and P (r > eps, and the queues that a cap in A bounds) are read
+    from the float lift. For A = T and then its subsets, largest first, the
+    code's equality system r_P = G_AP^T mu_A, G_AP r_P = G_A q is solved by
+    geometry.solve_square, and the first solution with mu >= 0, r_P > 0 (>=
+    0 on a pinned queue), (G^T mu)_n <= 0 off P and G r >= G q is returned:
+    it satisfies the KKT conditions exactly, which suffice for this convex
+    program."""
+    from itertools import combinations
+
+    from swnet.geometry import solve_square, to_fraction
+    from swnet.lift import _zero_rate_mask
+
+    N = model.n_queues
+    up = [[int(v) for v in row] for row in model.upstream]
+    G = [[sum(to_fraction(x) * up[m][n] for m, x in enumerate(xi)) for n in range(N)] for xi in clvr]
+    G += [[-F(v) for v in up[n]] for n in np.flatnonzero(_zero_rate_mask(model, lam))]
+    qx = [to_fraction(float(v)) for v in q]
+    h = [sum(g * v for g, v in zip(row, qx)) for row in G]
+    eps = tol * (1.0 + max(abs(float(v)) for v in h))
+    slack = np.array(G, dtype=float) @ r_float - np.array(h, dtype=float)
+    T = [k for k, s in enumerate(slack) if s <= eps]
+    zero = F(0)
+    for size in range(len(T), -1, -1):
+        for A in combinations(T, size):  # a cap in A pins the queues it bounds, as in LiftProblem._canonical
+            P = [n for n in range(N) if r_float[n] > eps or any(G[k][n] < 0 for k in A)]
+            # unknowns (r_P, mu_A): r_P - G_AP^T mu_A = 0, then G_AP r_P = h_A
+            a = [[F(int(i == j)) for j in range(len(P))] + [-G[k][p] for k in A] for i, p in enumerate(P)]
+            a += [[G[k][p] for p in P] + [zero] * len(A) for k in A]
+            x = solve_square(a, [zero] * len(P) + [h[k] for k in A]) if a else []
+            if x is None:
+                continue
+            r, mu = [zero] * N, [zero] * len(G)
+            for p, v in zip(P, x):
+                r[p] = v
+            for k, v in zip(A, x[len(P):]):
+                mu[k] = v
+            t = [sum(mu[k] * G[k][n] for k in range(len(G))) for n in range(N)]
+            pinned_ok = all(r[p] > 0 if r_float[p] > eps else r[p] >= 0 for p in P)  # a pinned queue may sit at 0
+            if (all(v >= 0 for v in mu) and pinned_ok and all(t[n] <= 0 for n in range(N) if n not in P)
+                    and all(sum(g * v for g, v in zip(row, r)) >= hk for row, hk in zip(G, h))):
+                return r
+    return None
+
+
+@pytest.mark.parametrize("name", ["ex2", "ex2_caps", "switch2", "iq3", "tandem2"])
+def test_mw1_lifts_carry_an_exact_certificate(request, name):
+    model, lam, clvr = _mw1_problem(request, name)
+    Q = _random_states(model.n_queues, 61, count=30)
+    r = LiftProblem(model, lam, WeightFunction.power(1.0), clvr).solve(Q[None])[0][0]
+    for q, r_float in zip(Q, r):
+        exact = _exact_certificate(model, lam, clvr, q, r_float)
+        assert exact is not None
+        assert max(abs(float(v) - x) for v, x in zip(exact, r_float)) <= 1e-12
+
+
+def test_mw1_collapse_grid_lifts_carry_an_exact_certificate(tmp_path, monkeypatch):
+    (model, lam, weight, clvr), grid = _collapse_grid(2024, tmp_path, monkeypatch)
+    rows = grid.reshape(-1, 4)
+    r = LiftProblem(model, lam, weight, clvr).solve(grid)[0].reshape(-1, 4)
+    for k in np.random.default_rng(3).choice(len(rows), 60, replace=False):
+        exact = _exact_certificate(model, lam, clvr, rows[k], r[k])
+        assert exact is not None
+        assert max(abs(float(v) - x) for v, x in zip(exact, r[k])) <= 1e-12
