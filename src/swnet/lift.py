@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, combinations
+from itertools import chain, combinations, islice
 
 import numpy as np
 
@@ -35,6 +35,7 @@ from .sim import next_chunk
 
 MAX_ITER = 50_000  # dual-ascent iterations before a row counts as stalled
 CODE_ROWS = 1024  # MW-1 rows lifted by codes at a time, which bounds the working arrays
+SUBSETS = 16  # MW-1 candidate active sets tried per canonical code, T first
 
 
 class SolverDivergence(RuntimeError):
@@ -122,7 +123,6 @@ class LiftProblem:
         self.weight = weight
         self.G, self.kinds = constraint_rows(model, lam, clvr, include_caps)
         self._bases: dict = {}  # code -> _basis(act, pos) of that code, built on its first visit
-        self._codes: list = []  # MW-1: the codes (act, pos) found so far, in order
 
     def _point(self, mu: np.ndarray, h: np.ndarray) -> list[np.ndarray]:
         """[mu, t, r, grad, kkt, dual] at each row of mu (B, K): t = G^T mu,
@@ -226,67 +226,79 @@ class LiftProblem:
 
     def _take(self, act: np.ndarray, pos: np.ndarray, h: np.ndarray, rows: np.ndarray, cur: list, tol: float) -> np.ndarray:
         """Put the closed form of the code (act, pos), mu = [M h]^+ (see _basis), into cur ([mu, r,
-        kkt] of _point and each point's code) at the rows where it passes; return the others."""
+        kkt] of _point and each point's code) at the rows where it passes; return the others. The
+        code's basis is cached once it lifts a row."""
         code, hr = np.packbits(np.concatenate([act, pos])), h[rows]
-        M = (self._bases.get(key := code.tobytes()) or self._bases.setdefault(key, self._basis(act, pos)))[3]
-        p = self._point(np.maximum((M @ hr[:, :, None])[:, :, 0], 0.0), hr)
-        ok = p[4] <= tol
+        basis = self._bases.get(key := code.tobytes()) or self._basis(act, pos)
+        p = self._point(np.maximum((basis[3] @ hr[:, :, None])[:, :, 0], 0.0), hr)
+        if (ok := p[4] <= tol).any():
+            self._bases[key] = basis
         for a, b in zip(cur, p[0:5:2]):
             a[rows[ok]] = b[ok]
         cur[3][rows[ok]] = code
         return rows[~ok]
 
-    def _canonical(self, h: np.ndarray, cur: list, tol: float, rows: np.ndarray) -> list:
-        """Give the rows their canonical closed forms; return the codes taken. From a row's passing
-        point, with eps = tol (1 + |h|), T = {slack <= eps} and P = {r > eps}, A runs over T, then
-        its subsets, largest first and in index order, and the first (A, P) that passes is taken."""
+    def _canonical(self, h: np.ndarray, cur: list, tol: float, rows: np.ndarray, codes: list) -> list:
+        """Give the rows their canonical closed forms, append the codes taken to codes and return the
+        rows where none passes. From a row's passing point, with eps = tol (1 + |h|), T = {slack <=
+        eps} and P = {r > eps}; A runs over T, then its subsets, largest first and in index order, for
+        at most SUBSETS candidates, and the first (A, P) that passes is taken."""
         hr, r = h[rows], cur[1][rows]
         eps = tol * (1.0 + np.abs(hr).max(axis=1, initial=0.0))[:, None]
-        (K, N), taken = self.G.shape, []
+        (K, N), stuck = self.G.shape, []
         slack = (self.G @ r[:, :, None])[:, :, 0] - hr  # -grad of _point, bit for bit
-        codes = np.packbits(np.concatenate([slack <= eps, r > eps], axis=1), axis=1)
-        redo = np.flatnonzero((codes != cur[3][rows]).any(axis=1))  # a point at (T, P)'s closed form stays
-        for group in _groups(codes[redo]).values():
-            bits, left = np.unpackbits(codes[redo[group[0]]], count=K + N).astype(bool), rows[redo[group]]
+        found = np.packbits(np.concatenate([slack <= eps, r > eps], axis=1), axis=1)
+        redo = np.flatnonzero((found != cur[3][rows]).any(axis=1))  # a point at (T, P)'s closed form stays
+        for group in _groups(found[redo]).values():
+            bits, left = np.unpackbits(found[redo[group[0]]], count=K + N).astype(bool), rows[redo[group]]
             T, P = np.flatnonzero(bits[:K]), bits[K:]
-            for A in chain.from_iterable(combinations(T, k) for k in range(len(T), -1, -1)):
+            for A in islice(chain.from_iterable(combinations(T, k) for k in range(len(T), -1, -1)), SUBSETS):
                 act = np.isin(np.arange(K), A)
                 pos = P | (self.G[act] < 0).any(axis=0)  # a cap in A pins the queues it bounds
                 if len(left) > len(left := self._take(act, pos, h, left, cur, tol)):
-                    taken.append((act, pos))
+                    codes.append((act, pos))
                 if left.size == 0:
                     break
-        return taken
+            stuck += left.tolist()
+        return stuck
 
-    def _by_codes(self, Q: np.ndarray, tol: float, out: list) -> None:
-        """MW-1: solve's four arrays at the rows of Q (R, N), written to out. The codes found so far
-        (kept on the problem) are tried on all open rows at once; when none passes, one open row gets
-        a cold ascent and its code is tried on the rest. Then every row takes its canonical closed
-        form, which depends on the row alone."""
+    def _by_codes(self, Q: np.ndarray, tol: float, out: list, codes: list) -> None:
+        """MW-1: solve's four arrays at the rows of Q (R, N), written to out. The codes found so far in
+        this solve are tried on all open rows at once; when none passes, 1, 2, 4, ... open rows get a
+        cold ascent and the codes taken from them are tried on the rest. Then every row takes its
+        canonical closed form, and a row where none passes gets its one-row solve."""
         (R, N), K = Q.shape, len(self.G)
         h = (self.G @ Q[:, :, None])[:, :, 0]
         # mu, r and kkt of each row's point, and the code whose closed form it is
         cur = [np.zeros((R, K)), np.zeros((R, N)), np.zeros(R), np.zeros((R, -(-(K + N) // 8)), dtype=np.uint8)]
-        todo, new = np.arange(R), self._codes
+        todo, new, cold, m = np.arange(R), list(codes), [], 1
         while todo.size:
             for act, pos in new:
                 todo = self._take(act, pos, h, todo, cur, tol)
-            if todo.size:  # a cold ascent; where its code fails, the row keeps the ascent's point
-                i, todo = todo[:1], todo[1:]
-                r, mu, kkt, out[3][i] = self._ascend(Q[i], np.zeros((1, K)), tol)
-                cur[0][i], cur[1][i], cur[2][i] = mu, r, kkt
-                self._codes = self._codes + (new := self._canonical(h, cur, tol, i))
-        self._canonical(h, cur, tol, np.arange(R))
+            if todo.size:
+                i, todo, known, m = todo[:m], todo[m:], len(codes), 2 * m
+                try:
+                    r, mu, kkt, out[3][i] = self._ascend(Q[i], np.zeros((len(i), K)), tol)
+                except SolverDivergence:  # name the stall of every open row, as one batch would
+                    self._ascend(Q[np.r_[i, todo]], np.zeros((todo.size + len(i), K)), tol)
+                    raise
+                cur[0][i], cur[1][i], cur[2][i], cold = mu, r, kkt, cold + i.tolist()
+                self._canonical(h, cur, tol, i, codes)
+                new = codes[known:]
+        stuck = sorted(set(self._canonical(h, cur, tol, np.arange(R), codes)).difference(cold))
         out[0][:], out[1][:], out[2][:] = cur[1], cur[0], cur[2]
+        for i in stuck:  # a row ascended here has had its one-row solve already
+            self._by_codes(Q[i : i + 1], tol, [a[i : i + 1] for a in out], [])
 
     def solve(self, Q, tol: float = 1e-8) -> tuple[np.ndarray, ...]:
         """Unique minimizers of L over the critical-workload polyhedron at
         the rows of Q (J, B, N): J steps of B chains. Returns (r_star,
         multipliers, kkt_residual, iterations), each with leading axes (J,
         B). Under power weight alpha = 1, _by_codes lifts the J x B rows
-        CODE_ROWS at a time, and each gets, bit for bit, the canonical closed
-        form of its own code; its iteration count is 1, or its ascent's where
-        a code was read from it. Otherwise row (j, b) is warm-started from the
+        CODE_ROWS at a time, and each gets, bit for bit, the r*, multipliers
+        and residual of its one-row solve; its iteration count is 1, or its
+        ascent's where it was ascended, so that count depends on the batch.
+        Otherwise row (j, b) is warm-started from the
         multipliers of row (j - 1, b), row 0 from zero, and gets, bit for
         bit, what its own one-row ascent returns. A chunk of steps is tested
         at the current multipliers in one evaluation and kept up to the first
@@ -300,9 +312,9 @@ class LiftProblem:
             raise ValueError("queue state must be >= 0")
         J, B = Q.shape[:2]
         if K > 0 and self.weight.kind == "power" and self.weight.alpha == 1.0:
-            out = np.zeros((J * B, N)), np.zeros((J * B, K)), np.zeros(J * B), np.ones(J * B, dtype=np.int64)
+            out, codes = (np.zeros((J * B, N)), np.zeros((J * B, K)), np.zeros(J * B), np.ones(J * B, dtype=np.int64)), []
             for lo in range(0, J * B, CODE_ROWS):
-                self._by_codes(Q.reshape(J * B, N)[lo : lo + CODE_ROWS], tol, [a[lo : lo + CODE_ROWS] for a in out])
+                self._by_codes(Q.reshape(J * B, N)[lo : lo + CODE_ROWS], tol, [a[lo : lo + CODE_ROWS] for a in out], codes)
             return tuple(a.reshape(J, B, *a.shape[1:]) for a in out)
         out = np.zeros((J, B, N)), np.zeros((J, B, K)), np.zeros((J, B)), np.full((J, B), K > 0, dtype=np.int64)
         mu = np.zeros((B, K))  # every later mu comes out of _ascend, already >= 0

@@ -367,21 +367,16 @@ def test_solve_many_divergence_names_worst_residual(ex2, ex2_clvr, monkeypatch):
     monkeypatch.setattr(lift_module, "MAX_ITER", 1)
     Q = np.array([[3.0, 0.0], [0.0, 0.0], [1.0, 5.0]])
     residual = lambda err: float(re.search(r"residual (\S+)", str(err.value)).group(1))
-    for alpha in (2.0, 1.0):
+    for alpha in (1.0, 2.0):  # MW-1 names the stall over every open row, as the chain's first step does
         problem = LiftProblem(ex2, [1, 1], WeightFunction.power(alpha), ex2_clvr)
         single = []
         for q in Q[[0, 2]]:
             with pytest.raises(SolverDivergence) as err:
                 problem.solve(q[None, None])
             single.append(residual(err))
-        if alpha != 1.0:  # the chain ascends every chain's first step at once
-            with pytest.raises(SolverDivergence, match="after 1 iterations \\(2 of 3 states\\)") as err:
-                problem.solve(Q[None])
-            assert residual(err) == max(single)
-        else:  # MW-1 ascends one open row at a time, the first one first
-            with pytest.raises(SolverDivergence, match="after 1 iterations \\(1 of 1 states\\)") as err:
-                problem.solve(Q[None])
-            assert residual(err) == single[0]
+        with pytest.raises(SolverDivergence, match="after 1 iterations \\(2 of 3 states\\)") as err:
+            problem.solve(Q[None])
+        assert residual(err) == max(single)
 
 
 def _reference_newton(problem, mu, t, grad):
@@ -516,9 +511,10 @@ def _assert_as_reference(got, ref, alpha):
 
 
 def _count_ascents(problem, monkeypatch):
-    """A list that gets one entry per problem._ascend call from now on."""
+    """A list that gets one entry per problem._ascend call from now on: the
+    number of rows it ascends."""
     calls, ascend = [], problem._ascend
-    monkeypatch.setattr(problem, "_ascend", lambda *a, **k: calls.append(1) or ascend(*a, **k))
+    monkeypatch.setattr(problem, "_ascend", lambda Q, *a, **k: calls.append(len(Q)) or ascend(Q, *a, **k))
     return calls
 
 
@@ -704,10 +700,11 @@ def _canonical_reference(problem, Q, tol=1e-8):
     """r* at the rows of Q (R, N), the MW-1 rule written out: each row's
     tight rows T and support P are read from its own cold ascent (an ascent
     row does not depend on its batch), and A runs over T and then its
-    subsets, largest first and in index order (a cap in A adds the queues
-    it bounds to P), until the closed form mu = [(G_AP G_AP^T)^+ h_A]^+
-    passes the KKT test. This is what a one-row solve of each row returns."""
-    from itertools import combinations
+    subsets, largest first and in index order, at most lift.SUBSETS of
+    them (a cap in A adds the queues it bounds to P), until the closed form
+    mu = [(G_AP G_AP^T)^+ h_A]^+ passes the KKT test. This is what a one-row
+    solve of each row returns."""
+    from itertools import chain, combinations, islice
 
     R, (K, N) = len(Q), problem.G.shape
     h = (problem.G @ Q[:, :, None])[:, :, 0]
@@ -718,14 +715,13 @@ def _canonical_reference(problem, Q, tol=1e-8):
     for mask in {tuple(row) for row in np.concatenate([tight, pos], axis=1).tolist()}:
         rows = np.flatnonzero((np.concatenate([tight, pos], axis=1) == mask).all(axis=1))
         T, P = np.flatnonzero(mask[:K]), np.array(mask[K:], dtype=bool)
-        for size in range(len(T), -1, -1):
-            for A in combinations(T, size):
-                act = np.isin(np.arange(K), A)
-                M = problem._basis(act, P | (problem.G[act] < 0).any(axis=0))[3]
-                point = problem._point(np.maximum((M @ h[rows, :, None])[:, :, 0], 0.0), h[rows])
-                ok = point[4] <= tol
-                out[rows[ok]] = point[2][ok]
-                rows = rows[~ok]
+        for A in islice(chain.from_iterable(combinations(T, k) for k in range(len(T), -1, -1)), lift_module.SUBSETS):
+            act = np.isin(np.arange(K), A)
+            M = problem._basis(act, P | (problem.G[act] < 0).any(axis=0))[3]
+            point = problem._point(np.maximum((M @ h[rows, :, None])[:, :, 0], 0.0), h[rows])
+            ok = point[4] <= tol
+            out[rows[ok]] = point[2][ok]
+            rows = rows[~ok]
     return out
 
 
@@ -758,10 +754,11 @@ def test_mw1_grid_rows_equal_their_one_row_solves(seed, tmp_path, monkeypatch):
     calls = _count_ascents(problem, monkeypatch)
     r, mu, kkt, iterations = problem.solve(grid)
     assert grid.shape == (200, 60, 4) and kkt.max() <= 1e-8
-    assert len(calls) == (iterations > 1).sum() <= 10  # one cold ascent per code found, not 12 000
+    assert sum(calls) == (iterations > 1).sum() <= 16  # cold ascents of 1, 2, 4, ... rows, not of 12 000
+    assert len(calls) <= 10
     rows, (r, mu, kkt) = grid.reshape(-1, 4), (a.reshape(12_000, -1) for a in (r, mu, kkt))
     assert np.array_equal(r, _canonical_reference(fresh(), rows))
-    assert np.array_equal(r, fresh().solve(rows[::-1, None])[0][::-1, 0])  # another batch order
+    assert np.array_equal(r, problem.solve(rows[::-1, None])[0][::-1, 0])  # another batch order, a second call
     for k in np.random.default_rng(seed).choice(len(rows), 40, replace=False):
         alone = fresh().solve(rows[k][None, None])
         assert all(np.array_equal(a.reshape(-1), b[k].reshape(-1)) for a, b in zip(alone, (r, mu, kkt)))
@@ -801,6 +798,31 @@ def test_mw1_random_states_equal_their_one_row_solves(request, name):
     for k, q in enumerate(Q):
         b = lift(model, lam, weight, clvr, q)
         assert np.array_equal(b.r_star, r[k]) and np.array_equal(b.multipliers, mu[k]) and b.kkt_residual == kkt[k]
+
+
+@pytest.mark.parametrize("name", ["switch2", "iq3", "tandem2"])  # ex2's rows all take their first candidate
+def test_mw1_a_row_no_canonical_candidate_lifts_gets_its_one_row_solve(request, name, monkeypatch):
+    # the codes that one-row solves take are found first, as earlier blocks of
+    # one solve find them; then the canonical walk is cut to its first
+    # candidate, A = T. A row that a found code passes but whose first
+    # candidate fails must get its one-row solve, not keep that code's point
+    model, lam, clvr = _mw1_problem(request, name)
+    problem = LiftProblem(model, lam, WeightFunction.power(1.0), clvr)
+    Q, (K, N) = _random_states(model.n_queues, 59), problem.G.shape
+    new = lambda R: [np.zeros((R, N)), np.zeros((R, K)), np.zeros(R), np.ones(R, dtype=np.int64)]
+    codes = []
+    for k in range(len(Q)):
+        problem._by_codes(Q[k : k + 1], 1e-8, new(1), codes)
+    monkeypatch.setattr(lift_module, "SUBSETS", 1)
+    alone, by_codes = [], problem._by_codes
+    monkeypatch.setattr(problem, "_by_codes", lambda Q, *a: alone.append(len(Q) == 1) or by_codes(Q, *a))
+    out = new(len(Q))
+    problem._by_codes(Q, 1e-8, out, codes)
+    assert sum(alone) >= 1  # some row was solved alone
+    for k, q in enumerate(Q):  # iterations too where the row was ascended, alone or in the batch
+        ref = LiftProblem(model, lam, WeightFunction.power(1.0), clvr).solve(q[None, None])
+        assert all(np.array_equal(a[k], b[0, 0]) for a, b in zip(out[:3], ref))
+        assert out[3][k] in (1, ref[3][0, 0])
 
 
 def _exact_certificate(model, lam, clvr, q, r_float, tol=1e-8):
