@@ -88,7 +88,7 @@ PRESETS = {
     "tandem": Kind(presets.tandem, {"N": (Int(ge=1, le=10), REQUIRED)}),
     "single_queue": Kind(presets.single_queue, {}),
 }
-FLUID_CELLS = 4_000_000  # a fluid run's (T/h + 1) x N grid cells: about 32 MB for the path alone
+RUN_CELLS = 4_000_000  # the state cells a run may record (rows of N queues): about 32 MB for the path alone
 _PER_QUEUE = ListOf(Num(ge=0), "n")  # one number >= 0 per queue: rates, service, queue contents
 NETWORK = Kind(
     _network,
@@ -139,6 +139,13 @@ _TOP = {
     "seed": (Int(ge=0), 0),
 }
 _OTHER_TOP = ("preset", "M", "N", "network", "experiment", "tolerances")
+
+
+def _within_budget(rows, n: int, pointer: str, what: str) -> None:
+    """Refuse ``rows`` state rows of n queues over RUN_CELLS cells before any allocation (h = 1e-9 asks for GBs)."""
+    if rows * n > RUN_CELLS:
+        cells = f"{what} = {rows:.4g} state rows of {n} queues"
+        raise SchemaError(pointer, f"{cells} exceed the run budget of {RUN_CELLS} cells")
 
 
 def _preset_or_network(raw: dict) -> NetworkModel:
@@ -305,6 +312,7 @@ def _run_simulate(cfg: ScenarioConfig, out: Path, *, horizon, q0, record_every, 
         except (OSError, CsvFormatError) as exc:
             raise SchemaError("/experiment/audit_csv", str(exc)) from exc
     else:
+        _within_budget(horizon + 1, model.n_queues, "/experiment/horizon", "horizon + 1")
         path = run(model, cfg.policy, cfg.arrivals, q0, horizon, cfg.seed, record_every=record_every)
         if len(path.tau) == path.horizon + 1:
             with (out / "trajectory.csv").open("w", encoding="utf-8", newline="\n") as f:
@@ -316,9 +324,7 @@ def _run_simulate(cfg: ScenarioConfig, out: Path, *, horizon, q0, record_every, 
 
 def _run_fluid(cfg: ScenarioConfig, out: Path, *, q0, h, T, lift_stride) -> int:
     model = cfg.model
-    if (T / h + 1) * model.n_queues > FLUID_CELLS:  # before any allocation: h = 1e-9 asks for gigabytes
-        cells = f"T/h + 1 = {T / h + 1:.4g} grid rows of {model.n_queues} queues"
-        raise SchemaError("/experiment/h", f"{cells} exceed the fluid budget of {FLUID_CELLS} cells")
+    _within_budget(T / h + 1, model.n_queues, "/experiment/h", "T/h + 1")
     lam_f = float_vector(cfg.lam)
     # only random ties draw from the seed; numpy.random costs about 2 MB to import
     ties = TieState.seeded(cfg.seed) if cfg.policy.tie_break == "random" else None
@@ -374,6 +380,11 @@ def _run_collapse(
     require_decreasing,
 ) -> int:
     model = cfg.model
+    try:  # each replication of scale r records ceil(r^2 T) + 1 slots
+        slots = reps * sum(math.ceil(r * r * T) + 1 for r in r_list)
+    except OverflowError:  # r^2 T past the float range
+        slots = math.inf
+    _within_budget(slots, model.n_queues, "/experiment/r_list", "reps x sum over r of (ceil(r^2 T) + 1)")
     weight, clvr = _lyapunov_view(cfg)
     mcfg = MsscConfig(
         model=model, policy=cfg.policy, lam=cfg.lam, clvr=clvr, weight=weight, qhat0=np.array(qhat0), r_list=r_list,

@@ -110,8 +110,8 @@ def mssc_experiment(cfg: MsscConfig) -> CollapseReport:
 
     Every scale is simulated first, replication rep of the ri-th sorted
     scale from the stream (master_seed, ri, rep), so scales are
-    order-independent. Then one LiftProblem.solve lifts the grid, one chain
-    per (scale, rep) row, each grid index warm-started from the last."""
+    order-independent. Then one LiftProblem.solve lifts the whole grid, each
+    state as its own one-row solve."""
     trivial = len(cfg.clvr) == 0
     scales, reps = sorted(cfg.r_list), cfg.reps
     scaled = np.empty((cfg.grid_points, len(scales) * reps, cfg.model.n_queues))
@@ -243,10 +243,19 @@ def iq2x2_membership(w: Iq2x2Workload, alpha: float) -> bool:
     return True
 
 
-def _theta(x: float, w: Iq2x2Workload, alpha: float) -> float:
+def _unit(top: float, alpha: float) -> float:
+    """1.0, or top where top ** alpha would overflow: the base that theta's powers are taken relative to."""
+    return top if top > 1.0 and alpha * math.log(top) >= 709.0 else 1.0
+
+
+def _theta(x: float, w: Iq2x2Workload, alpha: float, unit: Optional[float] = None) -> float:
+    """theta(x) / unit ** alpha, each base divided by unit before its power; unit defaults to _unit of the largest
+    base at x, so that the largest power is at most 1 and the sign is theta's."""
     # bases are >= 0 for x in the bracket; clamp float round-off
-    p = lambda v: max(v, 0.0) ** alpha
-    return p(x) + p(w.total - w.w1 - w.wc1 + x) - p(w.w1 - x) - p(w.wc1 - x)
+    bases = [max(v, 0.0) for v in (x, w.total - w.w1 - w.wc1 + x, w.w1 - x, w.wc1 - x)]
+    unit = _unit(max(bases), alpha) if unit is None else unit
+    a, b, c, d = ((v / unit) ** alpha for v in bases)
+    return a + b - c - d
 
 
 def iq2x2_theta_bracket(w: Iq2x2Workload) -> tuple[float, float]:
@@ -256,12 +265,14 @@ def iq2x2_theta_bracket(w: Iq2x2Workload) -> tuple[float, float]:
 
 def iq2x2_root_exists(w: Iq2x2Workload, alpha: float) -> bool:
     """Brute existence check: theta is increasing, so a root exists iff theta <= 0 at the lower bracket
-    end and >= 0 at the upper, up to iq2x2_membership's relative 1e-12 guard carried into theta's units."""
+    end and >= 0 at the upper, up to iq2x2_membership's relative 1e-12 guard carried into theta's units,
+    1e-12 (1 + w__)^alpha; where that power would overflow, theta and the guard are taken relative to it."""
     lo, hi = iq2x2_theta_bracket(w)
     if lo > hi:
         return False
-    guard = 1e-12 * (1.0 + w.total) ** alpha
-    return _theta(lo, w, alpha) <= guard and _theta(hi, w, alpha) >= -guard
+    unit = _unit(1.0 + w.total, alpha)
+    guard = 1e-12 * ((1.0 + w.total) / unit) ** alpha
+    return _theta(lo, w, alpha, unit) <= guard and _theta(hi, w, alpha, unit) >= -guard
 
 
 def iq2x2_invariant_solve(w: Iq2x2Workload, alpha: float) -> np.ndarray:

@@ -19,7 +19,7 @@ from .lift import LiftProblem, constraint_rows, lift  # lift is unused here, but
 from .model import NetworkModel, WeightFunction
 from .policy import Policy, TieState, argmax_mask, batch_weights, drift_formula, maximizers, resolve
 from .policy import select_schedule  # unused here, but perfbench/tracer.py wraps fluid.select_schedule
-from .sim import FluidTrajectory, _interp_rows, advance, count_schedules, next_chunk
+from .sim import BLOCK_ROWS, FluidTrajectory, _interp_rows, advance, count_schedules
 
 
 class GridMismatch(ValueError):
@@ -90,7 +90,7 @@ def integrate_fluid(
         if wait > 0:
             p = 0
         elif not (p := _period(picks)):  # nothing to repeat: a miss too
-            _, wait, misses = next_chunk(m, misses, False)  # the chunk keeps its size
+            _, wait, misses = _next_chunk(m, misses, False)  # the chunk keeps its size
         if p and not tied and qs[k - p].tobytes() == q.tobytes():  # q_k = q_{k-p}: the rest tiles the cycle
             src = np.arange(steps - k) % p
             qs[k + 1 :] = qs[k + 1 - p : k + 1][src]
@@ -124,7 +124,7 @@ def integrate_fluid(
         picks += chosen[:acc].tolist()
         k += acc
         q = qs[k]
-        m, wait, misses = next_chunk(m, misses, acc == m)  # on a miss, up to 2**misses plain steps
+        m, wait, misses = _next_chunk(m, misses, acc == m)  # on a miss, up to 2**misses plain steps
     chosen = np.array(picks, dtype=np.int64)
     del picks
     y = np.zeros((steps + 1, n))
@@ -135,6 +135,14 @@ def integrate_fluid(
     s *= h
     t = np.arange(steps + 1) * h
     return FluidTrajectory(t=t, q=qs, a=np.outer(t, lam), y=y, s=s, h=h)
+
+
+def _next_chunk(m: int, misses: int, full: bool) -> tuple[int, int, int]:
+    """Backoff of integrate_fluid's chunked steps: (next chunk's rows, plain steps to take first, misses) after a
+    chunk of m rows was accepted in full (2m, 0, misses - 1) or missed (m / 2, 2**misses, +1)."""
+    if full:
+        return min(2 * m, BLOCK_ROWS), 0, max(misses - 1, 0)
+    return max(2, m // 2), min(2**misses, BLOCK_ROWS), misses + 1
 
 
 def _period(picks: list) -> int:
@@ -200,8 +208,7 @@ def distance_to_lift(
     stride: Optional[int] = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """|q(t) - lift(q(t))| (sup norm) on a strided subgrid; returns
-    (times, distances), lifted as one chain of LiftProblem.solve: a fluid path
-    keeps its critical workloads, so a row's warm start mostly passes at once."""
+    (times, distances), the rows lifted in one LiftProblem.solve."""
     K = traj.q.shape[0] - 1
     idx = np.append(np.arange(0, K, max(1, K // 400) if stride is None else stride), K)  # and the last row
     Q = traj.q[idx]

@@ -10,13 +10,12 @@ Solver: dual ascent on the multipliers; r(mu) = f^{-1}([G^T mu]^+) is closed
 form (F' = f is invertible) and the concave dual is maximized by projected
 gradient with backtracking, polished by active-set Newton steps in bases
 cached per code (active, t > 0). LiftProblem.solve is the one entry point: it
-lifts J steps of B chains (a fluid path is one chain, a collapse run's grid
-one chain per replication), warm-starting each step from the multipliers of
-the step before and testing those warm starts a chunk of steps at a time.
-Under MW-1 (F(r) = r^2 / 2) the program is a strictly convex QP, and r* is
-linear in q once its code (A, P) is known (Goldfarb & Idnani 1983): there
-solve lifts every row in one batch by the closed form of its canonical code.
-The KKT certificate is path-independent.
+lifts every row of a (J, B, N) batch of states, each as its own one-row solve,
+so no lift depends on the batch or on the state lifted before it. Under MW-1
+(F(r) = r^2 / 2) the program is a strictly convex QP, and r* is linear in q
+once its code (A, P) is known (Goldfarb & Idnani 1983): there solve lifts
+every row by the closed form of its canonical code; under any other weight,
+all rows take one cold batched ascent. The KKT certificate is path-independent.
 """
 
 from __future__ import annotations
@@ -30,7 +29,6 @@ import numpy as np
 from .geometry import float_vector, fraction_vector, solve_lp, to_fraction
 from .model import NetworkModel, WeightFunction
 from .policy import drift_formula
-from .sim import next_chunk
 
 
 MAX_ITER = 50_000  # dual-ascent iterations before a row counts as stalled
@@ -108,9 +106,9 @@ class LiftProblem:
     """The lifting program of one (model, lam, weight, clvr), compiled once.
 
     The float constraint matrix G and the constraint kinds (constraint_rows)
-    are built here; ``solve`` lifts J steps of B chains, each state
-    warm-started from the one before it in its chain (under MW-1, each by
-    its code's closed form), and ``lift`` is its one-state case. ``clvr`` is
+    are built here; ``solve`` lifts a (J, B) batch of states, each as its
+    own one-row solve (under MW-1, by its code's closed form, otherwise by
+    a cold ascent), and ``lift`` is its one-state case. ``clvr`` is
     the set of critically loaded virtual resources (maximal vertices; passing
     the full critically loaded vertex set with ``include_caps=False`` yields
     the same minimizer).
@@ -174,14 +172,14 @@ class LiftProblem:
         ok &= np.abs(delta).max(axis=1) <= 1e8 * scale  # false where delta is not finite
         return np.where(act, np.maximum(mu + delta, 0.0), mu), ok
 
-    def _ascend(self, Q: np.ndarray, mu: np.ndarray, tol: float) -> tuple[np.ndarray, ...]:
-        """Dual ascent at the rows of Q (B, N) from the multipliers mu (B, K):
-        solve's four arrays, each with leading axis B. Each row has its own
-        step size and stopping test and is frozen once its KKT residual is
-        <= tol; the first test is at mu itself."""
+    def _ascend(self, Q: np.ndarray, tol: float) -> tuple[np.ndarray, ...]:
+        """Dual ascent at the rows of Q (B, N) from zero multipliers: solve's
+        four arrays, each with leading axis B. Each row has its own step size
+        and stopping test and is frozen once its KKT residual is <= tol; the
+        first test is at mu = 0."""
         B = len(Q)
         h = (self.G @ Q[:, :, None])[:, :, 0]
-        cur = self._point(mu.copy(), h)  # updated in place below, so not the caller's mu
+        cur = self._point(np.zeros((B, len(self.G))), h)
         step, iterations = np.ones(B), np.ones(B, dtype=np.int64)
         live = np.arange(B)  # rows still iterating
         res = cur[4]  # KKT residuals of the rows that failed the last test
@@ -278,9 +276,9 @@ class LiftProblem:
             if todo.size:
                 i, todo, known, m = todo[:m], todo[m:], len(codes), 2 * m
                 try:
-                    r, mu, kkt, out[3][i] = self._ascend(Q[i], np.zeros((len(i), K)), tol)
+                    r, mu, kkt, out[3][i] = self._ascend(Q[i], tol)
                 except SolverDivergence:  # name the stall of every open row, as one batch would
-                    self._ascend(Q[np.r_[i, todo]], np.zeros((todo.size + len(i), K)), tol)
+                    self._ascend(Q[np.r_[i, todo]], tol)
                     raise
                 cur[0][i], cur[1][i], cur[2][i], cold = mu, r, kkt, cold + i.tolist()
                 self._canonical(h, cur, tol, i, codes)
@@ -292,49 +290,27 @@ class LiftProblem:
 
     def solve(self, Q, tol: float = 1e-8) -> tuple[np.ndarray, ...]:
         """Unique minimizers of L over the critical-workload polyhedron at
-        the rows of Q (J, B, N): J steps of B chains. Returns (r_star,
-        multipliers, kkt_residual, iterations), each with leading axes (J,
-        B). Under power weight alpha = 1, _by_codes lifts the J x B rows
-        CODE_ROWS at a time, and each gets, bit for bit, the r*, multipliers
-        and residual of its one-row solve; its iteration count is 1, or its
-        ascent's where it was ascended, so that count depends on the batch.
-        Otherwise row (j, b) is warm-started from the
-        multipliers of row (j - 1, b), row 0 from zero, and gets, bit for
-        bit, what its own one-row ascent returns. A chunk of steps is tested
-        at the current multipliers in one evaluation and kept up to the first
-        step where any chain fails; that step is solved for all B chains by
-        one ascent, and the chunk backs off as sim.next_chunk says. Empty
-        ``clvr`` with no zero-rate caps gives r* = 0 and no iteration."""
+        the rows of Q (J, B, N). Returns (r_star, multipliers, kkt_residual,
+        iterations), each with leading axes (J, B). Each row gets, bit for
+        bit, the r*, multipliers and residual of its own one-row solve, in
+        any batch and order. Under power weight alpha = 1, _by_codes lifts
+        the rows CODE_ROWS at a time, and a row's iteration count is 1 or its
+        ascent's, which depends on the batch; otherwise all rows take one
+        cold ascent. Empty ``clvr`` and no zero-rate cap: r* = 0, no iteration."""
         Q, (K, N) = np.asarray(Q, dtype=float), self.G.shape
         if Q.ndim != 3 or Q.shape[2] != N or not np.isfinite(Q).all():
             raise ValueError(f"queue states must be a finite (J, B, {N}) array, got shape {Q.shape}")
         if np.any(Q < 0):
             raise ValueError("queue state must be >= 0")
-        J, B = Q.shape[:2]
+        (J, B), rows = Q.shape[:2], Q.reshape(-1, N)
+        out = np.zeros((J * B, N)), np.zeros((J * B, K)), np.zeros(J * B), np.full(J * B, K > 0, dtype=np.int64)
         if K > 0 and self.weight.kind == "power" and self.weight.alpha == 1.0:
-            out, codes = (np.zeros((J * B, N)), np.zeros((J * B, K)), np.zeros(J * B), np.ones(J * B, dtype=np.int64)), []
+            codes = []
             for lo in range(0, J * B, CODE_ROWS):
-                self._by_codes(Q.reshape(J * B, N)[lo : lo + CODE_ROWS], tol, [a[lo : lo + CODE_ROWS] for a in out], codes)
-            return tuple(a.reshape(J, B, *a.shape[1:]) for a in out)
-        out = np.zeros((J, B, N)), np.zeros((J, B, K)), np.zeros((J, B)), np.full((J, B), K > 0, dtype=np.int64)
-        mu = np.zeros((B, K))  # every later mu comes out of _ascend, already >= 0
-        k, m, wait, misses = 0, 2, 0, 0  # steps done, next chunk's steps, steps to solve alone, misses less full accepts
-        while k < J and K > 0:
-            if wait == 0:
-                rows = min(m, J - k)
-                h = (self.G @ Q[k : k + rows].reshape(-1, N, 1))[:, :, 0]
-                _, _, r, _, kkt, _ = self._point(np.tile(mu, (rows, 1)), h)
-                fail = (kkt.reshape(rows, B) > tol).any(axis=1)
-                acc = int(fail.argmax()) if fail.any() else rows
-                out[0][k : k + acc], out[1][k : k + acc] = r.reshape(rows, B, N)[:acc], mu
-                out[2][k : k + acc] = kkt.reshape(rows, B)[:acc]
-                k += acc
-                m, wait, misses = next_chunk(m, misses, acc == rows)
-            if wait > 0:  # step k failed its test, or follows a miss
-                for a, b in zip(out, self._ascend(Q[k], mu, tol)):
-                    a[k] = b
-                mu, k, wait = out[1][k], k + 1, wait - 1
-        return out
+                self._by_codes(rows[lo : lo + CODE_ROWS], tol, [a[lo : lo + CODE_ROWS] for a in out], codes)
+        elif K > 0:
+            out = self._ascend(rows, tol)
+        return tuple(a.reshape(J, B, *a.shape[1:]) for a in out)
 
 
 def lift(

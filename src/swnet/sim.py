@@ -48,14 +48,6 @@ TEXT_ROWS = 128
 SELECTION_ROWS = 4096
 
 
-def next_chunk(m: int, misses: int, full: bool) -> tuple[int, int, int]:
-    """Backoff of a chunked check (fluid steps, lift warm starts): (next chunk's rows, rows to take one at a time
-    first, misses) after a chunk of m rows was accepted in full (2m, 0, misses - 1) or missed (m / 2, 2**misses, +1)."""
-    if full:
-        return min(2 * m, BLOCK_ROWS), 0, max(misses - 1, 0)
-    return max(2, m // 2), min(2**misses, BLOCK_ROWS), misses + 1
-
-
 def row_blocks(*columns: np.ndarray, rows: int = BLOCK_ROWS):
     """Yield (lo, block) for each ``rows`` rows of the columns side by side, as one float ndarray."""
     for lo in range(0, len(columns[0]), rows):

@@ -560,7 +560,7 @@ def test_a_fluid_grid_over_the_cell_budget_is_a_schema_error_at_h(tmp_path, caps
     monkeypatch.setattr("swnet.cli.integrate_fluid", no_path)
     scenario = {"preset": "ex2", "lambda": [1, 1], "policy": {"kind": "mw"},
                 "experiment": {"kind": "fluid", "h": 1e-9, "T": 1.0}}
-    with pytest.raises(SchemaError, match="1e\\+09 grid rows of 2 queues exceed the fluid budget of 4000000 cells$") as err:
+    with pytest.raises(SchemaError, match="1e\\+09 state rows of 2 queues exceed the run budget of 4000000 cells$") as err:
         execute(parse_scenario(scenario), tmp_path / "direct")
     assert err.value.pointer == "/experiment/h"
     assert main(["fluid", _write(tmp_path, "fine.json", scenario), "--out", str(tmp_path / "o")]) == 1
@@ -572,14 +572,61 @@ def test_the_fluid_cell_budget_counts_every_grid_row_and_queue(tmp_path, monkeyp
     # (T/h + 1) x N cells: 10 rows of 2 queues fit a budget of 20 cells, 11 rows do not
     import swnet.cli as cli
 
-    monkeypatch.setattr(cli, "FLUID_CELLS", 20)
+    monkeypatch.setattr(cli, "RUN_CELLS", 20)
     scenario = {"preset": "ex2", "lambda": [1, 1], "policy": {"kind": "mw"}, "experiment": {"kind": "fluid", "h": 0.1}}
     scenario["experiment"]["T"] = 0.9
     assert execute(parse_scenario(scenario), tmp_path / "fits") == 0
     scenario["experiment"]["T"] = 1.0
-    with pytest.raises(SchemaError, match="exceed the fluid budget of 20 cells$") as err:
+    with pytest.raises(SchemaError, match="exceed the run budget of 20 cells$") as err:
         execute(parse_scenario(scenario), tmp_path / "over")
     assert err.value.pointer == "/experiment/h"
+
+
+@pytest.mark.parametrize(
+    "experiment, pointer, runner",
+    [
+        pytest.param({"kind": "simulate", "horizon": 10**12}, "/experiment/horizon", "run", id="simulate-horizon"),
+        pytest.param({"kind": "collapse", "r_list": [10**7]}, "/experiment/r_list", "mssc_experiment",
+                     id="collapse-r_list"),
+    ],
+)
+def test_a_run_over_the_cell_budget_is_a_schema_error(tmp_path, capsys, monkeypatch, experiment, pointer, runner):
+    # a horizon of 1e12 slots, or a scale whose r^2 T slots are 1e14, used to die in numpy's MemoryError with a
+    # traceback; the budget is checked before anything is simulated
+    def no_run(*args, **kwargs):
+        raise AssertionError("ran before the budget check")
+
+    monkeypatch.setattr(f"swnet.cli.{runner}", no_run)
+    scenario = {"preset": "ex2", "lambda": ["1/2", "1/2"], "policy": {"kind": "mw"},
+                "arrivals": {"kind": "bernoulli", "lambda": [0.5, 0.5]}, "experiment": experiment}
+    assert main([experiment["kind"], _write(tmp_path, "long.json", scenario), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"swnet: schema error at {pointer}: ") and err.count("\n") == 1
+    assert err.endswith("exceed the run budget of 4000000 cells\n")
+
+
+def test_the_collapse_cell_budget_counts_every_slot_of_every_replication(tmp_path, monkeypatch):
+    # reps x sum_r (ceil(r^2 T) + 1) x N cells: 2 x ((4 + 1) + (9 + 1)) x 2 = 60 cells
+    import swnet.cli as cli
+
+    scenario = {"preset": "ex2", "lambda": [1, 1], "policy": {"kind": "mw"},
+                "experiment": {"kind": "collapse", "r_list": [2, 3], "reps": 2, "T": 1.0, "grid_points": 5,
+                               "median_max_at_largest_r": 10.0, "require_decreasing": False}}
+    monkeypatch.setattr(cli, "RUN_CELLS", 60)
+    assert execute(parse_scenario(scenario), tmp_path / "fits") == 0
+    monkeypatch.setattr(cli, "RUN_CELLS", 59)
+    with pytest.raises(SchemaError, match="= 30 state rows of 2 queues exceed the run budget of 59 cells$") as err:
+        execute(parse_scenario(scenario), tmp_path / "over")
+    assert err.value.pointer == "/experiment/r_list"
+
+
+def test_iqcheck_runs_at_a_large_alpha(tmp_path, capsys):
+    # iq2x2_root_exists raised OverflowError at alpha = 1000: (1 + w__)^a and theta's powers are past the float range
+    scenario = {"experiment": {"kind": "iqcheck", "M": 2, "alphas": [1000.0], "samples": 10, "coverage_samples": 5,
+                               "grid_points": 50}, "seed": 12}
+    assert main(["iqcheck", _write(tmp_path, "large.json", scenario), "--out", str(tmp_path / "o")]) in (0, 2)
+    assert capsys.readouterr().err == ""
+    assert json.loads((tmp_path / "o" / "iqcheck.json").read_text())["membership_grid_points"] == 50
 
 
 def test_iqcheck_runs_at_a_tiny_alpha(tmp_path, capsys):

@@ -208,7 +208,7 @@ def test_lift_with_custom_weight(ex2, ex2_clvr):
     assert np.allclose(res.r_star, [0.6, 1.2], atol=1e-6)
 
 
-def _reference_lift(problem, q, mu0, tol=1e-8):
+def _reference_lift(problem, q, tol=1e-8):
     """The dual ascent written out point by point, re-evaluating r(mu), the
     dual value and the KKT residual wherever they are used: the reference
     for LiftProblem's ascent, which evaluates each dual point once."""
@@ -230,7 +230,7 @@ def _reference_lift(problem, q, mu0, tol=1e-8):
         pf = float(np.maximum(grad, 0.0).max(initial=0.0))
         return max(pf, float(np.abs(mu * grad).max(initial=0.0)), float(st_pos), float(st_zero))
 
-    mu = np.zeros(G.shape[0]) if mu0 is None else np.maximum(mu0, 0.0)
+    mu = np.zeros(G.shape[0])
     step, d_cur = 1.0, dual_value(mu)
     for iterations in range(1, 50_001):
         r = r_of(mu)
@@ -292,21 +292,24 @@ def test_lift_problem_chain_equals_lift(request, name, alpha):
     r_p, mu, kkt, iterations = (a[:, 0] for a in problem.solve(Q[:, None]))
     assert kkt.max() <= 1e-8
     for k, q in enumerate(Q):
-        # lift is solve's cold one-state case: the ascent from zero multipliers,
-        # and under MW-1 the closed form of the code that the ascent ends in
+        # lift is solve's one-state case, and each row of the path is its own
+        # one-row solve: the ascent from zero multipliers, and under MW-1 the
+        # closed form of the code that the ascent ends in
         b = lift(model, lam, weight, clvr, q)
-        cold = problem._ascend(q[None], np.zeros((1, len(problem.G))), 1e-8)
+        cold = problem._ascend(q[None], 1e-8)
+        assert np.array_equal(b.r_star, r_p[k]) and np.array_equal(b.multipliers, mu[k]) and b.kkt_residual == kkt[k]
         if alpha == 1.0:
             assert np.abs(b.r_star - cold[0][0]).max() <= 1e-12 and b.kkt_residual <= 1e-8
             assert b.iterations == cold[3][0]
         else:
             for x, y in zip((b.r_star, b.multipliers, b.kkt_residual, b.iterations), cold):
                 assert np.array_equal(x, y[0])
+            assert iterations[k] == b.iterations
         assert problem.kinds == b.constraint_kinds
         # the batched Newton step solves in the basis cached per code (active
         # mask, t > 0) where the reference calls lstsq: the same path,
-        # rounded differently; MW-1 rows are not warm-started
-        r, _, _, ref_iterations = _reference_lift(problem, q, mu[k - 1] if k else None)
+        # rounded differently
+        r, _, _, ref_iterations = _reference_lift(problem, q)
         assert alpha == 1.0 or iterations[k] == ref_iterations
         assert np.abs(r_p[k] - r).max() <= 1e-9 * (1.0 + np.abs(q).max())
 
@@ -317,23 +320,20 @@ LAMS = {"ex2": [1, 1], "switch2": [F(1, 2)] * 4, "tandem2": [1, 0]}
 @pytest.mark.parametrize("name", ["ex2", "switch2", "tandem2"])
 def test_solve_many_rows_equal_their_own_solve_chains(request, name):
     # batch width never changes a result: each row of a batched ascent equals
-    # the ascent of that row alone, bit for bit, and so does each row of a
-    # chain of batched ascents
+    # the ascent of that row alone, bit for bit, along a chain of states
     model = request.getfixturevalue(name)
     problem = LiftProblem(model, LAMS[name], WeightFunction.power(1.5), request.getfixturevalue(f"{name}_clvr"))
     rng = np.random.default_rng(23)
-    B, N, K = 6, model.n_queues, len(problem.G)
+    B, N = 6, model.n_queues
     Q = rng.random((B, N)) * 3.0
     Q[0] = 0.0  # optimal at the cold start
-    MU, mus, seen = np.zeros((B, K)), [np.zeros((1, K))] * B, set()
+    seen = set()
     for step in range(8):
-        Q[2:] = np.abs(Q[2:] + rng.normal(size=(B - 2, N)) * 0.5)  # row 1 is held: optimal after one solve
-        if step == 4:
-            MU[3], mus[3] = 0.0, np.zeros((1, K))  # one row restarts cold
-        r, MU, kkt, iterations = problem._ascend(Q, MU, 1e-8)
+        Q[2:] = np.abs(Q[2:] + rng.normal(size=(B - 2, N)) * 0.5)  # row 1 is held
+        r, mu, kkt, iterations = problem._ascend(Q, 1e-8)
         for b in range(B):
-            r_1, mus[b], kkt_1, iterations_1 = problem._ascend(Q[b : b + 1], mus[b], 1e-8)
-            assert np.array_equal(r_1[0], r[b]) and np.array_equal(mus[b][0], MU[b])
+            r_1, mu_1, kkt_1, iterations_1 = problem._ascend(Q[b : b + 1], 1e-8)
+            assert np.array_equal(r_1[0], r[b]) and np.array_equal(mu_1[0], mu[b])
             assert (kkt_1[0], iterations_1[0]) == (kkt[b], iterations[b])
         assert kkt.max() <= 1e-8 and iterations[0] == 1
         seen.update(iterations.tolist())
@@ -367,7 +367,7 @@ def test_solve_many_divergence_names_worst_residual(ex2, ex2_clvr, monkeypatch):
     monkeypatch.setattr(lift_module, "MAX_ITER", 1)
     Q = np.array([[3.0, 0.0], [0.0, 0.0], [1.0, 5.0]])
     residual = lambda err: float(re.search(r"residual (\S+)", str(err.value)).group(1))
-    for alpha in (1.0, 2.0):  # MW-1 names the stall over every open row, as the chain's first step does
+    for alpha in (1.0, 2.0):  # MW-1 names the stall over every open row, as the one batched ascent does
         problem = LiftProblem(ex2, [1, 1], WeightFunction.power(alpha), ex2_clvr)
         single = []
         for q in Q[[0, 2]]:
@@ -452,7 +452,7 @@ def test_newton_falls_back_to_pinv_on_a_singular_reduced_system(switch2, switch2
 @pytest.mark.parametrize("name", ["ex2", "switch2", "tandem2"])
 def test_basis_cache_never_changes_a_result(request, name):
     # a problem that has already solved unrelated states returns, bit for
-    # bit, the chain of a fresh problem; every basis it cached is the one a
+    # bit, the lifts of a fresh problem; every basis it cached is the one a
     # fresh problem builds from the code alone
     model, clvr = request.getfixturevalue(name), request.getfixturevalue(f"{name}_clvr")
     weight = WeightFunction.power(1.5)
@@ -462,7 +462,7 @@ def test_basis_cache_never_changes_a_result(request, name):
     unrelated = rng.random((30, N)) * 5.0 * (rng.random((30, N)) < 0.7)
     warm.solve(unrelated[None])
     assert len(warm._bases) >= 2
-    Q = np.abs(np.cumsum(rng.normal(size=(6, 5, N)) * 0.5, axis=0) + rng.random((5, N)) * 3.0)  # 5 chains
+    Q = np.abs(np.cumsum(rng.normal(size=(6, 5, N)) * 0.5, axis=0) + rng.random((5, N)) * 3.0)  # 5 paths
     for a, b in zip(warm.solve(Q), fresh.solve(Q)):
         assert np.array_equal(a, b)
     K = len(warm.G)
@@ -472,18 +472,14 @@ def test_basis_cache_never_changes_a_result(request, name):
             assert np.array_equal(a, b)
 
 
-def _reference_chain(problem, Q):
-    """One chain of LiftProblem.solve written as one one-row ascent per row
-    of Q (J, N), each from the multipliers of the row before (row 0 from
-    zero): the reference for solve's batched warm-start tests."""
-    (J, N), K = np.shape(Q), len(problem.G)
-    out = np.zeros((J, N)), np.zeros((J, K)), np.zeros(J), np.zeros(J, dtype=np.int64)
-    mu = np.zeros((1, K))
-    for j in range(J):
-        one = problem._ascend(Q[j : j + 1], mu, 1e-8)
-        for a, b in zip(out, one):
-            a[j] = b[0]
-        mu = one[1]
+def _one_row_solves(problem, Q):
+    """solve's four arrays at the states Q (..., N), each state lifted alone
+    in a one-row solve: the reference for every batched lift."""
+    (K, N), lead = problem.G.shape, np.shape(Q)[:-1]
+    out = np.zeros((*lead, N)), np.zeros((*lead, K)), np.zeros(lead), np.zeros(lead, dtype=np.int64)
+    for idx in np.ndindex(*lead):
+        for a, b in zip(out, problem.solve(np.asarray(Q)[idx][None, None])):
+            a[idx] = b[0, 0]
     return out
 
 
@@ -500,14 +496,13 @@ def _assert_bitwise(got, ref):
 
 
 def _assert_as_reference(got, ref, alpha):
-    """solve's arrays against the reference chain of one-row ascents: bit for
-    bit on the warm-start chain (alpha != 1). Under MW-1 each row is instead
-    the closed form of its code: r* within 1e-12 of the reference's, and the
-    KKT residual within the tolerance."""
+    """solve's arrays against the one-row solves of their rows: bit for bit.
+    Under MW-1 a row lifted by a code found in its batch counts 1 iteration
+    instead of its ascent's."""
     if alpha != 1.0:
         return _assert_bitwise(got, ref)
-    assert [(a.shape, a.dtype) for a in got] == [(b.shape, b.dtype) for b in ref]
-    assert np.abs(got[0] - ref[0]).max(initial=0.0) <= 1e-12 and got[2].max(initial=0.0) <= 1e-8
+    _assert_bitwise(got[:3] + (ref[3],), ref)
+    assert ((got[3] == 1) | (got[3] == ref[3])).all() and got[2].max(initial=0.0) <= 1e-8
 
 
 def _count_ascents(problem, monkeypatch):
@@ -516,29 +511,6 @@ def _count_ascents(problem, monkeypatch):
     calls, ascend = [], problem._ascend
     monkeypatch.setattr(problem, "_ascend", lambda Q, *a, **k: calls.append(len(Q)) or ascend(Q, *a, **k))
     return calls
-
-
-def _count_chunk_tests(problem, monkeypatch):
-    """A list that gets the row count of each _point call that solve makes
-    itself, outside _ascend: one entry per chunk tested."""
-    tests, solving = [], []
-    point, ascend = problem._point, problem._ascend
-
-    def counted_point(mu, h):
-        if not solving:
-            tests.append(len(mu))
-        return point(mu, h)
-
-    def counted_ascend(*args, **kwargs):
-        solving.append(1)
-        try:
-            return ascend(*args, **kwargs)
-        finally:
-            solving.pop()
-
-    monkeypatch.setattr(problem, "_point", counted_point)
-    monkeypatch.setattr(problem, "_ascend", counted_ascend)
-    return tests
 
 
 def _chain_problem(request, name, alpha):
@@ -564,63 +536,41 @@ def test_solve_chain_equals_one_row_solves_on_a_fluid_path(request, name, alpha,
     policy = Policy.mw(weight) if model.is_single_hop else Policy.backpressure(weight)
     traj = integrate_fluid(model, policy, *FLUID_PATHS[name], h=1e-3, T=3.0)
     Q = traj.q[::7]  # distance_to_lift's default subgrid of a 3 000-step path
-    ref = _reference_chain(problem, Q)
+    ref = _one_row_solves(problem, Q)
     calls = _count_ascents(problem, monkeypatch)
     _assert_as_reference(_chain(problem, Q), ref, alpha)
     assert ref[2].max() <= 1e-8
-    # the path keeps its critical workloads, so the warm start mostly passes:
-    # only the rows that iterate are solved alone, the others pass in chunks
-    # (under MW-1, the code found by the ascent of the cold first row lifts
-    # every other row)
-    iterating = int((ref[3] > 1).sum())
-    assert len(calls) == iterating < 0.01 * len(Q)
+    # outside MW-1 the rows take one cold ascent together; under MW-1 the
+    # path keeps its critical workloads, and the code found by the ascent of
+    # the first row lifts every other row
+    assert calls == [len(Q)] if alpha != 1.0 else calls == [1]
 
 
 @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
 @pytest.mark.parametrize("name", ["ex2", "switch2", "tandem2"])
 def test_solve_chain_equals_one_row_solves_on_a_random_walk(request, name, alpha, monkeypatch):
-    # rows jump, so every warm start fails and every row iterates: the chunks
-    # keep missing and the chain backs off, testing a chunk again only after
-    # 1, 2, 4, ... rows solved alone (rows 0, 1, 3, 7, 15, 31 and 63)
+    # rows jump, and every row iterates; each is its own one-row solve, in
+    # the path's order and in reverse
     model, problem = _chain_problem(request, name, alpha)
     rng = np.random.default_rng(41)
     Q = np.abs(np.cumsum(rng.normal(size=(120, model.n_queues)), axis=0)) + 0.1
     Q[::9, 0] = 0.0
-    ref = _reference_chain(problem, Q)
+    ref = _one_row_solves(problem, Q)
     assert (ref[3] > 1).all()
-    tests = _count_chunk_tests(problem, monkeypatch)
     calls = _count_ascents(problem, monkeypatch)
     _assert_as_reference(_chain(problem, Q), ref, alpha)
+    _assert_as_reference(tuple(a[::-1] for a in _chain(problem, Q[::-1])), ref, alpha)
     # under MW-1 the rows are one batch: one ascent per code found, not per row
-    assert len(tests) == 7 if alpha != 1.0 else len(calls) < 0.1 * len(Q)
-
-
-@pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
-@pytest.mark.parametrize("name", ["ex2", "switch2", "tandem2"])
-def test_solve_chain_warm_start_fails_inside_a_chunk(request, name, alpha, monkeypatch):
-    # a state held for a while and then moved: rows 0, 20, 50 and 90 iterate,
-    # the last three in the middle of a chunk (rows 15-30, 45-76 and 67-98
-    # after the doubling and halving); each is the one row solved alone, and
-    # every other row keeps its predecessor's mu
-    model, problem = _chain_problem(request, name, alpha)
-    rng = np.random.default_rng(43)
-    jumps = [0, 20, 50, 90, 140]
-    Q = np.repeat(rng.random((4, model.n_queues)) * 3.0, np.diff(jumps), axis=0)
-    ref = _reference_chain(problem, Q)
-    assert np.flatnonzero(ref[3] > 1).tolist() == jumps[:-1]
-    calls = _count_ascents(problem, monkeypatch)
-    _assert_as_reference(_chain(problem, Q), ref, alpha)
-    assert len(calls) == 4 if alpha != 1.0 else len(calls) <= 4  # under MW-1 one held state's code may lift another
+    assert calls == [len(Q)] * 2 if alpha != 1.0 else len(calls) < 0.1 * len(Q)
 
 
 @pytest.mark.parametrize("path", ["random_walk", "held_then_moved"])
 @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
 @pytest.mark.parametrize("name", ["ex2", "switch2", "tandem2"])
 def test_solve_chains_equal_independent_chains(request, name, alpha, path):
-    # B chains lifted together equal each chain lifted alone, bit for bit. On
-    # random walks every step of every chain iterates. Held states that move
-    # at different steps make the chains fail their warm-start tests at
-    # different steps, so a step is solved again for the chains that passed.
+    # B chains lifted together equal each chain lifted alone, bit for bit,
+    # and each row its one-row solve: on random walks, and on held states
+    # that move at different steps of different chains
     model, problem = _chain_problem(request, name, alpha)
     rng = np.random.default_rng(47)
     J, B, N = 120, 4, model.n_queues
@@ -629,13 +579,11 @@ def test_solve_chains_equal_independent_chains(request, name, alpha, path):
     else:
         Q = np.stack([np.repeat(rng.random((4, N)) * 3.0, np.diff([0, 10 + 7 * b, 40 + 11 * b, 100 - 5 * b, J]), axis=0)
                       for b in range(B)], axis=1)
-    refs = [_reference_chain(problem, Q[:, b]) for b in range(B)]
-    _assert_as_reference(problem.solve(Q), tuple(np.stack(arrays, axis=1) for arrays in zip(*refs)), alpha)
-    iterating = np.stack([ref[3] for ref in refs], axis=1) > 1
-    if path == "random_walk":
-        assert iterating.all()
-    else:  # the 13 steps where a chain moves, and at 12 of them the other chains pass
-        assert iterating.any(axis=1).sum() == 13 and (iterating.any(axis=1) & ~iterating.all(axis=1)).sum() == 12
+    ref = _one_row_solves(problem, Q)
+    _assert_as_reference(problem.solve(Q), ref, alpha)
+    for b in range(B):
+        _assert_as_reference(_chain(problem, Q[:, b]), tuple(a[:, b] for a in ref), alpha)
+    assert (ref[3] > 1).all()  # no state is optimal at zero multipliers
 
 
 @pytest.mark.parametrize("J", [0, 1, 2])
@@ -643,7 +591,7 @@ def test_solve_chain_short_and_empty_chains(switch2, switch2_clvr, switch2_lam, 
     problem = LiftProblem(switch2, switch2_lam, WeightFunction.power(1.0), switch2_clvr)
     Q = np.random.default_rng(53).random((J, 4)) * 2.0
     got = _chain(problem, Q)
-    _assert_as_reference(got, _reference_chain(problem, Q), 1.0)
+    _assert_as_reference(got, _one_row_solves(problem, Q), 1.0)
     assert [a.shape[0] for a in got] == [J] * 4
 
 
@@ -671,7 +619,8 @@ def test_solve_chain_rejects_bad_input_as_solve_many_does(ex2, ex2_clvr):
 
 def test_distance_to_lift_solves_the_sliding_path_in_one_chain(monkeypatch):
     # fluid_iq2_sliding runs MW-1: the code that the cold first row's ascent
-    # ends in lifts the other 429 rows, so its 430 rows take one ascent
+    # ends in lifts the other 429 rows, so its 430 rows take one ascent, and
+    # each distance is that of the row's one-row solve
     from pathlib import Path
 
     from swnet import cli, fluid
@@ -686,9 +635,37 @@ def test_distance_to_lift_solves_the_sliding_path_in_one_chain(monkeypatch):
     times, dists = fluid.distance_to_lift(cfg.model, cfg.lam, weight, clvr, traj)
     assert len(times) == 430 and len(calls) == 1
     problem = LiftProblem(cfg.model, cfg.lam, weight, clvr)
-    ref = _reference_chain(problem, traj.q[np.searchsorted(traj.t, times)])
-    # MW-1: each row is its code's closed form, within 1e-12 of the ascent's
-    assert np.abs(dists - np.abs(traj.q[np.searchsorted(traj.t, times)] - ref[0]).max(axis=1)).max() <= 1e-12
+    Q = traj.q[np.searchsorted(traj.t, times)]
+    assert np.array_equal(dists, np.abs(Q - _one_row_solves(problem, Q)[0]).max(axis=1))
+
+
+WEIGHTS = {  # the weights outside MW-1, where every row takes a cold ascent
+    "alpha=0.5": WeightFunction.power(0.5),
+    "alpha=2": WeightFunction.power(2.0),
+    "custom": WeightFunction.custom(f=np.sinh, F=lambda x: np.cosh(x) - 1.0, fprime=np.cosh, f_inv=np.arcsinh),
+}
+
+
+@pytest.mark.parametrize("name", ["switch2", "iq3", "tandem2", "collapse_grid"])
+@pytest.mark.parametrize("weight", list(WEIGHTS))
+def test_every_row_equals_its_one_row_solve(request, weight, name, tmp_path, monkeypatch):
+    # outside MW-1 all rows take one cold ascent, so each row's r*,
+    # multipliers, KKT residual and iterations are those of its one-row
+    # solve, bit for bit, whatever batch or order it comes in
+    if name == "collapse_grid":  # the 12 000 states of the shipped collapse run, 60 of them checked alone
+        (model, lam, _, clvr), Q = _collapse_grid(2024, tmp_path, monkeypatch)
+        check = np.random.default_rng(61).choice(Q.shape[0] * Q.shape[1], 60, replace=False)
+    else:
+        model, lam, clvr = _mw1_problem(request, name)
+        Q = _random_states(model.n_queues, 67)[None]
+        check = np.arange(Q.shape[1])
+    problem = LiftProblem(model, lam, WEIGHTS[weight], clvr)
+    calls = _count_ascents(problem, monkeypatch)
+    rows = Q.reshape(-1, model.n_queues)
+    got = tuple(a.reshape(len(rows), *a.shape[2:]) for a in problem.solve(Q))
+    assert calls == [len(rows)] and got[2].max() <= 1e-8
+    _assert_bitwise(tuple(a[check] for a in got), _one_row_solves(problem, rows[check]))
+    _assert_bitwise(tuple(a[::-1] for a in _chain(problem, rows[::-1])), got)
 
 
 # ---------------------------------------------------------------------------
@@ -708,7 +685,7 @@ def _canonical_reference(problem, Q, tol=1e-8):
 
     R, (K, N) = len(Q), problem.G.shape
     h = (problem.G @ Q[:, :, None])[:, :, 0]
-    r = problem._ascend(Q, np.zeros((R, K)), tol)[0]
+    r = problem._ascend(Q, tol)[0]
     eps = tol * (1.0 + np.abs(h).max(axis=1))[:, None]
     tight, pos = (problem.G @ r[:, :, None])[:, :, 0] - h <= eps, r > eps
     out = r.copy()
