@@ -333,7 +333,7 @@ def _run_fluid(cfg: ScenarioConfig, out: Path, *, q0, h, T, lift_stride) -> int:
         traj = integrate_fluid(model, cfg.policy, lam_f, q0, h=h, T=T, tie_state=ties)
     except HorizonNotMultiple as exc:
         raise SchemaError("/experiment/T", str(exc)) from exc
-    times, dists = distance_to_lift(model, cfg.lam, weight, clvr, traj, stride=lift_stride)
+    times, dists = distance_to_lift(model, cfg.lam, weight, clvr, traj, stride=lift_stride, tol=cfg.tolerances["kkt"])
     at, j = np.searchsorted(traj.t, times).tolist(), 0  # each distance's grid row (its time is a grid time, exactly)
     L_vals, formula, fd, _ = lyapunov_drift(model, lam_f, weight, traj)
     lam_label = ",".join(str(v) for v in fraction_vector(cfg.lam))
@@ -380,11 +380,15 @@ def _run_collapse(
     require_decreasing,
 ) -> int:
     model = cfg.model
+    if len(set(r_list)) < len(r_list):  # each scale's rows would be simulated, lifted and written twice
+        raise SchemaError("/experiment/r_list", f"expected distinct scales, got {r_list!r}")
     try:  # each replication of scale r records ceil(r^2 T) + 1 slots
         slots = reps * sum(math.ceil(r * r * T) + 1 for r in r_list)
     except OverflowError:  # r^2 T past the float range
         slots = math.inf
     _within_budget(slots, model.n_queues, "/experiment/r_list", "reps x sum over r of (ceil(r^2 T) + 1)")
+    _within_budget(grid_points * len(r_list) * reps, model.n_queues, "/experiment/grid_points",
+                   "grid_points x len(r_list) x reps")
     weight, clvr = _lyapunov_view(cfg)
     mcfg = MsscConfig(
         model=model, policy=cfg.policy, lam=cfg.lam, clvr=clvr, weight=weight, qhat0=np.array(qhat0), r_list=r_list,
@@ -397,7 +401,7 @@ def _run_collapse(
         except ValueError as exc:
             pointer = "/lambda" if gamma is None else "/experiment/gamma"
             raise SchemaError(pointer, f"at scale r={r}: {exc}") from exc
-    report = mssc_experiment(mcfg)
+    report = mssc_experiment(mcfg, tol=cfg.tolerances["kkt"])
     buf = io.StringIO()
     lam_strs = [str(v) for v in fraction_vector(cfg.lam)]
     buf.write(

@@ -103,7 +103,7 @@ def median_p90(vals: list[float]) -> tuple[float, float]:
     return median, a + (b - a) * g if g < 0.5 else b - (b - a) * (1 - g)
 
 
-def mssc_experiment(cfg: MsscConfig) -> CollapseReport:
+def mssc_experiment(cfg: MsscConfig, tol: float = 1e-8) -> CollapseReport:
     """Simulate r^2 T slots per scale from Q(0) = r*qhat0, diffusion-rescale,
     and measure the relative sup distance to the lifting map. The report
     lists rows in sorted (r, rep) order.
@@ -111,7 +111,7 @@ def mssc_experiment(cfg: MsscConfig) -> CollapseReport:
     Every scale is simulated first, replication rep of the ri-th sorted
     scale from the stream (master_seed, ri, rep), so scales are
     order-independent. Then one LiftProblem.solve lifts the whole grid, each
-    state as its own one-row solve."""
+    state as its own one-row solve to KKT tolerance tol."""
     trivial = len(cfg.clvr) == 0
     scales, reps = sorted(cfg.r_list), cfg.reps
     scaled = np.empty((cfg.grid_points, len(scales) * reps, cfg.model.n_queues))
@@ -125,7 +125,7 @@ def mssc_experiment(cfg: MsscConfig) -> CollapseReport:
             scaled[:, ri * reps + rep] = rescale(paths[rep], "diffusion", r, cfg.T, num=cfg.grid_points).q
             sups[ri * reps + rep] = paths[rep].sup_q / r
         del paths  # each path holds views of its whole batch's arrays; free them before the next simulation
-    r_star = LiftProblem(cfg.model, cfg.lam, cfg.weight, cfg.clvr).solve(scaled)[0]
+    r_star = LiftProblem(cfg.model, cfg.lam, cfg.weight, cfg.clvr).solve(scaled, tol)[0]
     ratios = (np.abs(scaled - r_star).max(axis=(0, 2)) / np.maximum(sups, 1.0)).tolist()
     rows = sorted((r, rep, ratios[ri * reps + rep]) for ri, r in enumerate(scales) for rep in range(reps))
     med = {}

@@ -17,8 +17,7 @@ import numpy as np
 
 from .lift import LiftProblem, constraint_rows, lift  # lift is unused here, but perfbench/tracer.py wraps fluid.lift
 from .model import NetworkModel, WeightFunction
-from .policy import Policy, TieState, argmax_mask, batch_weights, drift_formula, maximizers, resolve
-from .policy import select_schedule  # unused here, but perfbench/tracer.py wraps fluid.select_schedule
+from .policy import Policy, TieState, argmax_mask, batch_weights, drift_formula, maximal, maximizers, select_schedule
 from .sim import BLOCK_ROWS, FluidTrajectory, _interp_rows, advance, count_schedules
 
 
@@ -77,9 +76,7 @@ def integrate_fluid(
     tie_state = TieState() if tie_state is None else tie_state
     if policy.tie_break == "random" and tie_state.rng is None:  # refused before any step, tie or not
         raise ValueError("random tie-break needs a seeded TieState")
-    lexi = policy.kind == "msmw_log"
     may_tie = policy.tie_break != "highest_index"
-    last = ns - 1
     picks: list = []
     tied = False  # a tie was resolved, so the choice no longer hangs on q alone
     # verified steps; rows of the next chunk; plain steps before the next search; misses less full chunks
@@ -97,13 +94,10 @@ def integrate_fluid(
             picks += np.array(picks[-p:])[src].tolist()
             break
         if not p:  # a plain step
-            mask = argmax_mask(batch_weights(model, policy, q), policy.rel_tol, lexi)
-            pick = last - mask[::-1].argmax()  # the highest-index maximizer
-            if may_tie and mask.sum() > 1:
-                pick = resolve(policy, maximizers(policy, mask[None]), [tie_state], ns)[0]
-                tied = True
-            q = qs[k + 1] = advance(model, q, service[pick], dA)
-            picks.append(pick)
+            trace = select_schedule(model, policy, q, tie_state)
+            tied = tied or (may_tie and len(trace.argmax_set) > 1)
+            q = qs[k + 1] = advance(model, q, service[trace.chosen], dA)
+            picks.append(trace.chosen)
             k, wait = k + 1, wait - 1
             continue
         # predict: repeat the last p picks; the rows q_k, C_1.. are one cumulative sum of their increments
@@ -112,16 +106,16 @@ def integrate_fluid(
         rows = rows[:: incs.shape[1]]
         neg = np.minimum.reduce(rows, axis=1) < 0  # a row is weighed only if it is >= 0
         rows = rows[: neg.argmax() if neg.any() else m]
-        mask = argmax_mask(batch_weights(model, policy, rows), policy.rel_tol, lexi)
-        chosen = last - mask[:, ::-1].argmax(axis=1)
-        if may_tie and (several := mask.sum(axis=1) > 1).any():  # ties are broken in plain steps: cut before one
-            rows, chosen = rows[: several.argmax()], chosen[: several.argmax()]
+        chosen = maximizers(policy, maximal(policy, batch_weights(model, policy, rows)))
+        if may_tie and tuple in map(type, chosen):  # ties are broken in plain steps: cut before the first
+            cut = next(i for i, m in enumerate(chosen) if type(m) is tuple)
+            rows, chosen = rows[:cut], chosen[:cut]
         # verify: row j + 1 was right if advance of row j gives its bits; the first miss is itself an advanced row
         nxt = advance(model, rows, service[chosen], dA)
         same = (nxt[:-1].view(np.int64) == rows[1:].view(np.int64)).all(axis=1)
         acc = len(rows) if same.all() else int(same.argmin()) + 1
         qs[k + 1 : k + 1 + acc] = nxt[:acc]
-        picks += chosen[:acc].tolist()
+        picks += chosen[:acc]
         k += acc
         q = qs[k]
         m, wait, misses = _next_chunk(m, misses, acc == m)  # on a miss, up to 2**misses plain steps
@@ -206,13 +200,15 @@ def distance_to_lift(
     clvr,
     traj: FluidTrajectory,
     stride: Optional[int] = None,
+    tol: float = 1e-8,
 ) -> tuple[np.ndarray, np.ndarray]:
     """|q(t) - lift(q(t))| (sup norm) on a strided subgrid; returns
-    (times, distances), the rows lifted in one LiftProblem.solve."""
+    (times, distances), the rows lifted in one LiftProblem.solve to KKT
+    tolerance tol."""
     K = traj.q.shape[0] - 1
     idx = np.append(np.arange(0, K, max(1, K // 400) if stride is None else stride), K)  # and the last row
     Q = traj.q[idx]
-    R = LiftProblem(model, lam, weight, clvr).solve(Q[:, None])[0][:, 0]
+    R = LiftProblem(model, lam, weight, clvr).solve(Q[:, None], tol)[0][:, 0]
     return traj.t[idx], np.abs(Q - R).max(axis=1, initial=0.0)
 
 

@@ -32,7 +32,6 @@ from .policy import drift_formula
 
 
 MAX_ITER = 50_000  # dual-ascent iterations before a row counts as stalled
-CODE_ROWS = 1024  # MW-1 rows lifted by codes at a time, which bounds the working arrays
 SUBSETS = 16  # MW-1 candidate active sets tried per canonical code, T first
 
 
@@ -260,21 +259,23 @@ class LiftProblem:
             stuck += left.tolist()
         return stuck
 
-    def _by_codes(self, Q: np.ndarray, tol: float, out: list, codes: list) -> None:
+    def _by_codes(self, Q: np.ndarray, tol: float, out: list) -> None:
         """MW-1: solve's four arrays at the rows of Q (R, N), written to out. The codes found so far in
-        this solve are tried on all open rows at once; when none passes, 1, 2, 4, ... open rows get a
-        cold ascent and the codes taken from them are tried on the rest. Then every row takes its
-        canonical closed form, and a row where none passes gets its one-row solve."""
+        this call are tried on all open rows at once; when none passes, 1, 2, 4, ... open rows, spread
+        evenly over them (neighbouring rows of a path or grid tend to share a code), get a cold ascent
+        and the codes taken from them are tried on the rest. Then every row takes its canonical closed
+        form, and a row where none passes gets its one-row solve."""
         (R, N), K = Q.shape, len(self.G)
         h = (self.G @ Q[:, :, None])[:, :, 0]
         # mu, r and kkt of each row's point, and the code whose closed form it is
         cur = [np.zeros((R, K)), np.zeros((R, N)), np.zeros(R), np.zeros((R, -(-(K + N) // 8)), dtype=np.uint8)]
-        todo, new, cold, m = np.arange(R), list(codes), [], 1
+        todo, codes, new, cold, m = np.arange(R), [], [], [], 1
         while todo.size:
             for act, pos in new:
                 todo = self._take(act, pos, h, todo, cur, tol)
             if todo.size:
-                i, todo, known, m = todo[:m], todo[m:], len(codes), 2 * m
+                k = np.arange(0, todo.size, max(1, todo.size // m))[:m]
+                i, todo, known, m = todo[k], np.delete(todo, k), len(codes), 2 * m
                 try:
                     r, mu, kkt, out[3][i] = self._ascend(Q[i], tol)
                 except SolverDivergence:  # name the stall of every open row, as one batch would
@@ -286,15 +287,15 @@ class LiftProblem:
         stuck = sorted(set(self._canonical(h, cur, tol, np.arange(R), codes)).difference(cold))
         out[0][:], out[1][:], out[2][:] = cur[1], cur[0], cur[2]
         for i in stuck:  # a row ascended here has had its one-row solve already
-            self._by_codes(Q[i : i + 1], tol, [a[i : i + 1] for a in out], [])
+            self._by_codes(Q[i : i + 1], tol, [a[i : i + 1] for a in out])
 
     def solve(self, Q, tol: float = 1e-8) -> tuple[np.ndarray, ...]:
         """Unique minimizers of L over the critical-workload polyhedron at
         the rows of Q (J, B, N). Returns (r_star, multipliers, kkt_residual,
         iterations), each with leading axes (J, B). Each row gets, bit for
         bit, the r*, multipliers and residual of its own one-row solve, in
-        any batch and order. Under power weight alpha = 1, _by_codes lifts
-        the rows CODE_ROWS at a time, and a row's iteration count is 1 or its
+        any batch and order. Under power weight alpha = 1, one _by_codes call
+        lifts all J x B rows, and a row's iteration count is 1 or its
         ascent's, which depends on the batch; otherwise all rows take one
         cold ascent. Empty ``clvr`` and no zero-rate cap: r* = 0, no iteration."""
         Q, (K, N) = np.asarray(Q, dtype=float), self.G.shape
@@ -305,9 +306,7 @@ class LiftProblem:
         (J, B), rows = Q.shape[:2], Q.reshape(-1, N)
         out = np.zeros((J * B, N)), np.zeros((J * B, K)), np.zeros(J * B), np.full(J * B, K > 0, dtype=np.int64)
         if K > 0 and self.weight.kind == "power" and self.weight.alpha == 1.0:
-            codes = []
-            for lo in range(0, J * B, CODE_ROWS):
-                self._by_codes(rows[lo : lo + CODE_ROWS], tol, [a[lo : lo + CODE_ROWS] for a in out], codes)
+            self._by_codes(rows, tol, out)
         elif K > 0:
             out = self._ascend(rows, tol)
         return tuple(a.reshape(J, B, *a.shape[1:]) for a in out)

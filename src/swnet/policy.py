@@ -129,7 +129,7 @@ def batch_weights(model: NetworkModel, policy: Policy, q: np.ndarray) -> np.ndar
     msmw_log: the lexicographic pair (pi . 1{q>0}, sum over nonempty served
     queues of pi_n log q_n), stacked on a last axis of length 2. Each state
     gets its own matrix-vector products, so a batch row is bit-identical to
-    the weights of that state alone. No input checks: see schedule_weights.
+    the weights of that state alone. No input checks: see select_schedule.
     """
     if policy.kind != "msmw_log":
         return weight_vectors(model, policy.weight, q, pressure=policy.kind == "backpressure")
@@ -139,16 +139,6 @@ def batch_weights(model: NetworkModel, policy: Policy, q: np.ndarray) -> np.ndar
     size = (s_mat @ pos.astype(float)[..., None])[..., 0]
     logw = (s_mat @ logs[..., None])[..., 0]
     return np.stack([size, logw], axis=-1)
-
-
-def schedule_weights(model: NetworkModel, policy: Policy, q) -> np.ndarray:
-    """Per-schedule weights at queue state q, after checking the policy
-    against the model and q >= 0; see batch_weights."""
-    policy.validate_for(model)
-    q = np.asarray(q, dtype=float)
-    if np.any(q < 0):
-        raise ValueError("queue state must be >= 0")
-    return batch_weights(model, policy, q)
 
 
 def _near_top(weights: np.ndarray, rel_tol: float) -> np.ndarray:
@@ -170,6 +160,12 @@ def argmax_mask(weights: np.ndarray, rel_tol: float, lexicographic: bool) -> np.
         return _near_top(weights, rel_tol)
     first = _near_top(weights[..., 0], rel_tol)
     return first & _near_top(np.where(first, weights[..., 1], -np.inf), rel_tol)
+
+
+def maximal(policy: Policy, weights: np.ndarray) -> np.ndarray:
+    """The argmax mask of a policy's batch_weights: lexicographic for
+    msmw_log, within the policy's rel_tol."""
+    return argmax_mask(weights, policy.rel_tol, policy.kind == "msmw_log")
 
 
 def _resolve_tie(policy: Policy, argmax: tuple, tie_state: Optional[TieState], ns: int) -> int:
@@ -213,9 +209,14 @@ def select_schedule(
     q,
     tie_state: Optional[TieState] = None,
 ) -> SelectionTrace:
-    """Pick a maximal-weight schedule, resolving ties per the policy."""
-    weights = schedule_weights(model, policy, q)
-    mask = argmax_mask(weights, policy.rel_tol, policy.kind == "msmw_log")
+    """Pick a maximal-weight schedule at one state q, after checking the
+    policy against the model and q >= 0; ties are resolved per the policy."""
+    policy.validate_for(model)
+    q = np.asarray(q, dtype=float)
+    if np.any(q < 0):
+        raise ValueError("queue state must be >= 0")
+    weights = batch_weights(model, policy, q)
+    mask = maximal(policy, weights)
     chosen = resolve(policy, maximizers(policy, mask[None]), [tie_state], len(mask))[0]
     return SelectionTrace(weights=weights, argmax_set=np.flatnonzero(mask), chosen=chosen)
 
@@ -243,15 +244,14 @@ def check_scale_invariance(
     """
     if policy.kind not in ("mw", "backpressure"):
         raise PolicyModelMismatch("scale invariance applies to mw/backpressure policies")
+    policy.validate_for(model)
     rng = derive_rng(seed)
     bad = []
     for _ in range(samples):
         q = rng.random(model.n_queues) * 5.0
-        base = np.flatnonzero(argmax_mask(schedule_weights(model, policy, q), policy.rel_tol, False))
+        base = np.flatnonzero(maximal(policy, batch_weights(model, policy, q)))
         for kappa in kappa_list:
-            scaled = np.flatnonzero(
-                argmax_mask(schedule_weights(model, policy, float(kappa) * q), policy.rel_tol, False)
-            )
+            scaled = np.flatnonzero(maximal(policy, batch_weights(model, policy, float(kappa) * q)))
             if not np.array_equal(base, scaled):
                 if len(bad) < 10:
                     bad.append((q.copy(), float(kappa), base.copy(), scaled.copy()))

@@ -11,13 +11,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Optional
 
 import numpy as np
 
 from .arrivals import ArrivalModel, derive_rng, sample_increments
 from .model import NetworkModel
-from .policy import Policy, SelectionTrace, TieState, argmax_mask, batch_weights, maximizers, resolve, select_schedule
+from .policy import Policy, TieState, batch_weights, maximal, maximizers, resolve
+from .policy import select_schedule  # unused here, but perfbench/tracer.py wraps sim.select_schedule
 
 
 class NegativeQueue(AssertionError):
@@ -87,34 +87,6 @@ def advance(model: NetworkModel, q: np.ndarray, dB: np.ndarray, dA: np.ndarray) 
     served = dB - np.maximum(dB - q, 0.0)
     routed = (model.into @ served[..., None])[..., 0]
     return q - served + routed + dA
-
-
-@dataclass
-class StepResult:
-    q_next: np.ndarray
-    service: np.ndarray  # dB, the chosen schedule
-    idling: np.ndarray  # dY = [dB - Q]^+
-    trace: SelectionTrace
-
-
-def step(
-    model: NetworkModel,
-    policy: Policy,
-    q,
-    dA,
-    tie_state: Optional[TieState] = None,
-) -> StepResult:
-    """One slot of the queueing recursion from state q with arrivals dA."""
-    q = np.asarray(q, dtype=float)
-    dA = np.asarray(dA, dtype=float)
-    if np.any(dA < 0):
-        raise ValueError("arrival increments must be >= 0")
-    trace = select_schedule(model, policy, q, tie_state)
-    dB = model.schedules[trace.chosen]
-    q_next = advance(model, q, dB, dA)
-    if q_next.min() < 0.0:
-        raise NegativeQueue(f"queue went negative: {q_next}")
-    return StepResult(q_next=q_next, service=dB, idling=np.maximum(dB - q, 0.0), trace=trace)
 
 
 @dataclass
@@ -276,8 +248,6 @@ def run_batch(
     comp = np.zeros((reps, 2 * n))  # their Kahan compensation
     s_mat = model.schedules
     exact = exact_sums(q0, dA, s_mat, horizon)
-    lexicographic = policy.kind == "msmw_log"
-    untied = policy.tie_break == "highest_index"  # maximizers then holds no tuple
     slot_bytes = np.dtype((np.void, q.nbytes))  # a slot's (reps, N) arrivals as one key
     cap = SELECTION_ROWS // reps  # states, and moves, per call: SELECTION_ROWS state rows
     cur = q.tobytes()  # the batch state as one key
@@ -293,10 +263,10 @@ def run_batch(
             if entry is None:  # a new state has no move yet
                 if q is None:
                     q = np.frombuffer(cur).reshape(reps, n)
-                found = tuple(maximizers(policy, argmax_mask(batch_weights(model, policy, q), policy.rel_tol, lexicographic)))
+                found = tuple(maximizers(policy, maximal(policy, batch_weights(model, policy, q))))
                 pick, nxt = resolve(policy, found, tie_states, ns), None
                 if len(table) < cap:
-                    table[cur] = (shared.setdefault(found, found), not untied and tuple in map(type, found), None)
+                    table[cur] = (shared.setdefault(found, found), tuple in map(type, found), None)
             else:  # an untied state's moves key on the arrivals alone, and its picks need no resolve
                 found, tied, known_moves = entry
                 pick = resolve(policy, found, tie_states, ns) if tied else found

@@ -267,6 +267,11 @@ _SIM = {"kind": "simulate", "horizon": 20}
             "/experiment/r_list",
             id="empty-r_list",
         ),
+        pytest.param(  # each scale's rows used to be simulated, lifted and written to mssc.csv twice
+            dict(_EX2_SIM, **{"lambda": [1, 1], "experiment": {"kind": "collapse", "r_list": [5, 5]}}),
+            "/experiment/r_list",
+            id="repeated-r_list",
+        ),
         pytest.param(
             {"preset": "ex2", "lambda": "11", "experiment": {"kind": "analyze"}},
             "/lambda",
@@ -588,11 +593,13 @@ def test_the_fluid_cell_budget_counts_every_grid_row_and_queue(tmp_path, monkeyp
         pytest.param({"kind": "simulate", "horizon": 10**12}, "/experiment/horizon", "run", id="simulate-horizon"),
         pytest.param({"kind": "collapse", "r_list": [10**7]}, "/experiment/r_list", "mssc_experiment",
                      id="collapse-r_list"),
+        pytest.param({"kind": "collapse", "grid_points": 10**12}, "/experiment/grid_points", "mssc_experiment",
+                     id="collapse-grid_points"),
     ],
 )
 def test_a_run_over_the_cell_budget_is_a_schema_error(tmp_path, capsys, monkeypatch, experiment, pointer, runner):
-    # a horizon of 1e12 slots, or a scale whose r^2 T slots are 1e14, used to die in numpy's MemoryError with a
-    # traceback; the budget is checked before anything is simulated
+    # a horizon of 1e12 slots, a scale whose r^2 T slots are 1e14, or 1e12 grid points per path used to die in
+    # numpy's MemoryError with a traceback; the budget is checked before anything is simulated
     def no_run(*args, **kwargs):
         raise AssertionError("ran before the budget check")
 
@@ -618,6 +625,42 @@ def test_the_collapse_cell_budget_counts_every_slot_of_every_replication(tmp_pat
     with pytest.raises(SchemaError, match="= 30 state rows of 2 queues exceed the run budget of 59 cells$") as err:
         execute(parse_scenario(scenario), tmp_path / "over")
     assert err.value.pointer == "/experiment/r_list"
+
+
+def test_the_collapse_grid_budget_counts_every_lifted_row(tmp_path, monkeypatch):
+    # grid_points x len(r_list) x reps x N cells: 20 x 2 x 2 x 2 = 160, above the 60 cells of the slots
+    import swnet.cli as cli
+
+    scenario = {"preset": "ex2", "lambda": [1, 1], "policy": {"kind": "mw"},
+                "experiment": {"kind": "collapse", "r_list": [2, 3], "reps": 2, "T": 1.0, "grid_points": 20,
+                               "median_max_at_largest_r": 10.0, "require_decreasing": False}}
+    monkeypatch.setattr(cli, "RUN_CELLS", 160)
+    assert execute(parse_scenario(scenario), tmp_path / "fits") == 0
+    monkeypatch.setattr(cli, "RUN_CELLS", 159)
+    with pytest.raises(SchemaError, match="= 80 state rows of 2 queues exceed the run budget of 159 cells$") as err:
+        execute(parse_scenario(scenario), tmp_path / "over")
+    assert err.value.pointer == "/experiment/grid_points"
+
+
+@pytest.mark.parametrize(
+    "experiment",
+    [
+        {"kind": "lift", "q": [1, 0]},
+        {"kind": "fluid", "q0": [3, 0], "h": 0.01, "T": 1.0},
+        {"kind": "collapse", "r_list": [5], "reps": 2, "grid_points": 20, "median_max_at_largest_r": 10.0},
+    ],
+    ids=lambda exp: exp["kind"],
+)
+def test_every_lift_is_solved_to_the_scenario_kkt_tolerance(tmp_path, monkeypatch, experiment):
+    # fluid and collapse used to lift at 1e-8 whatever tolerances.kkt said; only lift read it
+    from swnet.lift import LiftProblem
+
+    tols, solve = [], LiftProblem.solve
+    monkeypatch.setattr(LiftProblem, "solve", lambda self, Q, tol=1e-8: tols.append(tol) or solve(self, Q, tol))
+    scenario = {"preset": "ex2", "lambda": [1, 1], "policy": {"kind": "mw"}, "tolerances": {"kkt": 1e-6},
+                "experiment": experiment}
+    execute(parse_scenario(scenario), tmp_path / "o")
+    assert tols == [1e-6]
 
 
 def test_iqcheck_runs_at_a_large_alpha(tmp_path, capsys):

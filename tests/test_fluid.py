@@ -53,7 +53,7 @@ def test_trajectory_equations_hold(ex2):
 def test_allocation_support_on_argmax(ex2):
     # every step allocates its h of service to a schedule in the current
     # argmax set, so s grows only on maximizers between switches
-    from swnet.policy import schedule_weights
+    from swnet.policy import select_schedule
 
     pol = Policy.mw_alpha(1.0)
     traj = integrate_fluid(ex2, pol, [1.0, 1.0], [3.0, 0.0], h=1e-2, T=3.0)
@@ -61,7 +61,7 @@ def test_allocation_support_on_argmax(ex2):
     for k in range(ds.shape[0]):
         grew = np.flatnonzero(ds[k] > 0)
         assert len(grew) == 1
-        w = schedule_weights(ex2, pol, traj.q[k])
+        w = select_schedule(ex2, pol, traj.q[k]).weights
         assert w[grew[0]] == w.max()
 
 

@@ -779,22 +779,36 @@ def test_mw1_random_states_equal_their_one_row_solves(request, name):
 
 @pytest.mark.parametrize("name", ["switch2", "iq3", "tandem2"])  # ex2's rows all take their first candidate
 def test_mw1_a_row_no_canonical_candidate_lifts_gets_its_one_row_solve(request, name, monkeypatch):
-    # the codes that one-row solves take are found first, as earlier blocks of
-    # one solve find them; then the canonical walk is cut to its first
-    # candidate, A = T. A row that a found code passes but whose first
-    # candidate fails must get its one-row solve, not keep that code's point
+    # the codes that one-row solves take are found first and handed to the
+    # batch's first walk, as its cold ascents find them; then the canonical
+    # walk is cut to its first candidate, A = T. A row that a found code
+    # passes but whose first candidate fails must get its one-row solve, not
+    # keep that code's point
     model, lam, clvr = _mw1_problem(request, name)
     problem = LiftProblem(model, lam, WeightFunction.power(1.0), clvr)
     Q, (K, N) = _random_states(model.n_queues, 59), problem.G.shape
-    new = lambda R: [np.zeros((R, N)), np.zeros((R, K)), np.zeros(R), np.ones(R, dtype=np.int64)]
-    codes = []
-    for k in range(len(Q)):
-        problem._by_codes(Q[k : k + 1], 1e-8, new(1), codes)
+    canonical, found = problem._canonical, []
+
+    def collect(h, cur, tol, rows, codes):
+        known, stuck = len(codes), canonical(h, cur, tol, rows, codes)
+        found.extend(codes[known:])
+        return stuck
+
+    monkeypatch.setattr(problem, "_canonical", collect)
+    for q in Q:
+        problem.solve(q[None, None])
+
+    def primed(h, cur, tol, rows, codes):
+        codes += found
+        found.clear()
+        return canonical(h, cur, tol, rows, codes)
+
+    monkeypatch.setattr(problem, "_canonical", primed)
     monkeypatch.setattr(lift_module, "SUBSETS", 1)
     alone, by_codes = [], problem._by_codes
     monkeypatch.setattr(problem, "_by_codes", lambda Q, *a: alone.append(len(Q) == 1) or by_codes(Q, *a))
-    out = new(len(Q))
-    problem._by_codes(Q, 1e-8, out, codes)
+    out = [np.zeros((len(Q), N)), np.zeros((len(Q), K)), np.zeros(len(Q)), np.ones(len(Q), dtype=np.int64)]
+    problem._by_codes(Q, 1e-8, out)
     assert sum(alone) >= 1  # some row was solved alone
     for k, q in enumerate(Q):  # iterations too where the row was ascended, alone or in the batch
         ref = LiftProblem(model, lam, WeightFunction.power(1.0), clvr).solve(q[None, None])

@@ -13,20 +13,19 @@ from swnet.policy import (
     TieState,
     batch_weights,
     check_scale_invariance,
-    schedule_weights,
     select_schedule,
     weight_vectors,
 )
 
 
 def test_mw_weights_ex2(ex2):
-    w = schedule_weights(ex2, Policy.mw_alpha(1.0), [5.0, 1.0])
+    w = select_schedule(ex2, Policy.mw_alpha(1.0), [5.0, 1.0]).weights
     assert np.array_equal(w, [15.0, 6.0])
 
 
 def test_backpressure_weight_tandem(tandem2):
     pol = Policy.backpressure(WeightFunction.power(1.0))
-    w = schedule_weights(tandem2, pol, [2.0, 5.0])
+    w = select_schedule(tandem2, pol, [2.0, 5.0]).weights
     # schedule (1,0) has weight f(2) - f(5) = -3
     idx = next(i for i, s in enumerate(tandem2.schedules) if tuple(s) == (1.0, 0.0))
     assert w[idx] == -3.0
@@ -85,12 +84,12 @@ def test_round_robin_cycles(ex2):
 
 def test_policy_model_mismatch(ex2, tandem2):
     with pytest.raises(PolicyModelMismatch):
-        schedule_weights(ex2, Policy.backpressure(WeightFunction.power(1.0)), [1.0, 1.0])
+        select_schedule(ex2, Policy.backpressure(WeightFunction.power(1.0)), [1.0, 1.0])
     with pytest.raises(PolicyModelMismatch):
-        schedule_weights(tandem2, Policy.msmw_log(), [1.0, 1.0])
+        select_schedule(tandem2, Policy.msmw_log(), [1.0, 1.0])
     open_model = validate_network([[1, 1]], [(0, 1)])
     with pytest.raises(PolicyModelMismatch):
-        schedule_weights(open_model, Policy.backpressure(WeightFunction.power(1.0)), [1.0, 1.0])
+        select_schedule(open_model, Policy.backpressure(WeightFunction.power(1.0)), [1.0, 1.0])
 
 
 def test_chosen_weight_is_maximal_everywhere(ex2):

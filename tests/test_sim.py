@@ -8,13 +8,14 @@ from hypothesis import strategies as st
 from swnet import presets, sim
 from swnet.arrivals import ArrivalModel, derive_rng, sample_increments
 from swnet.model import WeightFunction, validate_network
-from swnet.policy import Policy, TieState, argmax_mask, batch_weights
+from swnet.policy import Policy, TieState, argmax_mask, batch_weights, select_schedule
 from swnet.sim import (
     BLOCK_ROWS,
     SELECTION_ROWS,
     AuditReport,
     AuditViolation,
     HorizonTooShort,
+    advance,
     conservation_audit,
     exact_sums,
     float_texts,
@@ -22,16 +23,23 @@ from swnet.sim import (
     rescale,
     run,
     run_batch,
-    step,
 )
+
+
+def _step(model, policy, q, dA, tie_state=None):
+    """One slot from state q: (selection trace, service dB, idling [dB - q]^+, next state)."""
+    q = np.asarray(q, dtype=float)
+    trace = select_schedule(model, policy, q, tie_state)
+    dB = model.schedules[trace.chosen]
+    return trace, dB, np.maximum(dB - q, 0.0), advance(model, q, dB, np.asarray(dA, dtype=float))
 
 
 def test_step_single_hop_clipping(ex2):
     # Q=(2,0), schedule (3,0) chosen at these weights, dA=(1,1)
-    res = step(ex2, Policy.mw_alpha(1.0), [2.0, 0.0], [1.0, 1.0])
-    assert np.array_equal(res.service, [3.0, 0.0])
-    assert np.array_equal(res.idling, [1.0, 0.0])
-    assert np.array_equal(res.q_next, [1.0, 1.0])
+    _, service, idling, q_next = _step(ex2, Policy.mw_alpha(1.0), [2.0, 0.0], [1.0, 1.0])
+    assert np.array_equal(service, [3.0, 0.0])
+    assert np.array_equal(idling, [1.0, 0.0])
+    assert np.array_equal(q_next, [1.0, 1.0])
 
 
 def test_step_tandem_routes_served_work(tandem2):
@@ -40,20 +48,20 @@ def test_step_tandem_routes_served_work(tandem2):
     pol = Policy.backpressure(WeightFunction.power(1.0))
     # force the all-ones schedule by picking a state where it wins:
     # q=(2,1): backpressure terms (f(2)-f(1), f(1)) = (1, 1); (1,1) weighs 2
-    res = step(tandem2, pol, [2.0, 1.0], [0.0, 0.0])
-    assert tuple(res.service) == (1.0, 1.0)
-    assert np.array_equal(res.idling, [0.0, 0.0])
-    assert np.array_equal(res.q_next, [1.0, 1.0])
+    _, service, idling, q_next = _step(tandem2, pol, [2.0, 1.0], [0.0, 0.0])
+    assert tuple(service) == (1.0, 1.0)
+    assert np.array_equal(idling, [0.0, 0.0])
+    assert np.array_equal(q_next, [1.0, 1.0])
 
 
 def test_step_tandem_idling_blocks_routing(tandem2):
     from swnet.model import WeightFunction
     pol = Policy.backpressure(WeightFunction.power(1.0))
     # q=(0,1): serving (1,1) would idle queue 1 entirely; routed amount is 0
-    res = step(tandem2, pol, [0.0, 1.0], [0.0, 0.0])
-    served = res.service - res.idling
+    _, service, idling, q_next = _step(tandem2, pol, [0.0, 1.0], [0.0, 0.0])
+    served = service - idling
     assert served[0] == 0.0
-    assert res.q_next[1] == 1.0 - served[1] + served[0]
+    assert q_next[1] == 1.0 - served[1] + served[0]
 
 
 def test_advance_batch_equals_rows_on_tandem3():
@@ -351,17 +359,16 @@ def test_run_batch_equals_per_replication_runs(name, policy, lam):
             assert path.sup_q == alone.sup_q
             if record_every > 1:
                 continue
-            # reference: the single-state slot loop through step/select_schedule
+            # reference: the single-state slot loop through select_schedule and advance
             rng = derive_rng(5, rep)
             a_path = sample_increments(arrivals, horizon, rng)
             tie_state = TieState(rng=rng)
             q, sup_q = q0.copy(), float(q0.max())
             for tau in range(horizon):
-                res = step(model, policy, q, a_path[tau + 1] - a_path[tau], tie_state)
-                ties += len(res.trace.argmax_set) > 1
-                q = res.q_next
+                trace, _, _, q = _step(model, policy, q, a_path[tau + 1] - a_path[tau], tie_state)
+                ties += len(trace.argmax_set) > 1
                 sup_q = max(sup_q, float(q.max()))
-                assert res.trace.chosen == path.chosen[tau]
+                assert trace.chosen == path.chosen[tau]
                 assert np.array_equal(q, path.Q[tau + 1])
             assert sup_q == path.sup_q
     assert ties > 0 or policy.tie_break == "highest_index"
