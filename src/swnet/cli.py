@@ -436,6 +436,9 @@ def _run_collapse(
 
 def _run_iqcheck(cfg: ScenarioConfig, out: Path, *, alphas, samples, coverage_samples, grid_points) -> int:
     m = math.isqrt(cfg.model.n_queues)  # the model is iq_switch(M)
+    for key, rows, n in (("samples", samples, m * m), ("coverage_samples", coverage_samples, m * m),
+                         ("grid_points", grid_points, 4)):  # a grid point is a workload of the 2 x 2 switch
+        _within_budget(rows, n, f"/experiment/{key}", key)
     checks = matching_structure_checks(m, samples, seed=cfg.seed, coverage_samples=coverage_samples)
 
     # virtual resources must be exactly the row/column indicators

@@ -415,7 +415,7 @@ def matching_structure_checks(
     lam = [Fraction(1, m)] * (m * m)
     clvr, _ = critically_loaded(sw, lam, vrs)
     q0 = rng.random((coverage_samples, m * m)) * 3.0  # the same draws as one state at a time
-    inv_states = LiftProblem(sw, lam, weight, clvr).solve(q0[None])[0][0]  # one cold step of every state
+    inv_states = LiftProblem(sw, lam, weight, clvr).solve(q0[None])[0][0]  # one batch, each row its one-row solve
     weights = weight_vectors(sw, weight, inv_states, pressure=False)
     top = weights.max(axis=1, keepdims=True)
     covered = (weights >= top - 1e-7 * (1.0 + np.abs(top))) @ cells

@@ -10,19 +10,19 @@ Solver: dual ascent on the multipliers; r(mu) = f^{-1}([G^T mu]^+) is closed
 form (F' = f is invertible) and the concave dual is maximized by projected
 gradient with backtracking, polished by active-set Newton steps in bases
 cached per code (active, t > 0). LiftProblem.solve is the one entry point: it
-lifts every row of a (J, B, N) batch of states, each as its own one-row solve,
-so no lift depends on the batch or on the state lifted before it. Under MW-1
-(F(r) = r^2 / 2) the program is a strictly convex QP, and r* is linear in q
-once its code (A, P) is known (Goldfarb & Idnani 1983): there solve lifts
-every row by the closed form of its canonical code; under any other weight,
-all rows take one cold batched ascent. The KKT certificate is path-independent.
+lifts every row of a (J, B, N) batch of states in one batched ascent, each as
+its own one-row solve, so no lift depends on the batch or on the state lifted
+before it. Under MW-1 (F(r) = r^2 / 2) the program is a strictly convex QP,
+and r* is linear in q once its code (A, P) is known (Goldfarb & Idnani 1983):
+there each row's ascent starts at the closed form of the code where every
+constraint is active and every queue positive; under any other weight it
+starts at zero multipliers. The KKT certificate is path-independent.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, combinations, islice
 
 import numpy as np
 
@@ -32,7 +32,6 @@ from .policy import drift_formula
 
 
 MAX_ITER = 50_000  # dual-ascent iterations before a row counts as stalled
-SUBSETS = 16  # MW-1 candidate active sets tried per canonical code, T first
 
 
 class SolverDivergence(RuntimeError):
@@ -105,9 +104,9 @@ class LiftProblem:
     """The lifting program of one (model, lam, weight, clvr), compiled once.
 
     The float constraint matrix G and the constraint kinds (constraint_rows)
-    are built here; ``solve`` lifts a (J, B) batch of states, each as its
-    own one-row solve (under MW-1, by its code's closed form, otherwise by
-    a cold ascent), and ``lift`` is its one-state case. ``clvr`` is
+    are built here, and under MW-1 the map S = (G G^T)^+ of the ascent's
+    start; ``solve`` lifts a (J, B) batch of states, each as its own one-row
+    solve, and ``lift`` is its one-state case. ``clvr`` is
     the set of critically loaded virtual resources (maximal vertices; passing
     the full critically loaded vertex set with ``include_caps=False`` yields
     the same minimizer).
@@ -120,6 +119,9 @@ class LiftProblem:
         self.weight = weight
         self.G, self.kinds = constraint_rows(model, lam, clvr, include_caps)
         self._bases: dict = {}  # code -> _basis(act, pos) of that code, built on its first visit
+        # MW-1: the ascent starts at the closed form of the code where every constraint is active and every
+        # queue positive, mu0 = [S G q]^+ with S = (G G^T)^+; under any other weight it starts at mu = 0
+        self._start = np.linalg.pinv(self.G @ self.G.T) if weight.kind == "power" and weight.alpha == 1.0 else None
 
     def _point(self, mu: np.ndarray, h: np.ndarray) -> list[np.ndarray]:
         """[mu, t, r, grad, kkt, dual] at each row of mu (B, K): t = G^T mu,
@@ -137,14 +139,13 @@ class LiftProblem:
         dual = (weight.antiderivative(r) - tp * r).sum(axis=1) + (mu * h).sum(axis=1)
         return [mu, t, r, grad, kkt, dual]
 
-    def _basis(self, act: np.ndarray, pos: np.ndarray) -> tuple[np.ndarray, np.ndarray, float, np.ndarray]:
-        """(U, Gu, lim, M) of the code (act, pos): U (K, r) an orthonormal basis of the range
-        of diag(act) G diag(pos), Gu = U^T G, lim = 1e10 / cond(Gu diag(pos))^2 and the
-        (K, K) map M = U S^-2 U^T, so that M h is (G_AP G_AP^T)^+ h_A on A and zero off it."""
+    def _basis(self, act: np.ndarray, pos: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+        """(U, Gu, lim) of the code (act, pos): U (K, r) an orthonormal basis of the range
+        of diag(act) G diag(pos), Gu = U^T G and lim = 1e10 / cond(Gu diag(pos))^2."""
         w, s, _ = np.linalg.svd(self.G[np.ix_(act, pos)])
         r = int((s > s.max(initial=0.0) * max(self.G.shape) * np.finfo(float).eps).sum())
         U = np.eye(len(act))[:, act] @ w[:, :r]  # w's rows put back at the active positions
-        return U, U.T @ self.G, 1e10 * (s[r - 1] / s[0]) ** 2 if r else 1.0, (U / s[:r] ** 2) @ U.T
+        return U, U.T @ self.G, 1e10 * (s[r - 1] / s[0]) ** 2 if r else 1.0
 
     def _newton(self, mu: np.ndarray, t: np.ndarray, grad: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Active-set Newton candidates, treating near-active constraints as
@@ -159,7 +160,7 @@ class LiftProblem:
         d, pos = _finv_deriv(self.weight, t), t > 0
         delta, ok = np.zeros_like(mu), np.zeros(len(mu), dtype=bool)
         for code, rows in _groups(np.packbits(np.concatenate([act, pos], axis=1), axis=1)).items():
-            U, Gu, lim, _ = self._bases.get(code) or self._bases.setdefault(code, self._basis(act[rows[0]], pos[rows[0]]))
+            U, Gu, lim = self._bases.get(code) or self._bases.setdefault(code, self._basis(act[rows[0]], pos[rows[0]]))
             rows, dr = np.array(rows), d[rows]
             hess, rhs = (Gu * dr[:, None, :]) @ Gu.T, U.T @ grad[rows, :, None]  # r x r and r x 1, r = 0 at rank 0
             norm2 = (hess * hess).sum(axis=(1, 2))
@@ -172,13 +173,14 @@ class LiftProblem:
         return np.where(act, np.maximum(mu + delta, 0.0), mu), ok
 
     def _ascend(self, Q: np.ndarray, tol: float) -> tuple[np.ndarray, ...]:
-        """Dual ascent at the rows of Q (B, N) from zero multipliers: solve's
-        four arrays, each with leading axis B. Each row has its own step size
-        and stopping test and is frozen once its KKT residual is <= tol; the
-        first test is at mu = 0."""
+        """Dual ascent at the rows of Q (B, N): solve's four arrays, each with
+        leading axis B. Each row has its own step size and stopping test and is
+        frozen once its KKT residual is <= tol; the first test is at the start
+        (see __init__)."""
         B = len(Q)
         h = (self.G @ Q[:, :, None])[:, :, 0]
-        cur = self._point(np.zeros((B, len(self.G))), h)
+        S = self._start
+        cur = self._point(np.zeros((B, len(self.G))) if S is None else np.maximum((S @ h[:, :, None])[:, :, 0], 0.0), h)
         step, iterations = np.ones(B), np.ones(B, dtype=np.int64)
         live = np.arange(B)  # rows still iterating
         res = cur[4]  # KKT residuals of the rows that failed the last test
@@ -221,93 +223,21 @@ class LiftProblem:
             )
         return cur[2], cur[0], cur[4], iterations
 
-    def _take(self, act: np.ndarray, pos: np.ndarray, h: np.ndarray, rows: np.ndarray, cur: list, tol: float) -> np.ndarray:
-        """Put the closed form of the code (act, pos), mu = [M h]^+ (see _basis), into cur ([mu, r,
-        kkt] of _point and each point's code) at the rows where it passes; return the others. The
-        code's basis is cached once it lifts a row."""
-        code, hr = np.packbits(np.concatenate([act, pos])), h[rows]
-        basis = self._bases.get(key := code.tobytes()) or self._basis(act, pos)
-        p = self._point(np.maximum((basis[3] @ hr[:, :, None])[:, :, 0], 0.0), hr)
-        if (ok := p[4] <= tol).any():
-            self._bases[key] = basis
-        for a, b in zip(cur, p[0:5:2]):
-            a[rows[ok]] = b[ok]
-        cur[3][rows[ok]] = code
-        return rows[~ok]
-
-    def _canonical(self, h: np.ndarray, cur: list, tol: float, rows: np.ndarray, codes: list) -> list:
-        """Give the rows their canonical closed forms, append the codes taken to codes and return the
-        rows where none passes. From a row's passing point, with eps = tol (1 + |h|), T = {slack <=
-        eps} and P = {r > eps}; A runs over T, then its subsets, largest first and in index order, for
-        at most SUBSETS candidates, and the first (A, P) that passes is taken."""
-        hr, r = h[rows], cur[1][rows]
-        eps = tol * (1.0 + np.abs(hr).max(axis=1, initial=0.0))[:, None]
-        (K, N), stuck = self.G.shape, []
-        slack = (self.G @ r[:, :, None])[:, :, 0] - hr  # -grad of _point, bit for bit
-        found = np.packbits(np.concatenate([slack <= eps, r > eps], axis=1), axis=1)
-        redo = np.flatnonzero((found != cur[3][rows]).any(axis=1))  # a point at (T, P)'s closed form stays
-        for group in _groups(found[redo]).values():
-            bits, left = np.unpackbits(found[redo[group[0]]], count=K + N).astype(bool), rows[redo[group]]
-            T, P = np.flatnonzero(bits[:K]), bits[K:]
-            for A in islice(chain.from_iterable(combinations(T, k) for k in range(len(T), -1, -1)), SUBSETS):
-                act = np.isin(np.arange(K), A)
-                pos = P | (self.G[act] < 0).any(axis=0)  # a cap in A pins the queues it bounds
-                if len(left) > len(left := self._take(act, pos, h, left, cur, tol)):
-                    codes.append((act, pos))
-                if left.size == 0:
-                    break
-            stuck += left.tolist()
-        return stuck
-
-    def _by_codes(self, Q: np.ndarray, tol: float, out: list) -> None:
-        """MW-1: solve's four arrays at the rows of Q (R, N), written to out. The codes found so far in
-        this call are tried on all open rows at once; when none passes, 1, 2, 4, ... open rows, spread
-        evenly over them (neighbouring rows of a path or grid tend to share a code), get a cold ascent
-        and the codes taken from them are tried on the rest. Then every row takes its canonical closed
-        form, and a row where none passes gets its one-row solve."""
-        (R, N), K = Q.shape, len(self.G)
-        h = (self.G @ Q[:, :, None])[:, :, 0]
-        # mu, r and kkt of each row's point, and the code whose closed form it is
-        cur = [np.zeros((R, K)), np.zeros((R, N)), np.zeros(R), np.zeros((R, -(-(K + N) // 8)), dtype=np.uint8)]
-        todo, codes, new, cold, m = np.arange(R), [], [], [], 1
-        while todo.size:
-            for act, pos in new:
-                todo = self._take(act, pos, h, todo, cur, tol)
-            if todo.size:
-                k = np.arange(0, todo.size, max(1, todo.size // m))[:m]
-                i, todo, known, m = todo[k], np.delete(todo, k), len(codes), 2 * m
-                try:
-                    r, mu, kkt, out[3][i] = self._ascend(Q[i], tol)
-                except SolverDivergence:  # name the stall of every open row, as one batch would
-                    self._ascend(Q[np.r_[i, todo]], tol)
-                    raise
-                cur[0][i], cur[1][i], cur[2][i], cold = mu, r, kkt, cold + i.tolist()
-                self._canonical(h, cur, tol, i, codes)
-                new = codes[known:]
-        stuck = sorted(set(self._canonical(h, cur, tol, np.arange(R), codes)).difference(cold))
-        out[0][:], out[1][:], out[2][:] = cur[1], cur[0], cur[2]
-        for i in stuck:  # a row ascended here has had its one-row solve already
-            self._by_codes(Q[i : i + 1], tol, [a[i : i + 1] for a in out])
-
     def solve(self, Q, tol: float = 1e-8) -> tuple[np.ndarray, ...]:
         """Unique minimizers of L over the critical-workload polyhedron at
         the rows of Q (J, B, N). Returns (r_star, multipliers, kkt_residual,
-        iterations), each with leading axes (J, B). Each row gets, bit for
-        bit, the r*, multipliers and residual of its own one-row solve, in
-        any batch and order. Under power weight alpha = 1, one _by_codes call
-        lifts all J x B rows, and a row's iteration count is 1 or its
-        ascent's, which depends on the batch; otherwise all rows take one
-        cold ascent. Empty ``clvr`` and no zero-rate cap: r* = 0, no iteration."""
+        iterations), each with leading axes (J, B). All J x B rows take one
+        batched ascent (from the start of __init__), and each row gets, bit
+        for bit, all four results of its own one-row solve, in any batch and
+        order. Empty ``clvr`` and no zero-rate cap: r* = 0, no iteration."""
         Q, (K, N) = np.asarray(Q, dtype=float), self.G.shape
         if Q.ndim != 3 or Q.shape[2] != N or not np.isfinite(Q).all():
             raise ValueError(f"queue states must be a finite (J, B, {N}) array, got shape {Q.shape}")
         if np.any(Q < 0):
             raise ValueError("queue state must be >= 0")
         (J, B), rows = Q.shape[:2], Q.reshape(-1, N)
-        out = np.zeros((J * B, N)), np.zeros((J * B, K)), np.zeros(J * B), np.full(J * B, K > 0, dtype=np.int64)
-        if K > 0 and self.weight.kind == "power" and self.weight.alpha == 1.0:
-            self._by_codes(rows, tol, out)
-        elif K > 0:
+        out = np.zeros((J * B, N)), np.zeros((J * B, K)), np.zeros(J * B), np.zeros(J * B, dtype=np.int64)
+        if K > 0:
             out = self._ascend(rows, tol)
         return tuple(a.reshape(J, B, *a.shape[1:]) for a in out)
 
@@ -323,7 +253,7 @@ def lift(
 ) -> LiftResult:
     """Unique minimizer of L over the critical-workload polyhedron at q: the
     one-state case of ``LiftProblem(model, lam, weight, clvr,
-    include_caps).solve``, cold-started. Deterministic given inputs."""
+    include_caps).solve``. Deterministic given inputs."""
     problem = LiftProblem(model, lam, weight, clvr, include_caps)
     r, mu, kkt, iterations = problem.solve(np.asarray(q, dtype=float)[None, None], tol)
     return LiftResult(r[0, 0], mu[0, 0], problem.kinds, float(kkt[0, 0]), int(iterations[0, 0]))

@@ -595,17 +595,26 @@ def test_the_fluid_cell_budget_counts_every_grid_row_and_queue(tmp_path, monkeyp
                      id="collapse-r_list"),
         pytest.param({"kind": "collapse", "grid_points": 10**12}, "/experiment/grid_points", "mssc_experiment",
                      id="collapse-grid_points"),
+        pytest.param({"kind": "iqcheck", "samples": 10**15}, "/experiment/samples", "matching_structure_checks",
+                     id="iqcheck-samples"),
+        pytest.param({"kind": "iqcheck", "coverage_samples": 10**15}, "/experiment/coverage_samples",
+                     "matching_structure_checks", id="iqcheck-coverage_samples"),
+        pytest.param({"kind": "iqcheck", "grid_points": 10**15}, "/experiment/grid_points", "matching_structure_checks",
+                     id="iqcheck-grid_points"),
     ],
 )
 def test_a_run_over_the_cell_budget_is_a_schema_error(tmp_path, capsys, monkeypatch, experiment, pointer, runner):
-    # a horizon of 1e12 slots, a scale whose r^2 T slots are 1e14, or 1e12 grid points per path used to die in
-    # numpy's MemoryError with a traceback; the budget is checked before anything is simulated
+    # a horizon of 1e12 slots, a scale whose r^2 T slots are 1e14, 1e12 grid points per path, or 1e15 iqcheck
+    # samples used to die in numpy's MemoryError with a traceback (1e15 iqcheck grid points would run for ever);
+    # the budget is checked before anything is simulated
     def no_run(*args, **kwargs):
         raise AssertionError("ran before the budget check")
 
     monkeypatch.setattr(f"swnet.cli.{runner}", no_run)
     scenario = {"preset": "ex2", "lambda": ["1/2", "1/2"], "policy": {"kind": "mw"},
                 "arrivals": {"kind": "bernoulli", "lambda": [0.5, 0.5]}, "experiment": experiment}
+    if experiment["kind"] == "iqcheck":  # its network is iq_switch(M), M = 2 by default
+        scenario = {"experiment": experiment}
     assert main([experiment["kind"], _write(tmp_path, "long.json", scenario), "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"swnet: schema error at {pointer}: ") and err.count("\n") == 1

@@ -297,7 +297,7 @@ def test_mssc_rows_do_not_depend_on_reps(switch2, switch2_clvr, switch2_lam):
 
 
 def _mssc_rows_one_state_at_a_time(cfg):
-    """mssc_experiment's rows with the lift written as one cold one-row
+    """mssc_experiment's rows with the lift written as one one-row
     solve per grid state of every (scale, rep) row: the reference for its
     one LiftProblem.solve over the whole grid."""
     scales, reps = sorted(cfg.r_list), cfg.reps

@@ -24,23 +24,23 @@ GOLDEN = {
         "analysis.json": "ba8784bd4c131965f744f919d486c96b4e3d216b5dada5581267fe59590013e1",
     },
     "collapse_iq2_canonical.json": {
-        "mssc.csv": "20d5d50010ec8bbb414ae84a06810c5dad24e0db95263cba5fd2a6aa6695bf32",
-        "summary.json": "85ac51fb7f926bdbeb4371a02f49bbcce9a5feb41e136a263c196715def5ed79",
+        "mssc.csv": "b99c88ddacd32ffd877c4c828af1c535d787ac66ad4a431e983a94f6d51402e9",
+        "summary.json": "89a4350f9ce4a17cad16aec203c247790952988cf9dca231c028d711f3ec273d",
     },
     "fluid_ex2.json": {
-        "fluid.csv": "5fb71577ab0d900cb4dd45c2af4d0169f0d143399784777ee7f9ab81d2f02547",
+        "fluid.csv": "14a5b927351283ce8c233e5f58811b052b1a10da0746e04e1902e99d85260ff2",
     },
     "fluid_iq2_msmw_log.json": {
-        "fluid.csv": "7f62f3532a1e2068811b5917a15aab90bdd88de8c7123e074571e1892d58e25a",
+        "fluid.csv": "bf5b26f70195191fff67afe68b18a0e903c15dd9e80703c1679b922f5ffe8e6e",
     },
     "fluid_iq2_random_ties.json": {
-        "fluid.csv": "2e2a0314f6143d4b7c72234df4a25b2d59916fdd58c67f5886a96ec0311a7213",
+        "fluid.csv": "b602e477490b0a4ec1178a4d358530451e6cc26c063e72b2e02bca764dad154b",
     },
     "fluid_iq2_round_robin.json": {
-        "fluid.csv": "eb53908cb47bebbc66667c4fd82582aea27a361626eb1bea364b14efdc655979",
+        "fluid.csv": "d40e775b57ca84612f1e428becc88c08889b3e9744fd59b8eadde5046df0cfcd",
     },
     "fluid_iq2_sliding.json": {
-        "fluid.csv": "bf8e0faa105bbafa37ec912baa103be280bdb7247bc07b79a287b1f669ee9f1b",
+        "fluid.csv": "0c39a39d735685252e9050ea563e05c9f853604e4769e060fbf230e7bfae35f2",
     },
     "fluid_tandem3_backpressure.json": {
         "fluid.csv": "fe06648f4273aee7fb73e40420e0e96567eefb371d66753f95f52bff44f710f4",
@@ -49,7 +49,7 @@ GOLDEN = {
         "iqcheck.json": "16b9f0f18bad5f02eb41582ffa4eaf36509fabac017ce09f527c38e95a45bab3",
     },
     "lift_ex2.json": {
-        "lift.json": "bc4e80a6cb40f19906013c6328a0ad0d9aa9b330239912d660f7392074251f7f",
+        "lift.json": "a178eb10672c424132cf8a3cd1022dbcc946a9c8553af8d1225696d6518b4368",
     },
     "simulate_ex2.json": {
         "audit.json": "41a8f9c739ae3d522e4d24d59d724547131e8649d3d0c91526f11074f62f9a6b",

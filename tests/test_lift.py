@@ -211,7 +211,9 @@ def test_lift_with_custom_weight(ex2, ex2_clvr):
 def _reference_lift(problem, q, tol=1e-8):
     """The dual ascent written out point by point, re-evaluating r(mu), the
     dual value and the KKT residual wherever they are used: the reference
-    for LiftProblem's ascent, which evaluates each dual point once."""
+    for LiftProblem's ascent, which evaluates each dual point once. Under
+    MW-1 it starts at the closed form of the all-active code, [(G G^T)^+ h]^+,
+    and otherwise at zero multipliers."""
     from swnet.lift import _finv_deriv
 
     weight, G = problem.weight, problem.G
@@ -230,7 +232,8 @@ def _reference_lift(problem, q, tol=1e-8):
         pf = float(np.maximum(grad, 0.0).max(initial=0.0))
         return max(pf, float(np.abs(mu * grad).max(initial=0.0)), float(st_pos), float(st_zero))
 
-    mu = np.zeros(G.shape[0])
+    mw1 = weight.kind == "power" and weight.alpha == 1.0
+    mu = np.maximum(np.linalg.pinv(G @ G.T) @ h, 0.0) if mw1 else np.zeros(G.shape[0])
     step, d_cur = 1.0, dual_value(mu)
     for iterations in range(1, 50_001):
         r = r_of(mu)
@@ -293,24 +296,19 @@ def test_lift_problem_chain_equals_lift(request, name, alpha):
     assert kkt.max() <= 1e-8
     for k, q in enumerate(Q):
         # lift is solve's one-state case, and each row of the path is its own
-        # one-row solve: the ascent from zero multipliers, and under MW-1 the
-        # closed form of the code that the ascent ends in
+        # one-row solve: the ascent of that row alone
         b = lift(model, lam, weight, clvr, q)
-        cold = problem._ascend(q[None], 1e-8)
+        alone = problem._ascend(q[None], 1e-8)
         assert np.array_equal(b.r_star, r_p[k]) and np.array_equal(b.multipliers, mu[k]) and b.kkt_residual == kkt[k]
-        if alpha == 1.0:
-            assert np.abs(b.r_star - cold[0][0]).max() <= 1e-12 and b.kkt_residual <= 1e-8
-            assert b.iterations == cold[3][0]
-        else:
-            for x, y in zip((b.r_star, b.multipliers, b.kkt_residual, b.iterations), cold):
-                assert np.array_equal(x, y[0])
-            assert iterations[k] == b.iterations
+        for x, y in zip((b.r_star, b.multipliers, b.kkt_residual, b.iterations), alone):
+            assert np.array_equal(x, y[0])
+        assert iterations[k] == b.iterations
         assert problem.kinds == b.constraint_kinds
         # the batched Newton step solves in the basis cached per code (active
         # mask, t > 0) where the reference calls lstsq: the same path,
         # rounded differently
         r, _, _, ref_iterations = _reference_lift(problem, q)
-        assert alpha == 1.0 or iterations[k] == ref_iterations
+        assert iterations[k] == ref_iterations
         assert np.abs(r_p[k] - r).max() <= 1e-9 * (1.0 + np.abs(q).max())
 
 
@@ -365,9 +363,11 @@ def test_solve_many_divergence_names_worst_residual(ex2, ex2_clvr, monkeypatch):
     from swnet.lift import SolverDivergence
 
     monkeypatch.setattr(lift_module, "MAX_ITER", 1)
-    Q = np.array([[3.0, 0.0], [0.0, 0.0], [1.0, 5.0]])
+    # rows 0 and 2 need a step past the start under both weights: under MW-1
+    # their all-active closed forms fail the KKT test; row 1 is optimal at the start
+    Q = np.array([[3.0, 0.0], [0.0, 0.0], [5.0, 1.0]])
     residual = lambda err: float(re.search(r"residual (\S+)", str(err.value)).group(1))
-    for alpha in (1.0, 2.0):  # MW-1 names the stall over every open row, as the one batched ascent does
+    for alpha in (1.0, 2.0):
         problem = LiftProblem(ex2, [1, 1], WeightFunction.power(alpha), ex2_clvr)
         single = []
         for q in Q[[0, 2]]:
@@ -495,16 +495,6 @@ def _assert_bitwise(got, ref):
         assert np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
-def _assert_as_reference(got, ref, alpha):
-    """solve's arrays against the one-row solves of their rows: bit for bit.
-    Under MW-1 a row lifted by a code found in its batch counts 1 iteration
-    instead of its ascent's."""
-    if alpha != 1.0:
-        return _assert_bitwise(got, ref)
-    _assert_bitwise(got[:3] + (ref[3],), ref)
-    assert ((got[3] == 1) | (got[3] == ref[3])).all() and got[2].max(initial=0.0) <= 1e-8
-
-
 def _count_ascents(problem, monkeypatch):
     """A list that gets one entry per problem._ascend call from now on: the
     number of rows it ascends."""
@@ -538,30 +528,27 @@ def test_solve_chain_equals_one_row_solves_on_a_fluid_path(request, name, alpha,
     Q = traj.q[::7]  # distance_to_lift's default subgrid of a 3 000-step path
     ref = _one_row_solves(problem, Q)
     calls = _count_ascents(problem, monkeypatch)
-    _assert_as_reference(_chain(problem, Q), ref, alpha)
+    _assert_bitwise(_chain(problem, Q), ref)
     assert ref[2].max() <= 1e-8
-    # outside MW-1 the rows take one cold ascent together; under MW-1 the
-    # path keeps its critical workloads, and the code found by the ascent of
-    # the first row lifts every other row
-    assert calls == [len(Q)] if alpha != 1.0 else calls == [1]
+    assert calls == [len(Q)]  # the rows take one ascent together
 
 
 @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
 @pytest.mark.parametrize("name", ["ex2", "switch2", "tandem2"])
 def test_solve_chain_equals_one_row_solves_on_a_random_walk(request, name, alpha, monkeypatch):
-    # rows jump, and every row iterates; each is its own one-row solve, in
-    # the path's order and in reverse
+    # rows jump, and every row steps past its start, except under MW-1,
+    # where the all-active closed form lifts some rows; each is its own
+    # one-row solve, in the path's order and in reverse
     model, problem = _chain_problem(request, name, alpha)
     rng = np.random.default_rng(41)
     Q = np.abs(np.cumsum(rng.normal(size=(120, model.n_queues)), axis=0)) + 0.1
     Q[::9, 0] = 0.0
     ref = _one_row_solves(problem, Q)
-    assert (ref[3] > 1).all()
+    assert (ref[3] > 1).all() if alpha != 1.0 else (ref[3] == 1).any() and (ref[3] > 1).any()
     calls = _count_ascents(problem, monkeypatch)
-    _assert_as_reference(_chain(problem, Q), ref, alpha)
-    _assert_as_reference(tuple(a[::-1] for a in _chain(problem, Q[::-1])), ref, alpha)
-    # under MW-1 the rows are one batch: one ascent per code found, not per row
-    assert calls == [len(Q)] * 2 if alpha != 1.0 else len(calls) < 0.1 * len(Q)
+    _assert_bitwise(_chain(problem, Q), ref)
+    _assert_bitwise(tuple(a[::-1] for a in _chain(problem, Q[::-1])), ref)
+    assert calls == [len(Q)] * 2  # one ascent of all rows in each order
 
 
 @pytest.mark.parametrize("path", ["random_walk", "held_then_moved"])
@@ -580,10 +567,12 @@ def test_solve_chains_equal_independent_chains(request, name, alpha, path):
         Q = np.stack([np.repeat(rng.random((4, N)) * 3.0, np.diff([0, 10 + 7 * b, 40 + 11 * b, 100 - 5 * b, J]), axis=0)
                       for b in range(B)], axis=1)
     ref = _one_row_solves(problem, Q)
-    _assert_as_reference(problem.solve(Q), ref, alpha)
+    _assert_bitwise(problem.solve(Q), ref)
     for b in range(B):
-        _assert_as_reference(_chain(problem, Q[:, b]), tuple(a[:, b] for a in ref), alpha)
-    assert (ref[3] > 1).all()  # no state is optimal at zero multipliers
+        _assert_bitwise(_chain(problem, Q[:, b]), tuple(a[:, b] for a in ref))
+    # no state is optimal at zero multipliers; under MW-1 the all-active
+    # closed form lifts some states, and the others step on from it
+    assert (ref[3] > 1).all() if alpha != 1.0 else (ref[3] == 1).any() and (ref[3] > 1).any()
 
 
 @pytest.mark.parametrize("J", [0, 1, 2])
@@ -591,7 +580,7 @@ def test_solve_chain_short_and_empty_chains(switch2, switch2_clvr, switch2_lam, 
     problem = LiftProblem(switch2, switch2_lam, WeightFunction.power(1.0), switch2_clvr)
     Q = np.random.default_rng(53).random((J, 4)) * 2.0
     got = _chain(problem, Q)
-    _assert_as_reference(got, _one_row_solves(problem, Q), 1.0)
+    _assert_bitwise(got, _one_row_solves(problem, Q))
     assert [a.shape[0] for a in got] == [J] * 4
 
 
@@ -618,9 +607,8 @@ def test_solve_chain_rejects_bad_input_as_solve_many_does(ex2, ex2_clvr):
 
 
 def test_distance_to_lift_solves_the_sliding_path_in_one_chain(monkeypatch):
-    # fluid_iq2_sliding runs MW-1: the code that the cold first row's ascent
-    # ends in lifts the other 429 rows, so its 430 rows take one ascent, and
-    # each distance is that of the row's one-row solve
+    # fluid_iq2_sliding runs MW-1: its 430 rows take one ascent, and each
+    # distance is that of the row's one-row solve
     from pathlib import Path
 
     from swnet import cli, fluid
@@ -639,8 +627,9 @@ def test_distance_to_lift_solves_the_sliding_path_in_one_chain(monkeypatch):
     assert np.array_equal(dists, np.abs(Q - _one_row_solves(problem, Q)[0]).max(axis=1))
 
 
-WEIGHTS = {  # the weights outside MW-1, where every row takes a cold ascent
+WEIGHTS = {  # MW-1 rows start at the all-active closed form, the others at zero multipliers
     "alpha=0.5": WeightFunction.power(0.5),
+    "alpha=1": WeightFunction.power(1.0),
     "alpha=2": WeightFunction.power(2.0),
     "custom": WeightFunction.custom(f=np.sinh, F=lambda x: np.cosh(x) - 1.0, fprime=np.cosh, f_inv=np.arcsinh),
 }
@@ -649,9 +638,9 @@ WEIGHTS = {  # the weights outside MW-1, where every row takes a cold ascent
 @pytest.mark.parametrize("name", ["switch2", "iq3", "tandem2", "collapse_grid"])
 @pytest.mark.parametrize("weight", list(WEIGHTS))
 def test_every_row_equals_its_one_row_solve(request, weight, name, tmp_path, monkeypatch):
-    # outside MW-1 all rows take one cold ascent, so each row's r*,
-    # multipliers, KKT residual and iterations are those of its one-row
-    # solve, bit for bit, whatever batch or order it comes in
+    # all rows take one ascent, so each row's r*, multipliers, KKT residual
+    # and iterations are those of its one-row solve, bit for bit, whatever
+    # batch or order it comes in
     if name == "collapse_grid":  # the 12 000 states of the shipped collapse run, 60 of them checked alone
         (model, lam, _, clvr), Q = _collapse_grid(2024, tmp_path, monkeypatch)
         check = np.random.default_rng(61).choice(Q.shape[0] * Q.shape[1], 60, replace=False)
@@ -669,37 +658,8 @@ def test_every_row_equals_its_one_row_solve(request, weight, name, tmp_path, mon
 
 
 # ---------------------------------------------------------------------------
-# MW-1: every row is the closed form of its own canonical code
+# MW-1: every ascent starts at the closed form of the all-active code
 # ---------------------------------------------------------------------------
-
-
-def _canonical_reference(problem, Q, tol=1e-8):
-    """r* at the rows of Q (R, N), the MW-1 rule written out: each row's
-    tight rows T and support P are read from its own cold ascent (an ascent
-    row does not depend on its batch), and A runs over T and then its
-    subsets, largest first and in index order, at most lift.SUBSETS of
-    them (a cap in A adds the queues it bounds to P), until the closed form
-    mu = [(G_AP G_AP^T)^+ h_A]^+ passes the KKT test. This is what a one-row
-    solve of each row returns."""
-    from itertools import chain, combinations, islice
-
-    R, (K, N) = len(Q), problem.G.shape
-    h = (problem.G @ Q[:, :, None])[:, :, 0]
-    r = problem._ascend(Q, tol)[0]
-    eps = tol * (1.0 + np.abs(h).max(axis=1))[:, None]
-    tight, pos = (problem.G @ r[:, :, None])[:, :, 0] - h <= eps, r > eps
-    out = r.copy()
-    for mask in {tuple(row) for row in np.concatenate([tight, pos], axis=1).tolist()}:
-        rows = np.flatnonzero((np.concatenate([tight, pos], axis=1) == mask).all(axis=1))
-        T, P = np.flatnonzero(mask[:K]), np.array(mask[K:], dtype=bool)
-        for A in islice(chain.from_iterable(combinations(T, k) for k in range(len(T), -1, -1)), lift_module.SUBSETS):
-            act = np.isin(np.arange(K), A)
-            M = problem._basis(act, P | (problem.G[act] < 0).any(axis=0))[3]
-            point = problem._point(np.maximum((M @ h[rows, :, None])[:, :, 0], 0.0), h[rows])
-            ok = point[4] <= tol
-            out[rows[ok]] = point[2][ok]
-            rows = rows[~ok]
-    return out
 
 
 def _collapse_grid(seed, tmp_path, monkeypatch):
@@ -723,27 +683,34 @@ def _collapse_grid(seed, tmp_path, monkeypatch):
 @pytest.mark.parametrize("seed", [2024, 5, 7])
 def test_mw1_grid_rows_equal_their_one_row_solves(seed, tmp_path, monkeypatch):
     # on iq2 the row and column indicators are dependent, so a row passes
-    # under several codes whose closed forms differ in the last bits; the
-    # canonical code keeps every row's result independent of its batch
+    # under several codes whose closed forms differ in the last bits; each
+    # row starts at the all-active closed form of its own state, so its bits
+    # never depend on its batch
     args, grid = _collapse_grid(seed, tmp_path, monkeypatch)
-    fresh = lambda: LiftProblem(*args)
-    problem = fresh()
+    problem = LiftProblem(*args)
     calls = _count_ascents(problem, monkeypatch)
-    r, mu, kkt, iterations = problem.solve(grid)
-    assert grid.shape == (200, 60, 4) and kkt.max() <= 1e-8
-    assert sum(calls) == (iterations > 1).sum() <= 16  # cold ascents of 1, 2, 4, ... rows, not of 12 000
-    assert len(calls) <= 10
-    rows, (r, mu, kkt) = grid.reshape(-1, 4), (a.reshape(12_000, -1) for a in (r, mu, kkt))
-    assert np.array_equal(r, _canonical_reference(fresh(), rows))
-    assert np.array_equal(r, problem.solve(rows[::-1, None])[0][::-1, 0])  # another batch order, a second call
-    for k in np.random.default_rng(seed).choice(len(rows), 40, replace=False):
-        alone = fresh().solve(rows[k][None, None])
-        assert all(np.array_equal(a.reshape(-1), b[k].reshape(-1)) for a, b in zip(alone, (r, mu, kkt)))
+    got = problem.solve(grid)
+    assert grid.shape == (200, 60, 4) and got[2].max() <= 1e-8
+    assert calls == [12_000]  # one ascent of all rows
+    rows, got = grid.reshape(-1, 4), tuple(a.reshape(12_000, *a.shape[2:]) for a in got)
+    assert (got[3] == 1).sum() > 0.9 * len(rows)  # the start lifts most rows
+    _assert_bitwise(tuple(a[::-1] for a in _chain(problem, rows[::-1])), got)  # another batch order, a second call
+    # every row that steps past its start, and 40 others, alone
+    check = np.union1d(np.flatnonzero(got[3] > 1), np.random.default_rng(seed).choice(len(rows), 40, replace=False))
+    _assert_bitwise(tuple(a[check] for a in got), _one_row_solves(LiftProblem(*args), rows[check]))
 
 
 def _mw1_problem(request, name):
-    """(model, lam, clvr) of switch2, iq3 (at lambda = 1/3), tandem2, ex2,
-    or ex2 at lambda = (3, 0), which adds the zero-rate cap r_1 <= q_1."""
+    """(model, lam, clvr) of switch2, iq3 (at lambda = 1/3), tandem2, tandem3
+    at lambda = (1, 0, 0) or, as tandem3_half, at (1/2, 1/2, 0), ex2, or ex2
+    at lambda = (3, 0), which adds the zero-rate cap r_1 <= q_1."""
+    if name.startswith("tandem3"):
+        from swnet import presets
+        from swnet.geometry import enumerate_dual_vertices
+
+        model, lam = presets.tandem(3), [F(1, 2), F(1, 2), 0] if name == "tandem3_half" else [1, 0, 0]
+        return model, lam, critically_loaded(model, model.transform_exact([F(v) for v in lam]),
+                                             enumerate_dual_vertices(model))[0]
     if name.startswith("ex2"):
         model, lam = request.getfixturevalue("ex2"), [3, 0] if name == "ex2_caps" else LAMS["ex2"]
         return model, lam, critically_loaded(model, lam, request.getfixturevalue("ex2_vrs"))[0]
@@ -777,43 +744,20 @@ def test_mw1_random_states_equal_their_one_row_solves(request, name):
         assert np.array_equal(b.r_star, r[k]) and np.array_equal(b.multipliers, mu[k]) and b.kkt_residual == kkt[k]
 
 
-@pytest.mark.parametrize("name", ["switch2", "iq3", "tandem2"])  # ex2's rows all take their first candidate
-def test_mw1_a_row_no_canonical_candidate_lifts_gets_its_one_row_solve(request, name, monkeypatch):
-    # the codes that one-row solves take are found first and handed to the
-    # batch's first walk, as its cold ascents find them; then the canonical
-    # walk is cut to its first candidate, A = T. A row that a found code
-    # passes but whose first candidate fails must get its one-row solve, not
-    # keep that code's point
+@pytest.mark.parametrize("name", ["tandem3", "tandem3_half", "switch2"])
+def test_mw1_small_states_equal_their_one_row_solves(request, name):
+    # every second state is scaled by 1e-4: the KKT residual's
+    # complementarity term is quadratic in the size of q, the others linear,
+    # so points of a small state pass tol early; each row still equals its
+    # one-row solve, in the batch's order and in reverse
     model, lam, clvr = _mw1_problem(request, name)
     problem = LiftProblem(model, lam, WeightFunction.power(1.0), clvr)
-    Q, (K, N) = _random_states(model.n_queues, 59), problem.G.shape
-    canonical, found = problem._canonical, []
-
-    def collect(h, cur, tol, rows, codes):
-        known, stuck = len(codes), canonical(h, cur, tol, rows, codes)
-        found.extend(codes[known:])
-        return stuck
-
-    monkeypatch.setattr(problem, "_canonical", collect)
-    for q in Q:
-        problem.solve(q[None, None])
-
-    def primed(h, cur, tol, rows, codes):
-        codes += found
-        found.clear()
-        return canonical(h, cur, tol, rows, codes)
-
-    monkeypatch.setattr(problem, "_canonical", primed)
-    monkeypatch.setattr(lift_module, "SUBSETS", 1)
-    alone, by_codes = [], problem._by_codes
-    monkeypatch.setattr(problem, "_by_codes", lambda Q, *a: alone.append(len(Q) == 1) or by_codes(Q, *a))
-    out = [np.zeros((len(Q), N)), np.zeros((len(Q), K)), np.zeros(len(Q)), np.ones(len(Q), dtype=np.int64)]
-    problem._by_codes(Q, 1e-8, out)
-    assert sum(alone) >= 1  # some row was solved alone
-    for k, q in enumerate(Q):  # iterations too where the row was ascended, alone or in the batch
-        ref = LiftProblem(model, lam, WeightFunction.power(1.0), clvr).solve(q[None, None])
-        assert all(np.array_equal(a[k], b[0, 0]) for a, b in zip(out[:3], ref))
-        assert out[3][k] in (1, ref[3][0, 0])
+    Q = _random_states(model.n_queues, 73, count=200)
+    Q[1::2] *= 1e-4
+    got = tuple(a[0] for a in problem.solve(Q[None]))
+    assert got[2].max() <= 1e-8
+    _assert_bitwise(got, _one_row_solves(problem, Q))
+    _assert_bitwise(tuple(a[::-1] for a in _chain(problem, Q[::-1])), got)
 
 
 def _exact_certificate(model, lam, clvr, q, r_float, tol=1e-8):
@@ -841,7 +785,7 @@ def _exact_certificate(model, lam, clvr, q, r_float, tol=1e-8):
     T = [k for k, s in enumerate(slack) if s <= eps]
     zero = F(0)
     for size in range(len(T), -1, -1):
-        for A in combinations(T, size):  # a cap in A pins the queues it bounds, as in LiftProblem._canonical
+        for A in combinations(T, size):  # a cap in A pins the queues it bounds, or its multiplier is undetermined
             P = [n for n in range(N) if r_float[n] > eps or any(G[k][n] < 0 for k in A)]
             # unknowns (r_P, mu_A): r_P - G_AP^T mu_A = 0, then G_AP r_P = h_A
             a = [[F(int(i == j)) for j in range(len(P))] + [-G[k][p] for k in A] for i, p in enumerate(P)]
