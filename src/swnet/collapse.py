@@ -18,8 +18,8 @@ from .lift import LiftProblem
 from .lift import lift  # unused here, but perfbench/tracer.py wraps collapse.lift
 from .model import NetworkModel, WeightFunction
 from .policy import Policy, weight_vectors
-from .sim import FluidTrajectory, rescale, run_batch
-from .sim import run  # unused here, but perfbench/tracer.py wraps collapse.run
+from .sim import FluidTrajectory, rescale_q, run_batch
+from .sim import rescale, run  # unused here, but perfbench/tracer.py wraps collapse.rescale and collapse.run
 
 
 class NoRoot(ValueError):
@@ -122,7 +122,7 @@ def mssc_experiment(cfg: MsscConfig, tol: float = 1e-8) -> CollapseReport:
         rngs = [derive_rng(cfg.master_seed, ri, rep) for rep in range(reps)]
         paths = run_batch(cfg.model, cfg.policy, cfg.arrival_for(r), r * cfg.qhat0, horizon, rngs, record_every)
         for rep in range(reps):
-            scaled[:, ri * reps + rep] = rescale(paths[rep], "diffusion", r, cfg.T, num=cfg.grid_points).q
+            scaled[:, ri * reps + rep] = rescale_q(paths[rep], "diffusion", r, cfg.T, num=cfg.grid_points)
             sups[ri * reps + rep] = paths[rep].sup_q / r
         del paths  # each path holds views of its whole batch's arrays; free them before the next simulation
     r_star = LiftProblem(cfg.model, cfg.lam, cfg.weight, cfg.clvr).solve(scaled, tol)[0]

@@ -106,16 +106,16 @@ def integrate_fluid(
         rows = rows[:: incs.shape[1]]
         neg = np.minimum.reduce(rows, axis=1) < 0  # a row is weighed only if it is >= 0
         rows = rows[: neg.argmax() if neg.any() else m]
-        chosen = maximizers(policy, maximal(policy, batch_weights(model, policy, rows)))
-        if may_tie and tuple in map(type, chosen):  # ties are broken in plain steps: cut before the first
-            cut = next(i for i, m in enumerate(chosen) if type(m) is tuple)
+        chosen, ties = maximizers(policy, maximal(policy, batch_weights(model, policy, rows)))
+        if ties:  # ties are broken in plain steps: cut before the first
+            cut = next(iter(ties))
             rows, chosen = rows[:cut], chosen[:cut]
         # verify: row j + 1 was right if advance of row j gives its bits; the first miss is itself an advanced row
         nxt = advance(model, rows, service[chosen], dA)
         same = (nxt[:-1].view(np.int64) == rows[1:].view(np.int64)).all(axis=1)
         acc = len(rows) if same.all() else int(same.argmin()) + 1
         qs[k + 1 : k + 1 + acc] = nxt[:acc]
-        picks += chosen[:acc]
+        picks += chosen[:acc].tolist()
         k += acc
         q = qs[k]
         m, wait, misses = _next_chunk(m, misses, acc == m)  # on a miss, up to 2**misses plain steps

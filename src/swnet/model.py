@@ -100,9 +100,11 @@ class WeightFunction:
         return self.kind == "power"
 
     def value(self, x) -> np.ndarray:
+        """f(x). Under power(1) this is x itself as a float array, not a copy
+        (x ** 1 is x bit for bit), so a caller must not write into it."""
         x = np.asarray(x, dtype=float)
         if self.kind == "power":
-            return np.power(x, self.alpha)
+            return x if self.alpha == 1.0 else np.power(x, self.alpha)
         return np.asarray(self.f(x), dtype=float)
 
     def antiderivative(self, x) -> np.ndarray:

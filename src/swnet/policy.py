@@ -142,7 +142,7 @@ def batch_weights(model: NetworkModel, policy: Policy, q: np.ndarray) -> np.ndar
 
 
 def _near_top(weights: np.ndarray, rel_tol: float) -> np.ndarray:
-    top = weights.max(axis=-1, keepdims=True)
+    top = np.maximum.reduce(weights, axis=-1, keepdims=True)  # ndarray.max would add a Python wrapper
     if rel_tol:
         top = top - rel_tol * np.maximum(1.0, np.abs(top))
     return weights >= top
@@ -183,24 +183,28 @@ def _resolve_tie(policy: Policy, argmax: tuple, tie_state: Optional[TieState], n
     raise ValueError(f"unknown tie_break {policy.tie_break!r}")
 
 
-def maximizers(policy: Policy, mask: np.ndarray) -> list:
-    """The maximizers of each row of a (rows, num_schedules) argmax mask: the
-    highest-index one as an int, or, when several are maximal and the
-    tie-break chooses among them, all of them as an ascending tuple."""
-    found = (mask.shape[1] - 1 - mask[:, ::-1].argmax(axis=1)).tolist()
-    if policy.tie_break != "highest_index":
-        for i in np.flatnonzero(mask.sum(axis=1) > 1).tolist():
-            found[i] = tuple(np.flatnonzero(mask[i]).tolist())
-    return found
+def maximizers(policy: Policy, mask: np.ndarray) -> tuple[np.ndarray, dict]:
+    """The maximizers of each row of a (rows, num_schedules) argmax mask:
+    (the highest-index one of every row as an int64 array, {row: all of its
+    maximizers as an ascending tuple} for each row where several are maximal
+    and the tie-break chooses among them, in ascending row order)."""
+    top = mask.shape[1] - 1 - mask[:, ::-1].argmax(axis=1)
+    if policy.tie_break == "highest_index":
+        return top, {}
+    return top, {i: tuple(np.flatnonzero(mask[i]).tolist()) for i in np.flatnonzero(mask.sum(axis=1) > 1).tolist()}
 
 
-def resolve(policy: Policy, found: list, tie_states: list, ns: int) -> list:
-    """The chosen schedule of each row's ``maximizers``: the int as it is, a
-    tie per the tie-break with the row's own TieState, in ascending row
+def resolve(policy: Policy, top: np.ndarray, ties: dict, tie_states: list, ns: int) -> np.ndarray:
+    """The chosen schedule of each row, as an int64 array, from its
+    ``maximizers``: ``top`` as it is where the row has no tie, else the tie
+    broken per the tie-break with the row's own TieState, in ascending row
     order."""
-    if policy.tie_break == "highest_index":  # maximizers found no tie to break
-        return found
-    return [_resolve_tie(policy, m, ts, ns) if type(m) is tuple else m for m, ts in zip(found, tie_states)]
+    if not ties:
+        return top
+    chosen = top.copy()
+    for i, argmax in ties.items():
+        chosen[i] = _resolve_tie(policy, argmax, tie_states[i], ns)
+    return chosen
 
 
 def select_schedule(
@@ -217,8 +221,8 @@ def select_schedule(
         raise ValueError("queue state must be >= 0")
     weights = batch_weights(model, policy, q)
     mask = maximal(policy, weights)
-    chosen = resolve(policy, maximizers(policy, mask[None]), [tie_state], len(mask))[0]
-    return SelectionTrace(weights=weights, argmax_set=np.flatnonzero(mask), chosen=chosen)
+    chosen = resolve(policy, *maximizers(policy, mask[None]), [tie_state], len(mask))[0]
+    return SelectionTrace(weights=weights, argmax_set=np.flatnonzero(mask), chosen=int(chosen))
 
 
 @dataclass

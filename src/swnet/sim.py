@@ -75,16 +75,18 @@ def count_schedules(chosen: np.ndarray, last: np.ndarray, out: np.ndarray) -> No
 def advance(model: NetworkModel, q: np.ndarray, dB: np.ndarray, dA: np.ndarray) -> np.ndarray:
     """The queue recursion for one slot: returns the next state.
 
-    Single-hop: [q - dB]^+ + dA. Multi-hop: the work actually served, dB
-    less the idled service [dB - q]^+ (which callers derive from the states
-    they record), joins the downstream queue. The fluid integrator runs the
+    Single-hop: [q - dB]^+ + dA. Multi-hop: the work actually served,
+    min(dB, q), leaves its queue and joins the downstream one; taken as a
+    minimum it never exceeds q, so a fractional queue cannot round below 0.
+    The idled service dB - min(dB, q) = [dB - q]^+ is derived by callers
+    from the states they record. The fluid integrator runs the
     same recursion with increments h*pi and lambda*h. ``q`` is one state (N,)
     or a batch (reps, N); each row is routed by its own matrix-vector
     product, so a batch row equals the recursion of that state alone.
     """
     if model.is_single_hop:
         return np.maximum(q - dB, 0.0) + dA
-    served = dB - np.maximum(dB - q, 0.0)
+    served = np.minimum(dB, q)
     routed = (model.into @ served[..., None])[..., 0]
     return q - served + routed + dA
 
@@ -191,19 +193,22 @@ def run_batch(
     Generator bit for bit.
 
     The loop keeps one key per slot, the (reps, N) state as one bytes
-    object, and a table that lives for this call. Its entry for a state is
-    (each row's maximizers, whether a row is tied, the state's moves), so a
-    revisited state is not weighed again, an untied one skips ``resolve``,
-    and only ties are broken anew, each with its row's own TieState. This
-    relies on the maximizers (``policy.maximizers``) being a function of q,
-    which holds for mw, backpressure and msmw_log. A missed state is weighed
-    in one call, each row by its own matrix-vector product. The moves map the
-    slot's arrival bytes (on a tied state: every row's pick and the arrival
-    bytes) to the next state: a known move is a lookup, any other slot steps
-    the batch through ``advance``. Moves are learnt only in known states, into a
-    dict made with the first one. States and moves each stop at SELECTION_ROWS
-    state rows. A wide batch whose rows repeat but never all at once, as in a
-    subcritical collapse run, is weighed and stepped every slot.
+    object, and a table that lives for this call; a slot's picks are one
+    int64 array, kept as its bytes. The entry for an untied state is (its
+    picks' bytes, {}, its moves), and for a tied state (its highest-index
+    maximizers, its ties, its moves) as ``policy.maximizers`` returns them.
+    So a revisited state is not weighed again, an untied one skips
+    ``resolve``, and only ties are broken anew, each with its row's own
+    TieState. This relies on the maximizers being a function of q, which
+    holds for mw, backpressure and msmw_log. A missed state is weighed in
+    one call, each row by its own matrix-vector product. The moves map the
+    slot's arrival bytes (on a tied state: the pick bytes followed by the
+    arrival bytes) to the next state: a known move is a lookup, any other
+    slot steps the batch through ``advance``. Moves are learnt only in known
+    states, into a dict made with the first one. States and moves each stop
+    at SELECTION_ROWS state rows. A wide batch whose rows repeat but never
+    all at once, as in a subcritical collapse run, is weighed and stepped
+    every slot.
 
     Q, B, Y and sup_q are rebuilt from the visited states a block of
     BLOCK_ROWS state rows (BLOCK_ROWS // reps slots) at a time, with idling
@@ -251,7 +256,7 @@ def run_batch(
     slot_bytes = np.dtype((np.void, q.nbytes))  # a slot's (reps, N) arrivals as one key
     cap = SELECTION_ROWS // reps  # states, and moves, per call: SELECTION_ROWS state rows
     cur = q.tobytes()  # the batch state as one key
-    table, shared, learnt = {}, {}, 0  # shared: each distinct tuple of maximizers, stored once
+    table, learnt = {}, 0
 
     span = max(1, BLOCK_ROWS // reps)  # slots per block: BLOCK_ROWS state rows
     for lo in range(0, horizon, span):
@@ -263,26 +268,30 @@ def run_batch(
             if entry is None:  # a new state has no move yet
                 if q is None:
                     q = np.frombuffer(cur).reshape(reps, n)
-                found = tuple(maximizers(policy, maximal(policy, batch_weights(model, policy, q))))
-                pick, nxt = resolve(policy, found, tie_states, ns), None
+                top, ties = maximizers(policy, maximal(policy, batch_weights(model, policy, q)))
+                picked = resolve(policy, top, ties, tie_states, ns)
+                pick, nxt = picked.tobytes(), None
                 if len(table) < cap:
-                    table[cur] = (shared.setdefault(found, found), tuple in map(type, found), None)
+                    table[cur] = (top if ties else pick, ties, None)
             else:  # an untied state's moves key on the arrivals alone, and its picks need no resolve
-                found, tied, known_moves = entry
-                pick = resolve(policy, found, tie_states, ns) if tied else found
-                key = (*pick, arrived) if tied else arrived
+                top, ties, known_moves = entry
+                picked = resolve(policy, top, ties, tie_states, ns) if ties else None
+                pick = top if picked is None else picked.tobytes()
+                key = arrived if picked is None else pick + arrived
                 nxt = known_moves.get(key) if known_moves else None
             if nxt is None:
                 if q is None:
                     q = np.frombuffer(cur).reshape(reps, n)
-                q = advance(model, q, s_mat.take(pick, axis=0), dA[tau])
+                if picked is None:
+                    picked = np.frombuffer(pick, np.int64)
+                q = advance(model, q, s_mat.take(picked, axis=0), dA[tau])
                 if np.minimum.reduce(q, axis=None) < 0.0:
                     bad = int(np.argmin(q.min(axis=1)))
                     raise NegativeQueue(f"queue went negative at slot {tau}: {q[bad]}")
                 nxt = q.tobytes()
                 if entry is not None and learnt < cap:
                     if known_moves is None:  # a state's move dict is made with its first move
-                        table[cur] = (found, tied, known_moves := {})
+                        table[cur] = (top, ties, known_moves := {})
                     known_moves[key], learnt = nxt, learnt + 1
             else:
                 q = None
@@ -292,8 +301,8 @@ def run_batch(
 
         # fold the block into the outputs: path[k] is the state at slot lo + k
         path = np.frombuffer(b"".join(states)).reshape(hi - lo + 1, reps, n)
-        chosen[lo:hi] = picks
-        dB = s_mat[chosen[lo:hi]]
+        chosen[lo:hi] = np.frombuffer(b"".join(picks), np.int64).reshape(hi - lo, reps)
+        dB = s_mat.take(chosen[lo:hi], axis=0)
         inc = np.concatenate((dB, np.maximum(dB - path[:-1], 0.0)), axis=2)
         if exact:  # every partial sum is exact, so the compensation stays 0
             np.cumsum(inc, axis=0, out=inc)
@@ -373,6 +382,19 @@ def rescale(path: SystemPath, kind: str, scale: float, T: float, num: int = 201)
     recorded points are filled by linear interpolation. The grid step h is
     T / (num - 1), and 0 for a one-point grid.
     """
+    t, slots = _window(path, kind, scale, T, num)
+    tau = path.tau.astype(float)
+    q, a, y, s = (_interp_rows(tau, x, slots) / scale for x in (path.Q, path.A, path.Y, path.S_cum))
+    return FluidTrajectory(t=t, q=q, a=a, y=y, s=s, h=T / (num - 1) if num > 1 else 0.0)
+
+
+def rescale_q(path: SystemPath, kind: str, scale: float, T: float, num: int = 201) -> np.ndarray:
+    """``rescale(path, kind, scale, T, num).q`` bit for bit, without interpolating a, y and s."""
+    return _interp_rows(path.tau.astype(float), path.Q, _window(path, kind, scale, T, num)[1]) / scale
+
+
+def _window(path: SystemPath, kind: str, scale: float, T: float, num: int) -> tuple[np.ndarray, np.ndarray]:
+    """rescale's checks, then its grid t and the slots it reads, factor * t."""
     if scale < 1:
         raise ValueError("scale must be >= 1")
     factor = scale if kind == "fluid" else scale * scale
@@ -383,13 +405,7 @@ def rescale(path: SystemPath, kind: str, scale: float, T: float, num: int = 201)
             f"need horizon >= {factor * T:g} slots for {kind} window T={T:g}, have {path.horizon}"
         )
     t = np.linspace(0.0, T, num)
-    slots = factor * t
-    tau = path.tau.astype(float)
-    q = _interp_rows(tau, path.Q, slots) / scale
-    a = _interp_rows(tau, path.A, slots) / scale
-    y = _interp_rows(tau, path.Y, slots) / scale
-    s = _interp_rows(tau, path.S_cum.astype(float), slots) / scale
-    return FluidTrajectory(t=t, q=q, a=a, y=y, s=s, h=T / (num - 1) if num > 1 else 0.0)
+    return t, factor * t
 
 
 @dataclass

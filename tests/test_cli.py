@@ -169,6 +169,24 @@ def test_simulate_and_corrupted_replay(tmp_path):
     assert any(v["slot"] == 59 for v in audit["violations"])
 
 
+def test_simulate_serves_a_fractional_multi_hop_queue_at_most_its_content(tmp_path, capsys):
+    # at slot 1, schedule (1, 1) serves queue 2 at q = 0.2; taken as dB - [dB - q]^+ = 1 - 0.8 the service
+    # rounded above 0.2, left the queue at -5.55e-17 and ended the run with a NegativeQueue traceback
+    scenario = {
+        "preset": "tandem",
+        "N": 2,
+        "arrivals": {"kind": "deterministic", "lambda": [0.3, 0.0]},
+        "policy": {"kind": "backpressure", "alpha": 1.0},
+        "experiment": {"kind": "simulate", "horizon": 200, "q0": [0.35, 0.2]},
+        "seed": 1,
+    }
+    assert main(["simulate", _write(tmp_path, "tandem.json", scenario), "--out", str(tmp_path / "o")]) == 0
+    assert capsys.readouterr().err == ""
+    assert json.loads((tmp_path / "o" / "audit.json").read_text())["ok"]
+    rows = (tmp_path / "o" / "trajectory.csv").read_text().splitlines()[2:]
+    assert min(float(cell) for row in rows for cell in row.split(",")[1:3]) >= 0.0
+
+
 @pytest.mark.parametrize(
     "col, cells, message",
     [

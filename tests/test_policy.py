@@ -7,12 +7,16 @@ from hypothesis import strategies as st
 
 from swnet import presets
 from swnet.model import WeightFunction, validate_network
+from swnet.arrivals import derive_rng
 from swnet.policy import (
     Policy,
     PolicyModelMismatch,
     TieState,
     batch_weights,
     check_scale_invariance,
+    maximal,
+    maximizers,
+    resolve,
     select_schedule,
     weight_vectors,
 )
@@ -210,3 +214,73 @@ def test_backpressure_zeroed_variant_never_beats_chosen(tandem2):
                 if mask >> b & 1:
                     variant[b] = 0.0
             assert best >= trace.weights[s_keys[tuple(variant)]]
+
+
+# ---------------------------------------------------------------------------
+# maximizers and resolve against a per-row reference
+# ---------------------------------------------------------------------------
+
+_CONTRACT_POLICIES = [
+    Policy.mw(WeightFunction.power(1.0)),
+    Policy.mw(WeightFunction.power(1.0), tie_break="random"),
+    Policy.mw(WeightFunction.power(1.0), tie_break="round_robin"),
+    Policy.msmw_log(),
+    Policy.msmw_log(tie_break="random"),
+    Policy.msmw_log(tie_break="round_robin"),
+    Policy.mw(WeightFunction.power(2.0), tie_break="round_robin", rel_tol=1e-9),
+    Policy.mw(WeightFunction.power(1.0), tie_break="random", rel_tol=1e-9),
+]
+
+
+def _row_maximizers(policy, w):
+    """The ascending maximizers of one state's weights, by plain Python comparisons."""
+
+    def near_top(values, among):
+        top = max(values[j] for j in among)
+        if policy.rel_tol:
+            top = top - policy.rel_tol * max(1.0, abs(top))
+        return [j for j in among if values[j] >= top]
+
+    if policy.kind == "msmw_log":
+        return near_top(w[:, 1].tolist(), near_top(w[:, 0].tolist(), range(len(w))))
+    return near_top(w.tolist(), range(len(w)))
+
+
+@pytest.mark.parametrize(
+    "policy", _CONTRACT_POLICIES, ids=[f"{p.kind}-{p.tie_break}-tol{p.rel_tol:g}" for p in _CONTRACT_POLICIES]
+)
+def test_maximizers_and_resolve_equal_a_per_row_reference(policy):
+    model = presets.iq_switch(3)
+    ns = len(model.schedules)
+    rng = np.random.default_rng(17)
+    q = rng.integers(0, 3, (300, model.n_queues)).astype(float)  # small integers: many rows tie, some three ways
+    if policy.rel_tol:  # noise far below rel_tol breaks every exact tie, but no tie within the tolerance
+        q += rng.random(q.shape) * 1e-12
+        exact = Policy(policy.kind, policy.weight, policy.tie_break)
+        assert not (maximal(exact, batch_weights(model, exact, q)).sum(axis=1) > 1).any()
+    top, ties = maximizers(policy, maximal(policy, batch_weights(model, policy, q)))
+    assert top.dtype == np.int64 and top.shape == (len(q),)
+    assert list(ties) == sorted(ties)
+    states = [TieState(rng=derive_rng(3, i)) for i in range(len(q))]
+    ref_states = [TieState(rng=derive_rng(3, i)) for i in range(len(q))]
+    found = [_row_maximizers(policy, batch_weights(model, policy, row)) for row in q]
+    assert sum(len(f) > 2 for f in found) > 0
+    for _ in range(2):  # twice, so each round-robin pointer and random stream moves on
+        kept = top.copy()
+        chosen = resolve(policy, top, ties, states, ns)
+        assert chosen.dtype == np.int64 and np.array_equal(top, kept)
+        if policy.tie_break == "highest_index":
+            assert ties == {} and chosen is top
+        for i, argmax in enumerate(found):
+            tied = len(argmax) > 1 and policy.tie_break != "highest_index"
+            assert top[i] == argmax[-1]
+            assert ties.get(i) == (tuple(argmax) if tied else None)
+            ref = ref_states[i]
+            if not tied:
+                expect = argmax[-1]
+            elif policy.tie_break == "random":
+                expect = argmax[ref.rng.integers(0, len(argmax))]
+            else:
+                expect = next((m for m in argmax if m >= ref.pointer), argmax[0])
+                ref.pointer = (expect + 1) % ns
+            assert chosen[i] == expect

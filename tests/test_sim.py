@@ -21,6 +21,7 @@ from swnet.sim import (
     float_texts,
     path_from_csv,
     rescale,
+    rescale_q,
     run,
     run_batch,
 )
@@ -175,6 +176,17 @@ def test_rescale_horizon_guard(ex2):
     path = run(ex2, Policy.mw_alpha(1.0), ArrivalModel.deterministic([0, 0]), [1.0, 0.0], 10, seed=0)
     with pytest.raises(HorizonTooShort):
         rescale(path, "fluid", 10, T=2.0)
+    with pytest.raises(HorizonTooShort):
+        rescale_q(path, "fluid", 10, T=2.0)
+
+
+@pytest.mark.parametrize("kind, scale, T", [("fluid", 7, 3.0), ("diffusion", 5, 1.3)])
+def test_rescale_q_is_the_q_of_rescale(kind, scale, T):
+    # a strided path, so the grid falls between recorded slots, from a fractional start
+    model = presets.iq_switch(2)
+    arrivals = ArrivalModel.bernoulli([0.45] * 4)
+    path = run(model, Policy.mw_alpha(1.0), arrivals, [2.5, 0.5, 1.25, 0.0], 40, seed=4, record_every=3)
+    assert np.array_equal(rescale_q(path, kind, scale, T, num=57), rescale(path, kind, scale, T, num=57).q)
 
 
 def test_audit_clean_run(ex2):
@@ -415,7 +427,7 @@ def _reference_run_batch(model, policy, arrivals, q0, horizon, rngs, record_ever
         if model.is_single_hop:
             q = np.maximum(q - dB, 0.0) + dA[:, tau]
         else:
-            served = dB - dY
+            served = np.minimum(dB, q)
             q = q - served + (model.routing.T @ served[..., None])[..., 0] + dA[:, tau]
         for key, x in (("B", dB), ("Y", dY)):
             total, comp = sums[key]
